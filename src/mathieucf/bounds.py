@@ -19,12 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .series import (
-    MathieuCFParams,
-    ab_form,
-    mathieu_partial_sum,
-    _bracket_walk,
-)
+from .oracles import zeta3_reference
+from .series import mathieu_theorem1
 
 __all__ = [
     "BoundResult",
@@ -35,7 +31,6 @@ __all__ = [
     "cf_bounds",
     "closed_form_bounds",
     "crossover_analysis",
-    "zeta3_internal",
 ]
 
 
@@ -60,25 +55,6 @@ class BoundResult:
         return self.upper - self.lower
 
 
-_ZETA3: Optional[float] = None
-
-
-def zeta3_internal() -> float:
-    """zeta(3) by direct summation with an integral-tail midpoint.
-
-    sum_{m>M} 1/m^3 lies between 1/(2(M+1)^2) and 1/(2M^2); the midpoint
-    leaves an error below 1/(2M^3), far under float64 resolution at
-    M = 50000.  Kept local to this module so the bounds do not depend on
-    the oracle routes they are tested against.
-    """
-    global _ZETA3
-    if _ZETA3 is None:
-        M = 50_000
-        partial = math.fsum(1 / (m * m * m) for m in range(1, M + 1))
-        _ZETA3 = partial + 0.5 * (0.5 / (M * M) + 0.5 / ((M + 1) * (M + 1)))
-    return _ZETA3
-
-
 def _require_positive_r(r: float):
     if not (r > 0):
         raise ValueError(f"r must be > 0; got {r!r}")
@@ -99,7 +75,7 @@ def alzer_bounds(r: float) -> BoundResult:
     """
     _require_positive_r(r)
     rr = r * r
-    return BoundResult("alzer", 1 / (rr + 1 / (2 * zeta3_internal())), 1 / (rr + 1 / 6))
+    return BoundResult("alzer", 1 / (rr + 1 / (2 * zeta3_reference())), 1 / (rr + 1 / 6))
 
 
 def mp_upper(r: float) -> BoundResult:
@@ -122,16 +98,13 @@ def cf_bounds(r: float, k: int, l: int) -> BoundResult:
         head(k) + f_{2l}  <  S(r)  <  head(k) + f_{2l-1},
 
     where f_n is the n-th approximant of the tail fraction (even index
-    below, odd above; valid since z = k^2 - k >= 0).
+    below, odd above; valid since z = k^2 - k >= 0): ``mathieu_theorem1``
+    with 2l terms.
     """
-    _require_positive_r(r)
-    if k < 1:
-        raise ValueError(f"k must be a positive integer; got {k}")
     if l < 1:
         raise ValueError(f"l must be a positive integer; got {l}")
-    bracket = _bracket_walk(ab_form(MathieuCFParams(r, float(k))), 0.0, 2 * l).enclosure
-    head = mathieu_partial_sum(r, k)
-    return BoundResult(f"cf(k={k},l={l})", head + bracket.lower, head + bracket.upper)
+    enclosure = mathieu_theorem1(r, k, 2 * l)
+    return BoundResult(f"cf(k={k},l={l})", enclosure.lower, enclosure.upper)
 
 
 def closed_form_bounds(r: float, k: int) -> BoundResult:

@@ -32,10 +32,11 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, bounds, oracles, series
+from .cf import iter_convergents
 from .selftest import run_selftest
 
 __all__ = [
@@ -58,9 +59,16 @@ class ConfigError(ValueError):
     """Invalid command-line configuration (exit code 2)."""
 
 
+_METHODS = ("cf", "direct", "trigamma", "integral", "asymptotic")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a subcommand run depends on, echoed into JSON output."""
+    """Everything a subcommand run depends on, echoed into JSON output.
+
+    Construction validates every field, so a bad config raises
+    ``ConfigError`` before anything runs, from the CLI and from ``run`` alike.
+    """
 
     command: str
     r_values: Tuple[float, ...] = (1.0,)
@@ -76,23 +84,36 @@ class RunConfig:
     format: str = "table"
     output: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        d = {
-            "command": self.command,
-            "r_values": list(self.r_values),
-            "k": self.k,
-            "l": self.l,
-            "tol": self.tol,
-            "max_terms": self.max_terms,
-            "methods": list(self.methods),
-            "n_terms": self.n_terms,
-            "k_values": list(self.k_values),
-            "repeats": self.repeats,
-            "force_fail": self.force_fail,
-            "format": self.format,
-            "output": self.output,
-        }
-        return d
+    def __post_init__(self):
+        if self.command not in _COMMANDS:
+            raise ConfigError(f"unknown command {self.command!r}")
+        if self.k < 1:
+            raise ConfigError(f"--k must be >= 1; got {self.k}")
+        if self.l < 1:
+            raise ConfigError(f"--l must be >= 1; got {self.l}")
+        if not (self.tol > 0):
+            raise ConfigError(f"--tol must be > 0; got {self.tol!r}")
+        if self.max_terms < 2:
+            raise ConfigError(f"--max-terms must be >= 2; got {self.max_terms}")
+        if not self.methods:
+            raise ConfigError("--methods must name at least one method")
+        unknown = set(self.methods) - set(_METHODS)
+        if unknown:
+            raise ConfigError(f"unknown method(s): {', '.join(sorted(unknown))}")
+        if self.n_terms < 1:
+            raise ConfigError(f"--n-terms must be >= 1; got {self.n_terms}")
+        if not self.k_values or any(k < 1 for k in self.k_values):
+            raise ConfigError(f"--k-values must be positive integers; got {self.k_values!r}")
+        if self.repeats < 1:
+            raise ConfigError(f"--repeats must be >= 1; got {self.repeats}")
+        # eval serves r = 0 by direct summation; the fraction routes need r > 0.
+        for r in self.r_values:
+            if self.command == "eval" and not (r >= 0):
+                raise ConfigError(f"eval requires r >= 0; got r={r!r}")
+            if self.command in ("bounds", "compare", "bench") and not (r > 0):
+                raise ConfigError(f"{self.command} requires r > 0; got r={r!r}")
+            if self.command == "bench":
+                _direct_terms_for_tol(r, self.tol)
 
 
 def parse_r_values(text: str, log_spacing: bool) -> Tuple[float, ...]:
@@ -130,12 +151,6 @@ def parse_r_values(text: str, log_spacing: bool) -> Tuple[float, ...]:
     return (one(text),)
 
 
-def _require_positive(r_values: Sequence[float], command: str):
-    for r in r_values:
-        if not (r > 0):
-            raise ConfigError(f"{command} requires r > 0; got r={r!r}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each returns (rows, exit_code)
 
@@ -147,13 +162,6 @@ def _timed(fn: Callable[[], Any]) -> Tuple[Any, int]:
 
 
 def cmd_eval(cfg: RunConfig) -> Tuple[List[Row], int]:
-    known = {"cf", "direct", "trigamma", "integral", "asymptotic"}
-    unknown = set(cfg.methods) - known
-    if unknown:
-        raise ConfigError(f"unknown method(s): {', '.join(sorted(unknown))}")
-    for r in cfg.r_values:
-        if not (r >= 0):
-            raise ConfigError(f"eval requires r >= 0; got r={r!r}")
     rows: List[Row] = []
     exit_code = 0
 
@@ -227,7 +235,6 @@ _BOUND_METHODS = ("makai", "alzer", "mp", "cf", "closed2", "closed3")
 
 
 def cmd_bounds(cfg: RunConfig) -> Tuple[List[Row], int]:
-    _require_positive(cfg.r_values, "bounds")
     rows: List[Row] = []
     for r in sorted(cfg.r_values):
         s_ref = series.theorem1_to_width(r, 3, 1e-12, cfg.max_terms)[0].midpoint
@@ -258,17 +265,25 @@ def cmd_bounds(cfg: RunConfig) -> Tuple[List[Row], int]:
     return rows, 0
 
 
+_COMPARE_VALUES = ("cf", "direct", "trigamma", "integral", "spread", "asymptotic",
+                   "asymptotic_first_omitted")
+
+
 def cmd_compare(cfg: RunConfig) -> Tuple[List[Row], int]:
-    _require_positive(cfg.r_values, "compare")
     rows: List[Row] = []
     exit_code = 0
     budget = max(10 * cfg.tol, 2e-9)
     for r in sorted(cfg.r_values):
-        enc = series.theorem1_to_width(r, cfg.k, cfg.tol, cfg.max_terms)[0]
-        direct = series.mathieu_direct(r, cfg.tol)
-        tri = oracles.mathieu_trigamma(r)
-        integral = oracles.mathieu_integral(r, max(cfg.tol, 1e-10))
-        asym = series.asymptotic(r)
+        try:
+            enc = series.theorem1_to_width(r, cfg.k, cfg.tol, cfg.max_terms)[0]
+            direct = series.mathieu_direct(r, cfg.tol)
+            tri = oracles.mathieu_trigamma(r)
+            integral = oracles.mathieu_integral(r, max(cfg.tol, 1e-10))
+            asym = series.asymptotic(r)
+        except ValueError as exc:
+            rows.append({"r": r, **dict.fromkeys(_COMPARE_VALUES), "note": f"failed: {exc}"})
+            exit_code = 1
+            continue
         core = [enc.midpoint, direct.midpoint, tri, integral]
         spread = max(core) - min(core)
         note = ""
@@ -301,10 +316,20 @@ def _median_seconds(fn: Callable[[], Any], repeats: int) -> float:
 
 
 def _direct_terms_for_tol(r: float, tol: float) -> int:
-    """Smallest M with the one-sided remainder bound 1/(M^2+r^2) <= tol."""
+    """Smallest M with the one-sided remainder bound 1/(M^2+r^2) <= tol.
+
+    Refuses (``ConfigError``) an M beyond the direct-summation term cap: the
+    timed sum would run for hours, and far enough out M*M + r*r stops
+    changing in float, so the search below would never end.
+    """
     target = 1 / tol - r * r
     if target <= 0:
         return 1
+    if math.sqrt(target) > series._DIRECT_TERM_CAP:
+        raise ConfigError(
+            f"tolerance unachievable by direct summation: tol={tol!r} at r={r!r} "
+            f"needs more than {series._DIRECT_TERM_CAP} terms"
+        )
     M = max(1, math.isqrt(int(target)))
     while 1 / (M * M + r * r) > tol:
         M += 1
@@ -314,16 +339,12 @@ def _direct_terms_for_tol(r: float, tol: float) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> Tuple[List[Row], int]:
-    _require_positive(cfg.r_values, "bench")
     rows: List[Row] = []
     for r in sorted(cfg.r_values):
-        rr = r * r
         M = _direct_terms_for_tol(r, cfg.tol)
-
-        def direct_run():
-            return math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, M + 1))
-
-        direct_seconds = _median_seconds(direct_run, cfg.repeats)
+        direct_seconds = _median_seconds(
+            lambda: series.mathieu_direct(r, m_terms=M), cfg.repeats
+        )
         rows.append(
             {
                 "r": r,
@@ -358,20 +379,19 @@ def cmd_bench(cfg: RunConfig) -> Tuple[List[Row], int]:
 
 
 def cmd_apery(cfg: RunConfig) -> Tuple[List[Row], int]:
-    if cfg.n_terms < 1:
-        raise ConfigError(f"--n-terms must be >= 1; got {cfg.n_terms}")
     z3 = oracles.zeta3_reference()
-    rows = []
-    for n in range(1, cfg.n_terms + 1):
-        value = oracles.apery_cf(n)
-        rows.append(
-            {
-                "n": n,
-                "value": value,
-                "abs_error": abs(value - z3),
-                "side": "above" if value > z3 else "below",
-            }
-        )
+    # One pass over the recurrence: row n is the n-th approximant.
+    approximants = iter_convergents(oracles.apery_continued_fraction(), cfg.n_terms)
+    next(approximants)  # n = 0 is b0 alone
+    rows = [
+        {
+            "n": c.n,
+            "value": c.value,
+            "abs_error": abs(c.value - z3),
+            "side": "above" if c.value > z3 else "below",
+        }
+        for c in approximants
+    ]
     return rows, 0
 
 
@@ -487,7 +507,7 @@ def render(cfg: RunConfig, rows: List[Row]) -> str:
     if cfg.format == "json":
         payload = {
             "version": {"schema": SCHEMA_VERSION, "package": __version__},
-            "config": cfg.to_dict(),
+            "config": vars(cfg),
             "rows": rows,
         }
         return payload_to_json(payload)
@@ -560,48 +580,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs: Dict[str, Any] = {"command": args.command, "format": args.format,
-                              "output": args.output}
-    if hasattr(args, "r"):
-        kwargs["r_values"] = parse_r_values(args.r, getattr(args, "log", False))
-    if hasattr(args, "k"):
-        if args.k < 1:
-            raise ConfigError(f"--k must be >= 1; got {args.k}")
-        kwargs["k"] = args.k
-    if hasattr(args, "l"):
-        if args.l < 1:
-            raise ConfigError(f"--l must be >= 1; got {args.l}")
-        kwargs["l"] = args.l
-    if hasattr(args, "tol"):
-        if not (args.tol > 0):
-            raise ConfigError(f"--tol must be > 0; got {args.tol!r}")
-        kwargs["tol"] = args.tol
-    if hasattr(args, "max_terms"):
-        if args.max_terms < 2:
-            raise ConfigError(f"--max-terms must be >= 2; got {args.max_terms}")
-        kwargs["max_terms"] = args.max_terms
-    if hasattr(args, "methods"):
-        methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-        if not methods:
-            raise ConfigError("--methods must name at least one method")
-        kwargs["methods"] = methods
-    if hasattr(args, "k_values"):
+    """Parse the string-valued flags; ``RunConfig`` validates the rest."""
+    given = dict(vars(args))
+    if "r" in given:
+        given["r_values"] = parse_r_values(args.r, args.log)
+    if "methods" in given:
+        given["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    if "k_values" in given:
         try:
-            k_values = tuple(int(tok) for tok in args.k_values.split(",") if tok.strip())
+            given["k_values"] = tuple(int(tok) for tok in args.k_values.split(",") if tok.strip())
         except ValueError:
             raise ConfigError(f"invalid --k-values {args.k_values!r}") from None
-        if not k_values or any(k < 1 for k in k_values):
-            raise ConfigError(f"--k-values must be positive integers; got {args.k_values!r}")
-        kwargs["k_values"] = k_values
-    if hasattr(args, "repeats"):
-        if args.repeats < 1:
-            raise ConfigError(f"--repeats must be >= 1; got {args.repeats}")
-        kwargs["repeats"] = args.repeats
-    if hasattr(args, "n_terms"):
-        kwargs["n_terms"] = args.n_terms
-    if hasattr(args, "force_fail"):
-        kwargs["force_fail"] = args.force_fail
-    return RunConfig(**kwargs)
+    names = {field.name for field in fields(RunConfig)}
+    return RunConfig(**{name: value for name, value in given.items() if name in names})
 
 
 def run(cfg: RunConfig) -> Tuple[List[Row], int, str]:

@@ -18,6 +18,7 @@ Three routes, sharing no code with the fraction engine:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Tuple, Union
 
@@ -171,11 +172,13 @@ def apery_cf(n_terms: int) -> float:
     return convergent(apery_continued_fraction(), n_terms).value
 
 
+@functools.lru_cache(maxsize=None)
 def zeta3_reference(m_terms: int = 50_000) -> float:
     """zeta(3) by direct summation plus an integral-tail midpoint.
 
     The tail past M lies between 1/(2(M+1)^2) and 1/(2M^2); taking the
-    midpoint leaves an error under 1/(2M^3).
+    midpoint leaves an error under 1/(2M^3).  Cached: the bounds read it on
+    every call.
     """
     if m_terms < 1:
         raise ValueError(f"m_terms must be >= 1; got {m_terms}")

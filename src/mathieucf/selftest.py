@@ -18,7 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from . import bounds, oracles, series
 from .cf import (
@@ -397,17 +397,9 @@ def _forced_failure() -> str:
     raise AssertionError("forced failure requested (--force-fail)")
 
 
-def run_selftest(
-    names: Optional[List[str]] = None, force_fail: bool = False
-) -> SelftestReport:
-    """Run the named checks (all by default); never raises on check failure."""
+def run_selftest(force_fail: bool = False) -> SelftestReport:
+    """Run every check; never raises on check failure."""
     selected = CHECKS
-    if names is not None:
-        known = dict(CHECKS)
-        missing = [n for n in names if n not in known]
-        if missing:
-            raise ValueError(f"unknown selftest check(s): {', '.join(missing)}")
-        selected = [(n, known[n]) for n in names]
     if force_fail:
         selected = selected + [("forced_failure", _forced_failure)]
     results: List[CheckResult] = []

@@ -349,14 +349,10 @@ def mathieu_theorem1(r: float, k: int = 1, n_terms: int = 80) -> Enclosure:
     The identity holds for every integer k >= 1; larger k means z = k^2 - k
     grows and the bracket tightens faster per term.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer; got {k}")
     pairs = n_terms // 2
     if pairs < 1:
         raise ValueError(f"n_terms must be >= 2; got {n_terms}")
-    bracket = tail_enclosure(r, float(k), 0.0, max_terms=2 * pairs)
-    head = mathieu_partial_sum(r, k)
-    return Enclosure(head + bracket.enclosure.lower, head + bracket.enclosure.upper)
+    return theorem1_to_width(r, k, 0.0, 2 * pairs)[0]
 
 
 def theorem1_to_width(

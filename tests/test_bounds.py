@@ -25,7 +25,7 @@ from mathieucf import (
     makai_bounds,
     mp_upper,
 )
-from mathieucf.bounds import zeta3_internal
+from mathieucf.oracles import zeta3_reference
 
 
 class TestClassicalBounds:
@@ -42,8 +42,8 @@ class TestClassicalBounds:
         assert makai_bounds(1.0).lower < b.lower < S_AT_1
 
     def test_lower_constant_value(self):
-        assert 1 / (2 * zeta3_internal()) == pytest.approx(INV_TWO_ZETA3, abs=1e-15)
-        assert zeta3_internal() == pytest.approx(ZETA3, abs=1e-14)
+        assert 1 / (2 * zeta3_reference()) == pytest.approx(INV_TWO_ZETA3, abs=1e-15)
+        assert zeta3_reference() == pytest.approx(ZETA3, abs=1e-14)
 
     def test_mp_upper_branches(self):
         assert mp_upper(0.5).upper == 2.0  # 1/(1/4 + 1/4)

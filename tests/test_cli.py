@@ -56,6 +56,34 @@ class TestParseRValues:
             parse_r_values(text, log)
 
 
+class TestRunConfigValidation:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"command": "nope"},
+            {"command": "eval", "k": 0},
+            {"command": "bounds", "l": 0},
+            {"command": "compare", "tol": 0.0},
+            {"command": "eval", "tol": float("nan")},
+            {"command": "eval", "max_terms": 1},
+            {"command": "eval", "methods": ()},
+            {"command": "eval", "methods": ("cf", "bogus")},
+            {"command": "eval", "r_values": (-1.0,)},
+            {"command": "bounds", "r_values": (0.0,)},
+            {"command": "compare", "r_values": (1.0, -2.0)},
+            {"command": "bench", "r_values": (0.0,)},
+            {"command": "bench", "k_values": (0,)},
+            {"command": "bench", "k_values": ()},
+            {"command": "bench", "repeats": 0},
+            {"command": "bench", "tol": 1e-300},
+            {"command": "apery", "n_terms": 0},
+        ],
+    )
+    def test_invalid_field_raises_on_construction(self, fields):
+        with pytest.raises(ConfigError):
+            RunConfig(**fields)
+
+
 class TestEvalCommand:
     def test_enclosure_row(self):
         rows, code, _ = run(RunConfig(command="eval", r_values=(1.0,)))
@@ -224,6 +252,7 @@ class TestMain:
             ["bench", "--k-values", "0"],
             ["bench", "--repeats", "0"],
             ["apery", "--n-terms", "0"],
+            ["bench", "--tol", "1e-300"],
         ],
     )
     def test_config_errors_exit_2(self, argv, capsys):
@@ -244,3 +273,8 @@ class TestMain:
         code = main(["eval", "--r", "1", "--tol", "1e-13", "--max-terms", "50"])
         capsys.readouterr()
         assert code == 1
+        # A route that refuses the tolerance at this r is a row note, not a traceback.
+        assert main(["compare", "--r", "1e8", "--format", "json"]) == 1
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["note"].startswith("failed: tolerance unachievable")
+        assert row["cf"] is None and row["spread"] is None
