@@ -87,6 +87,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
+        if not self.r_values:
+            raise ConfigError("--r must give at least one value")
         if self.k < 1:
             raise ConfigError(f"--k must be >= 1; got {self.k}")
         if self.l < 1:
@@ -273,36 +275,42 @@ def cmd_compare(cfg: RunConfig) -> Tuple[List[Row], int]:
     rows: List[Row] = []
     exit_code = 0
     budget = max(10 * cfg.tol, 2e-9)
+    routes: Dict[str, Callable[[float], Any]] = {
+        "cf": lambda r: series.theorem1_to_width(r, cfg.k, cfg.tol, cfg.max_terms)[0].midpoint,
+        "direct": lambda r: series.mathieu_direct(r, cfg.tol).midpoint,
+        "trigamma": oracles.mathieu_trigamma,
+        "integral": lambda r: oracles.mathieu_integral(r, max(cfg.tol, 1e-10)),
+        "asymptotic": series.asymptotic,
+    }
     for r in sorted(cfg.r_values):
-        try:
-            enc = series.theorem1_to_width(r, cfg.k, cfg.tol, cfg.max_terms)[0]
-            direct = series.mathieu_direct(r, cfg.tol)
-            tri = oracles.mathieu_trigamma(r)
-            integral = oracles.mathieu_integral(r, max(cfg.tol, 1e-10))
-            asym = series.asymptotic(r)
-        except ValueError as exc:
-            rows.append({"r": r, **dict.fromkeys(_COMPARE_VALUES), "note": f"failed: {exc}"})
+        row: Row = {"r": r, **dict.fromkeys(_COMPARE_VALUES), "note": None}
+        failed = []
+        core = []
+        for name, route in routes.items():
+            # One failing route (a refused tolerance, or a large-r overflow)
+            # is a note; the routes that succeeded keep their values.
+            try:
+                value = route(r)
+            except (ValueError, OverflowError) as exc:
+                failed.append(f"{name}: {exc}")
+                continue
+            if name == "asymptotic":
+                row["asymptotic"] = value.value
+                row["asymptotic_first_omitted"] = value.first_omitted_term
+            else:
+                row[name] = value
+                core.append(value)
+        notes = []
+        if failed:
+            notes.append("failed: " + "; ".join(failed))
+        if len(core) >= 2:
+            row["spread"] = max(core) - min(core)
+            if row["spread"] > budget:
+                notes.append(f"routes disagree beyond budget {budget:.1e}")
+        if notes:
+            row["note"] = "; ".join(notes)
             exit_code = 1
-            continue
-        core = [enc.midpoint, direct.midpoint, tri, integral]
-        spread = max(core) - min(core)
-        note = ""
-        if spread > budget:
-            note = f"routes disagree beyond budget {budget:.1e}"
-            exit_code = 1
-        rows.append(
-            {
-                "r": r,
-                "cf": enc.midpoint,
-                "direct": direct.midpoint,
-                "trigamma": tri,
-                "integral": integral,
-                "spread": spread,
-                "asymptotic": asym.value,
-                "asymptotic_first_omitted": asym.first_omitted_term,
-                "note": note or None,
-            }
-        )
+        rows.append(row)
     return rows, exit_code
 
 

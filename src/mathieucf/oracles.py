@@ -22,8 +22,6 @@ import functools
 import math
 from typing import Tuple, Union
 
-from scipy.integrate import quad
-
 from .cf import ContinuedFraction, convergent
 from .series import bernoulli_numbers
 
@@ -119,6 +117,9 @@ def mathieu_integral(r: float, tol: float = 1e-10) -> float:
         raise ValueError(f"r must be > 0; got {r!r}")
     if not (tol >= 1e-10):
         raise ValueError(f"tol must be >= 1e-10; got {tol!r}")
+    # Imported here, not at module scope: scipy is most of a cold start, and
+    # no other route needs it.
+    from scipy.integrate import quad
 
     def integrand(u: float) -> float:
         if u == 0.0:

@@ -371,22 +371,49 @@ def theorem1_to_width(
     return enclosure, bracket.terms_used, bracket.achieved
 
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+_BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+# Numerators of B_0, B_2, B_4, ... over the common denominator
+# _BERNOULLI_DEN, the lcm of their denominators.
+_BERNOULLI_EVEN_NUM: list[int] = [1]
+_BERNOULLI_DEN = 1
+
+
+def _bernoulli(n: int) -> Fraction:
+    """B_n, extending the cached table through index n."""
+    global _BERNOULLI_DEN
+    while len(_BERNOULLI) <= n:
+        m = len(_BERNOULLI)
+        if m % 2:  # B_1 is seeded; every odd index >= 3 vanishes
+            _BERNOULLI.append(Fraction(0))
+            continue
+        # sum_{j<m} C(m+1, j) B_j = -(m+1) B_m, with the B_1 term taken out:
+        # B_m = 1/2 - acc / ((m+1) D) where acc sums the even-index terms.
+        acc, binom = 0, 1  # binom = C(m+1, 2i), the weight of B_{2i}
+        for i, num in enumerate(_BERNOULLI_EVEN_NUM):
+            acc += binom * num
+            binom = binom * (m + 1 - 2 * i) * (m - 2 * i) // ((2 * i + 1) * (2 * i + 2))
+        b = Fraction(_BERNOULLI_DEN * (m + 1) - 2 * acc, 2 * _BERNOULLI_DEN * (m + 1))
+        den = math.lcm(_BERNOULLI_DEN, b.denominator)
+        scale = den // _BERNOULLI_DEN
+        if scale != 1:
+            for i in range(len(_BERNOULLI_EVEN_NUM)):
+                _BERNOULLI_EVEN_NUM[i] *= scale
+            _BERNOULLI_DEN = den
+        _BERNOULLI_EVEN_NUM.append(b.numerator * (den // b.denominator))
+        _BERNOULLI.append(b)
+    return _BERNOULLI[n]
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
     """Bernoulli numbers B_0 .. B_{n_max} as exact fractions (B_1 = -1/2).
 
-    Computed by the defining recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0 over
-    arbitrary-precision rationals, so every index is exact; results are
-    cached across calls.
+    Computed by the defining recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0 in
+    integer arithmetic over one running common denominator, so every index
+    is exact; results are cached across calls.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0; got {n_max}")
-    while len(_BERNOULLI) <= n_max:
-        n = len(_BERNOULLI)
-        acc = sum(math.comb(n + 1, j) * _BERNOULLI[j] for j in range(n))
-        _BERNOULLI.append(Fraction(-acc, n + 1))
+    _bernoulli(n_max)
     return _BERNOULLI[: n_max + 1]
 
 
@@ -403,7 +430,7 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     so small r means ``auto`` keeps a single term and ``first_omitted_term``
     (the magnitude of the first term dropped) exceeds the term kept — the
     signal that the expansion has nothing to offer at that r.  Terms are
-    formed by exact rational division before rounding, so huge Bernoulli
+    formed by one correctly rounded integer division each, so huge Bernoulli
     numerators cannot overflow; auto truncation is capped at 500 terms.
     """
     if not (r > 0):
@@ -415,14 +442,19 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     cap = _ASYMPTOTIC_TERM_CAP if auto else n_terms
 
     r_exact = Fraction(r)
-    rr = r_exact * r_exact
-    power = rr  # r^{2m+2} at m = 0 is r^2
+    num2 = r_exact.numerator ** 2
+    den2 = r_exact.denominator ** 2
+    num_power, den_power = num2, den2  # r^{2m+2} = num_power / den_power
     terms: list[float] = []
     first_omitted = None
     m = 0
     while True:
-        b2m = bernoulli_numbers(2 * m)[2 * m]
-        t = float((1 if m % 2 == 0 else -1) * b2m / power)
+        b2m = _bernoulli(2 * m)
+        # int / int rounds correctly, as float(Fraction) does, without the
+        # gcd that normalizing the quotient as a Fraction would cost.
+        t = (b2m.numerator * den_power) / (b2m.denominator * num_power)
+        if m % 2:
+            t = -t
         if auto and terms and abs(t) >= abs(terms[-1]):
             first_omitted = abs(t)
             break
@@ -430,7 +462,8 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
             first_omitted = abs(t)
             break
         terms.append(t)
-        power *= rr
+        num_power *= num2
+        den_power *= den2
         m += 1
     return AsymptoticResult(math.fsum(terms), len(terms), first_omitted)
 

@@ -8,6 +8,10 @@ against itself.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +76,13 @@ def golden_cf():
     from mathieucf import ContinuedFraction
 
     return ContinuedFraction(0.0, lambda n: (1.0, 1.0))
+
+
+def fresh_python(code):
+    """Run ``code`` in a new interpreter that imports the package from src/,
+    for checks the test session's own imports would mask; returns stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout

@@ -8,7 +8,7 @@ Exit-code contract: 0 success, 1 partial results or failed invariants,
 import json
 
 import pytest
-from conftest import S_AT_1, ZETA3
+from conftest import S_AT_1, ZETA3, fresh_python
 
 from mathieucf.cli import (
     ConfigError,
@@ -77,6 +77,7 @@ class TestRunConfigValidation:
             {"command": "bench", "repeats": 0},
             {"command": "bench", "tol": 1e-300},
             {"command": "apery", "n_terms": 0},
+            {"command": "eval", "r_values": ()},
         ],
     )
     def test_invalid_field_raises_on_construction(self, fields):
@@ -253,6 +254,7 @@ class TestMain:
             ["bench", "--repeats", "0"],
             ["apery", "--n-terms", "0"],
             ["bench", "--tol", "1e-300"],
+            ["eval", "--r", ","],
         ],
     )
     def test_config_errors_exit_2(self, argv, capsys):
@@ -273,8 +275,34 @@ class TestMain:
         code = main(["eval", "--r", "1", "--tol", "1e-13", "--max-terms", "50"])
         capsys.readouterr()
         assert code == 1
-        # A route that refuses the tolerance at this r is a row note, not a traceback.
+        # A route that refuses the tolerance at this r is a row note, not a
+        # traceback, and the routes that succeeded keep their values.
         assert main(["compare", "--r", "1e8", "--format", "json"]) == 1
         (row,) = json.loads(capsys.readouterr().out)["rows"]
-        assert row["note"].startswith("failed: tolerance unachievable")
-        assert row["cf"] is None and row["spread"] is None
+        assert row["note"].startswith("failed: direct: tolerance unachievable")
+        assert row["direct"] is None
+        for name in ("cf", "trigamma", "integral"):
+            assert row[name] == pytest.approx(1e-16, rel=1e-9)
+        assert row["spread"] == max(row["cf"], row["trigamma"], row["integral"]) - min(
+            row["cf"], row["trigamma"], row["integral"]
+        )
+
+    def test_compare_overflow_is_a_row_note(self, capsys):
+        # At r = 1e100 the cf head sum overflows and only trigamma survives
+        # among the core routes, so there is no spread.
+        assert main(["compare", "--r", "1e100", "--format", "json"]) == 1
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["note"].startswith("failed: cf: ")
+        assert "; direct: " in row["note"] and "; integral: " in row["note"]
+        assert row["cf"] is row["direct"] is row["integral"] is row["spread"] is None
+        assert row["trigamma"] == pytest.approx(1e-200, rel=1e-9)
+
+    def test_eval_path_leaves_scipy_and_numpy_unloaded(self):
+        out = fresh_python(
+            "import sys\n"
+            "from mathieucf import cli\n"
+            "code = cli.main(['eval', '--r', '1', '--format', 'json'])\n"
+            "heavy = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')]\n"
+            "print(code, heavy)\n"
+        )
+        assert out.splitlines()[-1] == "0 []"

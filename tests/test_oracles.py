@@ -10,7 +10,15 @@ sums with integral-tail brackets.
 import math
 
 import pytest
-from conftest import PI2_OVER_2, PI2_OVER_6, S_AT_1, S_AT_10, ZETA3, brute_tail_bracket
+from conftest import (
+    PI2_OVER_2,
+    PI2_OVER_6,
+    S_AT_1,
+    S_AT_10,
+    ZETA3,
+    brute_tail_bracket,
+    fresh_python,
+)
 
 from mathieucf import (
     apery_cf,
@@ -70,6 +78,19 @@ class TestIntegral:
 
     def test_frozen_value(self):
         assert mathieu_integral(1.0) == pytest.approx(S_AT_1, abs=1e-10)
+
+    def test_first_call_imports_the_quadrature(self):
+        # scipy is imported inside mathieu_integral, not with the package.
+        out = fresh_python(
+            "import sys\n"
+            "from mathieucf import mathieu_integral, mathieu_trigamma\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "print(abs(mathieu_integral(1.0) - mathieu_trigamma(1.0)))\n"
+            "print('scipy.integrate' in sys.modules)\n"
+        )
+        before, diff, after = out.split()
+        assert (before, after) == ("False", "True")
+        assert float(diff) <= 1e-10
 
     def test_validation(self):
         with pytest.raises(ValueError, match="r must be"):

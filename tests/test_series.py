@@ -7,12 +7,14 @@ and from hand-evaluated coefficient formulas at small indices.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from conftest import GOLDEN, S_AT_1, S_AT_10, TWO_TERM_AT_10, ZETA3, brute_tail_bracket
 
 from mathieucf import (
+    AsymptoticResult,
     MathieuCFParams,
     ab_form,
     ab_to_cd_witness,
@@ -202,6 +204,46 @@ class TestBernoulli:
         with pytest.raises(ValueError, match="n_max"):
             bernoulli_numbers(-1)
 
+    def test_matches_fraction_recurrence(self):
+        assert bernoulli_numbers(300) == _reference_bernoulli(300)
+
+
+def _reference_bernoulli(n_max):
+    """B_0 .. B_{n_max} by the defining recurrence, one Fraction sum per index."""
+    table = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        acc = sum(math.comb(n + 1, j) * table[j] for j in range(n))
+        table.append(Fraction(-acc, n + 1))
+    return table
+
+
+def _reference_asymptotic(r, n_terms="auto"):
+    """``asymptotic`` with every term formed as
+    float((-1)^m B_2m / Fraction(r)^(2m+2)): the exact quotient, rounded once.
+    The Bernoulli numbers themselves are pinned by the recurrence test above."""
+    rr = Fraction(r) ** 2
+    power = rr
+    terms = []
+    cap = 500 if n_terms == "auto" else n_terms
+    for m in range(cap + 1):
+        t = float((-1) ** m * bernoulli_numbers(2 * m)[2 * m] / power)
+        if m == cap or (n_terms == "auto" and terms and abs(t) >= abs(terms[-1])):
+            return AsymptoticResult(math.fsum(terms), len(terms), abs(t))
+        terms.append(t)
+        power *= rr
+
+
+def _asymptotic_outcome(fn, r, n_terms):
+    try:
+        result = fn(r, n_terms)
+    except OverflowError as exc:
+        return "OverflowError", str(exc)
+    return result.value.hex(), result.terms_used, result.first_omitted_term.hex()
+
+
+_rng = random.Random(20)
+_SEEDED_R = [_rng.uniform(0.1, 100.0) for _ in range(12)]
+
 
 class TestAsymptotic:
     def test_two_terms_at_r10(self):
@@ -232,6 +274,15 @@ class TestAsymptotic:
         # Divergent tail: huge Bernoulli numerators, but terms are formed by
         # exact rational division, so no intermediate overflow.
         assert math.isfinite(asymptotic(1.0, 40).value)
+
+    @pytest.mark.parametrize("r", _SEEDED_R + [7, 100.0, 94.78, 1e200, 1e-200, 1e-150])
+    @pytest.mark.parametrize("n_terms", ["auto", 1, 5, 50])
+    def test_bit_identical_to_fraction_terms(self, r, n_terms):
+        # Extremes: at 1e200 every term underflows to 0.0; at 1e-200 the
+        # first term overflows, at 1e-150 the second.  Both versions agree.
+        assert _asymptotic_outcome(asymptotic, r, n_terms) == _asymptotic_outcome(
+            _reference_asymptotic, r, n_terms
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError, match="r must be"):
