@@ -106,6 +106,18 @@ def _rescale_factor(rescale_at: float) -> float:
     return 2.0 ** -math.floor(math.log2(rescale_at))
 
 
+def _rescaled(n: int, scale: float, a_cur, a_prev, b_cur, b_prev):
+    """The state after term ``n`` times ``scale``, for state that failed
+    ``abs(.) <= rescale_at``: inf and NaN fail it too, so overflow is
+    raised here, off the per-term path."""
+    if isinstance(a_cur, float) and not (math.isfinite(a_cur) and math.isfinite(b_cur)):
+        raise OverflowError(
+            f"numerical overflow despite rescaling at n={n} "
+            f"(A={a_cur!r}, B={b_cur!r})"
+        )
+    return a_cur * scale, a_prev * scale, b_cur * scale, b_prev * scale
+
+
 def _recurrence(
     cf: ContinuedFraction, rescale_at: float
 ) -> Iterator[Tuple[int, float, float, int]]:
@@ -125,16 +137,8 @@ def _recurrence(
         an, bn = cf.term(n)
         a_cur, a_prev = bn * a_cur + an * a_prev, a_cur
         b_cur, b_prev = bn * b_cur + an * b_prev, b_cur
-        if isinstance(a_cur, float) and not (math.isfinite(a_cur) and math.isfinite(b_cur)):
-            raise OverflowError(
-                f"numerical overflow despite rescaling at n={n} "
-                f"(A={a_cur!r}, B={b_cur!r})"
-            )
-        if abs(a_cur) > rescale_at or abs(b_cur) > rescale_at:
-            a_cur *= scale
-            a_prev *= scale
-            b_cur *= scale
-            b_prev *= scale
+        if not (abs(a_cur) <= rescale_at and abs(b_cur) <= rescale_at):
+            a_cur, a_prev, b_cur, b_prev = _rescaled(n, scale, a_cur, a_prev, b_cur, b_prev)
             rescales += 1
         yield n, a_cur, b_cur, rescales
 

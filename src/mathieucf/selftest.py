@@ -157,11 +157,11 @@ def _check_three_forms() -> str:
     worst = 0.0
     for r, x in [(0.5, 1.0), (2.0, 3.0)]:
         params = series.MathieuCFParams(r, x)
-        ab = series._bracket_walk(series.ab_form(params), 0.0, 600)
-        cd = series._bracket_walk(series.cd_form(params), 0.0, 600)
+        ab = series.tail_enclosure(r, x, 0.0, 600)
+        cd = series.evaluate(series.cd_form(params), 0.0, 600)
         kl = series.evaluate(series.kappa_lambda_form(params), 0.0, 300)
         budget = 4 * ab.enclosure.width + 1e-13
-        for name, value in [("cd", cd.enclosure.midpoint), ("kappa_lambda", kl.value)]:
+        for name, value in [("cd", cd.value), ("kappa_lambda", kl.value)]:
             err = abs(value - ab.enclosure.midpoint)
             worst = max(worst, err)
             assert err <= budget, (

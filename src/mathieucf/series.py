@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .cf import ContinuedFraction, evaluate, _recurrence, DEFAULT_RESCALE_AT
+from .cf import DEFAULT_RESCALE_AT, ContinuedFraction, _rescale_factor, _rescaled, evaluate
 
 __all__ = [
     "MathieuCFParams",
@@ -57,6 +57,7 @@ Number = Union[float, Fraction]
 
 # Direct summation refuses tolerances needing more terms than this.
 _DIRECT_TERM_CAP = 20_000_000
+_SCALE = _rescale_factor(DEFAULT_RESCALE_AT)
 
 
 @dataclass(frozen=True)
@@ -284,43 +285,65 @@ def mathieu_direct(
     return Enclosure(partial + 1 / ((M + 1) ** 2 + rr), partial + 1 / (M * M + rr))
 
 
-def _bracket_walk(form: ContinuedFraction, width: float, max_terms: int) -> TailBracket:
-    """Walk approximants of a positive-coefficient fraction, tracking the
-    even/odd bracket [f_even, f_odd] of its value."""
-    lo = hi = None
-    n_stop = 0
-    for n, A, B, _ in _recurrence(form, DEFAULT_RESCALE_AT):
-        if n == 0:
-            continue
-        value = A / B
-        if n % 2:
-            hi = value
-        else:
-            lo = value
-            if lo > hi:
-                # Exact arithmetic guarantees even <= odd here; a crossing can
-                # only be float rounding after the true gap shrank below ulp
-                # scale.  The bracket is saturated: swap and stop.  A large
-                # inversion would mean the positivity hypothesis was violated.
-                drift = (16 + n) * math.ulp(max(abs(lo), abs(hi)))
-                if lo - hi > drift:
-                    raise ValueError(
-                        f"approximants not bracketing at n={n}: even={lo!r} > "
-                        f"odd={hi!r}; positive-coefficient hypothesis violated?"
-                    )
-                lo, hi = hi, lo
-                n_stop = n
-                break
-            if 0 < width and hi - lo <= width:
-                n_stop = n
-                break
-        if n >= max_terms:
-            n_stop = n
+def _bracket_walk(params: MathieuCFParams, width: float, max_terms: int) -> TailBracket:
+    """Walk the approximants of ``ab_form(params)``, tracking the even/odd
+    bracket [f_even, f_odd] of its value.
+
+    A pass applies the odd term n = q = 2m + 1 and the even term n + 1 with
+    inline coefficients and the float operations, in order, of the ``cf``
+    recurrence on ``ab_form`` (b_{2m} = 1 drops an exact 1 * A): brackets
+    are bit-identical while m*m is exact in float64 (n < 1.9e8)."""
+    one = _one(params)
+    rr = params.r * params.r
+    rr4 = 4 * rr
+    z = params.z
+    m = one - one  # in the parameters' arithmetic, as ab_form's ``* one``
+    q, d = 1, 2  # d = 2q divides both a_q and a_{q+1}
+    a_odd, b = one, z + rr  # a_1, b_1
+    a_prev, a_cur = 1, one - one  # A_{-1}, A_0
+    b_prev, b_cur = 0, 1  # B_{-1}, B_0
+    lo = None
+    while True:
+        a_cur, a_prev = b * a_cur + a_odd * a_prev, a_cur
+        b_cur, b_prev = b * b_cur + a_odd * b_prev, b_cur
+        if not (abs(a_cur) <= DEFAULT_RESCALE_AT and abs(b_cur) <= DEFAULT_RESCALE_AT):
+            a_cur, a_prev, b_cur, b_prev = _rescaled(q, _SCALE, a_cur, a_prev, b_cur, b_prev)
+        hi = a_cur / b_cur
+        if q >= max_terms:
+            n = q
             break
-    if lo is None or hi is None:  # max_terms == 1 leaves the bracket open
+        n = q + 1
+        m += one
+        mm = m * m
+        a = mm * m / d
+        a_cur, a_prev = a_cur + a * a_prev, a_cur
+        b_cur, b_prev = b_cur + a * b_prev, b_cur
+        if not (abs(a_cur) <= DEFAULT_RESCALE_AT and abs(b_cur) <= DEFAULT_RESCALE_AT):
+            a_cur, a_prev, b_cur, b_prev = _rescaled(n, _SCALE, a_cur, a_prev, b_cur, b_prev)
+        lo = a_cur / b_cur
+        if lo > hi:
+            # Exact arithmetic guarantees even <= odd here; a crossing can
+            # only be float rounding after the true gap shrank below ulp
+            # scale.  The bracket is saturated: swap and stop.  A large
+            # inversion would mean the positivity hypothesis was violated.
+            drift = (16 + n) * math.ulp(max(abs(lo), abs(hi)))
+            if lo - hi > drift:
+                raise ValueError(
+                    f"approximants not bracketing at n={n}: even={lo!r} > "
+                    f"odd={hi!r}; positive-coefficient hypothesis violated?"
+                )
+            lo, hi = hi, lo
+            break
+        if (0 < width and hi - lo <= width) or n >= max_terms:
+            break
+        q += 2
+        d = 2 * q
+        a_odd = m * (mm + rr4) / d
+        b = z + rr / q
+    if lo is None:  # max_terms <= 1 leaves the bracket open
         raise ValueError(f"max_terms={max_terms} too small to form a bracket")
     enclosure = Enclosure(lo, hi)
-    return TailBracket(enclosure, n_stop, enclosure.width <= width)
+    return TailBracket(enclosure, n, enclosure.width <= width)
 
 
 def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -> TailBracket:
@@ -338,7 +361,7 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
         )
     if not (width >= 0):
         raise ValueError(f"width must be >= 0; got {width!r}")
-    return _bracket_walk(ab_form(params), width, max_terms)
+    return _bracket_walk(params, width, max_terms)
 
 
 def mathieu_theorem1(r: float, k: int = 1, n_terms: int = 80) -> Enclosure:
@@ -489,7 +512,7 @@ def telescoping_residual(r: float, x: float, tol: float = 1e-10) -> float:
     def value_at(x0: float) -> float:
         params = MathieuCFParams(r, x0)
         if params.z >= 0:
-            return _bracket_walk(ab_form(params), tol / 4, _TELESCOPE_TERM_CAP).enclosure.midpoint
+            return _bracket_walk(params, tol / 4, _TELESCOPE_TERM_CAP).enclosure.midpoint
         return evaluate(ab_form(params), tol / 8, _TELESCOPE_TERM_CAP).value
 
     derivative_term = 2 * x / (x * x + r * r) ** 2

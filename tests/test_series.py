@@ -6,16 +6,21 @@ Reference values come from the independent brute-force bracket in conftest
 and from hand-evaluated coefficient formulas at small indices.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import GOLDEN, S_AT_1, S_AT_10, TWO_TERM_AT_10, ZETA3, brute_tail_bracket
 
 from mathieucf import (
     AsymptoticResult,
+    Enclosure,
     MathieuCFParams,
+    TailBracket,
     ab_form,
     ab_to_cd_witness,
     asymptotic,
@@ -34,6 +39,7 @@ from mathieucf import (
     telescoping_residual,
     theorem1_to_width,
 )
+from mathieucf.cf import DEFAULT_RESCALE_AT, _recurrence
 
 P12 = MathieuCFParams(1.0, 2.0)
 
@@ -149,6 +155,121 @@ class TestTailEnclosure:
             tail_enclosure(1.0, 0.75, 1e-8)
         with pytest.raises(ValueError, match="width"):
             tail_enclosure(1.0, 2.0, -1e-8)
+
+
+def _reference_bracket_walk(form, width, max_terms):
+    """The generic bracket walk: the engine's ``_recurrence`` over
+    ``form.term``, one term per step.  ``tail_enclosure``'s flat loop must
+    match it bit for bit on ``ab_form``."""
+    lo = hi = None
+    n_stop = 0
+    for n, A, B, _ in _recurrence(form, DEFAULT_RESCALE_AT):
+        if n == 0:
+            continue
+        value = A / B
+        if n % 2:
+            hi = value
+        else:
+            lo = value
+            if lo > hi:
+                drift = (16 + n) * math.ulp(max(abs(lo), abs(hi)))
+                if lo - hi > drift:
+                    raise ValueError(
+                        f"approximants not bracketing at n={n}: even={lo!r} > "
+                        f"odd={hi!r}; positive-coefficient hypothesis violated?"
+                    )
+                lo, hi = hi, lo
+                n_stop = n
+                break
+            if 0 < width and hi - lo <= width:
+                n_stop = n
+                break
+        if n >= max_terms:
+            n_stop = n
+            break
+    if lo is None or hi is None:
+        raise ValueError(f"max_terms={max_terms} too small to form a bracket")
+    enclosure = Enclosure(lo, hi)
+    return TailBracket(enclosure, n_stop, enclosure.width <= width)
+
+
+def _walk_outcomes(r, x, width, max_terms):
+    """(flat walk, reference walk) outcomes: exact bits of the bracket, or
+    the exception type and message."""
+    def outcome(walk):
+        try:
+            bracket = walk()
+        except (ValueError, OverflowError) as exc:
+            return type(exc).__name__, str(exc)
+        enc = bracket.enclosure
+        return enc.lower.hex(), enc.upper.hex(), bracket.terms_used, bracket.achieved
+
+    form = ab_form(MathieuCFParams(r, x))
+    return (outcome(lambda: tail_enclosure(r, x, width, max_terms)),
+            outcome(lambda: _reference_bracket_walk(form, width, max_terms)))
+
+
+class TestFlatWalk:
+    """``tail_enclosure`` against ``_reference_bracket_walk``: same bits,
+    same term count, same stop, same errors."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        r=st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e),
+        x=st.one_of(st.just(1.0), st.integers(1, 12).map(float), st.floats(1.0, 9.0)),
+        width=st.sampled_from([0.0, 1e-12, 1e-300]),
+        max_terms=st.integers(1, 2500),
+    )
+    def test_bit_identical_to_reference(self, r, x, width, max_terms):
+        flat, reference = _walk_outcomes(r, x, width, max_terms)
+        assert flat == reference
+
+    @pytest.mark.parametrize("max_terms", [1, 2, 3, 4, 41, 200, 4001])
+    def test_explicit_cases(self, max_terms):
+        for r, x, width in itertools.product(
+            [0.01, 0.37, 1.0, 7.0, 1000.0], [1.0, 2.0, 3.0, 1.5, 4.25], [0.0, 1e-12, 1e-300]
+        ):
+            flat, reference = _walk_outcomes(r, x, width, max_terms)
+            assert flat == reference, (r, x, width)
+            if max_terms == 1:
+                assert flat == ("ValueError", "max_terms=1 too small to form a bracket")
+
+    @pytest.mark.parametrize("r,x,n", [(1.0, 2.0, 770), (7.0, 2.0, 74), (1000.0, 1.0, 6)])
+    def test_saturation_swap_path(self, r, x, n):
+        # A width of 1e-300 is never met: the walk ends on a crossed even/odd
+        # pair, swapped into a bracket a few ulp wide.
+        flat, reference = _walk_outcomes(r, x, 1e-300, 200_000)
+        assert flat == reference
+        assert flat[2:] == (n, False)
+
+    @pytest.mark.parametrize("r,x", [(1, 2), (3, 1), (2**30 + 11, 4), (Fraction(1, 3), Fraction(5, 2))])
+    def test_integer_and_fraction_parameters(self, r, x):
+        # The walk keeps the parameters' arithmetic, as ab_form does: at
+        # r = 2**30 + 11, x = 4 the int b_1 = r^2 + 12 rounds to another
+        # float than float(r^2) + 12 does.
+        form = ab_form(MathieuCFParams(r, x))
+        for max_terms in (2, 3, 12):
+            flat = tail_enclosure(r, x, 0.0, max_terms)
+            reference = _reference_bracket_walk(form, 0.0, max_terms)
+            assert flat == reference
+            assert type(flat.enclosure.lower) is type(reference.enclosure.lower)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        r=st.floats(78.0, 160.0).map(lambda e: 10.0 ** e),
+        x=st.one_of(st.just(1.0), st.floats(1.0, 9.0)),
+        max_terms=st.sampled_from([1, 2, 3, 1000]),
+    )
+    def test_large_r_matches_reference(self, r, x, max_terms):
+        flat, reference = _walk_outcomes(r, x, 0.0, max_terms)
+        assert flat == reference
+
+    @pytest.mark.parametrize("r,n", [(1e90, 169), (1e140, 3), (1e160, 1)])
+    def test_large_r_overflow_message(self, r, n):
+        flat, reference = _walk_outcomes(r, 2.0, 0.0, 1000)
+        assert flat == reference
+        assert flat[0] == "OverflowError"
+        assert flat[1].startswith(f"numerical overflow despite rescaling at n={n} ")
 
 
 class TestEnclosureIdentity:
