@@ -12,102 +12,18 @@ invariant suite, and a CLI.
 
 __version__ = "0.1.0"
 
-from .cf import (
-    ContinuedFraction,
-    Convergent,
-    EvalReport,
-    convergent,
-    iter_convergents,
-    evaluate,
-    even_contraction,
-    equivalence_transform,
-)
-from .series import (
-    MathieuCFParams,
-    Enclosure,
-    TailBracket,
-    AsymptoticResult,
-    kappa_lambda_form,
-    ab_form,
-    cd_form,
-    ab_to_cd_witness,
-    coefficients_positive,
-    mathieu_partial_sum,
-    mathieu_direct,
-    tail_enclosure,
-    mathieu_theorem1,
-    theorem1_to_width,
-    bernoulli_numbers,
-    asymptotic,
-    telescoping_residual,
-)
-from .bounds import (
-    BoundResult,
-    CrossoverReport,
-    makai_bounds,
-    alzer_bounds,
-    mp_upper,
-    cf_bounds,
-    closed_form_bounds,
-    crossover_analysis,
-)
-from .oracles import (
-    trigamma,
-    tail_via_trigamma,
-    mathieu_trigamma,
-    mathieu_integral,
-    apery_continued_fraction,
-    apery_cf,
-    zeta3_reference,
-)
+from . import bounds, cf, oracles, series
+from .bounds import *
+from .cf import *
+from .oracles import *
 from .selftest import run_selftest
+from .series import *
 
 __all__ = [
     "__version__",
-    # cf engine
-    "ContinuedFraction",
-    "Convergent",
-    "EvalReport",
-    "convergent",
-    "iter_convergents",
-    "evaluate",
-    "even_contraction",
-    "equivalence_transform",
-    # series
-    "MathieuCFParams",
-    "Enclosure",
-    "TailBracket",
-    "AsymptoticResult",
-    "kappa_lambda_form",
-    "ab_form",
-    "cd_form",
-    "ab_to_cd_witness",
-    "coefficients_positive",
-    "mathieu_partial_sum",
-    "mathieu_direct",
-    "tail_enclosure",
-    "mathieu_theorem1",
-    "theorem1_to_width",
-    "bernoulli_numbers",
-    "asymptotic",
-    "telescoping_residual",
-    # bounds
-    "BoundResult",
-    "CrossoverReport",
-    "makai_bounds",
-    "alzer_bounds",
-    "mp_upper",
-    "cf_bounds",
-    "closed_form_bounds",
-    "crossover_analysis",
-    # oracles
-    "trigamma",
-    "tail_via_trigamma",
-    "mathieu_trigamma",
-    "mathieu_integral",
-    "apery_continued_fraction",
-    "apery_cf",
-    "zeta3_reference",
-    # selftest
+    *cf.__all__,
+    *series.__all__,
+    *bounds.__all__,
+    *oracles.__all__,
     "run_selftest",
 ]

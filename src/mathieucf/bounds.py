@@ -114,29 +114,19 @@ def closed_form_bounds(r: float, k: int) -> BoundResult:
         k=3:  ... + 4/(4+r^2)^2 + 1/(r^2 + 13/2)  <  S(r)  <  ... + 1/(r^2 + 6)
 
     (the first approximant of the tail at x = k is 1/(r^2 + k^2 - k), the
-    second adds 1/2 to the denominator).  Cross-checked against
-    ``cf_bounds(r, k, 1)`` at construction time.
+    second adds 1/2 to the denominator).  Their agreement with
+    ``cf_bounds(r, k, 1)`` is pinned by ``test_closed_forms_match_fraction_bounds``
+    in tests/test_bounds.py.
     """
     _require_positive_r(r)
     rr = r * r
     if k == 2:
         head = 2 / (1 + rr) ** 2
-        result = BoundResult("closed_form(2)", head + 1 / (rr + 2.5), head + 1 / (rr + 2.0))
-    elif k == 3:
+        return BoundResult("closed_form(2)", head + 1 / (rr + 2.5), head + 1 / (rr + 2.0))
+    if k == 3:
         head = 2 / (1 + rr) ** 2 + 4 / (4 + rr) ** 2
-        result = BoundResult("closed_form(3)", head + 1 / (rr + 6.5), head + 1 / (rr + 6.0))
-    else:
-        raise ValueError(f"closed forms are available for k in {{2, 3}}; got {k}")
-    check = cf_bounds(r, k, 1)
-    scale = abs(result.lower) + abs(result.upper)
-    if abs(check.lower - result.lower) > 1e-14 * scale or abs(
-        check.upper - result.upper
-    ) > 1e-14 * scale:
-        raise RuntimeError(
-            f"closed form disagrees with fraction bounds at r={r!r}, k={k}: "
-            f"{result} vs {check}"
-        )
-    return result
+        return BoundResult("closed_form(3)", head + 1 / (rr + 6.5), head + 1 / (rr + 6.0))
+    raise ValueError(f"closed forms are available for k in {{2, 3}}; got {k}")
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

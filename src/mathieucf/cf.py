@@ -40,7 +40,6 @@ __all__ = [
     "ContinuedFraction",
     "Convergent",
     "EvalReport",
-    "DEFAULT_RESCALE_AT",
     "convergent",
     "iter_convergents",
     "evaluate",

@@ -361,7 +361,13 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
         )
     if not (width >= 0):
         raise ValueError(f"width must be >= 0; got {width!r}")
-    return _bracket_walk(params, width, max_terms)
+    try:
+        return _bracket_walk(params, width, max_terms)
+    except ZeroDivisionError:
+        # At z = 0, b_1 = r^2 underflows below r ~ 1.5e-154 and B_n can reach 0.
+        raise ValueError(
+            f"approximant denominator underflowed to 0 at r={r!r}: r^2 underflows"
+        ) from None
 
 
 def mathieu_theorem1(r: float, k: int = 1, n_terms: int = 80) -> Enclosure:
@@ -512,7 +518,7 @@ def telescoping_residual(r: float, x: float, tol: float = 1e-10) -> float:
     def value_at(x0: float) -> float:
         params = MathieuCFParams(r, x0)
         if params.z >= 0:
-            return _bracket_walk(params, tol / 4, _TELESCOPE_TERM_CAP).enclosure.midpoint
+            return tail_enclosure(r, x0, tol / 4, _TELESCOPE_TERM_CAP).enclosure.midpoint
         return evaluate(ab_form(params), tol / 8, _TELESCOPE_TERM_CAP).value
 
     derivative_term = 2 * x / (x * x + r * r) ** 2

@@ -78,11 +78,12 @@ def golden_cf():
     return ContinuedFraction(0.0, lambda n: (1.0, 1.0))
 
 
-def fresh_python(code):
-    """Run ``code`` in a new interpreter that imports the package from src/,
-    for checks the test session's own imports would mask; returns stdout."""
+def fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports the package from
+    src/, for checks the test session's own imports would mask; returns
+    stdout, and a non-zero exit raises ``CalledProcessError``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return done.stdout

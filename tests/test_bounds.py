@@ -5,6 +5,7 @@ gap functions, cross-checked against the exact algebraic roots).
 """
 
 import math
+import random
 
 import pytest
 from conftest import (
@@ -87,6 +88,18 @@ class TestFractionBounds:
         b3 = closed_form_bounds(1.0, 3)
         assert b3.lower == pytest.approx(0.7933333333333333, abs=1e-15)
         assert b3.upper == pytest.approx(0.8028571428571429, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_closed_forms_match_fraction_bounds(self, k):
+        # The closed forms are cf_bounds(r, k, 1) written out in r^2; they
+        # agree to within 1e-14 of the bound scale on both sides.
+        rng = random.Random(20261018 + k)
+        radii = [10 ** rng.uniform(-3, 9) for _ in range(200)] + [0.3, 1.0, 5.0]
+        for r in radii:
+            closed, walked = closed_form_bounds(r, k), cf_bounds(r, k, 1)
+            scale = abs(closed.lower) + abs(closed.upper)
+            assert abs(closed.lower - walked.lower) <= 1e-14 * scale, (r, closed, walked)
+            assert abs(closed.upper - walked.upper) <= 1e-14 * scale, (r, closed, walked)
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 7.0])
     def test_deeper_split_nests(self, r):

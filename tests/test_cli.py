@@ -102,6 +102,11 @@ class TestEvalCommand:
         assert [r["method"] for r in rows] == ["cf", "direct"]
         assert "skipped" in rows[0]["note"]
         assert abs(rows[0 + 1]["value"] - 2 * ZETA3) < 1e-10
+        # With cf the only method asked for, the direct row is added.
+        rows, code, _ = run(RunConfig(command="eval", r_values=(0.0,), methods=("cf",)))
+        assert code == 0
+        assert [r["method"] for r in rows] == ["cf", "direct"]
+        assert abs(rows[1]["value"] - 2 * ZETA3) < 1e-10
 
     def test_uncertified_width_exits_1(self):
         rows, code, _ = run(
@@ -151,6 +156,11 @@ class TestCompareCommand:
         assert code == 0
         assert rows[0]["spread"] <= 2e-9
         assert rows[0]["note"] is None
+        # A fraction route cut off after 2 terms misses the budget.
+        rows, code, _ = run(RunConfig(command="compare", r_values=(0.1,), k=1, max_terms=2))
+        assert code == 1
+        assert rows[0]["note"] == "routes disagree beyond budget 2.0e-09"
+        assert rows[0]["spread"] > 2e-9
 
 
 class TestBenchCommand:
@@ -255,6 +265,7 @@ class TestMain:
             ["apery", "--n-terms", "0"],
             ["bench", "--tol", "1e-300"],
             ["eval", "--r", ","],
+            ["bench", "--k-values", "abc"],
         ],
     )
     def test_config_errors_exit_2(self, argv, capsys):
@@ -275,6 +286,19 @@ class TestMain:
         code = main(["eval", "--r", "1", "--tol", "1e-13", "--max-terms", "50"])
         capsys.readouterr()
         assert code == 1
+        # A route that raises is a failed row note.
+        assert main(["eval", "--r", "1e8", "--methods", "direct", "--format", "json"]) == 1
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["note"].startswith("failed: tolerance unachievable")
+        assert row["lower"] is row["upper"] is None
+        # r^2 underflows at r = 1e-170, so the k = 1 fraction cannot start.
+        assert main(["eval", "--r", "1e-170", "--k", "1", "--format", "json"]) == 1
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        cf, direct = json.loads(out.out)["rows"]
+        assert cf["method"] == "cf" and cf["note"].startswith("failed: ")
+        assert "underflowed to 0" in cf["note"]
+        assert direct["value"] == pytest.approx(2 * ZETA3, abs=1e-10)
         # A route that refuses the tolerance at this r is a row note, not a
         # traceback, and the routes that succeeded keep their values.
         assert main(["compare", "--r", "1e8", "--format", "json"]) == 1
@@ -299,6 +323,7 @@ class TestMain:
 
     def test_eval_path_leaves_scipy_and_numpy_unloaded(self):
         out = fresh_python(
+            "-c",
             "import sys\n"
             "from mathieucf import cli\n"
             "code = cli.main(['eval', '--r', '1', '--format', 'json'])\n"
@@ -306,3 +331,11 @@ class TestMain:
             "print(code, heavy)\n"
         )
         assert out.splitlines()[-1] == "0 []"
+
+    def test_module_entry_point(self):
+        # The ``python -m mathieucf`` entry point; fresh_python raises on a
+        # non-zero exit.
+        payload = json.loads(fresh_python("-m", "mathieucf", "eval", "--r", "1",
+                                          "--format", "json"))
+        cf = next(r for r in payload["rows"] if r["method"] == "cf")
+        assert cf["lower"] <= S_AT_1 <= cf["upper"]

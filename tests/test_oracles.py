@@ -82,6 +82,7 @@ class TestIntegral:
     def test_first_call_imports_the_quadrature(self):
         # scipy is imported inside mathieu_integral, not with the package.
         out = fresh_python(
+            "-c",
             "import sys\n"
             "from mathieucf import mathieu_integral, mathieu_trigamma\n"
             "print('scipy.integrate' in sys.modules)\n"

@@ -155,6 +155,8 @@ class TestTailEnclosure:
             tail_enclosure(1.0, 0.75, 1e-8)
         with pytest.raises(ValueError, match="width"):
             tail_enclosure(1.0, 2.0, -1e-8)
+        with pytest.raises(ValueError, match="underflowed to 0 at r=1e-170"):
+            tail_enclosure(1e-170, 1.0, 1e-12)
 
 
 def _reference_bracket_walk(form, width, max_terms):
@@ -305,6 +307,8 @@ class TestEnclosureIdentity:
             mathieu_theorem1(1.0, 0)
         with pytest.raises(ValueError, match="n_terms"):
             mathieu_theorem1(1.0, 2, 1)
+        with pytest.raises(ValueError, match="underflowed to 0 at r=1e-160"):
+            theorem1_to_width(1e-160, 1, 1e-12)
 
 
 class TestBernoulli:
@@ -425,3 +429,5 @@ class TestTelescoping:
     def test_validation(self):
         with pytest.raises(ValueError, match="tol"):
             telescoping_residual(1.0, 2.0, 0.0)
+        with pytest.raises(ValueError, match="underflowed to 0 at r=1e-170"):
+            telescoping_residual(1e-170, 1.0)
