@@ -60,6 +60,7 @@ class ConfigError(ValueError):
 
 
 _METHODS = ("cf", "direct", "trigamma", "integral", "asymptotic")
+_FORMATS = ("table", "json", "csv")
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,8 @@ class RunConfig:
             raise ConfigError(f"--k-values must be positive integers; got {self.k_values!r}")
         if self.repeats < 1:
             raise ConfigError(f"--repeats must be >= 1; got {self.repeats}")
+        if self.format not in _FORMATS:
+            raise ConfigError(f"unknown format {self.format!r}")
         # eval serves r = 0 by direct summation; the fraction routes need r > 0.
         for r in self.r_values:
             if self.command == "eval" and not (r >= 0):
@@ -157,36 +160,48 @@ def parse_r_values(text: str, log_spacing: bool) -> Tuple[float, ...]:
 # subcommands: each returns (rows, exit_code)
 
 
-def _timed(fn: Callable[[], Any]) -> Tuple[Any, int]:
+def _eval_row(r, method, enc=None, value=None, terms=None, t_ns=None, note=None) -> Row:
+    # ``note`` is None or non-empty: an empty CSV cell stands for None.
+    lower, upper, width = (None,) * 3 if enc is None else (enc.lower, enc.upper, enc.width)
+    return {"r": r, "method": method, "lower": lower, "upper": upper,
+            "value": value if enc is None else enc.midpoint, "width": width,
+            "terms_used": terms, "time_ns": t_ns, "note": note}
+
+
+def _route(method: str, r: float, cfg: RunConfig) -> Tuple[Row, Any]:
+    """Run one route to S(r) at ``r``: its eval row and the route's own result.
+
+    Each route is called from here alone, looked up on ``series`` or ``oracles``
+    at every call, so wrappers installed after import (tracing) see it.
+    """
+    enc = value = terms = note = None
     start = time.perf_counter_ns()
-    result = fn()
-    return result, time.perf_counter_ns() - start
+    if method == "cf":
+        result = series.theorem1_to_width(r, cfg.k, cfg.tol, cfg.max_terms)
+        enc, terms, achieved = result
+        if not achieved:
+            note = (f"tolerance not certified: width {enc.width:.3e} "
+                    f"at the {cfg.max_terms}-term cap")
+    elif method == "direct":
+        enc = result = series.mathieu_direct(r, cfg.tol)
+    elif method == "trigamma":
+        value = result = oracles.mathieu_trigamma(r)
+    elif method == "integral":
+        tol = max(cfg.tol, 1e-10)
+        if tol != cfg.tol:
+            note = "tolerance floored at 1e-10"
+        value = result = oracles.mathieu_integral(r, tol)
+    else:
+        result = series.asymptotic(r)
+        value, terms = result.value, result.terms_used
+        note = f"first omitted term {result.first_omitted_term:.3e}"
+    t_ns = time.perf_counter_ns() - start
+    return _eval_row(r, method, enc, value, terms, t_ns, note), result
 
 
 def cmd_eval(cfg: RunConfig) -> Tuple[List[Row], int]:
     rows: List[Row] = []
     exit_code = 0
-
-    def add(r, method, *, lower=None, upper=None, value=None, terms=None, t_ns=None, note=""):
-        width = upper - lower if lower is not None and upper is not None else None
-        if value is None and lower is not None:
-            value = 0.5 * (lower + upper)
-        rows.append(
-            {
-                "r": r,
-                "method": method,
-                "lower": lower,
-                "upper": upper,
-                "value": value,
-                "width": width,
-                "terms_used": terms,
-                "time_ns": t_ns,
-                # Empty strings are reserved for None in CSV cells, so notes
-                # are either absent or non-empty.
-                "note": note or None,
-            }
-        )
-
     for r in cfg.r_values:
         methods = list(cfg.methods)
         if r == 0 and "cf" in methods:
@@ -194,41 +209,18 @@ def cmd_eval(cfg: RunConfig) -> Tuple[List[Row], int]:
             methods = [m for m in methods if m != "cf"]
             if "direct" not in methods:
                 methods.insert(0, "direct")
-            add(r, "cf", note="skipped: fraction requires r > 0; see direct row")
+            rows.append(_eval_row(r, "cf", note="skipped: fraction requires r > 0; "
+                                                "see direct row"))
         for method in methods:
+            # A ValueError is a row note; a large-r OverflowError ends the run.
             try:
-                if method == "cf":
-                    (enc, terms, achieved), t_ns = _timed(
-                        lambda: series.theorem1_to_width(r, cfg.k, cfg.tol, cfg.max_terms)
-                    )
-                    note = ""
-                    if not achieved:
-                        note = (
-                            f"tolerance not certified: width {enc.width:.3e} "
-                            f"at the {cfg.max_terms}-term cap"
-                        )
-                        exit_code = max(exit_code, 1)
-                    add(r, "cf", lower=enc.lower, upper=enc.upper, terms=terms,
-                        t_ns=t_ns, note=note)
-                elif method == "direct":
-                    enc, t_ns = _timed(lambda: series.mathieu_direct(r, cfg.tol))
-                    add(r, "direct", lower=enc.lower, upper=enc.upper, t_ns=t_ns)
-                elif method == "trigamma":
-                    value, t_ns = _timed(lambda: oracles.mathieu_trigamma(r))
-                    add(r, "trigamma", value=value, t_ns=t_ns)
-                elif method == "integral":
-                    tol = max(cfg.tol, 1e-10)
-                    note = "" if tol == cfg.tol else "tolerance floored at 1e-10"
-                    value, t_ns = _timed(lambda: oracles.mathieu_integral(r, tol))
-                    add(r, "integral", value=value, t_ns=t_ns, note=note)
-                elif method == "asymptotic":
-                    result, t_ns = _timed(lambda: series.asymptotic(r))
-                    note = f"first omitted term {result.first_omitted_term:.3e}"
-                    add(r, "asymptotic", value=result.value, terms=result.terms_used,
-                        t_ns=t_ns, note=note)
+                row, result = _route(method, r, cfg)
+                if method == "cf" and not result[2]:
+                    exit_code = 1
             except ValueError as exc:
-                add(r, method, note=f"failed: {exc}")
-                exit_code = max(exit_code, 1)
+                row = _eval_row(r, method, note=f"failed: {exc}")
+                exit_code = 1
+            rows.append(row)
     rows.sort(key=lambda row: (row["r"], row["method"]))
     return rows, exit_code
 
@@ -275,31 +267,23 @@ def cmd_compare(cfg: RunConfig) -> Tuple[List[Row], int]:
     rows: List[Row] = []
     exit_code = 0
     budget = max(10 * cfg.tol, 2e-9)
-    routes: Dict[str, Callable[[float], Any]] = {
-        "cf": lambda r: series.theorem1_to_width(r, cfg.k, cfg.tol, cfg.max_terms)[0].midpoint,
-        "direct": lambda r: series.mathieu_direct(r, cfg.tol).midpoint,
-        "trigamma": oracles.mathieu_trigamma,
-        "integral": lambda r: oracles.mathieu_integral(r, max(cfg.tol, 1e-10)),
-        "asymptotic": series.asymptotic,
-    }
     for r in sorted(cfg.r_values):
         row: Row = {"r": r, **dict.fromkeys(_COMPARE_VALUES), "note": None}
         failed = []
         core = []
-        for name, route in routes.items():
+        for name in _METHODS:
             # One failing route (a refused tolerance, or a large-r overflow)
             # is a note; the routes that succeeded keep their values.
             try:
-                value = route(r)
+                route_row, result = _route(name, r, cfg)
             except (ValueError, OverflowError) as exc:
                 failed.append(f"{name}: {exc}")
                 continue
+            row[name] = route_row["value"]
             if name == "asymptotic":
-                row["asymptotic"] = value.value
-                row["asymptotic_first_omitted"] = value.first_omitted_term
+                row["asymptotic_first_omitted"] = result.first_omitted_term
             else:
-                row[name] = value
-                core.append(value)
+                core.append(route_row["value"])
         notes = []
         if failed:
             notes.append("failed: " + "; ".join(failed))
@@ -536,53 +520,44 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_r: str = "1"):
-        p.add_argument("--r", default=default_r,
-                       help="r value, comma list, or start:stop:count range")
-        p.add_argument("--log", action="store_true",
-                       help="geometric spacing for start:stop:count ranges")
-        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    def add(name: str, help: str, takes_r: bool = True) -> argparse.ArgumentParser:
+        # Unset flags stay out of the namespace: RunConfig holds the defaults.
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        if takes_r:
+            p.add_argument("--r", help="r value, comma list, or start:stop:count range")
+            p.add_argument("--log", action="store_true",
+                           help="geometric spacing for start:stop:count ranges")
+        p.add_argument("--format", choices=_FORMATS)
         p.add_argument("--output", help="write output to this file instead of stdout")
+        return p
 
-    p = sub.add_parser("eval", help="certified enclosure of S(r)")
-    common(p)
-    p.add_argument("--k", type=int, default=2, help="series split point (k >= 1)")
-    p.add_argument("--tol", type=float, default=1e-12, help="target enclosure width")
-    p.add_argument("--max-terms", type=int, default=200_000,
-                   help="term cap for the adaptive fraction")
-    p.add_argument("--methods", default="cf,direct",
-                   help="comma list from cf,direct,trigamma,integral,asymptotic")
+    p = add("eval", "certified enclosure of S(r)")
+    p.add_argument("--k", type=int, help="series split point (k >= 1)")
+    p.add_argument("--tol", type=float, help="target enclosure width")
+    p.add_argument("--max-terms", type=int, help="term cap for the adaptive fraction")
+    p.add_argument("--methods", help="comma list from cf,direct,trigamma,integral,asymptotic")
 
-    p = sub.add_parser("bounds", help="bound methods side by side")
-    common(p)
-    p.add_argument("--k", type=int, default=2, help="split point for the cf bounds column")
-    p.add_argument("--l", type=int, default=1,
-                   help="bracketing pairs for the cf bounds column")
+    p = add("bounds", "bound methods side by side")
+    p.add_argument("--k", type=int, help="split point for the cf bounds column")
+    p.add_argument("--l", type=int, help="bracketing pairs for the cf bounds column")
 
-    p = sub.add_parser("compare", help="independent routes to S(r)")
-    common(p)
-    p.add_argument("--k", type=int, default=3, help="split point for the fraction route")
-    p.add_argument("--tol", type=float, default=1e-10, help="per-route tolerance")
-    p.add_argument("--max-terms", type=int, default=200_000)
+    p = add("compare", "independent routes to S(r)")
+    p.add_argument("--k", type=int, help="split point for the fraction route")
+    p.add_argument("--tol", type=float, help="per-route tolerance")
+    p.add_argument("--max-terms", type=int)
+    p.set_defaults(k=3, tol=1e-10)
 
-    p = sub.add_parser("bench", help="direct summation vs fraction cost")
-    common(p)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--k-values", default="1,2,3,5",
-                   help="comma list of split points to benchmark")
-    p.add_argument("--repeats", type=int, default=5,
-                   help="timing repetitions (median reported)")
-    p.add_argument("--max-terms", type=int, default=200_000)
+    p = add("bench", "direct summation vs fraction cost")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--k-values", help="comma list of split points to benchmark")
+    p.add_argument("--repeats", type=int, help="timing repetitions (median reported)")
+    p.add_argument("--max-terms", type=int)
 
-    p = sub.add_parser("apery", help="approximants of the zeta(3) fraction")
-    p.add_argument("--n-terms", type=int, default=60)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--output")
+    p = add("apery", "approximants of the zeta(3) fraction", takes_r=False)
+    p.add_argument("--n-terms", type=int)
 
-    p = sub.add_parser("selftest", help="run the built-in invariant checks")
+    p = add("selftest", "run the built-in invariant checks", takes_r=False)
     p.add_argument("--force-fail", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--output")
 
     return parser
 
@@ -591,7 +566,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """Parse the string-valued flags; ``RunConfig`` validates the rest."""
     given = dict(vars(args))
     if "r" in given:
-        given["r_values"] = parse_r_values(args.r, args.log)
+        given["r_values"] = parse_r_values(args.r, given.get("log", False))
     if "methods" in given:
         given["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if "k_values" in given:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Tuple, Union
 
 from .cf import ContinuedFraction, convergent
@@ -77,10 +78,11 @@ def tail_via_trigamma(r: float, x: float) -> float:
     """T(r, x) = sum_{m>=0} 2(x+m)/((x+m)^2+r^2)^2 via Im psi1(x - i r)/r.
 
     Termwise, 1/((u - ir)^2) has imaginary part 2ur/((u^2+r^2)^2), so the
-    trigamma sum at x - ir carries exactly r times the tail.
+    trigamma sum at x - ir carries exactly r times the tail.  A subnormal r
+    would lose its bits in that quotient, so r must be a normal float.
     """
-    if not (r > 0):
-        raise ValueError(f"r must be > 0; got {r!r}")
+    if not (r >= sys.float_info.min):
+        raise ValueError(f"r must be a normal float > 0; got {r!r}")
     if not (x > 0):
         raise ValueError(f"x must be > 0; got {x!r}")
     return trigamma(complex(x, -r)).imag / r
@@ -111,10 +113,10 @@ def mathieu_integral(r: float, tol: float = 1e-10) -> float:
     with an error budget of tol/2; if the rule cannot certify that budget,
     the tolerance is refused rather than silently degraded.  Requires
     tol >= 1e-10: below that the budget is not honest for float64
-    quadrature.
+    quadrature.  r must be a normal float, as for ``tail_via_trigamma``.
     """
-    if not (r > 0):
-        raise ValueError(f"r must be > 0; got {r!r}")
+    if not (r >= sys.float_info.min):
+        raise ValueError(f"r must be a normal float > 0; got {r!r}")
     if not (tol >= 1e-10):
         raise ValueError(f"tol must be >= 1e-10; got {tol!r}")
     # Imported here, not at module scope: scipy is most of a cold start, and
@@ -124,7 +126,10 @@ def mathieu_integral(r: float, tol: float = 1e-10) -> float:
     def integrand(u: float) -> float:
         if u == 0.0:
             return 1.0  # limit of u/(e^u - 1)
-        return u / math.expm1(u)
+        try:
+            return u / math.expm1(u)
+        except OverflowError:  # u > 709.78, where e^u - 1 = e^u to 1e-308
+            return u * math.exp(-u)
 
     X = _truncation_point(r, tol)
     budget = 0.5 * tol * r  # error allowance before the 1/r factor

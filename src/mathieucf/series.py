@@ -274,12 +274,14 @@ def mathieu_direct(
     else:
         if not (tol > 0):
             raise ValueError(f"tol must be > 0; got {tol!r}")
-        M = max(math.ceil((2 / tol) ** (1 / 3)), math.ceil(r / math.sqrt(3)), 1)
+        # Capped before rounding: (2/tol)^(1/3) is inf for tol below ~1e-308.
+        M = max((2 / tol) ** (1 / 3), r / math.sqrt(3), 1)
         if M > _DIRECT_TERM_CAP:
             raise ValueError(
-                f"tolerance unachievable by direct summation: tol={tol!r} needs "
-                f"M={M} > {_DIRECT_TERM_CAP} terms"
+                f"tolerance unachievable by direct summation: tol={tol!r} at r={r!r} "
+                f"needs more than {_DIRECT_TERM_CAP} terms"
             )
+        M = math.ceil(M)
     rr = r * r
     partial = math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, M + 1))
     return Enclosure(partial + 1 / ((M + 1) ** 2 + rr), partial + 1 / (M * M + rr))
@@ -362,12 +364,16 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     if not (width >= 0):
         raise ValueError(f"width must be >= 0; got {width!r}")
     try:
-        return _bracket_walk(params, width, max_terms)
+        bracket = _bracket_walk(params, width, max_terms)
     except ZeroDivisionError:
-        # At z = 0, b_1 = r^2 underflows below r ~ 1.5e-154 and B_n can reach 0.
+        bracket = None
+    # At z = 0, b_1 = r^2 underflows below r ~ 1.5e-154: B_n can reach 0, or
+    # stay so small that the odd end of the bracket overflows to inf.
+    if bracket is None or bracket.enclosure.upper == math.inf:
         raise ValueError(
             f"approximant denominator underflowed to 0 at r={r!r}: r^2 underflows"
-        ) from None
+        )
+    return bracket
 
 
 def mathieu_theorem1(r: float, k: int = 1, n_terms: int = 80) -> Enclosure:

@@ -5,11 +5,13 @@ Exit-code contract: 0 success, 1 partial results or failed invariants,
 2 configuration error (in which case nothing is written to --output).
 """
 
+import dataclasses
 import json
 
 import pytest
 from conftest import S_AT_1, ZETA3, fresh_python
 
+from mathieucf import oracles, series
 from mathieucf.cli import (
     ConfigError,
     RunConfig,
@@ -20,7 +22,17 @@ from mathieucf.cli import (
     rows_to_table,
     run,
 )
+from mathieucf.cli import _COMMANDS, _METHODS, _build_parser, _config_from_args
 from mathieucf.cli import _direct_terms_for_tol
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """Parse JSON, refusing the bare NaN / Infinity tokens RFC 8259 lacks."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestParseRValues:
@@ -78,6 +90,7 @@ class TestRunConfigValidation:
             {"command": "bench", "tol": 1e-300},
             {"command": "apery", "n_terms": 0},
             {"command": "eval", "r_values": ()},
+            {"command": "eval", "format": "xml"},
         ],
     )
     def test_invalid_field_raises_on_construction(self, fields):
@@ -161,6 +174,40 @@ class TestCompareCommand:
         assert code == 1
         assert rows[0]["note"] == "routes disagree beyond budget 2.0e-09"
         assert rows[0]["spread"] > 2e-9
+
+
+class TestRoutes:
+    """eval and compare reach S(r) through the same five route calls."""
+
+    @pytest.mark.parametrize("r", [0.25, 1.0, 3.0, 20.0])
+    def test_compare_columns_equal_eval_values(self, r):
+        cfg = RunConfig(command="compare", r_values=(r,), k=3, tol=1e-10)
+        (row,), code, _ = run(cfg)
+        assert code == 0
+        evals, code, _ = run(dataclasses.replace(cfg, command="eval", methods=_METHODS))
+        assert code == 0
+        assert [e["method"] for e in evals] == sorted(_METHODS)
+        for e in evals:
+            assert float.hex(row[e["method"]]) == float.hex(e["value"])
+
+    def test_routes_are_looked_up_at_call_time(self, monkeypatch):
+        # Tracing swaps these module attributes after import; a route bound
+        # at import time would escape it.
+        routes = [(series, "theorem1_to_width"), (series, "mathieu_direct"),
+                  (oracles, "mathieu_trigamma"), (oracles, "mathieu_integral"),
+                  (series, "asymptotic")]
+        calls = {}
+        for module, name in routes:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        for cfg in (RunConfig(command="eval", methods=_METHODS),
+                    RunConfig(command="compare", k=3, tol=1e-10)):
+            calls.clear()
+            assert run(cfg)[1] == 0
+            assert calls == {name: 1 for _, name in routes}
 
 
 class TestBenchCommand:
@@ -299,6 +346,30 @@ class TestMain:
         assert cf["method"] == "cf" and cf["note"].startswith("failed: ")
         assert "underflowed to 0" in cf["note"]
         assert direct["value"] == pytest.approx(2 * ZETA3, abs=1e-10)
+        # Just above that edge r^2 is subnormal and the k = 1 bracket's odd
+        # end overflows to inf, which JSON cannot hold.
+        assert main(["eval", "--r", "1e-157", "--k", "1", "--format", "json"]) == 1
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        cf, direct = strict_json(out.out)["rows"]
+        assert cf["note"].startswith("failed: approximant denominator underflowed")
+        assert direct["value"] == pytest.approx(2 * ZETA3, abs=1e-10)
+        # (2/tol)^(1/3) is inf at this tol: the direct row fails, and the cf
+        # row saturates short of the width.
+        assert main(["eval", "--r", "1", "--tol", "1e-320", "--format", "json"]) == 1
+        cf, direct = strict_json(capsys.readouterr().out)["rows"]
+        assert cf["note"].startswith("tolerance not certified")
+        assert direct["note"].startswith("failed: tolerance unachievable by direct summation")
+        # The oracle routes refuse a subnormal r, and the integral's
+        # integrand stays finite where its truncation point passes 709.78.
+        assert main(["eval", "--r", "5e-324", "--methods", "trigamma,integral",
+                     "--format", "json"]) == 1
+        for row in strict_json(capsys.readouterr().out)["rows"]:
+            assert row["note"] == "failed: r must be a normal float > 0; got 5e-324"
+        assert main(["eval", "--r", "1e-300", "--methods", "trigamma,integral",
+                     "--format", "json"]) == 0
+        for row in strict_json(capsys.readouterr().out)["rows"]:
+            assert row["value"] == pytest.approx(2 * ZETA3, abs=1e-14)
         # A route that refuses the tolerance at this r is a row note, not a
         # traceback, and the routes that succeeded keep their values.
         assert main(["compare", "--r", "1e8", "--format", "json"]) == 1
@@ -320,6 +391,15 @@ class TestMain:
         assert "; direct: " in row["note"] and "; integral: " in row["note"]
         assert row["cf"] is row["direct"] is row["integral"] is row["spread"] is None
         assert row["trigamma"] == pytest.approx(1e-200, rel=1e-9)
+
+    def test_unset_flags_take_runconfig_defaults(self):
+        # compare's k and tol are the only parser-level defaults.
+        for command in _COMMANDS:
+            got = _config_from_args(_build_parser().parse_args([command]))
+            want = RunConfig(command=command)
+            if command == "compare":
+                want = dataclasses.replace(want, k=3, tol=1e-10)
+            assert got == want
 
     def test_eval_path_leaves_scipy_and_numpy_unloaded(self):
         out = fresh_python(

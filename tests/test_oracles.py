@@ -67,6 +67,12 @@ class TestTrigammaTail:
             tail_via_trigamma(0.0, 1.0)
         with pytest.raises(ValueError, match="x must be"):
             tail_via_trigamma(1.0, 0.0)
+        # A subnormal r loses its bits in Im psi1(1 - ir)/r: it used to give
+        # 2.0 at 5e-324 and 2.40415 at 1e-320.
+        for r in (5e-324, 1e-320):
+            with pytest.raises(ValueError, match="normal float"):
+                mathieu_trigamma(r)
+        assert mathieu_trigamma(2.2250738585072014e-308) == pytest.approx(2 * ZETA3, abs=1e-14)
 
 
 class TestIntegral:
@@ -98,6 +104,14 @@ class TestIntegral:
             mathieu_integral(0.0)
         with pytest.raises(ValueError, match="tol"):
             mathieu_integral(1.0, 1e-11)
+        for r in (5e-324, 1e-320):
+            with pytest.raises(ValueError, match="normal float"):
+                mathieu_integral(r)
+
+    @pytest.mark.parametrize("r", [1e-300, 2.2250738585072014e-308])
+    def test_tiny_r_reaches_the_limit(self, r):
+        # The truncation point passes 709.78 here, where e^u - 1 overflows.
+        assert mathieu_integral(r) == pytest.approx(2 * ZETA3, abs=1e-14)
 
 
 class TestZeta3Fraction:

@@ -132,6 +132,9 @@ class TestDirectEnclosure:
             mathieu_direct(1.0, 0.0)
         with pytest.raises(ValueError, match="unachievable"):
             mathieu_direct(1.0, 1e-25)
+        # (2/tol)^(1/3) is inf here; it is capped before it is rounded.
+        with pytest.raises(ValueError, match="^tolerance unachievable by direct summation"):
+            mathieu_direct(1.0, 5e-324)
         with pytest.raises(ValueError, match="m_terms"):
             mathieu_direct(1.0, m_terms=0)
 
@@ -157,6 +160,10 @@ class TestTailEnclosure:
             tail_enclosure(1.0, 2.0, -1e-8)
         with pytest.raises(ValueError, match="underflowed to 0 at r=1e-170"):
             tail_enclosure(1e-170, 1.0, 1e-12)
+        # r^2 is subnormal here: B_n stays above 0 but the odd end overflows.
+        with pytest.raises(ValueError, match="underflowed to 0 at r=1e-157"):
+            tail_enclosure(1e-157, 1.0, 1e-12)
+        assert tail_enclosure(1e-156, 1.0, 1e-12).enclosure.upper < math.inf
 
 
 def _reference_bracket_walk(form, width, max_terms):
