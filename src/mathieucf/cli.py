@@ -298,13 +298,14 @@ def cmd_compare(cfg: RunConfig) -> Tuple[List[Row], int]:
     return rows, exit_code
 
 
-def _median_seconds(fn: Callable[[], Any], repeats: int) -> float:
+def _median_seconds(fn: Callable[[], Any], repeats: int) -> Tuple[float, Any]:
+    """Median wall time of ``repeats`` calls of ``fn``, and the last call's result."""
     times = []
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        fn()
+        result = fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return statistics.median(times), result
 
 
 def _direct_terms_for_tol(r: float, tol: float) -> int:
@@ -332,42 +333,33 @@ def _direct_terms_for_tol(r: float, tol: float) -> int:
 
 def cmd_bench(cfg: RunConfig) -> Tuple[List[Row], int]:
     rows: List[Row] = []
+    exit_code = 0
     for r in sorted(cfg.r_values):
         M = _direct_terms_for_tol(r, cfg.tol)
-        direct_seconds = _median_seconds(
-            lambda: series.mathieu_direct(r, m_terms=M), cfg.repeats
-        )
-        rows.append(
-            {
-                "r": r,
-                "method": "direct_sum",
-                "tol": cfg.tol,
-                "terms": M,
-                "median_seconds": direct_seconds,
-                "terms_ratio": 1.0,
-                "note": None,
-            }
-        )
-        for k in cfg.k_values:
-            enc, terms, achieved = series.theorem1_to_width(r, k, cfg.tol, cfg.max_terms)
-            seconds = _median_seconds(
-                lambda: series.theorem1_to_width(r, k, cfg.tol, cfg.max_terms),
-                cfg.repeats,
-            )
-            note = "" if achieved else f"width {enc.width:.3e} at the term cap"
-            rows.append(
-                {
-                    "r": r,
-                    "method": f"cf(k={k})",
-                    "tol": cfg.tol,
-                    "terms": terms,
-                    "median_seconds": seconds,
-                    "terms_ratio": M / terms,
-                    "note": note or None,
-                }
-            )
+        for k in (None, *cfg.k_values):  # None is the direct-sum row
+            if k is None:
+                method, fn = "direct_sum", lambda: series.mathieu_direct(r, m_terms=M)
+            else:
+                method = f"cf(k={k})"
+                fn = lambda: series.theorem1_to_width(r, k, cfg.tol, cfg.max_terms)
+            row: Row = {"r": r, "method": method, "tol": cfg.tol, "terms": None,
+                        "median_seconds": None, "terms_ratio": None, "note": None}
+            # A route that cannot answer at this r is a row note, as in compare.
+            try:
+                seconds, result = _median_seconds(fn, cfg.repeats)
+            except (ValueError, OverflowError) as exc:
+                row["note"] = f"failed: {exc}"
+                exit_code = 1
+            else:
+                terms = M
+                if k is not None:
+                    enc, terms, achieved = result
+                    if not achieved:
+                        row["note"] = f"width {enc.width:.3e} at the term cap"
+                row.update(terms=terms, median_seconds=seconds, terms_ratio=M / terms)
+            rows.append(row)
     rows.sort(key=lambda row: (row["r"], row["method"]))
-    return rows, 0
+    return rows, exit_code
 
 
 def cmd_apery(cfg: RunConfig) -> Tuple[List[Row], int]:

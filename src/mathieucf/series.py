@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Union
 
 from .cf import DEFAULT_RESCALE_AT, ContinuedFraction, _rescale_factor, _rescaled, evaluate
@@ -407,44 +408,35 @@ def theorem1_to_width(
 
 
 _BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-# Numerators of B_0, B_2, B_4, ... over the common denominator
-# _BERNOULLI_DEN, the lcm of their denominators.
-_BERNOULLI_EVEN_NUM: list[int] = [1]
-_BERNOULLI_DEN = 1
+# The latest row of Seidel's boustrophedon; row n ends in the zigzag number E_n.
+_ZIGZAG_ROW: list[int] = [1]
 
 
 def _bernoulli(n: int) -> Fraction:
     """B_n, extending the cached table through index n."""
-    global _BERNOULLI_DEN
+    global _ZIGZAG_ROW
     while len(_BERNOULLI) <= n:
         m = len(_BERNOULLI)
         if m % 2:  # B_1 is seeded; every odd index >= 3 vanishes
             _BERNOULLI.append(Fraction(0))
             continue
-        # sum_{j<m} C(m+1, j) B_j = -(m+1) B_m, with the B_1 term taken out:
-        # B_m = 1/2 - acc / ((m+1) D) where acc sums the even-index terms.
-        acc, binom = 0, 1  # binom = C(m+1, 2i), the weight of B_{2i}
-        for i, num in enumerate(_BERNOULLI_EVEN_NUM):
-            acc += binom * num
-            binom = binom * (m + 1 - 2 * i) * (m - 2 * i) // ((2 * i + 1) * (2 * i + 2))
-        b = Fraction(_BERNOULLI_DEN * (m + 1) - 2 * acc, 2 * _BERNOULLI_DEN * (m + 1))
-        den = math.lcm(_BERNOULLI_DEN, b.denominator)
-        scale = den // _BERNOULLI_DEN
-        if scale != 1:
-            for i in range(len(_BERNOULLI_EVEN_NUM)):
-                _BERNOULLI_EVEN_NUM[i] *= scale
-            _BERNOULLI_DEN = den
-        _BERNOULLI_EVEN_NUM.append(b.numerator * (den // b.denominator))
-        _BERNOULLI.append(b)
+        while len(_ZIGZAG_ROW) < m:  # row m - 1 has m entries
+            _ZIGZAG_ROW = list(accumulate(reversed(_ZIGZAG_ROW), initial=0))
+        four = 4 ** (m // 2)
+        b = Fraction(m * _ZIGZAG_ROW[-1], four * (four - 1))
+        _BERNOULLI.append(b if m % 4 == 2 else -b)
     return _BERNOULLI[n]
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
     """Bernoulli numbers B_0 .. B_{n_max} as exact fractions (B_1 = -1/2).
 
-    Computed by the defining recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0 in
-    integer arithmetic over one running common denominator, so every index
-    is exact; results are cached across calls.
+    For even m >= 2, B_m = (-1)^(m/2-1) m E_{m-1} / (4^(m/2) (4^(m/2) - 1)),
+    where the zigzag (tangent) number E_{m-1} ends row m - 1 of Seidel's
+    boustrophedon: row 0 is [1], and row n is the running sums, from 0, of
+    row n - 1 reversed (Knuth & Buckholtz, "Computation of tangent, Euler,
+    and Bernoulli numbers", Math. Comp. 21, 1967).  The rows take integer
+    additions only, so every index is exact; results are cached across calls.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0; got {n_max}")

@@ -381,6 +381,27 @@ class TestMain:
         assert row["spread"] == max(row["cf"], row["trigamma"], row["integral"]) - min(
             row["cf"], row["trigamma"], row["integral"]
         )
+        # bench: a route that cannot answer at this r is a failed row; the
+        # other rows keep their values.
+        assert main(["bench", "--r", "1e-157", "--k-values", "1,3", "--tol", "1e-8",
+                     "--repeats", "1", "--format", "json"]) == 1
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        cf1, cf3, direct = strict_json(out.out)["rows"]
+        assert cf1["method"] == "cf(k=1)"
+        assert cf1["note"].startswith("failed: approximant denominator underflowed")
+        assert cf1["terms"] is cf1["median_seconds"] is cf1["terms_ratio"] is None
+        assert cf3["note"] is direct["note"] is None
+        assert cf3["terms"] > 0 and cf3["terms_ratio"] == direct["terms"] / cf3["terms"]
+        assert direct["terms_ratio"] == 1.0 and direct["median_seconds"] > 0
+        # At r = 1e100 both routes overflow.
+        assert main(["bench", "--r", "1e100", "--k-values", "3", "--tol", "1e-8",
+                     "--repeats", "1", "--format", "json"]) == 1
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        for row in strict_json(out.out)["rows"]:
+            assert row["note"].startswith("failed: ")
+            assert row["terms"] is row["median_seconds"] is row["terms_ratio"] is None
 
     def test_compare_overflow_is_a_row_note(self, capsys):
         # At r = 1e100 the cf head sum overflows and only trigamma survives

@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -339,6 +340,13 @@ class TestBernoulli:
     def test_matches_fraction_recurrence(self):
         assert bernoulli_numbers(300) == _reference_bernoulli(300)
 
+    def test_matches_mpmath_through_1000(self):
+        # Pins the whole reach of the table: auto truncation of the large-r
+        # expansion reads up to B_1000 (at its 500-term cap).
+        table = bernoulli_numbers(1000)
+        for n, b in enumerate(table):
+            assert b == Fraction(*mpmath.bernfrac(n)), n
+
 
 def _reference_bernoulli(n_max):
     """B_0 .. B_{n_max} by the defining recurrence, one Fraction sum per index."""
@@ -352,7 +360,7 @@ def _reference_bernoulli(n_max):
 def _reference_asymptotic(r, n_terms="auto"):
     """``asymptotic`` with every term formed as
     float((-1)^m B_2m / Fraction(r)^(2m+2)): the exact quotient, rounded once.
-    The Bernoulli numbers themselves are pinned by the recurrence test above."""
+    The Bernoulli numbers themselves are pinned by the mpmath test above."""
     rr = Fraction(r) ** 2
     power = rr
     terms = []
@@ -407,11 +415,12 @@ class TestAsymptotic:
         # exact rational division, so no intermediate overflow.
         assert math.isfinite(asymptotic(1.0, 40).value)
 
-    @pytest.mark.parametrize("r", _SEEDED_R + [7, 100.0, 94.78, 1e200, 1e-200, 1e-150])
+    @pytest.mark.parametrize("r", _SEEDED_R + [7, 100.0, 94.78, 117.0, 1e200, 1e-200, 1e-150])
     @pytest.mark.parametrize("n_terms", ["auto", 1, 5, 50])
     def test_bit_identical_to_fraction_terms(self, r, n_terms):
         # Extremes: at 1e200 every term underflows to 0.0; at 1e-200 the
-        # first term overflows, at 1e-150 the second.  Both versions agree.
+        # first term overflows, at 1e-150 the second; at 117 auto truncation
+        # keeps 368 terms and reads B_736.  Both versions agree.
         assert _asymptotic_outcome(asymptotic, r, n_terms) == _asymptotic_outcome(
             _reference_asymptotic, r, n_terms
         )
