@@ -16,7 +16,6 @@ from . import bounds, cf, oracles, series
 from .bounds import *
 from .cf import *
 from .oracles import *
-from .selftest import run_selftest
 from .series import *
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     *series.__all__,
     *bounds.__all__,
     *oracles.__all__,
-    "run_selftest",
 ]

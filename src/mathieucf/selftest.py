@@ -1,5 +1,6 @@
 """Built-in invariant suite: fast, deterministic checks of every module's
-contract, runnable from the command line (``mathieucf selftest``).
+contract, runnable from the command line (``mathieucf selftest``, the only
+command that loads this module).
 
 Each check raises AssertionError with a diagnostic message on failure and
 returns a short detail string on success.  The suite covers the fraction
@@ -13,42 +14,24 @@ positive-coefficient regime where bracketing is guaranteed.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List
 
-from . import bounds, oracles, series
+from . import bounds, cli, oracles, series
 from .cf import (
     ContinuedFraction,
+    _rescale_factor,
     convergent,
     equivalence_transform,
     even_contraction,
     iter_convergents,
 )
 
-__all__ = ["CheckResult", "SelftestReport", "CHECKS", "run_selftest"]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    seconds: float
-    detail: str
-
-
-@dataclass(frozen=True)
-class SelftestReport:
-    passed: int
-    failed: int
-    results: List[CheckResult]
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
+__all__ = ["CHECKS", "run_selftest"]
 
 
 def _golden_cf() -> ContinuedFraction:
@@ -65,7 +48,7 @@ def _check_determinant_identity() -> str:
     ]:
         prod = 1.0
         prev = None
-        scale = 2.0 ** -math.floor(math.log2(rescale_at))
+        scale = _rescale_factor(rescale_at)
         for c in iter_convergents(form, n_max, rescale_at=rescale_at):
             if prev is not None:
                 a, _ = form.term(c.n)
@@ -356,8 +339,6 @@ def _check_cf_trigamma_alignment() -> str:
 
 def _check_serialization_round_trip() -> str:
     """CSV and JSON writers reproduce rows bit-exactly"""
-    from . import cli  # runtime import: cli imports this module
-
     rows = [
         {"r": 0.1, "method": "direct", "value": 1.0 / 3.0, "terms_used": 7, "note": None},
         {"r": 2.0, "method": "cf", "value": math.pi, "terms_used": 34, "note": "ok"},
@@ -365,9 +346,7 @@ def _check_serialization_round_trip() -> str:
     csv_text = cli.rows_to_csv(rows)
     json_text = cli.payload_to_json({"config": {"tol": 1e-12}, "rows": rows, "version": 1})
     assert cli.csv_to_rows(csv_text) == rows, "CSV round-trip changed the rows"
-    import json as _json
-
-    parsed = _json.loads(json_text)
+    parsed = json.loads(json_text)
     assert parsed["rows"] == rows, "JSON round-trip changed the rows"
     assert parsed["config"]["tol"] == 1e-12, "JSON round-trip changed the config"
     return "CSV and JSON round-trips exact"
@@ -397,20 +376,19 @@ def _forced_failure() -> str:
     raise AssertionError("forced failure requested (--force-fail)")
 
 
-def run_selftest(force_fail: bool = False) -> SelftestReport:
-    """Run every check; never raises on check failure."""
+def run_selftest(force_fail: bool = False) -> List[cli.Row]:
+    """Run every check, in ``CHECKS`` order; one row per check, as
+    ``mathieucf selftest`` prints them.  Never raises on check failure."""
     selected = CHECKS
     if force_fail:
         selected = selected + [("forced_failure", _forced_failure)]
-    results: List[CheckResult] = []
+    rows = []
     for name, fn in selected:
         start = time.perf_counter()
         try:
-            detail = fn()
-            ok = True
+            detail, status = fn(), "pass"
         except AssertionError as exc:
-            detail = str(exc)
-            ok = False
-        results.append(CheckResult(name, ok, time.perf_counter() - start, detail))
-    passed = sum(1 for r in results if r.ok)
-    return SelftestReport(passed, len(results) - passed, results)
+            detail, status = str(exc), "FAIL"
+        rows.append({"check": name, "status": status,
+                     "seconds": round(time.perf_counter() - start, 6), "detail": detail})
+    return rows

@@ -54,8 +54,6 @@ __all__ = [
     "telescoping_residual",
 ]
 
-Number = Union[float, Fraction]
-
 # Direct summation refuses tolerances needing more terms than this.
 _DIRECT_TERM_CAP = 20_000_000
 _SCALE = _rescale_factor(DEFAULT_RESCALE_AT)
@@ -242,10 +240,17 @@ def coefficients_positive(params: MathieuCFParams, n_max: int) -> Optional[int]:
     return None
 
 
+def _summand_overflow(r: float) -> OverflowError:
+    return OverflowError(f"(m^2 + r^2)^2 overflows float64 at r={r!r}")
+
+
 def mathieu_partial_sum(r: float, k: int) -> float:
     """Head sum_{m=1}^{k-1} 2m/(m^2+r^2)^2 (0.0 for k = 1)."""
     rr = r * r
-    return math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, k))
+    try:
+        return math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, k))
+    except OverflowError:
+        raise _summand_overflow(r) from None
 
 
 def mathieu_direct(
@@ -264,7 +269,9 @@ def mathieu_direct(
     width is below 2/M^3 for every r, which picks M directly from ``tol``.
     Accepts r = 0 (giving 2*zeta(3)).  ``m_terms`` forces M, bypassing both
     the width target and the monotonicity threshold: the bracket formula is
-    returned as-is, certified only when m_terms >= r/sqrt(3).
+    returned as-is, certified only when m_terms >= r/sqrt(3).  Raises
+    ``OverflowError`` where (m^2 + r^2)^2 overflows float64 (r above about
+    1.2e77), also where r^2 is inf and the bracket would collapse to [0, 0].
     """
     if not (r >= 0):
         raise ValueError(f"r must be >= 0; got {r!r}")
@@ -284,7 +291,12 @@ def mathieu_direct(
             )
         M = math.ceil(M)
     rr = r * r
-    partial = math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, M + 1))
+    if rr == math.inf:
+        raise _summand_overflow(r)
+    try:
+        partial = math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, M + 1))
+    except OverflowError:
+        raise _summand_overflow(r) from None
     return Enclosure(partial + 1 / ((M + 1) ** 2 + rr), partial + 1 / (M * M + rr))
 
 
@@ -458,7 +470,9 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     (the magnitude of the first term dropped) exceeds the term kept — the
     signal that the expansion has nothing to offer at that r.  Terms are
     formed by one correctly rounded integer division each, so huge Bernoulli
-    numerators cannot overflow; auto truncation is capped at 500 terms.
+    numerators cannot overflow; auto truncation is capped at 500 terms.  A
+    term beyond float64 (B_2/r^4 for r below about 1.7e-78) is outside the
+    route's domain and raises ``ValueError``.
     """
     if not (r > 0):
         raise ValueError(f"r must be > 0; got {r!r}")
@@ -479,7 +493,12 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
         b2m = _bernoulli(2 * m)
         # int / int rounds correctly, as float(Fraction) does, without the
         # gcd that normalizing the quotient as a Fraction would cost.
-        t = (b2m.numerator * den_power) / (b2m.denominator * num_power)
+        try:
+            t = (b2m.numerator * den_power) / (b2m.denominator * num_power)
+        except OverflowError:
+            raise ValueError(
+                f"asymptotic term B_{2 * m}/r^{2 * m + 2} overflows float64 at r={r!r}"
+            ) from None
         if m % 2:
             t = -t
         if auto and terms and abs(t) >= abs(terms[-1]):

@@ -24,6 +24,7 @@ from mathieucf.cli import (
 )
 from mathieucf.cli import _COMMANDS, _METHODS, _build_parser, _config_from_args
 from mathieucf.cli import _direct_terms_for_tol
+from mathieucf.selftest import CHECKS, run_selftest
 
 
 def _reject_constant(name):
@@ -253,6 +254,21 @@ class TestSelftestCommand:
         assert code == 1
         assert any(r["status"] == "FAIL" for r in rows)
 
+    def test_runner_returns_the_command_rows(self):
+        rows = run_selftest()
+        assert len(rows) == 16
+        assert [row["check"] for row in rows] == [name for name, _ in CHECKS]
+        for row in rows:
+            assert list(row) == ["check", "status", "seconds", "detail"]
+            assert row["status"] == "pass"
+        command_rows, code, _ = run(RunConfig(command="selftest"))
+        assert code == 0
+
+        def untimed(rows):
+            return [{**row, "seconds": None} for row in rows]
+
+        assert untimed(command_rows) == untimed(rows)
+
 
 class TestSerialization:
     def rows(self):
@@ -370,6 +386,14 @@ class TestMain:
                      "--format", "json"]) == 0
         for row in strict_json(capsys.readouterr().out)["rows"]:
             assert row["value"] == pytest.approx(2 * ZETA3, abs=1e-14)
+        # B_0/r^2 overflows float64: the large-r expansion refuses this r.
+        assert main(["eval", "--r", "1e-200", "--methods", "asymptotic",
+                     "--format", "json"]) == 1
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        (row,) = strict_json(out.out)["rows"]
+        assert row["note"].startswith("failed: asymptotic term")
+        assert "overflows float64 at r=1e-200" in row["note"]
         # A route that refuses the tolerance at this r is a row note, not a
         # traceback, and the routes that succeeded keep their values.
         assert main(["compare", "--r", "1e8", "--format", "json"]) == 1
@@ -394,12 +418,23 @@ class TestMain:
         assert cf3["note"] is direct["note"] is None
         assert cf3["terms"] > 0 and cf3["terms_ratio"] == direct["terms"] / cf3["terms"]
         assert direct["terms_ratio"] == 1.0 and direct["median_seconds"] > 0
-        # At r = 1e100 both routes overflow.
+        # At r = 1e100 both routes overflow, and the notes say what did.
         assert main(["bench", "--r", "1e100", "--k-values", "3", "--tol", "1e-8",
                      "--repeats", "1", "--format", "json"]) == 1
         out = capsys.readouterr()
         assert "Traceback" not in out.err
         for row in strict_json(out.out)["rows"]:
+            assert row["note"].startswith("failed: ")
+            assert "(34," not in row["note"]
+            assert row["terms"] is row["median_seconds"] is row["terms_ratio"] is None
+        # At r = 1e160 r^2 is inf, so a 1-term direct sum would be [0, 0].
+        assert main(["bench", "--r", "1e160", "--k-values", "3", "--tol", "1e-8",
+                     "--repeats", "1", "--format", "json"]) == 1
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        rows = strict_json(out.out)["rows"]
+        assert [row["method"] for row in rows] == ["cf(k=3)", "direct_sum"]
+        for row in rows:
             assert row["note"].startswith("failed: ")
             assert row["terms"] is row["median_seconds"] is row["terms_ratio"] is None
 
@@ -429,9 +464,9 @@ class TestMain:
             "from mathieucf import cli\n"
             "code = cli.main(['eval', '--r', '1', '--format', 'json'])\n"
             "heavy = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')]\n"
-            "print(code, heavy)\n"
+            "print(code, heavy, 'mathieucf.selftest' in sys.modules)\n"
         )
-        assert out.splitlines()[-1] == "0 []"
+        assert out.splitlines()[-1] == "0 [] False"
 
     def test_module_entry_point(self):
         # The ``python -m mathieucf`` entry point; fresh_python raises on a

@@ -138,6 +138,9 @@ class TestDirectEnclosure:
             mathieu_direct(1.0, 5e-324)
         with pytest.raises(ValueError, match="m_terms"):
             mathieu_direct(1.0, m_terms=0)
+        # r^2 is inf: the summands and the tail bracket would all be 0.
+        with pytest.raises(OverflowError, match=r"overflows float64 at r=1e\+160"):
+            mathieu_direct(1e160, m_terms=1)
 
 
 class TestTailEnclosure:
@@ -309,6 +312,8 @@ class TestEnclosureIdentity:
     def test_partial_sum(self):
         assert mathieu_partial_sum(1.0, 1) == 0.0
         assert mathieu_partial_sum(1.0, 3) == pytest.approx(2 / 4 + 4 / 25, abs=1e-16)
+        with pytest.raises(OverflowError, match=r"\(m\^2 \+ r\^2\)\^2 .* r=1e\+100"):
+            mathieu_partial_sum(1e100, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="k must be"):
@@ -374,10 +379,15 @@ def _reference_asymptotic(r, n_terms="auto"):
 
 
 def _asymptotic_outcome(fn, r, n_terms):
+    # The reference's float() raises OverflowError where a term leaves
+    # float64; the package refuses that r with a ValueError.
     try:
         result = fn(r, n_terms)
-    except OverflowError as exc:
-        return "OverflowError", str(exc)
+    except OverflowError:
+        return "overflows"
+    except ValueError as exc:
+        assert "overflows float64" in str(exc)
+        return "overflows"
     return result.value.hex(), result.terms_used, result.first_omitted_term.hex()
 
 
@@ -432,6 +442,11 @@ class TestAsymptotic:
             asymptotic(1.0, 0)
         with pytest.raises(ValueError, match="n_terms"):
             asymptotic(1.0, "many")
+        # A term beyond float64 is outside the route's domain.
+        with pytest.raises(ValueError, match="overflows"):
+            asymptotic(1e-200)
+        with pytest.raises(ValueError, match="overflows"):
+            asymptotic(1e-150, 5)
 
 
 class TestTelescoping:
