@@ -8,16 +8,22 @@ Exit-code contract: 0 success, 1 partial results or failed invariants,
 import dataclasses
 import json
 
+import numpy
 import pytest
 from conftest import S_AT_1, ZETA3, fresh_python
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import CASES as GOLDEN_CASES
 
-from mathieucf import oracles, series
+from mathieucf import __version__, oracles, series
 from mathieucf.cli import (
+    SCHEMA_VERSION,
     ConfigError,
     RunConfig,
     csv_to_rows,
     main,
     parse_r_values,
+    payload_to_json,
     rows_to_csv,
     rows_to_table,
     run,
@@ -298,6 +304,42 @@ class TestSerialization:
         assert rows_to_table([]) == "(no rows)\n"
 
 
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1.7976931348623157e308, float("inf"), float("-inf"), float("nan")]
+)
+_KEYS = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\n\t\x1f", "\u00e9", "\U0001d11e"])
+_LEAVES = (st.none() | st.booleans() | st.integers(-2**80, 2**80) | _FLOATS
+           | _FLOATS.map(numpy.float64) | _KEYS)
+
+
+def _json_payloads(depth):
+    """A scalar at depth 0; else a dict, list or tuple of items at most
+    ``depth - 1`` deep."""
+    if depth == 0:
+        return _LEAVES
+    items = st.integers(0, depth - 1).flatmap(_json_payloads)
+    return (st.dictionaries(_KEYS, items, max_size=4) | st.lists(items, max_size=4)
+            | st.lists(items, max_size=4).map(tuple))
+
+
+class TestJsonWriter:
+    """``payload_to_json`` writes exactly what ``json.dumps(indent=2)`` does."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(payload=st.integers(0, 4).flatmap(_json_payloads))
+    def test_matches_json_dumps(self, payload):
+        assert payload_to_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_golden_configs_match_json_dumps(self, name):
+        argv, _ = GOLDEN_CASES[name]
+        cfg = _config_from_args(_build_parser().parse_args(argv + ["--format", "json"]))
+        rows, _, text = run(cfg)
+        payload = {"version": {"schema": SCHEMA_VERSION, "package": __version__},
+                   "config": vars(cfg), "rows": rows}
+        assert text == json.dumps(payload, indent=2) + "\n"
+
+
 class TestMain:
     def test_stdout_json_payload(self, capsys):
         assert main(["eval", "--r", "1", "--format", "json"]) == 0
@@ -464,9 +506,10 @@ class TestMain:
             "from mathieucf import cli\n"
             "code = cli.main(['eval', '--r', '1', '--format', 'json'])\n"
             "heavy = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')]\n"
-            "print(code, heavy, 'mathieucf.selftest' in sys.modules)\n"
+            "unused = [m for m in ('mathieucf.selftest', 'statistics', 'csv') if m in sys.modules]\n"
+            "print(code, heavy, unused)\n"
         )
-        assert out.splitlines()[-1] == "0 [] False"
+        assert out.splitlines()[-1] == "0 [] []"
 
     def test_module_entry_point(self):
         # The ``python -m mathieucf`` entry point; fresh_python raises on a
