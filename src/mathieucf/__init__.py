@@ -12,16 +12,33 @@ invariant suite, and a CLI.
 
 __version__ = "0.1.0"
 
-from . import bounds, cf, oracles, series
-from .bounds import *
-from .cf import *
-from .oracles import *
-from .series import *
+# Loaded on first use (PEP 562), so ``python -m mathieucf eval`` imports only
+# the modules it runs.
+_LIBRARY = ("cf", "series", "bounds", "oracles")
 
-__all__ = [
-    "__version__",
-    *cf.__all__,
-    *series.__all__,
-    *bounds.__all__,
-    *oracles.__all__,
-]
+
+def _submodule(name: str):
+    # Through the import statement's own machinery, so ``-X importtime``
+    # still lists the module on its own line.
+    __import__(f"{__name__}.{name}")
+    return globals()[name]
+
+
+def __getattr__(name: str):
+    if name in _LIBRARY:
+        return _submodule(name)
+    # Private names and the other submodules are in no library ``__all__``.
+    # ``from mathieucf import cli`` asks for ``cli`` here before importing it,
+    # and must not load the library to learn that.
+    if (name.startswith("_") and name != "__all__") or name in ("cli", "selftest"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    modules = [_submodule(module) for module in _LIBRARY]
+    if name == "__all__":
+        value = ["__version__", *(export for module in modules for export in module.__all__)]
+    else:
+        home = next((module for module in modules if name in module.__all__), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
+    globals()[name] = value
+    return value

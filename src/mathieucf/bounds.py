@@ -16,9 +16,9 @@ that range by bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
+from .cf import _Record, _set
 from .oracles import zeta3_reference
 from .series import mathieu_theorem1
 
@@ -34,19 +34,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(_Record):
     """A named lower/upper pair for S(r); one side may be absent."""
 
-    method: str
-    lower: Optional[float]
-    upper: Optional[float]
+    __slots__ = _fields = ("method", "lower", "upper")
 
-    def __post_init__(self):
-        if self.lower is not None and self.upper is not None and not (self.lower <= self.upper):
-            raise ValueError(
-                f"{self.method}: lower={self.lower!r} exceeds upper={self.upper!r}"
-            )
+    def __init__(self, method: str, lower: Optional[float], upper: Optional[float]):
+        if lower is not None and upper is not None and not (lower <= upper):
+            raise ValueError(f"{method}: lower={lower!r} exceeds upper={upper!r}")
+        _set(self, "method", method)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
 
     @property
     def width(self) -> float:
@@ -149,8 +147,7 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> fl
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class CrossoverReport:
+class CrossoverReport(_Record):
     """Radii where the k = 2 closed-form bounds overtake the classical ones.
 
     ``upper_crossover``: below this r the closed-form upper is tighter;
@@ -165,10 +162,16 @@ class CrossoverReport:
     secondary diagnostic on the same family.
     """
 
-    upper_crossover: float
-    lower_interval: Tuple[float, float]
-    alzer_upper_crossover: float
-    bisection_tol: float
+    __slots__ = _fields = (
+        "upper_crossover", "lower_interval", "alzer_upper_crossover", "bisection_tol"
+    )
+
+    def __init__(self, upper_crossover: float, lower_interval: Tuple[float, float],
+                 alzer_upper_crossover: float, bisection_tol: float):
+        _set(self, "upper_crossover", upper_crossover)
+        _set(self, "lower_interval", lower_interval)
+        _set(self, "alzer_upper_crossover", alzer_upper_crossover)
+        _set(self, "bisection_tol", bisection_tol)
 
 
 def crossover_analysis(tol: float = 1e-9) -> CrossoverReport:

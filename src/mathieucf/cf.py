@@ -33,7 +33,6 @@ rescale threshold, since the rescale factor is a float).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Tuple
 
 __all__ = [
@@ -50,8 +49,53 @@ __all__ = [
 DEFAULT_RESCALE_AT = 1e150
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+_set = object.__setattr__
+
+
+def _rebuild(cls, fields):
+    return cls(**fields)
+
+
+class _Record:
+    """Immutable value record, compared, hashed and printed field by field.
+
+    A subclass names its fields, in order, in ``_fields`` (its ``__slots__``
+    too, unless it keeps a ``__dict__``) and sets each one in its own
+    ``__init__`` through ``object.__setattr__``.  Equality, hashing and repr
+    match what a frozen dataclass with the same fields gives.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: their default path
+        # assigns the fields, which __setattr__ refuses.
+        return _rebuild, (self.__class__, dict(zip(self._fields, self._values())))
+
+
+class ContinuedFraction(_Record):
     """A generalized continued fraction b0 + K(a_n / b_n).
 
     ``terms(n)`` returns ``(a_n, b_n)`` for n >= 1 and must be pure.
@@ -59,8 +103,11 @@ class ContinuedFraction:
     fraction silently, so it is rejected at access time.
     """
 
-    b0: float
-    terms: Callable[[int], Tuple[float, float]]
+    __slots__ = _fields = ("b0", "terms")
+
+    def __init__(self, b0: float, terms: Callable[[int], Tuple[float, float]]):
+        _set(self, "b0", b0)
+        _set(self, "terms", terms)
 
     def term(self, n: int) -> Tuple[float, float]:
         if n < 1:
@@ -71,8 +118,7 @@ class ContinuedFraction:
         return a, b
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(_Record):
     """Approximant state after consuming n partial terms.
 
     ``value`` is numerator/denominator (NaN when the denominator is 0: the
@@ -82,21 +128,27 @@ class Convergent:
     determinant identity holds up to scale**(2*rescales).
     """
 
-    n: int
-    numerator: float
-    denominator: float
-    value: float
-    rescales: int
+    __slots__ = _fields = ("n", "numerator", "denominator", "value", "rescales")
+
+    def __init__(self, n: int, numerator: float, denominator: float, value: float,
+                 rescales: int):
+        _set(self, "n", n)
+        _set(self, "numerator", numerator)
+        _set(self, "denominator", denominator)
+        _set(self, "value", value)
+        _set(self, "rescales", rescales)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(_Record):
     """Result of adaptive evaluation: last approximant and stopping data."""
 
-    value: float
-    terms_used: int
-    converged: bool
-    last_delta: float
+    __slots__ = _fields = ("value", "terms_used", "converged", "last_delta")
+
+    def __init__(self, value: float, terms_used: int, converged: bool, last_delta: float):
+        _set(self, "value", value)
+        _set(self, "terms_used", terms_used)
+        _set(self, "converged", converged)
+        _set(self, "last_delta", last_delta)
 
 
 def _rescale_factor(rescale_at: float) -> float:

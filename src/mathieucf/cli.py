@@ -31,11 +31,10 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import __version__, bounds, oracles, series
-from .cf import iter_convergents
+from . import __version__, series
+from .cf import _Record
 
 __all__ = [
     "ConfigError",
@@ -61,62 +60,72 @@ _METHODS = ("cf", "direct", "trigamma", "integral", "asymptotic")
 _FORMATS = ("table", "json", "csv")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Everything a subcommand run depends on, echoed into JSON output.
 
     Construction validates every field, so a bad config raises
     ``ConfigError`` before anything runs, from the CLI and from ``run`` alike.
+    Fields are read-only; a changed copy is ``RunConfig(**{**vars(cfg), ...})``.
     """
 
-    command: str
-    r_values: Tuple[float, ...] = (1.0,)
-    k: int = 2
-    l: int = 1
-    tol: float = 1e-12
-    max_terms: int = 200_000
-    methods: Tuple[str, ...] = ("cf", "direct")
-    n_terms: int = 60
-    k_values: Tuple[int, ...] = (1, 2, 3, 5)
-    repeats: int = 5
-    force_fail: bool = False
-    format: str = "table"
-    output: Optional[str] = None
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if not self.r_values:
+    def __init__(
+        self,
+        command: str,
+        *,
+        r_values: Tuple[float, ...] = (1.0,),
+        k: int = 2,
+        l: int = 1,
+        tol: float = 1e-12,
+        max_terms: int = 200_000,
+        methods: Tuple[str, ...] = ("cf", "direct"),
+        n_terms: int = 60,
+        k_values: Tuple[int, ...] = (1, 2, 3, 5),
+        repeats: int = 5,
+        force_fail: bool = False,
+        format: str = "table",
+        output: Optional[str] = None,
+    ):
+        if command not in _COMMANDS:
+            raise ConfigError(f"unknown command {command!r}")
+        if not r_values:
             raise ConfigError("--r must give at least one value")
-        if self.k < 1:
-            raise ConfigError(f"--k must be >= 1; got {self.k}")
-        if self.l < 1:
-            raise ConfigError(f"--l must be >= 1; got {self.l}")
-        if not (self.tol > 0):
-            raise ConfigError(f"--tol must be > 0; got {self.tol!r}")
-        if self.max_terms < 2:
-            raise ConfigError(f"--max-terms must be >= 2; got {self.max_terms}")
-        if not self.methods:
+        if k < 1:
+            raise ConfigError(f"--k must be >= 1; got {k}")
+        if l < 1:
+            raise ConfigError(f"--l must be >= 1; got {l}")
+        if not (tol > 0):
+            raise ConfigError(f"--tol must be > 0; got {tol!r}")
+        if max_terms < 2:
+            raise ConfigError(f"--max-terms must be >= 2; got {max_terms}")
+        if not methods:
             raise ConfigError("--methods must name at least one method")
-        unknown = set(self.methods) - set(_METHODS)
+        unknown = set(methods) - set(_METHODS)
         if unknown:
             raise ConfigError(f"unknown method(s): {', '.join(sorted(unknown))}")
-        if self.n_terms < 1:
-            raise ConfigError(f"--n-terms must be >= 1; got {self.n_terms}")
-        if not self.k_values or any(k < 1 for k in self.k_values):
-            raise ConfigError(f"--k-values must be positive integers; got {self.k_values!r}")
-        if self.repeats < 1:
-            raise ConfigError(f"--repeats must be >= 1; got {self.repeats}")
-        if self.format not in _FORMATS:
-            raise ConfigError(f"unknown format {self.format!r}")
+        if n_terms < 1:
+            raise ConfigError(f"--n-terms must be >= 1; got {n_terms}")
+        if not k_values or any(kv < 1 for kv in k_values):
+            raise ConfigError(f"--k-values must be positive integers; got {k_values!r}")
+        if repeats < 1:
+            raise ConfigError(f"--repeats must be >= 1; got {repeats}")
+        if format not in _FORMATS:
+            raise ConfigError(f"unknown format {format!r}")
         # eval serves r = 0 by direct summation; the fraction routes need r > 0.
-        for r in self.r_values:
-            if self.command == "eval" and not (r >= 0):
+        for r in r_values:
+            if command == "eval" and not (r >= 0):
                 raise ConfigError(f"eval requires r >= 0; got r={r!r}")
-            if self.command in ("bounds", "compare", "bench") and not (r > 0):
-                raise ConfigError(f"{self.command} requires r > 0; got r={r!r}")
-            if self.command == "bench":
-                _direct_terms_for_tol(r, self.tol)
+            if command in ("bounds", "compare", "bench") and not (r > 0):
+                raise ConfigError(f"{command} requires r > 0; got r={r!r}")
+            if command == "bench":
+                _direct_terms_for_tol(r, tol)
+        # Straight into __dict__, in field order: ``vars(cfg)`` is the JSON config.
+        vars(self).update(
+            command=command, r_values=r_values, k=k, l=l, tol=tol, max_terms=max_terms,
+            methods=methods, n_terms=n_terms, k_values=k_values, repeats=repeats,
+            force_fail=force_fail, format=format, output=output,
+        )
+
+    _fields = ("command", *__init__.__kwdefaults__)
 
 
 def parse_r_values(text: str, log_spacing: bool) -> Tuple[float, ...]:
@@ -183,8 +192,12 @@ def _route(method: str, r: float, cfg: RunConfig) -> Tuple[Row, Any]:
     elif method == "direct":
         enc = result = series.mathieu_direct(r, cfg.tol)
     elif method == "trigamma":
+        from . import oracles
+
         value = result = oracles.mathieu_trigamma(r)
     elif method == "integral":
+        from . import oracles
+
         tol = max(cfg.tol, 1e-10)
         if tol != cfg.tol:
             note = "tolerance floored at 1e-10"
@@ -227,6 +240,8 @@ _BOUND_METHODS = ("makai", "alzer", "mp", "cf", "closed2", "closed3")
 
 
 def cmd_bounds(cfg: RunConfig) -> Tuple[List[Row], int]:
+    from . import bounds
+
     rows: List[Row] = []
     for r in sorted(cfg.r_values):
         s_ref = series.theorem1_to_width(r, 3, 1e-12, cfg.max_terms)[0].midpoint
@@ -363,6 +378,9 @@ def cmd_bench(cfg: RunConfig) -> Tuple[List[Row], int]:
 
 
 def cmd_apery(cfg: RunConfig) -> Tuple[List[Row], int]:
+    from . import oracles
+    from .cf import iter_convergents
+
     z3 = oracles.zeta3_reference()
     # One pass over the recurrence: row n is the n-th approximant.
     approximants = iter_convergents(oracles.apery_continued_fraction(), cfg.n_terms)
@@ -602,8 +620,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             given["k_values"] = tuple(int(tok) for tok in args.k_values.split(",") if tok.strip())
         except ValueError:
             raise ConfigError(f"invalid --k-values {args.k_values!r}") from None
-    names = {field.name for field in fields(RunConfig)}
-    return RunConfig(**{name: value for name, value in given.items() if name in names})
+    return RunConfig(**{name: value for name, value in given.items()
+                        if name in RunConfig._fields})
 
 
 def run(cfg: RunConfig) -> Tuple[List[Row], int, str]:

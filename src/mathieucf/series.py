@@ -27,12 +27,18 @@ an uncertified evaluation there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Union
 
-from .cf import DEFAULT_RESCALE_AT, ContinuedFraction, _rescale_factor, _rescaled, evaluate
+from .cf import (
+    DEFAULT_RESCALE_AT,
+    ContinuedFraction,
+    _Record,
+    _rescale_factor,
+    _rescaled,
+    _set,
+    evaluate,
+)
 
 __all__ = [
     "MathieuCFParams",
@@ -59,8 +65,7 @@ _DIRECT_TERM_CAP = 20_000_000
 _SCALE = _rescale_factor(DEFAULT_RESCALE_AT)
 
 
-@dataclass(frozen=True)
-class MathieuCFParams:
+class MathieuCFParams(_Record):
     """Parameters of the continued-fraction tail T(r, x).
 
     ``r`` is the series parameter (r > 0 here: the r = 0 limit is served by
@@ -70,30 +75,31 @@ class MathieuCFParams:
     `fractions.Fraction` for exact-arithmetic runs.
     """
 
-    r: float
-    x: float
+    __slots__ = _fields = ("r", "x")
 
-    def __post_init__(self):
-        if not (self.r > 0):
-            raise ValueError(f"r must be > 0; got {self.r!r}")
-        if not (self.x > 0.5):
-            raise ValueError(f"x must be > 1/2; got {self.x!r}")
+    def __init__(self, r: float, x: float):
+        if not (r > 0):
+            raise ValueError(f"r must be > 0; got {r!r}")
+        if not (x > 0.5):
+            raise ValueError(f"x must be > 1/2; got {x!r}")
+        _set(self, "r", r)
+        _set(self, "x", x)
 
     @property
     def z(self) -> float:
         return self.x * self.x - self.x
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(_Record):
     """A closed interval [lower, upper] certified to contain a value."""
 
-    lower: float
-    upper: float
+    __slots__ = _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        if not (self.lower <= self.upper):
-            raise ValueError(f"empty enclosure: lower={self.lower!r} > upper={self.upper!r}")
+    def __init__(self, lower: float, upper: float):
+        if not (lower <= upper):
+            raise ValueError(f"empty enclosure: lower={lower!r} > upper={upper!r}")
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
 
     @property
     def width(self) -> float:
@@ -107,26 +113,30 @@ class Enclosure:
         return self.lower <= value <= self.upper
 
 
-@dataclass(frozen=True)
-class TailBracket:
+class TailBracket(_Record):
     """Even/odd-approximant bracket of T(r, x), with its cost.
 
     ``achieved`` records whether the requested width was reached before the
     term cap; when False, ``enclosure`` is the best bracket at the cap.
     """
 
-    enclosure: Enclosure
-    terms_used: int
-    achieved: bool
+    __slots__ = _fields = ("enclosure", "terms_used", "achieved")
+
+    def __init__(self, enclosure: Enclosure, terms_used: int, achieved: bool):
+        _set(self, "enclosure", enclosure)
+        _set(self, "terms_used", terms_used)
+        _set(self, "achieved", achieved)
 
 
-@dataclass(frozen=True)
-class AsymptoticResult:
+class AsymptoticResult(_Record):
     """Truncated large-r expansion: value, terms kept, first omitted magnitude."""
 
-    value: float
-    terms_used: int
-    first_omitted_term: float
+    __slots__ = _fields = ("value", "terms_used", "first_omitted_term")
+
+    def __init__(self, value: float, terms_used: int, first_omitted_term: float):
+        _set(self, "value", value)
+        _set(self, "terms_used", terms_used)
+        _set(self, "first_omitted_term", first_omitted_term)
 
 
 def _one(params: MathieuCFParams):
@@ -419,14 +429,26 @@ def theorem1_to_width(
     return enclosure, bracket.terms_used, bracket.achieved
 
 
-_BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+# B_0, B_1, ... as exact Fractions; seeded on first use, so that importing
+# the module loads neither fractions nor decimal.
+_BERNOULLI: list[Fraction] = []
 # The latest row of Seidel's boustrophedon; row n ends in the zigzag number E_n.
 _ZIGZAG_ROW: list[int] = [1]
 
 
 def _bernoulli(n: int) -> Fraction:
     """B_n, extending the cached table through index n."""
+    if n >= len(_BERNOULLI):
+        _extend_bernoulli(n)
+    return _BERNOULLI[n]
+
+
+def _extend_bernoulli(n: int) -> None:
     global _ZIGZAG_ROW
+    from fractions import Fraction
+
+    if not _BERNOULLI:
+        _BERNOULLI.extend((Fraction(1), Fraction(-1, 2)))
     while len(_BERNOULLI) <= n:
         m = len(_BERNOULLI)
         if m % 2:  # B_1 is seeded; every odd index >= 3 vanishes
@@ -437,7 +459,6 @@ def _bernoulli(n: int) -> Fraction:
         four = 4 ** (m // 2)
         b = Fraction(m * _ZIGZAG_ROW[-1], four * (four - 1))
         _BERNOULLI.append(b if m % 4 == 2 else -b)
-    return _BERNOULLI[n]
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
@@ -481,6 +502,8 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
         if not isinstance(n_terms, int) or n_terms < 1:
             raise ValueError(f'n_terms must be a positive integer or "auto"; got {n_terms!r}')
     cap = _ASYMPTOTIC_TERM_CAP if auto else n_terms
+
+    from fractions import Fraction
 
     r_exact = Fraction(r)
     num2 = r_exact.numerator ** 2

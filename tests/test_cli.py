@@ -5,7 +5,6 @@ Exit-code contract: 0 success, 1 partial results or failed invariants,
 2 configuration error (in which case nothing is written to --output).
 """
 
-import dataclasses
 import json
 
 import numpy
@@ -191,7 +190,7 @@ class TestRoutes:
         cfg = RunConfig(command="compare", r_values=(r,), k=3, tol=1e-10)
         (row,), code, _ = run(cfg)
         assert code == 0
-        evals, code, _ = run(dataclasses.replace(cfg, command="eval", methods=_METHODS))
+        evals, code, _ = run(RunConfig(**{**vars(cfg), "command": "eval", "methods": _METHODS}))
         assert code == 0
         assert [e["method"] for e in evals] == sorted(_METHODS)
         for e in evals:
@@ -496,18 +495,39 @@ class TestMain:
             got = _config_from_args(_build_parser().parse_args([command]))
             want = RunConfig(command=command)
             if command == "compare":
-                want = dataclasses.replace(want, k=3, tol=1e-10)
+                want = RunConfig(**{**vars(want), "k": 3, "tol": 1e-10})
             assert got == want
+
+    # Modules a json eval never runs: the library beyond cf and series, the
+    # other output formats, and dataclasses/fractions with what they import.
+    EVAL_UNUSED = ("mathieucf.selftest", "mathieucf.bounds", "mathieucf.oracles",
+                   "statistics", "csv", "dataclasses", "inspect", "fractions", "decimal")
+    REPORT = (
+        "heavy = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')]\n"
+        f"unused = [m for m in {EVAL_UNUSED!r} if m in sys.modules]\n"
+        "print(code, heavy, unused)\n"
+    )
 
     def test_eval_path_leaves_scipy_and_numpy_unloaded(self):
         out = fresh_python(
             "-c",
             "import sys\n"
             "from mathieucf import cli\n"
-            "code = cli.main(['eval', '--r', '1', '--format', 'json'])\n"
-            "heavy = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')]\n"
-            "unused = [m for m in ('mathieucf.selftest', 'statistics', 'csv') if m in sys.modules]\n"
-            "print(code, heavy, unused)\n"
+            "code = cli.main(['eval', '--r', '1', '--format', 'json'])\n" + self.REPORT
+        )
+        assert out.splitlines()[-1] == "0 [] []"
+
+    def test_module_entry_point_loads_only_the_eval_path(self):
+        # As ``python -m mathieucf eval --r 1 --format json``: runpy runs the
+        # package __init__, then __main__.
+        out = fresh_python(
+            "-c",
+            "import runpy, sys\n"
+            "sys.argv = ['mathieucf', 'eval', '--r', '1', '--format', 'json']\n"
+            "try:\n"
+            "    runpy.run_module('mathieucf', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n" + self.REPORT
         )
         assert out.splitlines()[-1] == "0 [] []"
 

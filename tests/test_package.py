@@ -1,7 +1,8 @@
 """Package surface: ``mathieucf.__all__`` is assembled from the modules'
 own ``__all__`` lists, so each exported name must appear once and be the
 very object its defining module holds.  The import graph is a stack: every
-module imports cleanly when it is the first one a process imports.
+module imports cleanly when it is the first one a process imports.  The
+package loads its library modules on first use of a name they export.
 """
 
 import sys
@@ -36,3 +37,27 @@ def test_all_is_the_version_and_the_four_library_modules_lists():
 def test_module_imports_first(name):
     # fresh_python raises on a non-zero exit, an import cycle's ImportError included.
     fresh_python("-c", f"import mathieucf.{name}")
+
+
+# Each case runs in a fresh interpreter: this session has imported every module.
+@pytest.mark.parametrize("code, printed", [
+    ("import sys\n"
+     "from mathieucf import cli\n"
+     "print([m for m in ('mathieucf.bounds', 'mathieucf.oracles') if m in sys.modules])",
+     "[]"),
+    ("import mathieucf\n"
+     "print(mathieucf.makai_bounds is mathieucf.bounds.makai_bounds)",
+     "True"),
+    ("import mathieucf\n"
+     "from mathieucf import *\n"
+     "print(all(globals()[name] is getattr(mathieucf, name) for name in mathieucf.__all__))",
+     "True"),
+    ("import mathieucf\n"
+     "try:\n"
+     "    mathieucf.no_such_name\n"
+     "except AttributeError as exc:\n"
+     "    print(exc)",
+     "module 'mathieucf' has no attribute 'no_such_name'"),
+], ids=["cli-alone", "name-is-module-object", "star-import", "unknown-name"])
+def test_lazy_package_surface(code, printed):
+    assert fresh_python("-c", code).splitlines()[-1] == printed
