@@ -74,6 +74,12 @@ def trigamma(s: Union[float, complex]) -> complex:
     return total
 
 
+def _require_normal_r(r: float) -> None:
+    # inf is not a normal float either: Im psi1(x - i inf)/inf is nan.
+    if not (sys.float_info.min <= r <= sys.float_info.max):
+        raise ValueError(f"r must be a normal float > 0; got {r!r}")
+
+
 def tail_via_trigamma(r: float, x: float) -> float:
     """T(r, x) = sum_{m>=0} 2(x+m)/((x+m)^2+r^2)^2 via Im psi1(x - i r)/r.
 
@@ -81,8 +87,7 @@ def tail_via_trigamma(r: float, x: float) -> float:
     trigamma sum at x - ir carries exactly r times the tail.  A subnormal r
     would lose its bits in that quotient, so r must be a normal float.
     """
-    if not (r >= sys.float_info.min):
-        raise ValueError(f"r must be a normal float > 0; got {r!r}")
+    _require_normal_r(r)
     if not (x > 0):
         raise ValueError(f"x must be > 0; got {x!r}")
     return trigamma(complex(x, -r)).imag / r
@@ -115,8 +120,7 @@ def mathieu_integral(r: float, tol: float = 1e-10) -> float:
     tol >= 1e-10: below that the budget is not honest for float64
     quadrature.  r must be a normal float, as for ``tail_via_trigamma``.
     """
-    if not (r >= sys.float_info.min):
-        raise ValueError(f"r must be a normal float > 0; got {r!r}")
+    _require_normal_r(r)
     if not (tol >= 1e-10):
         raise ValueError(f"tol must be >= 1e-10; got {tol!r}")
     # Imported here, not at module scope: scipy is most of a cold start, and

@@ -304,7 +304,12 @@ def mathieu_direct(
     if rr == math.inf:
         raise _summand_overflow(r)
     try:
-        partial = math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, M + 1))
+        # Float counters give the int counters' bits for M < 2^53: m + m is
+        # exact, float m * m is the rounded m^2 that the int product becomes
+        # on meeting rr, and ``** 2`` stays (y * y rounds differently).
+        partial = math.fsum(
+            (m + m) / (m * m + rr) ** 2 for m in map(float, range(1, M + 1))
+        )
     except OverflowError:
         raise _summand_overflow(r) from None
     return Enclosure(partial + 1 / ((M + 1) ** 2 + rr), partial + 1 / (M * M + rr))
@@ -493,10 +498,10 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     formed by one correctly rounded integer division each, so huge Bernoulli
     numerators cannot overflow; auto truncation is capped at 500 terms.  A
     term beyond float64 (B_2/r^4 for r below about 1.7e-78) is outside the
-    route's domain and raises ``ValueError``.
+    route's domain and raises ``ValueError``, as does a non-finite r.
     """
-    if not (r > 0):
-        raise ValueError(f"r must be > 0; got {r!r}")
+    if not (0 < r < math.inf):
+        raise ValueError(f"r must be finite and > 0; got {r!r}")
     auto = n_terms == "auto"
     if not auto:
         if not isinstance(n_terms, int) or n_terms < 1:
@@ -507,8 +512,13 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
 
     r_exact = Fraction(r)
     num2 = r_exact.numerator ** 2
-    den2 = r_exact.denominator ** 2
-    num_power, den_power = num2, den2  # r^{2m+2} = num_power / den_power
+    # den = odd * 2^s, and odd = 1 for every float r: the power of two in
+    # den^(2m+2) is applied as a shift instead of a big-integer product.
+    den = r_exact.denominator
+    s = (den & -den).bit_length() - 1
+    odd2 = (den >> s) ** 2
+    # r^{2m+2} = num_power / (odd_power << shift)
+    num_power, odd_power, shift = num2, odd2, 2 * s
     terms: list[float] = []
     first_omitted = None
     m = 0
@@ -517,7 +527,7 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
         # int / int rounds correctly, as float(Fraction) does, without the
         # gcd that normalizing the quotient as a Fraction would cost.
         try:
-            t = (b2m.numerator * den_power) / (b2m.denominator * num_power)
+            t = ((b2m.numerator * odd_power) << shift) / (b2m.denominator * num_power)
         except OverflowError:
             raise ValueError(
                 f"asymptotic term B_{2 * m}/r^{2 * m + 2} overflows float64 at r={r!r}"
@@ -532,7 +542,8 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
             break
         terms.append(t)
         num_power *= num2
-        den_power *= den2
+        odd_power *= odd2
+        shift += 2 * s
         m += 1
     return AsymptoticResult(math.fsum(terms), len(terms), first_omitted)
 

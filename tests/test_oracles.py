@@ -72,6 +72,11 @@ class TestTrigammaTail:
         for r in (5e-324, 1e-320):
             with pytest.raises(ValueError, match="normal float"):
                 mathieu_trigamma(r)
+        # Im psi1(1 - i inf)/inf used to come back as nan.
+        with pytest.raises(ValueError, match="normal float > 0; got inf"):
+            mathieu_trigamma(math.inf)
+        with pytest.raises(ValueError, match="normal float > 0; got inf"):
+            tail_via_trigamma(math.inf, 2.0)
         assert mathieu_trigamma(2.2250738585072014e-308) == pytest.approx(2 * ZETA3, abs=1e-14)
 
 
@@ -104,7 +109,7 @@ class TestIntegral:
             mathieu_integral(0.0)
         with pytest.raises(ValueError, match="tol"):
             mathieu_integral(1.0, 1e-11)
-        for r in (5e-324, 1e-320):
+        for r in (5e-324, 1e-320, math.inf):
             with pytest.raises(ValueError, match="normal float"):
                 mathieu_integral(r)
 

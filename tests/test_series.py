@@ -111,6 +111,20 @@ class TestFractionShapes:
         assert evens[0] < evens[1] < evens[2] < odds[2] < odds[1] < odds[0]
 
 
+def _reference_direct(r, tol=1e-10, m_terms=None):
+    """``mathieu_direct`` with int counters in the head sum: the expression
+    the float-counter loop must match bit for bit."""
+    if m_terms is None:
+        m_terms = math.ceil(max((2 / tol) ** (1 / 3), r / math.sqrt(3), 1))
+    M, rr = m_terms, r * r
+    partial = math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, M + 1))
+    return Enclosure(partial + 1 / ((M + 1) ** 2 + rr), partial + 1 / (M * M + rr))
+
+
+_direct_rng = random.Random(12)
+_DIRECT_R = [0.0] + [10 ** _direct_rng.uniform(-3, 7) for _ in range(24)]
+
+
 class TestDirectEnclosure:
     def test_encloses_reference(self):
         enc = mathieu_direct(1.0, 1e-6)
@@ -141,6 +155,13 @@ class TestDirectEnclosure:
         # r^2 is inf: the summands and the tail bracket would all be 0.
         with pytest.raises(OverflowError, match=r"overflows float64 at r=1e\+160"):
             mathieu_direct(1e160, m_terms=1)
+
+    @pytest.mark.parametrize("r", _DIRECT_R)
+    def test_bit_identical_to_int_counters(self, r):
+        for tol, m_terms in ((1e-10, None), (1e-12, None), (None, 1), (None, 2), (None, 37)):
+            kwargs = {"m_terms": m_terms} if tol is None else {"tol": tol}
+            got, ref = mathieu_direct(r, **kwargs), _reference_direct(r, **kwargs)
+            assert (got.lower.hex(), got.upper.hex()) == (ref.lower.hex(), ref.upper.hex())
 
 
 class TestTailEnclosure:
@@ -425,19 +446,28 @@ class TestAsymptotic:
         # exact rational division, so no intermediate overflow.
         assert math.isfinite(asymptotic(1.0, 40).value)
 
-    @pytest.mark.parametrize("r", _SEEDED_R + [7, 100.0, 94.78, 117.0, 1e200, 1e-200, 1e-150])
+    @pytest.mark.parametrize(
+        "r",
+        _SEEDED_R
+        + [7, 100.0, 94.78, 117.0, 1e200, 1e-200, 1e-150, 51.2345, 77.77, 99.123]
+        + [3, Fraction(1, 3), Fraction(7, 12), Fraction(5, 2)],
+    )
     @pytest.mark.parametrize("n_terms", ["auto", 1, 5, 50])
     def test_bit_identical_to_fraction_terms(self, r, n_terms):
         # Extremes: at 1e200 every term underflows to 0.0; at 1e-200 the
         # first term overflows, at 1e-150 the second; at 117 auto truncation
-        # keeps 368 terms and reads B_736.  Both versions agree.
+        # keeps 368 terms and reads B_736.  At 99.123 the power of two in
+        # r's denominator grows to a shift of about 28,000 bits; the
+        # fractions with denominators 3 and 12 have an odd part.  Both
+        # versions agree.
         assert _asymptotic_outcome(asymptotic, r, n_terms) == _asymptotic_outcome(
             _reference_asymptotic, r, n_terms
         )
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="r must be"):
-            asymptotic(0.0)
+        for r in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="r must be"):
+                asymptotic(r)
         with pytest.raises(ValueError, match="n_terms"):
             asymptotic(1.0, 0)
         with pytest.raises(ValueError, match="n_terms"):
