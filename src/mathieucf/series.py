@@ -15,7 +15,8 @@ and approximating T by continued-fraction approximants yields certified
 enclosures: for z >= 0 every partial coefficient is positive, so even-index
 approximants increase to the value and odd-index approximants decrease to
 it.  ``mathieu_theorem1`` packages that bracketing; ``mathieu_direct`` is
-the independent partial-sum route with an integral-comparison tail bracket.
+the independent partial-sum route with an integral-test and convexity
+tail bracket.
 
 Only the bracketing is certified, and only for z >= 0 (x >= 1).  For
 x in (1/2, 1) the odd-index partial denominators z + r^2/(2n+1) eventually
@@ -27,6 +28,7 @@ an uncertified evaluation there.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import accumulate
 from typing import Optional, Union
 
@@ -68,11 +70,11 @@ _SCALE = _rescale_factor(DEFAULT_RESCALE_AT)
 class MathieuCFParams(_Record):
     """Parameters of the continued-fraction tail T(r, x).
 
-    ``r`` is the series parameter (r > 0 here: the r = 0 limit is served by
-    ``mathieu_direct``, whose tail bracket needs no fraction), ``x`` the tail
-    offset (x > 1/2, where the representation is valid), and ``z = x^2 - x``
-    the variable the partial denominators live in.  Fields accept
-    `fractions.Fraction` for exact-arithmetic runs.
+    ``r`` is the series parameter (finite and > 0 here: the r = 0 limit is
+    served by ``mathieu_direct``, whose tail bracket needs no fraction),
+    ``x`` the tail offset (x > 1/2, where the representation is valid), and
+    ``z = x^2 - x`` the variable the partial denominators live in.  Fields
+    accept `fractions.Fraction` for exact-arithmetic runs.
     """
 
     __slots__ = _fields = ("r", "x")
@@ -80,6 +82,8 @@ class MathieuCFParams(_Record):
     def __init__(self, r: float, x: float):
         if not (r > 0):
             raise ValueError(f"r must be > 0; got {r!r}")
+        if r == math.inf:
+            raise ValueError(f"r must be finite; got {r!r}")
         if not (x > 0.5):
             raise ValueError(f"x must be > 1/2; got {x!r}")
         _set(self, "r", r)
@@ -268,23 +272,53 @@ def mathieu_direct(
     tol: float = 1e-10,
     m_terms: Optional[int] = None,
 ) -> Enclosure:
-    """Enclose S(r) by partial summation plus an integral tail bracket.
+    """Enclose S(r) by partial summation plus a two-part tail bracket.
 
-    The summand f(m) = 2m/(m^2+r^2)^2 decreases for m >= r/sqrt(3), and
-    integrating f between consecutive integers gives
+    The summand f(x) = 2x/(x^2+r^2)^2 has the antiderivative -1/(x^2+r^2)
+    and f''(x) = 24x(x^2-r^2)/(x^2+r^2)^4, so f decreases for x >= r/sqrt(3)
+    and is convex for x >= r.  After the head sum over m = 1..M, with
+    R = max(M, ceil(r - 1/2)):
 
-        1/((M+1)^2 + r^2)  <=  sum_{m>M} f(m)  <=  1/(M^2 + r^2),
+    * the terms M < m <= R are bracketed by the integral test (valid for
+      M >= r/sqrt(3)), between 1/((M+1)^2+r^2) - 1/((R+1)^2+r^2) and
+      1/(M^2+r^2) - 1/(R^2+r^2);
+    * the terms m > R sit where f is convex (R + 1/2 >= r), so Hermite-
+      Hadamard bounds each one: f(m) is at most the integral of f over
+      [m-1/2, m+1/2] (midpoint rule), and the integral over [m, m+1] is at
+      most (f(m) + f(m+1))/2 (trapezoid rule).  Summed, they lie between
+      1/((R+1)^2+r^2) + f(R+1)/2 and 1/((R+1/2)^2+r^2).
 
-    so the enclosure is [partial + left, partial + right].  The bracket
-    width is below 2/M^3 for every r, which picks M directly from ``tol``.
+    Together:
+
+        lower = 1/((M+1)^2 + r^2) + f(R+1)/2
+        upper = 1/(M^2 + r^2) - 1/(R^2 + r^2) + 1/((R+1/2)^2 + r^2)
+
+    Width.  f''(x) <= 24x*x^2/x^8 = 24/x^5.  The midpoint rule errs on
+    [m-1/2, m+1/2] by f''(xi)/24 <= 1/(m-1/2)^5, the trapezoid rule on
+    [m, m+1] by f''(xi)/12 <= 2/m^5, and since 1/x^5 is convex and
+    decreasing, sum_{m>M} 1/(m-1/2)^5 <= int_M^inf x^-5 dx = 1/(4M^4) and
+    sum_{m>M} 1/m^5 <= 1/(4M^4).  So when R = M (M >= r - 1/2) the width is
+    at most 3/(4M^4), and ``tol`` picks M_conv = ceil((3/(4 tol))^(1/4)):
+    295 terms at tol 1e-10, 931 at 1e-12.  The bracket only ever tightens
+    the integral-test bracket [1/((M+1)^2+r^2), 1/(M^2+r^2)] at the same M,
+    whose width is at most 2/M^3; M_mono = ceil(max((2/tol)^(1/3),
+    r/sqrt(3), 1)) (2,715 and 12,600 terms) meets ``tol`` with it.  M is
+    min(M_mono, max(M_conv, ceil(r))): either way the width is <= tol, and
+    M never exceeds M_mono, whose cap decides which tolerances are refused.
+
     Accepts r = 0 (giving 2*zeta(3)).  ``m_terms`` forces M, bypassing both
     the width target and the monotonicity threshold: the bracket formula is
-    returned as-is, certified only when m_terms >= r/sqrt(3).  Raises
-    ``OverflowError`` where (m^2 + r^2)^2 overflows float64 (r above about
-    1.2e77), also where r^2 is inf and the bracket would collapse to [0, 0].
+    returned as-is, certified only when m_terms >= r/sqrt(3); below that the
+    plain integral-test formula [1/((M+1)^2+r^2), 1/(M^2+r^2)] is returned,
+    which unlike the split one is never empty.  Raises
+    ``ValueError`` for a non-finite r, and ``OverflowError`` where
+    (m^2 + r^2)^2 overflows float64 (r above about 1.2e77), also where r^2
+    is inf and the bracket would collapse to [0, 0].
     """
     if not (r >= 0):
         raise ValueError(f"r must be >= 0; got {r!r}")
+    if r == math.inf:
+        raise ValueError(f"r must be finite; got {r!r}")
     if m_terms is not None:
         if m_terms < 1:
             raise ValueError(f"m_terms must be >= 1; got {m_terms}")
@@ -299,7 +333,7 @@ def mathieu_direct(
                 f"tolerance unachievable by direct summation: tol={tol!r} at r={r!r} "
                 f"needs more than {_DIRECT_TERM_CAP} terms"
             )
-        M = math.ceil(M)
+        M = min(math.ceil(M), max(math.ceil((0.75 / tol) ** 0.25), math.ceil(r)))
     rr = r * r
     if rr == math.inf:
         raise _summand_overflow(r)
@@ -310,9 +344,18 @@ def mathieu_direct(
         partial = math.fsum(
             (m + m) / (m * m + rr) ** 2 for m in map(float, range(1, M + 1))
         )
+        if M < r / math.sqrt(3):
+            # Only a forced M gets here; the split bracket can come out
+            # empty below the monotone range, the integral-test one cannot.
+            lower, upper = 1 / ((M + 1) ** 2 + rr), 1 / (M * M + rr)
+        else:
+            # r - 1/2 is exact below 2^52, far beyond any M that can be summed.
+            R = max(M, math.ceil(r - 0.5))
+            lower = 1 / ((M + 1) ** 2 + rr) + (R + 1) / ((R + 1) ** 2 + rr) ** 2
+            upper = 1 / (M * M + rr) - 1 / (R * R + rr) + 1 / ((R + 0.5) ** 2 + rr)
     except OverflowError:
         raise _summand_overflow(r) from None
-    return Enclosure(partial + 1 / ((M + 1) ** 2 + rr), partial + 1 / (M * M + rr))
+    return Enclosure(partial + lower, partial + upper)
 
 
 def _bracket_walk(params: MathieuCFParams, width: float, max_terms: int) -> TailBracket:
@@ -483,6 +526,30 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
 
 
 _ASYMPTOTIC_TERM_CAP = 500
+# Bits kept at each end of the bracketed factors of an asymptotic term.
+_G = 128
+_MIN_NORMAL = sys.float_info.min
+
+
+def _truncated(lo: int, hi: int, e: int) -> tuple[int, int, int]:
+    """Shorten the bracket lo * 2^e <= x <= hi * 2^e to ends of about _G
+    bits: lo is truncated down and hi up (the + 1 covers the dropped bits),
+    so the bracket still holds x.  A bracket with lo == hi is exact."""
+    k = hi.bit_length() - _G
+    if k <= 0:
+        return lo, hi, e
+    return lo >> k, (hi >> k) + 1, e + k
+
+
+def _scaled_quotient(a: int, b: int, e: int) -> float:
+    """a * 2^e / b, correctly rounded, for a and b of about _G bits: the
+    quotient rounded once and scaled exactly, unless the result leaves the
+    normal range (``OverflowError`` above it; rounded once on the subnormal
+    grid below it)."""
+    t = math.ldexp(a / b, e)
+    if t < _MIN_NORMAL:
+        t = a / (b << -e)
+    return t
 
 
 def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
@@ -494,11 +561,21 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     term is negative, and term magnitudes shrink roughly until 2m ~ 2*pi*r,
     so small r means ``auto`` keeps a single term and ``first_omitted_term``
     (the magnitude of the first term dropped) exceeds the term kept — the
-    signal that the expansion has nothing to offer at that r.  Terms are
-    formed by one correctly rounded integer division each, so huge Bernoulli
-    numerators cannot overflow; auto truncation is capped at 500 terms.  A
-    term beyond float64 (B_2/r^4 for r below about 1.7e-78) is outside the
-    route's domain and raises ``ValueError``, as does a non-finite r.
+    signal that the expansion has nothing to offer at that r.  Auto
+    truncation is capped at 500 terms.
+
+    Every term is the correctly rounded float of its exact rational value,
+    so huge Bernoulli numerators cannot overflow.  With r = num/(odd * 2^s),
+    term m is (-1)^m B_2m * odd^(2m+2) * 2^(s(2m+2)) / num^(2m+2).  The
+    factors |B_2m numerator|, odd^(2m+2) and num^(2m+2) are carried as
+    brackets of about _G bits, so the term lies between two small
+    quotients; rounding is monotone, so when both round to the same float,
+    that float is the term (while all three factors fit in _G bits the
+    bracket is exact and one quotient is enough).  Otherwise (a near tie, or
+    an overflow) the term is one correctly rounded ``int / int`` of the
+    exact integers.  A term beyond float64 (B_2/r^4 for r below about
+    1.7e-78) is outside the route's domain and raises ``ValueError``, as
+    does a non-finite r.
     """
     if not (0 < r < math.inf):
         raise ValueError(f"r must be finite and > 0; got {r!r}")
@@ -513,25 +590,42 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     r_exact = Fraction(r)
     num2 = r_exact.numerator ** 2
     # den = odd * 2^s, and odd = 1 for every float r: the power of two in
-    # den^(2m+2) is applied as a shift instead of a big-integer product.
+    # den^(2m+2) is applied as an exponent instead of a big-integer product.
     den = r_exact.denominator
     s = (den & -den).bit_length() - 1
     odd2 = (den >> s) ** 2
-    # r^{2m+2} = num_power / (odd_power << shift)
-    num_power, odd_power, shift = num2, odd2, 2 * s
+    # num2^(m+1) in [nl, nh] * 2^ne and odd2^(m+1) in [ol, oh] * 2^oe.
+    nl = nh = ol = oh = 1
+    ne = oe = 0
     terms: list[float] = []
     first_omitted = None
     m = 0
     while True:
+        nl, nh, ne = _truncated(nl * num2, nh * num2, ne)
+        if odd2 != 1:
+            ol, oh, oe = _truncated(ol * odd2, oh * odd2, oe)
         b2m = _bernoulli(2 * m)
-        # int / int rounds correctly, as float(Fraction) does, without the
-        # gcd that normalizing the quotient as a Fraction would cost.
+        bn, bd = b2m.numerator, b2m.denominator
+        bl = abs(bn)
+        bl, bh, be = _truncated(bl, bl, 0)
+        e = be + oe + 2 * s * (m + 1) - ne
         try:
-            t = ((b2m.numerator * odd_power) << shift) / (b2m.denominator * num_power)
+            t = _scaled_quotient(bl * ol, bd * nh, e)
+            if not (bl == bh and ol == oh and nl == nh):  # else the bracket is exact
+                if t != _scaled_quotient(bh * oh, bd * nl, e):
+                    t = None
         except OverflowError:
-            raise ValueError(
-                f"asymptotic term B_{2 * m}/r^{2 * m + 2} overflows float64 at r={r!r}"
-            ) from None
+            t = None
+        if t is None:
+            p = m + 1
+            try:
+                t = ((bn * odd2 ** p) << (2 * s * p)) / (bd * num2 ** p)
+            except OverflowError:
+                raise ValueError(
+                    f"asymptotic term B_{2 * m}/r^{2 * m + 2} overflows float64 at r={r!r}"
+                ) from None
+        elif bn < 0:
+            t = -t
         if m % 2:
             t = -t
         if auto and terms and abs(t) >= abs(terms[-1]):
@@ -541,9 +635,6 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
             first_omitted = abs(t)
             break
         terms.append(t)
-        num_power *= num2
-        odd_power *= odd2
-        shift += 2 * s
         m += 1
     return AsymptoticResult(math.fsum(terms), len(terms), first_omitted)
 

@@ -73,6 +73,10 @@ class TestFractionBounds:
         assert b.lower == pytest.approx(11 / 14, abs=1e-15)
         assert b.upper == pytest.approx(5 / 6, abs=1e-15)
 
+    def test_finite_r_required(self):
+        with pytest.raises(ValueError, match="^r must be finite; got inf$"):
+            cf_bounds(math.inf, 2, 1)
+
     def test_more_pairs_nest(self):
         outer, inner = cf_bounds(1.0, 2, 1), cf_bounds(1.0, 2, 2)
         assert outer.lower < inner.lower < S_AT_1 < inner.upper < outer.upper

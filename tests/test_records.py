@@ -99,6 +99,7 @@ def test_runconfig_vars_are_the_fields_in_order():
     (lambda: Enclosure(math.nan, 1.0), "empty enclosure: lower=nan > upper=1.0"),
     (lambda: BoundResult("cf(k=2,l=1)", 2.0, 1.0), "cf(k=2,l=1): lower=2.0 exceeds upper=1.0"),
     (lambda: MathieuCFParams(0.0, 2.0), "r must be > 0; got 0.0"),
+    (lambda: MathieuCFParams(math.inf, 2.0), "r must be finite; got inf"),
     (lambda: MathieuCFParams(1.0, 0.5), "x must be > 1/2; got 0.5"),
 ])
 def test_validation_messages(build, message):

@@ -40,13 +40,16 @@ from mathieucf import (
     telescoping_residual,
     theorem1_to_width,
 )
+from mathieucf import series
 from mathieucf.cf import DEFAULT_RESCALE_AT, _recurrence
 
 P12 = MathieuCFParams(1.0, 2.0)
 
 
 class TestParams:
-    @pytest.mark.parametrize("r,x", [(0.0, 2.0), (-1.0, 2.0), (1.0, 0.5), (1.0, 0.0)])
+    @pytest.mark.parametrize(
+        "r,x", [(0.0, 2.0), (-1.0, 2.0), (math.inf, 2.0), (math.nan, 2.0), (1.0, 0.5), (1.0, 0.0)]
+    )
     def test_domain(self, r, x):
         with pytest.raises(ValueError):
             MathieuCFParams(r, x)
@@ -111,18 +114,57 @@ class TestFractionShapes:
         assert evens[0] < evens[1] < evens[2] < odds[2] < odds[1] < odds[0]
 
 
+def _mono_terms(r, tol):
+    """M for the monotone integral-test bracket alone: width <= 2/M^3."""
+    return math.ceil(max((2 / tol) ** (1 / 3), r / math.sqrt(3), 1))
+
+
+def _direct_terms(r, tol):
+    """``mathieu_direct``'s M: the convex bracket's M_conv (width <= 3/(4M^4))
+    once M >= r, never more than the monotone bracket's M."""
+    return min(_mono_terms(r, tol), max(math.ceil((0.75 / tol) ** 0.25), math.ceil(r)))
+
+
 def _reference_direct(r, tol=1e-10, m_terms=None):
     """``mathieu_direct`` with int counters in the head sum: the expression
     the float-counter loop must match bit for bit."""
     if m_terms is None:
-        m_terms = math.ceil(max((2 / tol) ** (1 / 3), r / math.sqrt(3), 1))
+        m_terms = _direct_terms(r, tol)
     M, rr = m_terms, r * r
+    R = max(M, math.ceil(r - 0.5))
     partial = math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, M + 1))
-    return Enclosure(partial + 1 / ((M + 1) ** 2 + rr), partial + 1 / (M * M + rr))
+    if M < r / math.sqrt(3):  # forced below the monotone range: uncertified
+        return Enclosure(partial + 1 / ((M + 1) ** 2 + rr), partial + 1 / (M * M + rr))
+    lower = 1 / ((M + 1) ** 2 + rr) + (R + 1) / ((R + 1) ** 2 + rr) ** 2
+    upper = 1 / (M * M + rr) - 1 / (R * R + rr) + 1 / ((R + 0.5) ** 2 + rr)
+    return Enclosure(partial + lower, partial + upper)
+
+
+def _mpmath_s(r):
+    """S(r) at 40 digits: Im psi1(1 - i r)/r, and 2 zeta(3) at r = 0."""
+    with mpmath.workdps(40):
+        if r == 0:
+            return 2 * mpmath.zeta(3)
+        x = mpmath.mpf(r)
+        return mpmath.im(mpmath.psi(1, mpmath.mpc(1, -x))) / x
 
 
 _direct_rng = random.Random(12)
 _DIRECT_R = [0.0] + [10 ** _direct_rng.uniform(-3, 7) for _ in range(24)]
+
+# Seeded (r, tol) for the convex bracket, R = max(M, ceil(r - 1/2)): r = 0,
+# r = n +- 1/4 and n +- 1/2 (where ceil(r - 1/2) and ceil(r) part or meet),
+# and r in [316, 3.2e5], where the monotone bracket's M is often below
+# r - 1/2.  R = M in 33 of the 68 cases, R > M in 35.
+_contain_rng = random.Random(1313)
+_CONTAIN_CASES = (
+    [(0.0, 10 ** _contain_rng.uniform(-12, -4)) for _ in range(4)]
+    + [(n + d, 10 ** _contain_rng.uniform(-12, -4))
+       for n in (_contain_rng.randint(1, 400) for _ in range(10))
+       for d in (-0.5, -0.25, 0.25, 0.5)]
+    + [(10 ** _contain_rng.uniform(2.5, 5.5), 10 ** _contain_rng.uniform(-12, -4))
+       for _ in range(24)]
+)
 
 
 class TestDirectEnclosure:
@@ -138,7 +180,38 @@ class TestDirectEnclosure:
 
     def test_forced_term_count(self):
         enc = mathieu_direct(1.0, m_terms=1)
-        assert (enc.lower, enc.upper) == (0.7, 1.0)  # 1/2 + [1/5, 1/2]
+        # 1/2 + [1/5 + f(2)/2, 1/(1.5^2 + 1)]: R = M = 1, convex from x = 1.
+        assert (enc.lower, enc.upper) == (0.78, 0.8076923076923077)
+
+    @pytest.mark.parametrize("r,tol", _CONTAIN_CASES)
+    def test_contains_mpmath_value(self, r, tol):
+        enc = mathieu_direct(r, tol)
+        assert enc.width <= tol
+        assert mpmath.mpf(enc.lower) <= _mpmath_s(r) <= mpmath.mpf(enc.upper)
+
+    @pytest.mark.parametrize("r,tol", _CONTAIN_CASES[::3] + [(1.0, 1e-6), (2e5, 1e-10)])
+    def test_nested_in_monotone_bracket(self, r, tol):
+        # The integral-test bracket at the same M holds the convex one.
+        M, rr = _direct_terms(r, tol), r * r
+        enc = mathieu_direct(r, tol)
+        partial = math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, M + 1))
+        lower, upper = partial + 1 / ((M + 1) ** 2 + rr), partial + 1 / (M * M + rr)
+        assert lower - 4 * math.ulp(lower) <= enc.lower
+        assert enc.upper <= upper + 4 * math.ulp(upper)
+
+    @pytest.mark.parametrize("tol,M", [(1e-10, 295), (1e-12, 931)])
+    def test_term_count_from_convex_width_bound(self, tol, M):
+        for r in (0.0, 0.3, 1.0, 10.0, 99.5, 100.0):
+            assert mathieu_direct(r, tol) == mathieu_direct(r, m_terms=M)
+            assert 3 / (4 * M ** 4) <= tol < 3 / (4 * (M - 1) ** 4)
+
+    def test_never_more_terms_than_monotone_bracket(self):
+        for r, tol in itertools.product(
+            [0.0, 0.5, 3.0, 250.0, 2716.0, 4e4], [1e-4, 1e-8, 1e-10, 1e-12, 1e-15]
+        ):
+            M = _direct_terms(r, tol)
+            assert M <= _mono_terms(r, tol)
+            assert mathieu_direct(r, tol) == mathieu_direct(r, m_terms=M), (r, tol)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="r must be"):
@@ -152,6 +225,9 @@ class TestDirectEnclosure:
             mathieu_direct(1.0, 5e-324)
         with pytest.raises(ValueError, match="m_terms"):
             mathieu_direct(1.0, m_terms=0)
+        for kwargs in ({}, {"m_terms": 3}):
+            with pytest.raises(ValueError, match="^r must be finite; got inf$"):
+                mathieu_direct(math.inf, **kwargs)
         # r^2 is inf: the summands and the tail bracket would all be 0.
         with pytest.raises(OverflowError, match=r"overflows float64 at r=1e\+160"):
             mathieu_direct(1e160, m_terms=1)
@@ -343,6 +419,9 @@ class TestEnclosureIdentity:
             mathieu_theorem1(1.0, 2, 1)
         with pytest.raises(ValueError, match="underflowed to 0 at r=1e-160"):
             theorem1_to_width(1e-160, 1, 1e-12)
+        # An infinite r used to reach the recurrence: nan, then OverflowError.
+        with pytest.raises(ValueError, match="^r must be finite; got inf$"):
+            theorem1_to_width(math.inf, 3, 1e-10)
 
 
 class TestBernoulli:
@@ -414,6 +493,14 @@ def _asymptotic_outcome(fn, r, n_terms):
 
 _rng = random.Random(20)
 _SEEDED_R = [_rng.uniform(0.1, 100.0) for _ in range(12)]
+_ASYMPTOTIC_R = (
+    _SEEDED_R
+    + [7, 100.0, 94.78, 117.0, 1e200, 1e-200, 1e-150, 51.2345, 77.77, 99.123]
+    + [3, Fraction(1, 3), Fraction(7, 12), Fraction(5, 2)]
+    # Full 52-bit mantissas where auto truncation keeps about 300 terms.
+    + [_rng.uniform(90.0, 100.0) for _ in range(4)]
+    + [Fraction(200, 3), Fraction(99123, 1000)]
+)
 
 
 class TestAsymptotic:
@@ -446,23 +533,27 @@ class TestAsymptotic:
         # exact rational division, so no intermediate overflow.
         assert math.isfinite(asymptotic(1.0, 40).value)
 
-    @pytest.mark.parametrize(
-        "r",
-        _SEEDED_R
-        + [7, 100.0, 94.78, 117.0, 1e200, 1e-200, 1e-150, 51.2345, 77.77, 99.123]
-        + [3, Fraction(1, 3), Fraction(7, 12), Fraction(5, 2)],
-    )
+    @pytest.mark.parametrize("r", _ASYMPTOTIC_R)
     @pytest.mark.parametrize("n_terms", ["auto", 1, 5, 50])
     def test_bit_identical_to_fraction_terms(self, r, n_terms):
         # Extremes: at 1e200 every term underflows to 0.0; at 1e-200 the
         # first term overflows, at 1e-150 the second; at 117 auto truncation
-        # keeps 368 terms and reads B_736.  At 99.123 the power of two in
-        # r's denominator grows to a shift of about 28,000 bits; the
-        # fractions with denominators 3 and 12 have an odd part.  Both
-        # versions agree.
+        # keeps 368 terms, reads B_736 and ends on subnormal terms.  At
+        # 99.123 the power of two in r's denominator grows to a shift of
+        # about 28,000 bits; the fractions with denominators 3, 12 and 1000
+        # have an odd part.  Both versions agree.
         assert _asymptotic_outcome(asymptotic, r, n_terms) == _asymptotic_outcome(
             _reference_asymptotic, r, n_terms
         )
+
+    @pytest.mark.parametrize("r", _ASYMPTOTIC_R)
+    @pytest.mark.parametrize("n_terms", ["auto", 1, 5, 50])
+    def test_bit_identical_with_56_bit_brackets(self, r, n_terms, monkeypatch):
+        # 56 bits are too few to settle most terms from their brackets, so
+        # the exact route runs often, and the bracket's own rounding is
+        # exercised where 128 bits almost never reach it.
+        monkeypatch.setattr(series, "_G", 56)
+        self.test_bit_identical_to_fraction_terms(r, n_terms)
 
     def test_validation(self):
         for r in (0.0, math.inf, math.nan):
