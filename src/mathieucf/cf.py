@@ -158,8 +158,8 @@ def _rescale_factor(rescale_at: float) -> float:
 
 
 def _rescaled(n: int, scale: float, a_cur, a_prev, b_cur, b_prev):
-    """The state after term ``n`` times ``scale``, for state that failed
-    ``abs(.) <= rescale_at``: inf and NaN fail it too, so overflow is
+    """The state after term ``n`` times ``scale``, for state that failed its
+    caller's ``<= rescale_at`` test: inf and NaN fail it too, so overflow is
     raised here, off the per-term path."""
     if isinstance(a_cur, float) and not (math.isfinite(a_cur) and math.isfinite(b_cur)):
         raise OverflowError(

@@ -191,6 +191,9 @@ def _route(method: str, r: float, cfg: RunConfig) -> Tuple[Row, Any]:
                     f"at the {cfg.max_terms}-term cap")
     elif method == "direct":
         enc = result = series.mathieu_direct(r, cfg.tol)
+        if enc.width > cfg.tol:
+            # Rounding the bracket ends can cost a few ulp past a tol that close.
+            note = f"tolerance not certified: width {enc.width:.3e} > tol {cfg.tol:.3e}"
     elif method == "trigamma":
         from . import oracles
 
@@ -225,8 +228,9 @@ def cmd_eval(cfg: RunConfig) -> Tuple[List[Row], int]:
         for method in methods:
             # A ValueError is a row note; a large-r OverflowError ends the run.
             try:
-                row, result = _route(method, r, cfg)
-                if method == "cf" and not result[2]:
+                row, _ = _route(method, r, cfg)
+                # The cf and direct routes note only a missed tolerance.
+                if method in ("cf", "direct") and row["note"]:
                     exit_code = 1
             except ValueError as exc:
                 row = _eval_row(r, method, note=f"failed: {exc}")

@@ -365,7 +365,25 @@ def _bracket_walk(params: MathieuCFParams, width: float, max_terms: int) -> Tail
     A pass applies the odd term n = q = 2m + 1 and the even term n + 1 with
     inline coefficients and the float operations, in order, of the ``cf``
     recurrence on ``ab_form`` (b_{2m} = 1 drops an exact 1 * A): brackets
-    are bit-identical while m*m is exact in float64 (n < 1.9e8)."""
+    are bit-identical while m*m is exact in float64 (n < 1.9e8).
+
+    The caller guarantees z >= 0, so every coefficient is positive and so is
+    every A_n and B_n (sums and products of positives; float rounding never
+    turns a positive result negative).  Two tests per half-step become
+    one-sided:
+
+    * Rescale: ``x <= big`` is ``abs(x) <= big`` for x >= 0, and inf and
+      NaN still fail it and reach ``_rescaled``'s OverflowError.
+    * Stop: one comparison ``hi - lo <= stop`` per pass.  With width > 0,
+      stop = width, and a crossing (hi - lo < 0) passes it too.  With
+      width = 0, stop = -ulp(0.0): a difference of unequal floats is a
+      nonzero multiple of ulp(0.0), so hi - lo <= stop exactly when lo > hi.
+      Exact (Fraction or int) runs never cross.  The branch it guards tells
+      crossing from width.  A NaN difference fails it, as NaN fails
+      ``lo > hi``, and the walk runs on to the cap."""
+    big = DEFAULT_RESCALE_AT
+    scale = _SCALE
+    stop = width if 0 < width else -math.ulp(0.0)
     one = _one(params)
     rr = params.r * params.r
     rr4 = 4 * rr
@@ -379,8 +397,8 @@ def _bracket_walk(params: MathieuCFParams, width: float, max_terms: int) -> Tail
     while True:
         a_cur, a_prev = b * a_cur + a_odd * a_prev, a_cur
         b_cur, b_prev = b * b_cur + a_odd * b_prev, b_cur
-        if not (abs(a_cur) <= DEFAULT_RESCALE_AT and abs(b_cur) <= DEFAULT_RESCALE_AT):
-            a_cur, a_prev, b_cur, b_prev = _rescaled(q, _SCALE, a_cur, a_prev, b_cur, b_prev)
+        if not (a_cur <= big and b_cur <= big):
+            a_cur, a_prev, b_cur, b_prev = _rescaled(q, scale, a_cur, a_prev, b_cur, b_prev)
         hi = a_cur / b_cur
         if q >= max_terms:
             n = q
@@ -391,23 +409,25 @@ def _bracket_walk(params: MathieuCFParams, width: float, max_terms: int) -> Tail
         a = mm * m / d
         a_cur, a_prev = a_cur + a * a_prev, a_cur
         b_cur, b_prev = b_cur + a * b_prev, b_cur
-        if not (abs(a_cur) <= DEFAULT_RESCALE_AT and abs(b_cur) <= DEFAULT_RESCALE_AT):
-            a_cur, a_prev, b_cur, b_prev = _rescaled(n, _SCALE, a_cur, a_prev, b_cur, b_prev)
+        if not (a_cur <= big and b_cur <= big):
+            a_cur, a_prev, b_cur, b_prev = _rescaled(n, scale, a_cur, a_prev, b_cur, b_prev)
         lo = a_cur / b_cur
-        if lo > hi:
-            # Exact arithmetic guarantees even <= odd here; a crossing can
-            # only be float rounding after the true gap shrank below ulp
-            # scale.  The bracket is saturated: swap and stop.  A large
-            # inversion would mean the positivity hypothesis was violated.
-            drift = (16 + n) * math.ulp(max(abs(lo), abs(hi)))
-            if lo - hi > drift:
-                raise ValueError(
-                    f"approximants not bracketing at n={n}: even={lo!r} > "
-                    f"odd={hi!r}; positive-coefficient hypothesis violated?"
-                )
-            lo, hi = hi, lo
+        if hi - lo <= stop:
+            if lo > hi:
+                # Exact arithmetic guarantees even <= odd here; a crossing
+                # can only be float rounding after the true gap shrank below
+                # ulp scale.  The bracket is saturated: swap and stop.  A
+                # large inversion would mean the positivity hypothesis was
+                # violated.
+                drift = (16 + n) * math.ulp(max(abs(lo), abs(hi)))
+                if lo - hi > drift:
+                    raise ValueError(
+                        f"approximants not bracketing at n={n}: even={lo!r} > "
+                        f"odd={hi!r}; positive-coefficient hypothesis violated?"
+                    )
+                lo, hi = hi, lo
             break
-        if (0 < width and hi - lo <= width) or n >= max_terms:
+        if n >= max_terms:
             break
         q += 2
         d = 2 * q

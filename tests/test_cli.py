@@ -136,6 +136,19 @@ class TestEvalCommand:
         assert "not certified" in cf["note"]
         assert cf["lower"] <= S_AT_1 <= cf["upper"]  # still a true enclosure
 
+    def test_direct_row_missing_tol_exits_1(self, capsys):
+        # A tol just under two ulp of S(0) = 2 zeta(3): the rounded direct
+        # bracket comes out two ulp wide.
+        assert main(["eval", "--r", "0", "--tol", "8.79e-16", "--format", "json"]) == 1
+        skipped, direct = strict_json(capsys.readouterr().out)["rows"]
+        assert skipped["note"].startswith("skipped")
+        assert direct["width"] == 8.881784197001252e-16
+        assert direct["note"] == "tolerance not certified: width 8.882e-16 > tol 8.790e-16"
+        assert direct["lower"] <= 2 * ZETA3 <= direct["upper"]
+        # At a reachable tol the same row carries no note and exits 0.
+        assert main(["eval", "--r", "0", "--tol", "1e-12", "--format", "json"]) == 0
+        assert strict_json(capsys.readouterr().out)["rows"][1]["note"] is None
+
     def test_unknown_method_is_config_error(self):
         with pytest.raises(ConfigError, match="unknown method"):
             run(RunConfig(command="eval", r_values=(1.0,), methods=("bogus",)))

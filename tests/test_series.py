@@ -352,6 +352,51 @@ class TestFlatWalk:
         assert flat == reference
         assert flat[2:] == (n, False)
 
+    @pytest.mark.parametrize("r,width,max_terms", [
+        (2.5, 1e-12, 200_000),  # the deep workload's call, theorem1_to_width(r, 1, 1e-12)
+        (1.7, 1e-12, 200_000),
+        (2.0, 0.0, 100_001),
+        (1.9, 1e-300, 60_000),
+    ])
+    def test_deep_k1_walks(self, r, width, max_terms):
+        # At x = 1 (z = 0) the walk never meets these widths: it runs to the
+        # cap and rescales thousands of times, on odd and even half-steps.
+        rescaled_at = {0: 0, 1: 0}
+        rescales = 0
+        for n, _, _, count in _recurrence(ab_form(MathieuCFParams(r, 1.0)), DEFAULT_RESCALE_AT):
+            if count > rescales:
+                rescaled_at[n % 2] += 1
+                rescales = count
+            if n >= max_terms:
+                break
+        assert rescaled_at[0] > 1000 and rescaled_at[1] > 10
+        flat, reference = _walk_outcomes(r, 1.0, width, max_terms)
+        assert flat == reference
+        assert flat[2:] == (max_terms, False)
+
+    @pytest.mark.parametrize("r,x,n", [(1.0, 2.0, 200), (0.37, 1.0, 4000), (7.0, 3.0, 20), (1000.0, 1.5, 4)])
+    def test_width_stop_is_inclusive(self, r, x, n):
+        # The walk stops on the first pass with hi - lo <= width: a width
+        # equal to the bracket's width at pass n stops exactly there, with
+        # the bits of the width-0 walk capped at n; one float below it does not.
+        capped = tail_enclosure(r, x, 0.0, n)
+        w = capped.enclosure.width
+        assert w > 0 and capped.terms_used == n and not capped.achieved
+        at_w = tail_enclosure(r, x, w, 200_000)
+        assert at_w.enclosure == capped.enclosure
+        assert (at_w.terms_used, at_w.achieved) == (n, True)
+        below = tail_enclosure(r, x, math.nextafter(w, 0.0), 200_000)
+        assert below.terms_used > n and below.achieved
+
+    @pytest.mark.parametrize("max_terms", [2, 3, 12, 41])
+    def test_exact_width_zero_runs_to_cap(self, max_terms):
+        # Exact brackets never cross, so width 0 always spends the budget.
+        bracket = tail_enclosure(Fraction(1, 3), Fraction(5, 2), 0, max_terms)
+        enc = bracket.enclosure
+        assert type(enc.lower) is type(enc.upper) is Fraction
+        assert 0 < enc.width
+        assert (bracket.terms_used, bracket.achieved) == (max_terms, False)
+
     @pytest.mark.parametrize("r,x", [(1, 2), (3, 1), (2**30 + 11, 4), (Fraction(1, 3), Fraction(5, 2))])
     def test_integer_and_fraction_parameters(self, r, x):
         # The walk keeps the parameters' arithmetic, as ab_form does: at
