@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Tuple
 
-from .cf import _Record, _set
 from .oracles import zeta3_reference
-from .series import mathieu_theorem1
+from .series import _Record, _set, mathieu_theorem1
 
 __all__ = [
     "BoundResult",

@@ -1,5 +1,7 @@
-"""Generalized continued fractions: convergents, adaptive evaluation,
-even contraction, and equivalence transforms.
+"""The theory layer: the generic continued-fraction engine (convergents,
+adaptive evaluation, even contraction, equivalence transforms) and the
+Mathieu tail fraction's three shapes with their positivity and
+equivalence witnesses and the tail-recursion residual.
 
 A continued fraction here is a leading term ``b0`` plus a stream of partial
 terms ``(a_n, b_n)`` for n >= 1, denoting
@@ -28,12 +30,31 @@ Term streams are plain callables ``n -> (a_n, b_n)`` and must be pure
 (same n, same term).  Arithmetic is duck-typed: float terms run in float64,
 `fractions.Fraction` terms run exactly (exact runs must stay below the
 rescale threshold, since the rescale factor is a float).
+
+The tail T(r, x) of the Mathieu series (see ``series``) equals one fraction
+in z = x^2 - x, given here in three equivalent shapes: ``ab_form`` (all
+coefficients positive when z >= 0, the shape ``series.tail_enclosure``
+walks inline), ``cd_form`` (its denominators cleared) and
+``kappa_lambda_form`` (its even contraction).  None of this runs on the
+eval path: ``series`` never imports this module, and this module builds on
+``series`` for the record base, the exact rescale and the tail bracket.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Iterator, Optional, Tuple
+
+from . import series
+from .series import (
+    DEFAULT_RESCALE_AT,
+    MathieuCFParams,
+    _Record,
+    _one,
+    _rescale_factor,
+    _rescaled,
+    _set,
+)
 
 __all__ = [
     "ContinuedFraction",
@@ -44,56 +65,13 @@ __all__ = [
     "evaluate",
     "even_contraction",
     "equivalence_transform",
+    "kappa_lambda_form",
+    "ab_form",
+    "cd_form",
+    "ab_to_cd_witness",
+    "coefficients_positive",
+    "telescoping_residual",
 ]
-
-DEFAULT_RESCALE_AT = 1e150
-
-
-_set = object.__setattr__
-
-
-def _rebuild(cls, fields):
-    return cls(**fields)
-
-
-class _Record:
-    """Immutable value record, compared, hashed and printed field by field.
-
-    A subclass names its fields, in order, in ``_fields`` (its ``__slots__``
-    too, unless it keeps a ``__dict__``) and sets each one in its own
-    ``__init__`` through ``object.__setattr__``.  Equality, hashing and repr
-    match what a frozen dataclass with the same fields gives.
-    """
-
-    __slots__ = ()
-    _fields: Tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__: their default path
-        # assigns the fields, which __setattr__ refuses.
-        return _rebuild, (self.__class__, dict(zip(self._fields, self._values())))
-
 
 class ContinuedFraction(_Record):
     """A generalized continued fraction b0 + K(a_n / b_n).
@@ -149,24 +127,6 @@ class EvalReport(_Record):
         _set(self, "terms_used", terms_used)
         _set(self, "converged", converged)
         _set(self, "last_delta", last_delta)
-
-
-def _rescale_factor(rescale_at: float) -> float:
-    # Largest power of two <= 1/rescale_at keeps the factor exact and the
-    # rescaled state comfortably inside range.
-    return 2.0 ** -math.floor(math.log2(rescale_at))
-
-
-def _rescaled(n: int, scale: float, a_cur, a_prev, b_cur, b_prev):
-    """The state after term ``n`` times ``scale``, for state that failed its
-    caller's ``<= rescale_at`` test: inf and NaN fail it too, so overflow is
-    raised here, off the per-term path."""
-    if isinstance(a_cur, float) and not (math.isfinite(a_cur) and math.isfinite(b_cur)):
-        raise OverflowError(
-            f"numerical overflow despite rescaling at n={n} "
-            f"(A={a_cur!r}, B={b_cur!r})"
-        )
-    return a_cur * scale, a_prev * scale, b_cur * scale, b_prev * scale
 
 
 def _recurrence(
@@ -349,3 +309,136 @@ def equivalence_transform(
         return r_prev * r_n * a, r_n * b
 
     return ContinuedFraction(cf.b0, terms)
+
+
+def ab_form(params: MathieuCFParams) -> ContinuedFraction:
+    """T(r, x) as a continued fraction with unit leading numerator.
+
+    With z = x^2 - x and rr = r^2:
+
+        a_1 = 1,                        b_1      = z + rr
+        a_{2n} = n^3 / (2(2n-1)),       b_{2n}   = 1
+        a_{2n+1} = n(n^2+4rr)/(2(2n+1)), b_{2n+1} = z + rr/(2n+1)
+
+    All coefficients are positive when z >= 0, which is what certified
+    bracketing needs; for z < 0 the odd b's eventually go negative.
+    """
+    one = _one(params)
+    rr = params.r * params.r
+    z = params.z
+
+    def terms(n: int):
+        if n == 1:
+            return one, z + rr
+        m, odd = divmod(n, 2)
+        if odd:
+            return (m * (m * m + 4 * rr) * one) / (2 * (2 * m + 1)), z + rr / (2 * m + 1)
+        return (m ** 3 * one) / (2 * (2 * m - 1)), one
+
+    return ContinuedFraction(one - one, terms)
+
+
+def cd_form(params: MathieuCFParams) -> ContinuedFraction:
+    """The ``ab_form`` fraction with denominators cleared of /(2(2n+1)) factors.
+
+        c_1 = 2,              d_1      = 2z + 2rr
+        c_{2n} = n^3,         d_{2n}   = 1
+        c_{2n+1} = n(n^2+4rr), d_{2n+1} = 2(2n+1)z + 2rr
+
+    Same value, same approximant sequence (it is the equivalence transform of
+    ``ab_form`` by ``ab_to_cd_witness``).
+    """
+    one = _one(params)
+    rr = params.r * params.r
+    z = params.z
+
+    def terms(n: int):
+        if n == 1:
+            return 2 * one, 2 * z + 2 * rr
+        m, odd = divmod(n, 2)
+        if odd:
+            return m * (m * m + 4 * rr) * one, 2 * (2 * m + 1) * z + 2 * rr
+        return m ** 3 * one, one
+
+    return ContinuedFraction(one - one, terms)
+
+
+def ab_to_cd_witness(n: int) -> float:
+    """Equivalence multipliers turning ``ab_form`` into ``cd_form``.
+
+    r_0 = 1, r_{2n} = 1, r_{2n+1} = 2(2n+1); i.e. 2n at odd indices.
+    """
+    return 2.0 * n if n % 2 else 1.0
+
+
+def kappa_lambda_form(params: MathieuCFParams) -> ContinuedFraction:
+    """T(r, x) with partial denominators centered at (x - 1/2)^2.
+
+    With w = (x - 1/2)^2 (note w + (1 + 4rr)/4 = z + rr + 1/2):
+
+        a_1 = 1,  b_1 = w + (1 + 4rr)/4
+        a_{n+1} = -n^4 (n^2 + 4rr) / (4 (2n-1)(2n+1))
+        b_{n+1} = w + (2n^2 + 2n + 1 + 4rr)/4
+
+    One term here advances as far as two ``ab_form`` terms: this fraction is
+    termwise identical to the even contraction of ``ab_form``.  Its partial
+    numerators are negative from a_2 on, so it supports plain evaluation but
+    not even/odd bracketing.
+    """
+    one = _one(params)
+    rr4 = 4 * params.r * params.r
+    half = one / 2
+    w = (params.x - half) * (params.x - half)
+
+    def terms(n: int):
+        if n == 1:
+            return one, w + (1 + rr4) / (4 * one)
+        m = n - 1
+        kappa = -(m ** 4 * (m * m + rr4) * one) / (4 * (2 * m - 1) * (2 * m + 1))
+        lam = (2 * m * m + 2 * m + 1 + rr4) / (4 * one)
+        return kappa, w + lam
+
+    return ContinuedFraction(one - one, terms)
+
+
+def coefficients_positive(params: MathieuCFParams, n_max: int) -> Optional[int]:
+    """First index n <= n_max where an ``ab_form`` coefficient is <= 0, else None.
+
+    Positivity for all n is equivalent to z >= 0 (the even coefficients and
+    partial numerators are positive outright for r > 0; the odd denominators
+    z + r^2/(2n+1) decrease toward z).
+    """
+    form = ab_form(params)
+    for n in range(1, n_max + 1):
+        a, b = form.term(n)
+        if not (a > 0 and b > 0):
+            return n
+    return None
+
+
+_TELESCOPE_TERM_CAP = 100_000
+
+
+def telescoping_residual(r: float, x: float, tol: float = 1e-10) -> float:
+    """Residual of the tail recursion T(r, x) - T(r, x+1) = 2x/(x^2+r^2)^2.
+
+    Both tails are taken at the same r; exactness of the recursion is a
+    sharp consistency check across two different points of the same
+    fraction.  Each tail is evaluated to a certified bracket of width
+    <= tol/4 when its z is >= 0; for z < 0 (x < 1, where bracketing is
+    unavailable) and for brackets still wider than tol/4 at the 100k-term
+    cap, the best available approximant is used and the residual is then
+    only as good as that approximant — honest about slow convergence rather
+    than silently certified.
+    """
+    if not (tol > 0):
+        raise ValueError(f"tol must be > 0; got {tol!r}")
+
+    def value_at(x0: float) -> float:
+        params = MathieuCFParams(r, x0)
+        if params.z >= 0:
+            return series.tail_enclosure(r, x0, tol / 4, _TELESCOPE_TERM_CAP).enclosure.midpoint
+        return evaluate(ab_form(params), tol / 8, _TELESCOPE_TERM_CAP).value
+
+    derivative_term = 2 * x / (x * x + r * r) ** 2
+    return value_at(x) - value_at(x + 1) - derivative_term

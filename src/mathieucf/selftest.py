@@ -21,15 +21,22 @@ import time
 from fractions import Fraction
 from typing import Callable, List
 
-from . import bounds, cli, oracles, series
+from . import bounds, cli, commands, oracles, series
 from .cf import (
     ContinuedFraction,
-    _rescale_factor,
+    ab_form,
+    ab_to_cd_witness,
+    cd_form,
+    coefficients_positive,
     convergent,
     equivalence_transform,
+    evaluate,
     even_contraction,
     iter_convergents,
+    kappa_lambda_form,
+    telescoping_residual,
 )
+from .series import _rescale_factor
 
 __all__ = ["CHECKS", "run_selftest"]
 
@@ -44,7 +51,7 @@ def _check_determinant_identity() -> str:
     worst = 0.0
     for form, n_max, rescale_at in [
         (_golden_cf(), 400, 1e10),
-        (series.ab_form(series.MathieuCFParams(1.0, 2.0)), 60, 1e150),
+        (ab_form(series.MathieuCFParams(1.0, 2.0)), 60, 1e150),
     ]:
         prod = 1.0
         prev = None
@@ -78,7 +85,7 @@ def _check_determinant_identity() -> str:
 def _check_contraction() -> str:
     """contraction approximants equal the even approximants"""
     worst = 0.0
-    for form in [_golden_cf(), series.ab_form(series.MathieuCFParams(1.5, 2.0))]:
+    for form in [_golden_cf(), ab_form(series.MathieuCFParams(1.5, 2.0))]:
         contracted = even_contraction(form)
         evens = {
             c.n: c.value for c in iter_convergents(form, 24) if c.n % 2 == 0 and c.n > 0
@@ -100,9 +107,9 @@ def _check_equivalence() -> str:
     """multiplier transforms preserve every approximant"""
     worst = 0.0
     for r, x in [(0.7, 1.0), (3.0, 4.0)]:
-        ab = series.ab_form(series.MathieuCFParams(r, x))
-        cd = series.cd_form(series.MathieuCFParams(r, x))
-        transformed = equivalence_transform(ab, series.ab_to_cd_witness)
+        ab = ab_form(series.MathieuCFParams(r, x))
+        cd = cd_form(series.MathieuCFParams(r, x))
+        transformed = equivalence_transform(ab, ab_to_cd_witness)
         for n in range(1, 31):
             got = convergent(transformed, n).value
             via_cd = convergent(cd, n).value
@@ -125,7 +132,7 @@ def _check_equivalence() -> str:
 
 def _check_rescaling_invariance() -> str:
     """approximant values are bit-identical across rescale thresholds"""
-    form = series.ab_form(series.MathieuCFParams(2.0, 3.0))
+    form = ab_form(series.MathieuCFParams(2.0, 3.0))
     a = convergent(form, 3000, rescale_at=1e50)
     b = convergent(form, 3000, rescale_at=1e150)
     assert a.value == b.value, (
@@ -141,8 +148,8 @@ def _check_three_forms() -> str:
     for r, x in [(0.5, 1.0), (2.0, 3.0)]:
         params = series.MathieuCFParams(r, x)
         ab = series.tail_enclosure(r, x, 0.0, 600)
-        cd = series.evaluate(series.cd_form(params), 0.0, 600)
-        kl = series.evaluate(series.kappa_lambda_form(params), 0.0, 300)
+        cd = evaluate(cd_form(params), 0.0, 600)
+        kl = evaluate(kappa_lambda_form(params), 0.0, 300)
         budget = 4 * ab.enclosure.width + 1e-13
         for name, value in [("cd", cd.value), ("kappa_lambda", kl.value)]:
             err = abs(value - ab.enclosure.midpoint)
@@ -186,10 +193,10 @@ def _check_bracketing_exact() -> str:
         r = Fraction(rng.uniform(0.05, 10.0)).limit_denominator(1 << 20)
         x = Fraction(rng.uniform(0.51, 8.0)).limit_denominator(1 << 20)
         params = series.MathieuCFParams(r, x)
-        if series.coefficients_positive(params, 30) is not None:
+        if coefficients_positive(params, 30) is not None:
             continue  # outside the positive-coefficient hypothesis
         draws += 1
-        vals = [c.value for c in iter_convergents(series.ab_form(params), 30)]
+        vals = [c.value for c in iter_convergents(ab_form(params), 30)]
         for n in range(2, 27, 2):
             assert vals[n] < vals[n + 2], f"even approximants not increasing at n={n}"
             assert vals[n + 2] < vals[n + 1], f"bracket inverted at n={n}"
@@ -201,14 +208,14 @@ def _check_positivity() -> str:
     """coefficients are positive for x >= 1; a violation exists below x = 1"""
     for r in (0.1, 1.0, 10.0):
         for x in (1.0, 2.5, 7.0):
-            bad = series.coefficients_positive(series.MathieuCFParams(r, x), 1000)
+            bad = coefficients_positive(series.MathieuCFParams(r, x), 1000)
             assert bad is None, f"coefficient <= 0 at n={bad} for r={r}, x={x}"
     # Below x = 1 (z < 0) positivity fails: immediately when r^2 < -z
     # (b_1 = z + r^2 < 0), and at the first odd denominator with
     # r^2/(2n+1) < -z otherwise.
-    bad = series.coefficients_positive(series.MathieuCFParams(0.1, 0.6), 1000)
+    bad = coefficients_positive(series.MathieuCFParams(0.1, 0.6), 1000)
     assert bad == 1, f"expected first violation at n=1 for r=0.1, x=0.6; got {bad}"
-    bad = series.coefficients_positive(series.MathieuCFParams(1.0, 0.6), 1000)
+    bad = coefficients_positive(series.MathieuCFParams(1.0, 0.6), 1000)
     assert bad == 5, f"expected first violation at n=5 for r=1, x=0.6; got {bad}"
     return "positive through n=1000 for x >= 1; violations at n=1 and n=5 for x=0.6"
 
@@ -218,7 +225,7 @@ def _check_telescoping() -> str:
     worst = 0.0
     for r in (1.0, 5.0):
         for x in (2.0, 3.5):
-            res = abs(series.telescoping_residual(r, x, 1e-10))
+            res = abs(telescoping_residual(r, x, 1e-10))
             worst = max(worst, res)
             assert res <= 1e-10, f"residual {res:.3e} at r={r}, x={x}"
     return f"worst |residual| {worst:.2e} on the z > 0 grid"
@@ -343,9 +350,9 @@ def _check_serialization_round_trip() -> str:
         {"r": 0.1, "method": "direct", "value": 1.0 / 3.0, "terms_used": 7, "note": None},
         {"r": 2.0, "method": "cf", "value": math.pi, "terms_used": 34, "note": "ok"},
     ]
-    csv_text = cli.rows_to_csv(rows)
+    csv_text = commands.rows_to_csv(rows)
     json_text = cli.payload_to_json({"config": {"tol": 1e-12}, "rows": rows, "version": 1})
-    assert cli.csv_to_rows(csv_text) == rows, "CSV round-trip changed the rows"
+    assert commands.csv_to_rows(csv_text) == rows, "CSV round-trip changed the rows"
     parsed = json.loads(json_text)
     assert parsed["rows"] == rows, "JSON round-trip changed the rows"
     assert parsed["config"]["tol"] == 1e-12, "JSON round-trip changed the config"

@@ -1,28 +1,35 @@
 """The Mathieu-type series S(r) = sum_{m>=1} 2m/(m^2+r^2)^2 and its
-continued-fraction representation.
+certified enclosures: the eval path.
 
 The tail of the series starting at any real offset x > 1/2,
 
     T(r, x) = sum_{m>=0} 2(x+m) / ((x+m)^2 + r^2)^2,
 
-equals a generalized continued fraction in the variable z = x^2 - x, given
-here in three equivalent shapes (``ab_form``, ``cd_form``,
-``kappa_lambda_form``).  Splitting S(r) at an integer k >= 1,
+equals a generalized continued fraction in the variable z = x^2 - x, whose
+three equivalent shapes (``ab_form``, ``cd_form``, ``kappa_lambda_form``)
+are given in ``cf``.  Splitting S(r) at an integer k >= 1,
 
     S(r) = sum_{m=1}^{k-1} 2m/(m^2+r^2)^2 + T(r, k),
 
 and approximating T by continued-fraction approximants yields certified
 enclosures: for z >= 0 every partial coefficient is positive, so even-index
 approximants increase to the value and odd-index approximants decrease to
-it.  ``mathieu_theorem1`` packages that bracketing; ``mathieu_direct`` is
+it.  ``tail_enclosure`` walks the ``ab_form`` recurrence inline to bracket
+T, ``mathieu_theorem1`` packages that bracketing, and ``mathieu_direct`` is
 the independent partial-sum route with an integral-test and convexity
-tail bracket.
+tail bracket.  The large-r expansion ``asymptotic`` and its Bernoulli
+numbers are here too.
 
 Only the bracketing is certified, and only for z >= 0 (x >= 1).  For
 x in (1/2, 1) the odd-index partial denominators z + r^2/(2n+1) eventually
 turn negative, the even/odd ordering breaks down, and approximants converge
-slowly from one side; ``telescoping_residual`` documents how it degrades to
-an uncertified evaluation there.
+slowly from one side; ``cf.telescoping_residual`` documents how it degrades
+to an uncertified evaluation there.
+
+The module imports nothing from the package: it also holds the record base
+``_Record`` and the exact power-of-two rescale that the ``cf`` engine,
+``bounds`` and ``cli`` build on, so a ``mathieucf eval`` process compiles
+no theory-layer code.
 """
 
 from __future__ import annotations
@@ -32,26 +39,11 @@ import sys
 from itertools import accumulate
 from typing import Optional, Union
 
-from .cf import (
-    DEFAULT_RESCALE_AT,
-    ContinuedFraction,
-    _Record,
-    _rescale_factor,
-    _rescaled,
-    _set,
-    evaluate,
-)
-
 __all__ = [
     "MathieuCFParams",
     "Enclosure",
     "TailBracket",
     "AsymptoticResult",
-    "kappa_lambda_form",
-    "ab_form",
-    "cd_form",
-    "ab_to_cd_witness",
-    "coefficients_positive",
     "mathieu_partial_sum",
     "mathieu_direct",
     "tail_enclosure",
@@ -59,8 +51,75 @@ __all__ = [
     "theorem1_to_width",
     "bernoulli_numbers",
     "asymptotic",
-    "telescoping_residual",
 ]
+
+# Recurrence state above this is rescaled by an exact power of two.
+DEFAULT_RESCALE_AT = 1e150
+
+
+_set = object.__setattr__
+
+
+def _rebuild(cls, fields):
+    return cls(**fields)
+
+
+class _Record:
+    """Immutable value record, compared, hashed and printed field by field.
+
+    A subclass names its fields, in order, in ``_fields`` (its ``__slots__``
+    too, unless it keeps a ``__dict__``) and sets each one in its own
+    ``__init__`` through ``object.__setattr__``.  Equality, hashing and repr
+    match what a frozen dataclass with the same fields gives.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: their default path
+        # assigns the fields, which __setattr__ refuses.
+        return _rebuild, (self.__class__, dict(zip(self._fields, self._values())))
+
+
+def _rescale_factor(rescale_at: float) -> float:
+    # Largest power of two <= 1/rescale_at keeps the factor exact and the
+    # rescaled state comfortably inside range.
+    return 2.0 ** -math.floor(math.log2(rescale_at))
+
+
+def _rescaled(n: int, scale: float, a_cur, a_prev, b_cur, b_prev):
+    """The state after term ``n`` times ``scale``, for state that failed its
+    caller's ``<= rescale_at`` test: inf and NaN fail it too, so overflow is
+    raised here, off the per-term path."""
+    if isinstance(a_cur, float) and not (math.isfinite(a_cur) and math.isfinite(b_cur)):
+        raise OverflowError(
+            f"numerical overflow despite rescaling at n={n} "
+            f"(A={a_cur!r}, B={b_cur!r})"
+        )
+    return a_cur * scale, a_prev * scale, b_cur * scale, b_prev * scale
+
 
 # Direct summation refuses tolerances needing more terms than this.
 _DIRECT_TERM_CAP = 20_000_000
@@ -147,111 +206,6 @@ def _one(params: MathieuCFParams):
     # Multiplicative unit in the parameter's arithmetic (1.0 or Fraction(1)),
     # so integer coefficient ratios stay exact on exact inputs.
     return (params.r - params.r) + 1
-
-
-def ab_form(params: MathieuCFParams) -> ContinuedFraction:
-    """T(r, x) as a continued fraction with unit leading numerator.
-
-    With z = x^2 - x and rr = r^2:
-
-        a_1 = 1,                        b_1      = z + rr
-        a_{2n} = n^3 / (2(2n-1)),       b_{2n}   = 1
-        a_{2n+1} = n(n^2+4rr)/(2(2n+1)), b_{2n+1} = z + rr/(2n+1)
-
-    All coefficients are positive when z >= 0, which is what certified
-    bracketing needs; for z < 0 the odd b's eventually go negative.
-    """
-    one = _one(params)
-    rr = params.r * params.r
-    z = params.z
-
-    def terms(n: int):
-        if n == 1:
-            return one, z + rr
-        m, odd = divmod(n, 2)
-        if odd:
-            return (m * (m * m + 4 * rr) * one) / (2 * (2 * m + 1)), z + rr / (2 * m + 1)
-        return (m ** 3 * one) / (2 * (2 * m - 1)), one
-
-    return ContinuedFraction(one - one, terms)
-
-
-def cd_form(params: MathieuCFParams) -> ContinuedFraction:
-    """The ``ab_form`` fraction with denominators cleared of /(2(2n+1)) factors.
-
-        c_1 = 2,              d_1      = 2z + 2rr
-        c_{2n} = n^3,         d_{2n}   = 1
-        c_{2n+1} = n(n^2+4rr), d_{2n+1} = 2(2n+1)z + 2rr
-
-    Same value, same approximant sequence (it is the equivalence transform of
-    ``ab_form`` by ``ab_to_cd_witness``).
-    """
-    one = _one(params)
-    rr = params.r * params.r
-    z = params.z
-
-    def terms(n: int):
-        if n == 1:
-            return 2 * one, 2 * z + 2 * rr
-        m, odd = divmod(n, 2)
-        if odd:
-            return m * (m * m + 4 * rr) * one, 2 * (2 * m + 1) * z + 2 * rr
-        return m ** 3 * one, one
-
-    return ContinuedFraction(one - one, terms)
-
-
-def ab_to_cd_witness(n: int) -> float:
-    """Equivalence multipliers turning ``ab_form`` into ``cd_form``.
-
-    r_0 = 1, r_{2n} = 1, r_{2n+1} = 2(2n+1); i.e. 2n at odd indices.
-    """
-    return 2.0 * n if n % 2 else 1.0
-
-
-def kappa_lambda_form(params: MathieuCFParams) -> ContinuedFraction:
-    """T(r, x) with partial denominators centered at (x - 1/2)^2.
-
-    With w = (x - 1/2)^2 (note w + (1 + 4rr)/4 = z + rr + 1/2):
-
-        a_1 = 1,  b_1 = w + (1 + 4rr)/4
-        a_{n+1} = -n^4 (n^2 + 4rr) / (4 (2n-1)(2n+1))
-        b_{n+1} = w + (2n^2 + 2n + 1 + 4rr)/4
-
-    One term here advances as far as two ``ab_form`` terms: this fraction is
-    termwise identical to the even contraction of ``ab_form``.  Its partial
-    numerators are negative from a_2 on, so it supports plain evaluation but
-    not even/odd bracketing.
-    """
-    one = _one(params)
-    rr4 = 4 * params.r * params.r
-    half = one / 2
-    w = (params.x - half) * (params.x - half)
-
-    def terms(n: int):
-        if n == 1:
-            return one, w + (1 + rr4) / (4 * one)
-        m = n - 1
-        kappa = -(m ** 4 * (m * m + rr4) * one) / (4 * (2 * m - 1) * (2 * m + 1))
-        lam = (2 * m * m + 2 * m + 1 + rr4) / (4 * one)
-        return kappa, w + lam
-
-    return ContinuedFraction(one - one, terms)
-
-
-def coefficients_positive(params: MathieuCFParams, n_max: int) -> Optional[int]:
-    """First index n <= n_max where an ``ab_form`` coefficient is <= 0, else None.
-
-    Positivity for all n is equivalent to z >= 0 (the even coefficients and
-    partial numerators are positive outright for r > 0; the odd denominators
-    z + r^2/(2n+1) decrease toward z).
-    """
-    form = ab_form(params)
-    for n in range(1, n_max + 1):
-        a, b = form.term(n)
-        if not (a > 0 and b > 0):
-            return n
-    return None
 
 
 def _summand_overflow(r: float) -> OverflowError:
@@ -549,6 +503,10 @@ _ASYMPTOTIC_TERM_CAP = 500
 # Bits kept at each end of the bracketed factors of an asymptotic term.
 _G = 128
 _MIN_NORMAL = sys.float_info.min
+# Per _G, entry m is |B_2m numerator| as the bracket (lo, hi, e) that
+# ``_truncated`` gives it, then B_2m's denominator and whether B_2m < 0:
+# the numerators run to thousands of bits, and every call reuses them.
+_B2M_BRACKETS: dict[int, list[tuple[int, int, int, int, bool]]] = {}
 
 
 def _truncated(lo: int, hi: int, e: int) -> tuple[int, int, int]:
@@ -588,7 +546,8 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     so huge Bernoulli numerators cannot overflow.  With r = num/(odd * 2^s),
     term m is (-1)^m B_2m * odd^(2m+2) * 2^(s(2m+2)) / num^(2m+2).  The
     factors |B_2m numerator|, odd^(2m+2) and num^(2m+2) are carried as
-    brackets of about _G bits, so the term lies between two small
+    brackets of about _G bits (the first built once per m and kept across
+    calls), so the term lies between two small
     quotients; rounding is monotone, so when both round to the same float,
     that float is the term (while all three factors fit in _G bits the
     bracket is exact and one quotient is enough).  Otherwise (a near tie, or
@@ -617,6 +576,7 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     # num2^(m+1) in [nl, nh] * 2^ne and odd2^(m+1) in [ol, oh] * 2^oe.
     nl = nh = ol = oh = 1
     ne = oe = 0
+    brackets = _B2M_BRACKETS.setdefault(_G, [])
     terms: list[float] = []
     first_omitted = None
     m = 0
@@ -624,10 +584,11 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
         nl, nh, ne = _truncated(nl * num2, nh * num2, ne)
         if odd2 != 1:
             ol, oh, oe = _truncated(ol * odd2, oh * odd2, oe)
-        b2m = _bernoulli(2 * m)
-        bn, bd = b2m.numerator, b2m.denominator
-        bl = abs(bn)
-        bl, bh, be = _truncated(bl, bl, 0)
+        if m == len(brackets):
+            b2m = _bernoulli(2 * m)
+            bl = abs(b2m.numerator)
+            brackets.append((*_truncated(bl, bl, 0), b2m.denominator, b2m < 0))
+        bl, bh, be, bd, negative = brackets[m]
         e = be + oe + 2 * s * (m + 1) - ne
         try:
             t = _scaled_quotient(bl * ol, bd * nh, e)
@@ -638,13 +599,14 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
             t = None
         if t is None:
             p = m + 1
+            bn = _BERNOULLI[2 * m].numerator
             try:
                 t = ((bn * odd2 ** p) << (2 * s * p)) / (bd * num2 ** p)
             except OverflowError:
                 raise ValueError(
                     f"asymptotic term B_{2 * m}/r^{2 * m + 2} overflows float64 at r={r!r}"
                 ) from None
-        elif bn < 0:
+        elif negative:
             t = -t
         if m % 2:
             t = -t
@@ -657,31 +619,3 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
         terms.append(t)
         m += 1
     return AsymptoticResult(math.fsum(terms), len(terms), first_omitted)
-
-
-_TELESCOPE_TERM_CAP = 100_000
-
-
-def telescoping_residual(r: float, x: float, tol: float = 1e-10) -> float:
-    """Residual of the tail recursion T(r, x) - T(r, x+1) = 2x/(x^2+r^2)^2.
-
-    Both tails are taken at the same r; exactness of the recursion is a
-    sharp consistency check across two different points of the same
-    fraction.  Each tail is evaluated to a certified bracket of width
-    <= tol/4 when its z is >= 0; for z < 0 (x < 1, where bracketing is
-    unavailable) and for brackets still wider than tol/4 at the 100k-term
-    cap, the best available approximant is used and the residual is then
-    only as good as that approximant — honest about slow convergence rather
-    than silently certified.
-    """
-    if not (tol > 0):
-        raise ValueError(f"tol must be > 0; got {tol!r}")
-
-    def value_at(x0: float) -> float:
-        params = MathieuCFParams(r, x0)
-        if params.z >= 0:
-            return tail_enclosure(r, x0, tol / 4, _TELESCOPE_TERM_CAP).enclosure.midpoint
-        return evaluate(ab_form(params), tol / 8, _TELESCOPE_TERM_CAP).value
-
-    derivative_term = 2 * x / (x * x + r * r) ** 2
-    return value_at(x) - value_at(x + 1) - derivative_term

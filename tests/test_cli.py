@@ -6,6 +6,7 @@ Exit-code contract: 0 success, 1 partial results or failed invariants,
 """
 
 import json
+import textwrap
 
 import numpy
 import pytest
@@ -19,16 +20,13 @@ from mathieucf.cli import (
     SCHEMA_VERSION,
     ConfigError,
     RunConfig,
-    csv_to_rows,
     main,
     parse_r_values,
     payload_to_json,
-    rows_to_csv,
-    rows_to_table,
     run,
 )
 from mathieucf.cli import _COMMANDS, _METHODS, _build_parser, _config_from_args
-from mathieucf.cli import _direct_terms_for_tol
+from mathieucf.commands import _direct_terms_for_tol, csv_to_rows, rows_to_csv, rows_to_table
 from mathieucf.selftest import CHECKS, run_selftest
 
 
@@ -511,9 +509,11 @@ class TestMain:
                 want = RunConfig(**{**vars(want), "k": 3, "tol": 1e-10})
             assert got == want
 
-    # Modules a json eval never runs: the library beyond cf and series, the
-    # other output formats, and dataclasses/fractions with what they import.
+    # Modules a json eval never runs: the library beyond series (the cf
+    # theory layer included), the other commands and output formats, and
+    # dataclasses/fractions with what they import.
     EVAL_UNUSED = ("mathieucf.selftest", "mathieucf.bounds", "mathieucf.oracles",
+                   "mathieucf.cf", "mathieucf.commands",
                    "statistics", "csv", "dataclasses", "inspect", "fractions", "decimal")
     REPORT = (
         "heavy = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')]\n"
@@ -543,6 +543,48 @@ class TestMain:
             "    code = exc.code\n" + self.REPORT
         )
         assert out.splitlines()[-1] == "0 [] []"
+
+    # Two tracers one after the other, each swapping a counting wrapper into
+    # every loaded package module that holds the original, as perfbench's
+    # tracer does.  ``commands`` loads under the first one.
+    TRACERS = textwrap.dedent("""\
+        import sys
+        from mathieucf import bounds, cli, series
+
+        calls = []
+
+        def install(tag):
+            undo = []
+            for module, name in ((series, "theorem1_to_width"), (bounds, "cf_bounds")):
+                original = getattr(module, name)
+
+                def counting(*args, _fn=original, _name=name, **kwargs):
+                    calls.append((tag, _name, sys._getframe(1).f_globals["__name__"]))
+                    return _fn(*args, **kwargs)
+
+                for key, held in list(sys.modules.items()):
+                    if key.startswith("mathieucf") and getattr(held, name, None) is original:
+                        setattr(held, name, counting)
+                        undo.append((held, name, original))
+            return undo
+
+        loaded = "mathieucf.commands" in sys.modules
+        for tag in ("first", "second"):
+            undo = install(tag)
+            for command in ("bounds", "compare"):
+                cli.run(cli.RunConfig(command, r_values=(1.0, 2.0), format="json"))
+            for held, name, original in reversed(undo):
+                setattr(held, name, original)
+        print(loaded, *(calls.count((tag, name, "mathieucf.commands"))
+                        for tag in ("first", "second")
+                        for name in ("theorem1_to_width", "cf_bounds")))
+        """)
+
+    def test_lazy_commands_call_traced_names_through_their_modules(self):
+        # A module that bound a traced name at import would keep the first
+        # tracer's wrapper and never see the second one.  bounds takes its
+        # reference value and its cf column from ``commands`` at each r.
+        assert fresh_python("-c", self.TRACERS).splitlines()[-1] == "False 2 2 2 2"
 
     def test_module_entry_point(self):
         # The ``python -m mathieucf`` entry point; fresh_python raises on a

@@ -33,7 +33,7 @@ def test_all_is_the_version_and_the_four_library_modules_lists():
 
 
 @pytest.mark.parametrize("name", ["cf", "series", "oracles", "bounds", "selftest", "cli",
-                                  "__main__"])
+                                  "commands", "__main__"])
 def test_module_imports_first(name):
     # fresh_python raises on a non-zero exit, an import cycle's ImportError included.
     fresh_python("-c", f"import mathieucf.{name}")

@@ -41,7 +41,8 @@ from mathieucf import (
     theorem1_to_width,
 )
 from mathieucf import series
-from mathieucf.cf import DEFAULT_RESCALE_AT, _recurrence
+from mathieucf.cf import _recurrence
+from mathieucf.series import DEFAULT_RESCALE_AT
 
 P12 = MathieuCFParams(1.0, 2.0)
 
@@ -599,6 +600,17 @@ class TestAsymptotic:
         # exercised where 128 bits almost never reach it.
         monkeypatch.setattr(series, "_G", 56)
         self.test_bit_identical_to_fraction_terms(r, n_terms)
+
+    def test_bernoulli_brackets_follow_g(self, monkeypatch):
+        # The cached |B_2m numerator| brackets are built at the _G in force,
+        # so the 56-bit test above does run on 56-bit Bernoulli brackets.
+        asymptotic(117.0)
+        monkeypatch.setattr(series, "_G", 56)
+        asymptotic(117.0)
+        for g in (128, 56):
+            brackets = series._B2M_BRACKETS[g]
+            assert len(brackets) > 300
+            assert g <= max(hi.bit_length() for _, hi, _, _, _ in brackets) <= g + 1
 
     def test_validation(self):
         for r in (0.0, math.inf, math.nan):
