@@ -28,8 +28,8 @@ scale, which callers can undo via the ``rescales`` counter.
 
 Term streams are plain callables ``n -> (a_n, b_n)`` and must be pure
 (same n, same term).  Arithmetic is duck-typed: float terms run in float64,
-`fractions.Fraction` terms run exactly (exact runs must stay below the
-rescale threshold, since the rescale factor is a float).
+`fractions.Fraction` terms run exactly (exact state is never rescaled: it
+cannot overflow, and the float rescale factor would turn it float).
 
 The tail T(r, x) of the Mathieu series (see ``series``) equals one fraction
 in z = x^2 - x, given here in three equivalent shapes: ``ab_form`` (all
@@ -150,7 +150,7 @@ def _recurrence(
         b_cur, b_prev = bn * b_cur + an * b_prev, b_cur
         if not (abs(a_cur) <= rescale_at and abs(b_cur) <= rescale_at):
             a_cur, a_prev, b_cur, b_prev = _rescaled(n, scale, a_cur, a_prev, b_cur, b_prev)
-            rescales += 1
+            rescales += isinstance(a_cur, float)  # exact state stays unscaled
         yield n, a_cur, b_cur, rescales
 
 

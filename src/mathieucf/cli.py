@@ -20,6 +20,12 @@ failed, or a requested tolerance was not certified within the term cap);
 JSON and CSV outputs serialize floats via ``repr``, which round-trips
 bit-exactly; a parsed output file reproduces the in-memory rows.
 
+JSON is written byte for byte as ``json.dumps(payload, indent=2)`` would,
+by CPython's C encoder (``_json``, which ``json.encoder`` wraps) called
+directly: one encoder per indent depth, built once, writes all the rows in
+a single call.  Importing ``json`` would also load its decoder, which
+writing never uses.
+
 This module is the eval path: the config, ``eval`` itself, the JSON writer,
 the parser and ``main``.  The other subcommands and the csv and table
 writers live in ``commands``, imported by the first call that needs them.
@@ -27,9 +33,9 @@ writers live in ``commands``, imported by the first call that needs them.
 
 from __future__ import annotations
 
+import _json  # the C encoder json.encoder wraps, without json's decoder
 import argparse
 import functools
-import json
 import math
 import sys
 import time
@@ -269,27 +275,76 @@ _COMMANDS = {
 _CONTAINERS = (dict, list, tuple)
 
 
+def _unserializable(obj: Any):
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 @functools.lru_cache(maxsize=None)
-def _items_encoder(depth: int) -> json.JSONEncoder:
-    """The C encoder, with each item separator ending in ``depth``'s indent."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+def _encoder(depth: int) -> Callable:
+    """The C encoder ``json.dumps`` uses, with each item separator ending in
+    ``depth``'s indent, built once per depth (``JSONEncoder.encode`` builds
+    one per call).  It gets no markers dict: a shared one keeps the ids of a
+    call that raised and would report a false circular reference on the
+    next.  What it is given holds no non-empty container below the row
+    level, so it cannot hold a cycle."""
+    return _json.make_encoder(None, _unserializable, _json.encode_basestring_ascii, None,
+                              ": ", ",\n" + "  " * depth, False, False, True)
+
+
+def _encode(obj: Any, depth: int) -> str:
+    return "".join(_encoder(depth)(obj, 0))
+
+
+def _key(key: Any) -> str:
+    """A dict key as ``json.dumps`` writes it: int, float, bool and None keys
+    become their JSON text, and every key is quoted."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = _encode(key, 0)
+    return _json.encode_basestring_ascii(key)
+
+
+def _flat(values) -> bool:
+    for value in values:
+        if isinstance(value, _CONTAINERS) and value:
+            return False
+    return True
+
+
+def _are_rows(items: Sequence) -> bool:
+    """Whether every item is a non-empty flat dict (one holding no non-empty
+    dict, list or tuple), as every command's rows are."""
+    types = set()
+    for item in items:
+        if not (isinstance(item, dict) and item):
+            return False
+        types.update(map(type, item.values()))
+    if any(issubclass(t, _CONTAINERS) for t in types):
+        return all(_flat(item.values()) for item in items)  # {} or [] values
+    return True
 
 
 def _to_json(obj: Any, depth: int) -> str:
     if not (isinstance(obj, _CONTAINERS) and obj):
-        return _items_encoder(depth).encode(obj)  # a scalar, {} or []
+        return _encode(obj, depth)  # a scalar, {} or []
     inner, outer = "  " * (depth + 1), "  " * depth
-    # A plain loop: a generator under any() costs about 1 us more per row.
-    for value in obj.values() if isinstance(obj, dict) else obj:
-        if isinstance(value, _CONTAINERS) and value:
-            break
-    else:
-        # Flat: one encoder call writes every item on its own indented line.
-        text = _items_encoder(depth + 1).encode(obj)
+    if not isinstance(obj, dict) and _are_rows(obj):
+        # One call writes every row at the rows' items' depth.  Each raw
+        # newline in its output is a separator (ensure_ascii escapes those in
+        # strings), and inside a row one is always followed by a key's quote,
+        # so "}" + separator + "{" only occurs between rows.
+        row = "  " * (depth + 2)
+        text = _encode(obj, depth + 2).replace(
+            f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}")
+        return f"[\n{inner}{{\n{row}{text[2:-2]}\n{inner}}}\n{outer}]"
+    if _flat(obj.values() if isinstance(obj, dict) else obj):
+        # One encoder call writes every item on its own indented line.
+        text = _encode(obj, depth + 1)
         return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
     if isinstance(obj, dict):
-        key = _items_encoder(0).encode
-        items = [f"{key(k)}: {_to_json(v, depth + 1)}" for k, v in obj.items()]
+        items = [f"{_key(k)}: {_to_json(v, depth + 1)}" for k, v in obj.items()]
         brackets = "{}"
     else:
         items = [_to_json(v, depth + 1) for v in obj]
@@ -299,12 +354,12 @@ def _to_json(obj: Any, depth: int) -> str:
 
 
 def payload_to_json(payload: Dict[str, Any]) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, for str keys.
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte.
 
-    With ``indent`` set, ``json`` walks the payload in pure Python. Here each
-    flat container (one holding no non-empty dict, list or tuple; every row
-    is one) goes through the C encoder in a single call instead, and only
-    the containers above the rows are assembled by hand.
+    With ``indent`` set, ``json`` walks the payload in pure Python.  Here a
+    list of rows goes through the C encoder in a single call, each other
+    flat container in one call of its own, and only the containers above
+    them are assembled by hand.
     """
     return _to_json(payload, 0) + "\n"
 

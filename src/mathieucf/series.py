@@ -112,8 +112,12 @@ def _rescale_factor(rescale_at: float) -> float:
 def _rescaled(n: int, scale: float, a_cur, a_prev, b_cur, b_prev):
     """The state after term ``n`` times ``scale``, for state that failed its
     caller's ``<= rescale_at`` test: inf and NaN fail it too, so overflow is
-    raised here, off the per-term path."""
-    if isinstance(a_cur, float) and not (math.isfinite(a_cur) and math.isfinite(b_cur)):
+    raised here, off the per-term path.  Exact (Fraction or int) state comes
+    back as it is: it cannot overflow, and the float factor would turn it
+    float."""
+    if not isinstance(a_cur, float):
+        return a_cur, a_prev, b_cur, b_prev
+    if not (math.isfinite(a_cur) and math.isfinite(b_cur)):
         raise OverflowError(
             f"numerical overflow despite rescaling at n={n} "
             f"(A={a_cur!r}, B={b_cur!r})"

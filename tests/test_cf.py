@@ -11,12 +11,15 @@ from conftest import GOLDEN, backward_cf
 
 from mathieucf import (
     ContinuedFraction,
+    MathieuCFParams,
+    ab_form,
     convergent,
     equivalence_transform,
     evaluate,
     even_contraction,
     iter_convergents,
 )
+from mathieucf.series import DEFAULT_RESCALE_AT
 
 
 def cf_const(a: float, b: float) -> ContinuedFraction:
@@ -199,3 +202,16 @@ class TestExactArithmetic:
         c = convergent(cf, 10)
         assert isinstance(c.value, Fraction)
         assert c.value == Fraction(55, 89)  # consecutive Fibonacci numbers
+
+    def test_fraction_terms_stay_exact_past_the_rescale_threshold(self):
+        # A_n passes DEFAULT_RESCALE_AT between 120 and 140 terms here.
+        cf = ab_form(MathieuCFParams(Fraction(3, 2), Fraction(3)))
+        c = convergent(cf, 140)
+        assert c.numerator > DEFAULT_RESCALE_AT
+        assert type(c.numerator) is type(c.denominator) is type(c.value) is Fraction
+        assert c.rescales == 0
+        folded = Fraction(0)
+        for n in range(140, 0, -1):  # bottom-up, without the recurrence
+            a, b = cf.term(n)
+            folded = a / (b + folded)
+        assert c.value == folded

@@ -11,7 +11,7 @@ import textwrap
 import numpy
 import pytest
 from conftest import S_AT_1, ZETA3, fresh_python
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import CASES as GOLDEN_CASES
 
@@ -332,6 +332,28 @@ def _json_payloads(depth):
             | st.lists(items, max_size=4).map(tuple))
 
 
+_ANY_KEYS = _KEYS | st.none() | st.booleans() | st.integers(-2**80, 2**80) | _FLOATS
+
+
+def _any_key_payloads(depth):
+    """As ``_json_payloads``, with int, float, bool and None keys as well."""
+    if depth == 0:
+        return _LEAVES
+    items = st.integers(0, depth - 1).flatmap(_any_key_payloads)
+    return st.dictionaries(_ANY_KEYS, items, max_size=4) | st.lists(items, max_size=4)
+
+
+# Text that would fool a row writer which read the encoder's output without
+# knowing that every newline inside a string is escaped.
+_ROW_TEXT = _KEYS | st.sampled_from(["}", "{", '"},\n      {"', "\n", '},\n    {', "}]"])
+_ROW_VALUES = (st.none() | st.booleans() | st.integers(-2**80, 2**80) | _FLOATS
+               | _FLOATS.map(numpy.float64) | _ROW_TEXT | st.sampled_from([{}, [], ()]))
+_FLAT_ROWS = st.dictionaries(_ROW_TEXT, _ROW_VALUES, min_size=1, max_size=5)
+# A row holding one non-empty container, which the row writer must not take.
+_NESTED_ROWS = st.builds(lambda row, key, value: {**row, key: value},
+                         _FLAT_ROWS, _ROW_TEXT, st.lists(_ROW_VALUES, min_size=1, max_size=3))
+
+
 class TestJsonWriter:
     """``payload_to_json`` writes exactly what ``json.dumps(indent=2)`` does."""
 
@@ -339,6 +361,36 @@ class TestJsonWriter:
     @given(payload=st.integers(0, 4).flatmap(_json_payloads))
     def test_matches_json_dumps(self, payload):
         assert payload_to_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(payload=st.integers(1, 3).flatmap(_any_key_payloads))
+    @example(payload={1: [1]})
+    @example(payload={2.5: [1], True: {"a": [None]}, None: [], float("nan"): [{}]})
+    def test_non_str_keys_match_json_dumps(self, payload):
+        assert payload_to_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rows=st.lists(_FLAT_ROWS, max_size=5),
+           nested=st.none() | st.tuples(st.integers(0, 5), _NESTED_ROWS))
+    def test_rows_match_json_dumps(self, rows, nested):
+        if nested is not None:
+            rows.insert(nested[0], nested[1])
+        payload = {"version": {"schema": SCHEMA_VERSION, "package": __version__},
+                   "config": vars(RunConfig(command="eval")), "rows": rows}
+        assert payload_to_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+    def test_failed_call_leaves_the_writer_usable(self):
+        rows = [{"a": 1.5}, {"b": object()}]
+        with pytest.raises(TypeError) as want:
+            json.dumps({"rows": rows}, indent=2)
+        with pytest.raises(TypeError, match=f"^{want.value}$"):
+            payload_to_json({"rows": rows})
+        # An encoder that kept the ids of that call would call this circular.
+        rows.pop()
+        assert payload_to_json({"rows": rows}) == json.dumps({"rows": rows}, indent=2) + "\n"
+        with pytest.raises(TypeError, match="^keys must be str, int, float, bool or None, "
+                                            "not tuple$"):
+            payload_to_json({(1,): [1]})
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_golden_configs_match_json_dumps(self, name):
@@ -514,7 +566,8 @@ class TestMain:
     # dataclasses/fractions with what they import.
     EVAL_UNUSED = ("mathieucf.selftest", "mathieucf.bounds", "mathieucf.oracles",
                    "mathieucf.cf", "mathieucf.commands",
-                   "statistics", "csv", "dataclasses", "inspect", "fractions", "decimal")
+                   "statistics", "csv", "dataclasses", "inspect", "fractions", "decimal",
+                   "json")
     REPORT = (
         "heavy = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')]\n"
         f"unused = [m for m in {EVAL_UNUSED!r} if m in sys.modules]\n"

@@ -398,6 +398,18 @@ class TestFlatWalk:
         assert 0 < enc.width
         assert (bracket.terms_used, bracket.achieved) == (max_terms, False)
 
+    def test_exact_run_stays_exact_past_the_rescale_threshold(self):
+        # A_n passes DEFAULT_RESCALE_AT between 120 and 140 terms here.
+        r, x = Fraction(3, 2), Fraction(3)
+        bracket = tail_enclosure(r, x, 0, 140)
+        form = ab_form(MathieuCFParams(r, x))
+        odd, even = convergent(form, 139), convergent(form, 140)
+        assert even.numerator > DEFAULT_RESCALE_AT
+        enc = bracket.enclosure
+        assert type(enc.lower) is type(enc.upper) is Fraction
+        assert (enc.lower, enc.upper) == (even.value, odd.value)
+        assert (bracket.terms_used, bracket.achieved) == (140, False)
+
     @pytest.mark.parametrize("r,x", [(1, 2), (3, 1), (2**30 + 11, 4), (Fraction(1, 3), Fraction(5, 2))])
     def test_integer_and_fraction_parameters(self, r, x):
         # The walk keeps the parameters' arithmetic, as ab_form does: at
