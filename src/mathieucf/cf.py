@@ -38,6 +38,87 @@ walks inline), ``cd_form`` (its denominators cleared) and
 ``kappa_lambda_form`` (its even contraction).  None of this runs on the
 eval path: ``series`` never imports this module, and this module builds on
 ``series`` for the record base, the exact rescale and the tail bracket.
+
+The tail interval at z = 0.  At x = 1 the fraction is limit-parabolic and
+its even/odd bracket narrows only like 1/n, so ``series.tail_enclosure``
+encloses T = T(r, 1) by a modified approximant instead, after the method
+for limit-periodic fractions in Lorentzen & Waadeland, *Continued
+Fractions with Applications* (1992).  Write rho = r^2 > 0, a_n, b_n for the
+``ab_form`` coefficients (b_{2n} = 1, b_{2n+1} = rho/(2n+1)), and take
+``kappa_lambda_form`` at x = 1, their even contraction:
+
+    a'_1 = 1,  b'_1 = a_2 + b_1 = 1/2 + rho,
+    a'_{n+1} = -a_{2n} a_{2n+1} = -n^4 (n^2 + 4 rho) / (4 (4n^2 - 1)),
+    b'_{n+1} = a_{2n+1} + a_{2n+2} + b_{2n+1} = (n^2 + n + 1)/2 + rho.
+
+With s_n(t) = a'_n/(b'_n + t) and S_N = s_1 o ... o s_N, S_N(t) is the
+contracted approximant N with tail t, and
+
+    L_N = -b'_{N+1}/2 + 5N/8 - 1/2 = (-2N^2 + 3N - 6 - 4 rho)/8,
+    U_N = L_N + 1,   tau_N = -a_{2N} a_{2N+1} / (b_{2N+1} + a_{2N+1}).
+
+Claim: for every integer N >= N_0(rho), the least one with N >= 4,
+N >= 2 rho + 2 and N >= 16 rho (rho + 1)/27 + 1, T lies between S_N(L_N)
+and S_N(U_N).
+
+Tails.  Let h >= 0 be a tail after a_{2N} of ``ab_form``, so the
+approximant is a_1/(b_1 + ... + a_{2N}/(1 + h)).  Its level-N contracted
+tail is t = -a_{2N} h/(1 + h): a step back reads
+-a_{2N} g/(1 + g) = a'_{N+1}/(b'_{N+1} + t') for g = a_{2N+1}/(b_{2N+1} +
+a_{2N+2}/(1 + h')) and t' = -a_{2N+2} h'/(1 + h').  So S_N(t) is the
+``ab_form`` approximant with tail h = -t/(a_{2N} + t), and h in
+[0, a_{2N+1}/b_{2N+1}] is t in [tau_N, 0], where S_N is continuous and
+strictly monotone (a positive fraction in a non-negative tail).  The even
+approximant f_{2M} has level-M tail 0 (h = 0), and the odd one f_{2M+1}
+has tau_M (h = a_{2M+1}/b_{2M+1}).  A level-n tail t of any truncation
+has 0 <= h <= a_{2n+1}/b_{2n+1}, so tau_n <= t <= 0.  And s_{n+1}
+increases (a'_{n+1} < 0) wherever b'_{n+1} + t > 0: on [tau_{n+1}, 0],
+since t > -a_{2n+2} there and b'_{n+1} - a_{2n+2} = a_{2n+1} + b_{2n+1},
+and on [L_{n+1}, 0], since b'_{n+1} + L_{n+1} = (2n^2 + 3n + 4 rho - 1)/8.
+
+Four facts.  ``tests/test_cf.py`` rebuilds each difference as an exact
+``Fraction`` rational function on an (N, rho) grid with more points than
+its degree, so each equality is an identity, and checks each sign from
+N_0(rho) on.
+
+(i)   s_{N+1}(L_{N+1}) - L_N = P_1 / (8 (4N^2 - 1)(2N^2 + 3N + 4 rho - 1)),
+      P_1 = 84N^3 + 64N^2 rho^2 + 64N^2 rho - 25N^2 - 21N - 16 rho^2 - 20 rho + 6
+          = 16 rho^2 (4N^2 - 1) + 4 rho (16N^2 - 5) + 84N^3 - 25N^2 - 21N + 6,
+      and 84N^3 - 25N^2 - 21N + 6 >= 59N^2 - 21N + 6 > 0: P_1 > 0 for N >= 1.
+(ii)  U_N - s_{N+1}(U_{N+1}) = -P_2 / (8 (4N^2 - 1)(2N^2 + 3N + 4 rho + 7)),
+      P_2 = -108N^3 + (64 rho^2 + 64 rho - 57) N^2 + 27N - 16 rho^2 - 20 rho + 14.
+      Once 64 rho^2 + 64 rho <= 108 (N - 1), P_2 <= -165N^2 + 27N + 14 < 0.
+(iii) L_N - tau_N = Q / (8 (2N - 1)(N^3 + 4N rho + 2 rho)),
+      Q = 8N^5 - 8N^4 rho - 15N^4 + 28N^3 rho + 6N^3 - 32N^2 rho^2
+          - 44N^2 rho - 6N rho + 8 rho^2 + 12 rho.
+      With rho <= (N - 2)/2: -8N^4 rho >= -4N^5 + 8N^4 and
+      -32N^2 rho^2 >= -8N^2 (N - 2)^2 >= -8N^4, while
+      28N^3 - 44N^2 - 6N + 12 > 0 for N >= 2; so Q >= 4N^5 - 15N^4 > 0
+      for N >= 4.
+(iv)  U_N = -(2N^2 - 3N + 4 rho - 2)/8 <= 0 for N >= 2.
+
+Value sets.  Let M > N >= N_0; (i) to (iv) then hold at every level from
+N on.  By (i), s_{n+1} maps [L_{n+1}, 0] into [L_n, 0] (s_{n+1}(0) =
+a'_{n+1}/b'_{n+1} < 0), so f_{2M}'s level-N tail lies in [L_N, 0].  By
+(ii) and t >= tau_n, s_{n+1} maps [tau_{n+1}, U_{n+1}] into [tau_n, U_n],
+and tau_M <= L_M < U_M by (iii), so f_{2M+1}'s level-N tail lies in
+[tau_N, U_N].  By (iii) and (iv) both intervals lie in [tau_N, 0], where
+S_N is a homeomorphism onto its image.  Both f_{2M} and f_{2M+1} tend to
+T as M grows, so T = S_N(t) for a t in [L_N, 0] and in [tau_N, U_N],
+that is in V_N = [L_N, U_N]; and S_N(V_N) is the interval between
+S_N(L_N) and S_N(U_N).
+
+Floating point.  ``tail_interval.bounds_at`` evaluates S_N(V_N) in one
+backward pass from V_N, with a'_{j+1} = -g_j (j^2 + 4 rho), g_j =
+j^4/(4(4j^2 - 1)), and b'_{j+1} = m_j + rho, m_j = (j^2 + j + 1)/2.  Each
+step maps interval ends to interval ends (s_{j+1} increases; 1/(b'_1 + t)
+decreases), rho is bracketed by r*r rounded down and up ([0, 2^-1074] where
+it underflows), and every float operation that can round is followed by
+``math.nextafter`` away from the value it bounds.  Exact are j^2 and m_j
+(integers below 2^53), 4 rho and the division by 8; g_j, an int quotient,
+is correctly rounded once.  So the computed ends enclose S_N(V_N); a
+denominator that comes out non-positive raises.  N_0 is computed with every
+operation rounded up, at the upper end of rho's bracket.
 """
 
 from __future__ import annotations

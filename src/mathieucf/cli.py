@@ -326,7 +326,10 @@ def _are_rows(items: Sequence) -> bool:
     return True
 
 
-def _to_json(obj: Any, depth: int) -> str:
+def _to_json(obj: Any, depth: int, open_ids: set) -> str:
+    """``obj`` as ``json.dumps(indent=2)`` writes it at ``depth``.
+    ``open_ids`` holds the ids of the containers being written around it, so
+    a cycle raises as ``json.dumps`` does instead of recursing without end."""
     if not (isinstance(obj, _CONTAINERS) and obj):
         return _encode(obj, depth)  # a scalar, {} or []
     inner, outer = "  " * (depth + 1), "  " * depth
@@ -343,12 +346,16 @@ def _to_json(obj: Any, depth: int) -> str:
         # One encoder call writes every item on its own indented line.
         text = _encode(obj, depth + 1)
         return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
+    if id(obj) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(obj))
     if isinstance(obj, dict):
-        items = [f"{_key(k)}: {_to_json(v, depth + 1)}" for k, v in obj.items()]
+        items = [f"{_key(k)}: {_to_json(v, depth + 1, open_ids)}" for k, v in obj.items()]
         brackets = "{}"
     else:
-        items = [_to_json(v, depth + 1) for v in obj]
+        items = [_to_json(v, depth + 1, open_ids) for v in obj]
         brackets = "[]"
+    open_ids.remove(id(obj))
     body = (",\n" + inner).join(items)
     return f"{brackets[0]}\n{inner}{body}\n{outer}{brackets[1]}"
 
@@ -361,7 +368,7 @@ def payload_to_json(payload: Dict[str, Any]) -> str:
     flat container in one call of its own, and only the containers above
     them are assembled by hand.
     """
-    return _to_json(payload, 0) + "\n"
+    return _to_json(payload, 0, set()) + "\n"
 
 
 def render(cfg: RunConfig, rows: List[Row]) -> str:

@@ -20,16 +20,21 @@ the independent partial-sum route with an integral-test and convexity
 tail bracket.  The large-r expansion ``asymptotic`` and its Bernoulli
 numbers are here too.
 
+At z = 0 the bracket narrows only like 1/n; ``tail_enclosure`` then turns
+to a tail interval (``tail_interval``), whose proof is in the ``cf`` module
+docstring.
+
 Only the bracketing is certified, and only for z >= 0 (x >= 1).  For
 x in (1/2, 1) the odd-index partial denominators z + r^2/(2n+1) eventually
 turn negative, the even/odd ordering breaks down, and approximants converge
 slowly from one side; ``cf.telescoping_residual`` documents how it degrades
 to an uncertified evaluation there.
 
-The module imports nothing from the package: it also holds the record base
-``_Record`` and the exact power-of-two rescale that the ``cf`` engine,
-``bounds`` and ``cli`` build on, so a ``mathieucf eval`` process compiles
-no theory-layer code.
+The module imports nothing from the package but ``tail_interval``, on the
+first z = 0 call that needs it: it also holds the record base ``_Record``
+and the exact power-of-two rescale that the ``cf`` engine, ``bounds`` and
+``cli`` build on, so a ``mathieucf eval`` process compiles no theory-layer
+code.
 """
 
 from __future__ import annotations
@@ -181,10 +186,11 @@ class Enclosure(_Record):
 
 
 class TailBracket(_Record):
-    """Even/odd-approximant bracket of T(r, x), with its cost.
+    """Enclosure of T(r, x), with its cost: the even/odd-approximant bracket,
+    or at z = 0 the tail interval of 2N terms (see ``tail_enclosure``).
 
     ``achieved`` records whether the requested width was reached before the
-    term cap; when False, ``enclosure`` is the best bracket at the cap.
+    term cap; when False, ``enclosure`` is the best enclosure at the cap.
     """
 
     __slots__ = _fields = ("enclosure", "terms_used", "achieved")
@@ -397,14 +403,8 @@ def _bracket_walk(params: MathieuCFParams, width: float, max_terms: int) -> Tail
     return TailBracket(enclosure, n, enclosure.width <= width)
 
 
-def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -> TailBracket:
-    """Certified even/odd bracket of the tail T(r, x), for z = x^2 - x >= 0.
-
-    Grows the approximant index until the bracket width drops to ``width``
-    or ``max_terms`` is hit (``achieved`` tells which); width = 0 means
-    "spend the whole budget".  Raises for z < 0, where positivity — and with
-    it the bracketing guarantee — fails.
-    """
+def _tail_params(r: float, x: float, width: float) -> MathieuCFParams:
+    """``tail_enclosure``'s argument checks; the parameters they pass."""
     params = MathieuCFParams(r, x)
     if params.z < 0:
         raise ValueError(
@@ -412,6 +412,12 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
         )
     if not (width >= 0):
         raise ValueError(f"width must be >= 0; got {width!r}")
+    return params
+
+
+def _walk(params: MathieuCFParams, width: float, max_terms: int) -> TailBracket:
+    """``_bracket_walk``, with a denominator that underflowed raised as
+    ``ValueError``."""
     try:
         bracket = _bracket_walk(params, width, max_terms)
     except ZeroDivisionError:
@@ -420,9 +426,32 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     # stay so small that the odd end of the bracket overflows to inf.
     if bracket is None or bracket.enclosure.upper == math.inf:
         raise ValueError(
-            f"approximant denominator underflowed to 0 at r={r!r}: r^2 underflows"
+            f"approximant denominator underflowed to 0 at r={params.r!r}: r^2 underflows"
         )
     return bracket
+
+
+def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -> TailBracket:
+    """Certified enclosure of the tail T(r, x), for z = x^2 - x >= 0.
+
+    Grows the approximant index until the even/odd bracket's width drops to
+    ``width`` or ``max_terms`` is hit (``achieved`` tells which); width = 0
+    means "spend the whole budget".  Raises for z < 0, where positivity — and
+    with it the bracketing guarantee — fails.
+
+    At z = 0 (float r, x = 1.0) the bracket narrows only like 1/n.  There,
+    with width > 0, a walk of 2 max(N_0, 64) terms that leaves the width
+    unmet gives way to the tail interval S_N(V_N) of the contracted
+    fraction, N <= max_terms/2, reported as 2N terms: rounded outward, it
+    holds T(r, 1) in floating point, also where r^2 underflows and the walk
+    cannot start (proof in the ``cf`` module docstring).
+    """
+    params = _tail_params(r, x, width)
+    if x == 1 and 0 < width:
+        from .tail_interval import enclosure  # compiled on the first such call
+
+        return enclosure(params, width, max_terms)
+    return _walk(params, width, max_terms)
 
 
 def mathieu_theorem1(r: float, k: int = 1, n_terms: int = 80) -> Enclosure:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 # 1/phi = (sqrt(5) - 1)/2, the all-ones continued fraction.
@@ -41,6 +42,15 @@ ALZER_UPPER_CROSSOVER = 1.147442717679362
 
 # Two-term large-r value at r=10: 1/100 - 1/60000.
 TWO_TERM_AT_10 = 0.009983333333333334
+
+
+def mpmath_s(r, digits=40):
+    """S(r) from mpmath: Im psi1(1 - i r)/r, and 2 zeta(3) at r = 0."""
+    with mpmath.workdps(digits):
+        if r == 0:
+            return 2 * mpmath.zeta(3)
+        x = mpmath.mpf(r)
+        return mpmath.im(mpmath.psi(1, mpmath.mpc(1, -x))) / x
 
 
 def brute_tail_bracket(r, x, terms):

@@ -30,6 +30,7 @@ from mathieucf import (
     cd_form,
     mathieu_direct,
     mathieu_partial_sum,
+    mathieu_theorem1,
     mathieu_trigamma,
     mathieu_integral,
     apery_cf,
@@ -147,7 +148,11 @@ def test_c05_three_fraction_shapes_agree():
     for r in R_GRID:
         for k in K_GRID:
             params = MathieuCFParams(r, float(k))
-            enc, terms, _ = theorem1_to_width(r, k, 1e-11, TERM_CAP)
+            _, terms, _ = theorem1_to_width(r, k, 1e-11, TERM_CAP)
+            # The even/odd bracket at that budget.  At k = 1 the adaptive
+            # enclosure is a tail interval, far narrower than any pair of
+            # approximants at the same budget.
+            enc = mathieu_theorem1(r, k, terms)
             head = mathieu_partial_sum(r, k)
             mid = enc.midpoint
             cd_val = head + evaluate(cd_form(params), 0.0, max(2, terms)).value

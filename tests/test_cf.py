@@ -18,7 +18,9 @@ from mathieucf import (
     evaluate,
     even_contraction,
     iter_convergents,
+    kappa_lambda_form,
 )
+from mathieucf import tail_interval
 from mathieucf.series import DEFAULT_RESCALE_AT
 
 
@@ -215,3 +217,79 @@ class TestExactArithmetic:
             a, b = cf.term(n)
             folded = a / (b + folded)
         assert c.value == folded
+
+
+def _tail_steps(r):
+    """s_{n+1}, L_n and tau_n of the tail-interval proof in the ``cf``
+    docstring, exact, from the shipped ``kappa_lambda_form`` and ``ab_form``
+    at x = 1."""
+    params = MathieuCFParams(r, Fraction(1))
+    kl, ab = kappa_lambda_form(params), ab_form(params)
+
+    def s(n, t):
+        a, b = kl.term(n + 1)
+        return a / (b + t)
+
+    def lower(n):
+        return -kl.term(n + 1)[1] / 2 + Fraction(5 * n, 8) - Fraction(1, 2)
+
+    def tau(n):
+        a_even, _ = ab.term(2 * n)
+        a_odd, b_odd = ab.term(2 * n + 1)
+        return -a_even * a_odd / (b_odd + a_odd)
+
+    return s, lower, tau
+
+
+def _differences(r, n):
+    """(i) to (iv) of the proof at level n: the four quantities whose signs
+    it needs, and the closed forms it gives them."""
+    s, lower, tau = _tail_steps(r)
+    rho = r * r
+    upper = lambda m: lower(m) + 1
+    p1 = (84 * n**3 + 64 * n**2 * rho**2 + 64 * n**2 * rho - 25 * n**2 - 21 * n
+          - 16 * rho**2 - 20 * rho + 6)
+    p2 = (-108 * n**3 + (64 * rho**2 + 64 * rho - 57) * n**2 + 27 * n
+          - 16 * rho**2 - 20 * rho + 14)
+    q = (8 * n**5 - 8 * n**4 * rho - 15 * n**4 + 28 * n**3 * rho + 6 * n**3
+         - 32 * n**2 * rho**2 - 44 * n**2 * rho - 6 * n * rho + 8 * rho**2 + 12 * rho)
+    computed = (s(n, lower(n + 1)) - lower(n), upper(n) - s(n, upper(n + 1)),
+                lower(n) - tau(n), upper(n))
+    closed = (p1 / (8 * (4 * n**2 - 1) * (2 * n**2 + 3 * n + 4 * rho - 1)),
+              -p2 / (8 * (4 * n**2 - 1) * (2 * n**2 + 3 * n + 4 * rho + 7)),
+              q / (8 * (2 * n - 1) * (n**3 + 4 * n * rho + 2 * rho)),
+              -(2 * n**2 - 3 * n + 4 * rho - 2) / 8)
+    return computed, closed, (p1, p2, q)
+
+
+def _n0(rho):
+    """N_0(rho) of the proof, exact."""
+    return max(4, math.ceil(2 * rho + 2), math.ceil(Fraction(16, 27) * rho * (rho + 1) + 1))
+
+
+class TestTailIntervalProof:
+    """The four facts behind the z = 0 tail interval, in exact rationals."""
+
+    def test_closed_forms_are_identities(self):
+        # Times its closed form's denominator, each computed difference is a
+        # polynomial of degree at most 6 in n and 2 in rho, as is each
+        # numerator: agreeing on a 9 x 5 grid of (n, rho), the two are equal
+        # as polynomials.
+        for n in range(1, 10):
+            for r in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 2)):
+                computed, closed, _ = _differences(r, n)
+                assert computed == closed, (n, r)
+
+    @pytest.mark.parametrize("r", [Fraction(1, 1000), Fraction(1, 3), Fraction(1), Fraction(2),
+                                   Fraction(3), Fraction(7, 2), Fraction(5), Fraction(10)])
+    def test_signs_from_n0_on(self, r):
+        rho = r * r
+        n0 = _n0(rho)
+        # The level tail_enclosure starts from is never below the proven one.
+        assert math.ceil(tail_interval.n0_bound(math.nextafter(float(rho), math.inf))) >= n0
+        for n in [*range(n0, n0 + 25), 2 * n0, 10 * n0]:
+            (d1, d2, d3, u), _, (p1, p2, q) = _differences(r, n)
+            assert d1 >= 0 and p1 > 0, (n, "i")
+            assert d2 >= 0 and p2 < 0, (n, "ii")
+            assert d3 >= 0 and q > 0, (n, "iii")
+            assert u <= 0, (n, "iv")

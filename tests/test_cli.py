@@ -8,9 +8,10 @@ Exit-code contract: 0 success, 1 partial results or failed invariants,
 import json
 import textwrap
 
+import mpmath
 import numpy
 import pytest
-from conftest import S_AT_1, ZETA3, fresh_python
+from conftest import S_AT_1, ZETA3, fresh_python, mpmath_s
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import CASES as GOLDEN_CASES
@@ -392,6 +393,21 @@ class TestJsonWriter:
                                             "not tuple$"):
             payload_to_json({(1,): [1]})
 
+    def test_cycle_raises_as_json_dumps_does(self):
+        loop = [1]
+        loop.append(loop)
+        node = {"a": 1}
+        node["self"] = [node, 2]
+        for payload in ({"a": loop}, node):
+            with pytest.raises(ValueError, match="^Circular reference detected$"):
+                json.dumps(payload, indent=2)
+            with pytest.raises(ValueError, match="^Circular reference detected$"):
+                payload_to_json(payload)
+        # A container written twice, but not inside itself, is no cycle.
+        shared = [1, [2]]
+        payload = {"a": shared, "b": [shared, {"c": shared}]}
+        assert payload_to_json(payload) == json.dumps(payload, indent=2) + "\n"
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_golden_configs_match_json_dumps(self, name):
         argv, _ = GOLDEN_CASES[name]
@@ -458,22 +474,18 @@ class TestMain:
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         assert row["note"].startswith("failed: tolerance unachievable")
         assert row["lower"] is row["upper"] is None
-        # r^2 underflows at r = 1e-170, so the k = 1 fraction cannot start.
-        assert main(["eval", "--r", "1e-170", "--k", "1", "--format", "json"]) == 1
-        out = capsys.readouterr()
-        assert "Traceback" not in out.err
-        cf, direct = json.loads(out.out)["rows"]
-        assert cf["method"] == "cf" and cf["note"].startswith("failed: ")
-        assert "underflowed to 0" in cf["note"]
-        assert direct["value"] == pytest.approx(2 * ZETA3, abs=1e-10)
-        # Just above that edge r^2 is subnormal and the k = 1 bracket's odd
-        # end overflows to inf, which JSON cannot hold.
-        assert main(["eval", "--r", "1e-157", "--k", "1", "--format", "json"]) == 1
-        out = capsys.readouterr()
-        assert "Traceback" not in out.err
-        cf, direct = strict_json(out.out)["rows"]
-        assert cf["note"].startswith("failed: approximant denominator underflowed")
-        assert direct["value"] == pytest.approx(2 * ZETA3, abs=1e-10)
+        # r^2 underflows to 0 at r = 1e-170 and is subnormal at 1e-157: the
+        # k = 1 walk cannot start there, or its odd end overflows to inf, and
+        # the tail interval answers.
+        for r in ("1e-170", "1e-157"):
+            assert main(["eval", "--r", r, "--k", "1", "--format", "json"]) == 0
+            out = capsys.readouterr()
+            assert "Traceback" not in out.err
+            cf, direct = strict_json(out.out)["rows"]
+            assert cf["method"] == "cf" and cf["note"] is None
+            assert 0 < cf["width"] <= 1e-12
+            assert mpmath.mpf(cf["lower"]) <= mpmath_s(float(r)) <= mpmath.mpf(cf["upper"])
+            assert direct["value"] == pytest.approx(2 * ZETA3, abs=1e-10)
         # (2/tol)^(1/3) is inf at this tol: the direct row fails, and the cf
         # row saturates short of the width.
         assert main(["eval", "--r", "1", "--tol", "1e-320", "--format", "json"]) == 1
@@ -509,17 +521,16 @@ class TestMain:
         assert row["spread"] == max(row["cf"], row["trigamma"], row["integral"]) - min(
             row["cf"], row["trigamma"], row["integral"]
         )
-        # bench: a route that cannot answer at this r is a failed row; the
-        # other rows keep their values.
+        # bench at an r whose r^2 is subnormal: the k = 1 row comes from the
+        # tail interval.
         assert main(["bench", "--r", "1e-157", "--k-values", "1,3", "--tol", "1e-8",
-                     "--repeats", "1", "--format", "json"]) == 1
+                     "--repeats", "1", "--format", "json"]) == 0
         out = capsys.readouterr()
         assert "Traceback" not in out.err
         cf1, cf3, direct = strict_json(out.out)["rows"]
         assert cf1["method"] == "cf(k=1)"
-        assert cf1["note"].startswith("failed: approximant denominator underflowed")
-        assert cf1["terms"] is cf1["median_seconds"] is cf1["terms_ratio"] is None
-        assert cf3["note"] is direct["note"] is None
+        assert cf1["note"] is cf3["note"] is direct["note"] is None
+        assert 0 < cf1["terms"] < 10_000 and cf1["terms_ratio"] == direct["terms"] / cf1["terms"]
         assert cf3["terms"] > 0 and cf3["terms_ratio"] == direct["terms"] / cf3["terms"]
         assert direct["terms_ratio"] == 1.0 and direct["median_seconds"] > 0
         # At r = 1e100 both routes overflow, and the notes say what did.

@@ -9,13 +9,15 @@ and from hand-evaluated coefficient formulas at small indices.
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import GOLDEN, S_AT_1, S_AT_10, TWO_TERM_AT_10, ZETA3, brute_tail_bracket
+from conftest import (GOLDEN, S_AT_1, S_AT_10, TWO_TERM_AT_10, ZETA3, brute_tail_bracket,
+                      mpmath_s)
 
 from mathieucf import (
     AsymptoticResult,
@@ -40,7 +42,7 @@ from mathieucf import (
     telescoping_residual,
     theorem1_to_width,
 )
-from mathieucf import series
+from mathieucf import series, tail_interval
 from mathieucf.cf import _recurrence
 from mathieucf.series import DEFAULT_RESCALE_AT
 
@@ -141,15 +143,6 @@ def _reference_direct(r, tol=1e-10, m_terms=None):
     return Enclosure(partial + lower, partial + upper)
 
 
-def _mpmath_s(r):
-    """S(r) at 40 digits: Im psi1(1 - i r)/r, and 2 zeta(3) at r = 0."""
-    with mpmath.workdps(40):
-        if r == 0:
-            return 2 * mpmath.zeta(3)
-        x = mpmath.mpf(r)
-        return mpmath.im(mpmath.psi(1, mpmath.mpc(1, -x))) / x
-
-
 _direct_rng = random.Random(12)
 _DIRECT_R = [0.0] + [10 ** _direct_rng.uniform(-3, 7) for _ in range(24)]
 
@@ -188,7 +181,7 @@ class TestDirectEnclosure:
     def test_contains_mpmath_value(self, r, tol):
         enc = mathieu_direct(r, tol)
         assert enc.width <= tol
-        assert mpmath.mpf(enc.lower) <= _mpmath_s(r) <= mpmath.mpf(enc.upper)
+        assert mpmath.mpf(enc.lower) <= mpmath_s(r) <= mpmath.mpf(enc.upper)
 
     @pytest.mark.parametrize("r,tol", _CONTAIN_CASES[::3] + [(1.0, 1e-6), (2e5, 1e-10)])
     def test_nested_in_monotone_bracket(self, r, tol):
@@ -260,12 +253,19 @@ class TestTailEnclosure:
             tail_enclosure(1.0, 0.75, 1e-8)
         with pytest.raises(ValueError, match="width"):
             tail_enclosure(1.0, 2.0, -1e-8)
-        with pytest.raises(ValueError, match="underflowed to 0 at r=1e-170"):
-            tail_enclosure(1e-170, 1.0, 1e-12)
-        # r^2 is subnormal here: B_n stays above 0 but the odd end overflows.
-        with pytest.raises(ValueError, match="underflowed to 0 at r=1e-157"):
-            tail_enclosure(1e-157, 1.0, 1e-12)
-        assert tail_enclosure(1e-156, 1.0, 1e-12).enclosure.upper < math.inf
+
+    @pytest.mark.parametrize("r", [1e-170, 1e-157, 1e-156])
+    def test_underflowing_r_at_z0(self, r):
+        # r^2 underflows to 0 (1e-170) or to a subnormal, where the walk
+        # cannot start or its odd end overflows; b'_1 = 1/2 + r^2 of the
+        # tail interval does not underflow.
+        bracket = tail_enclosure(r, 1.0, 1e-12)
+        enc = bracket.enclosure
+        assert bracket.achieved and 0 < enc.width <= 1e-12
+        assert mpmath.mpf(enc.lower) <= mpmath_s(r) <= mpmath.mpf(enc.upper)
+        # Width 0 still walks, and still cannot start.
+        with pytest.raises(ValueError, match=f"underflowed to 0 at r={r!r}"):
+            tail_enclosure(r, 1.0, 0.0, 1000)
 
 
 def _reference_bracket_walk(form, width, max_terms):
@@ -304,25 +304,33 @@ def _reference_bracket_walk(form, width, max_terms):
     return TailBracket(enclosure, n_stop, enclosure.width <= width)
 
 
-def _walk_outcomes(r, x, width, max_terms):
-    """(flat walk, reference walk) outcomes: exact bits of the bracket, or
-    the exception type and message."""
-    def outcome(walk):
-        try:
-            bracket = walk()
-        except (ValueError, OverflowError) as exc:
-            return type(exc).__name__, str(exc)
-        enc = bracket.enclosure
-        return enc.lower.hex(), enc.upper.hex(), bracket.terms_used, bracket.achieved
+def _kernel(r, x, width, max_terms):
+    """``tail_enclosure`` without its tail interval: the flat walk behind
+    the same argument checks and error mapping."""
+    return series._walk(series._tail_params(r, x, width), width, max_terms)
 
+
+def _outcome(walk):
+    """Exact bits of a walk's bracket, or the exception type and message."""
+    try:
+        bracket = walk()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    ends = [end.hex() if isinstance(end, float) else (type(end), end)
+            for end in (bracket.enclosure.lower, bracket.enclosure.upper)]
+    return *ends, bracket.terms_used, bracket.achieved
+
+
+def _walk_outcomes(r, x, width, max_terms):
+    """(flat walk, reference walk) outcomes."""
     form = ab_form(MathieuCFParams(r, x))
-    return (outcome(lambda: tail_enclosure(r, x, width, max_terms)),
-            outcome(lambda: _reference_bracket_walk(form, width, max_terms)))
+    return (_outcome(lambda: _kernel(r, x, width, max_terms)),
+            _outcome(lambda: _reference_bracket_walk(form, width, max_terms)))
 
 
 class TestFlatWalk:
-    """``tail_enclosure`` against ``_reference_bracket_walk``: same bits,
-    same term count, same stop, same errors."""
+    """``tail_enclosure``'s flat walk against ``_reference_bracket_walk``:
+    same bits, same term count, same stop, same errors."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
@@ -380,13 +388,13 @@ class TestFlatWalk:
         # The walk stops on the first pass with hi - lo <= width: a width
         # equal to the bracket's width at pass n stops exactly there, with
         # the bits of the width-0 walk capped at n; one float below it does not.
-        capped = tail_enclosure(r, x, 0.0, n)
+        capped = _kernel(r, x, 0.0, n)
         w = capped.enclosure.width
         assert w > 0 and capped.terms_used == n and not capped.achieved
-        at_w = tail_enclosure(r, x, w, 200_000)
+        at_w = _kernel(r, x, w, 200_000)
         assert at_w.enclosure == capped.enclosure
         assert (at_w.terms_used, at_w.achieved) == (n, True)
-        below = tail_enclosure(r, x, math.nextafter(w, 0.0), 200_000)
+        below = _kernel(r, x, math.nextafter(w, 0.0), 200_000)
         assert below.terms_used > n and below.achieved
 
     @pytest.mark.parametrize("max_terms", [2, 3, 12, 41])
@@ -440,6 +448,78 @@ class TestFlatWalk:
         assert flat[1].startswith(f"numerical overflow despite rescaling at n={n} ")
 
 
+# r^2 underflows to 0 at 1e-170 and to a subnormal at the others.
+_TINY_R = (1e-170, 1e-160, 1e-157, 1e-156)
+
+
+class TestTailInterval:
+    """``tail_enclosure`` at z = 0 with width > 0: after a short walk, the
+    tail interval of the contracted fraction (proof in the ``cf`` docstring)."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        r=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e) | st.sampled_from(_TINY_R)
+        | st.integers(1, 3) | st.fractions(1, 3).filter(lambda f: f > 0),
+        x=st.one_of(st.just(1.0), st.just(1), st.integers(1, 12).map(float), st.floats(1.0, 9.0)),
+        width=st.sampled_from([0.0, 1e-8, 1e-12, 1e-300]),
+        max_terms=st.integers(1, 2500),
+    )
+    def test_kernel_bits_off_the_tail_interval(self, r, x, width, max_terms):
+        # Bit for bit the flat walk whenever z > 0, the width is 0, a
+        # parameter is exact, or the walk meets the width within its warm
+        # start (or no tail interval fits the cap).  Exact walks are kept
+        # short: their rationals grow with every term.
+        if not (isinstance(r, float) and isinstance(x, float)):
+            max_terms = min(max_terms, 30)
+        got = _outcome(lambda: tail_enclosure(r, x, width, max_terms))
+        kernel = _outcome(lambda: _kernel(r, x, width, max_terms))
+        start = tail_interval.start(MathieuCFParams(r, x), width, max_terms)
+        if start is None:
+            assert got == kernel
+        elif _outcome(lambda: _kernel(r, x, width, start[2]))[-1] is True:
+            assert got == kernel
+
+    @pytest.mark.parametrize("r", [4.5, 5.0, 7.0, 10.0])
+    def test_walk_that_meets_the_width_is_kept(self, r):
+        # Here the walk meets 1e-12 within 2 max(N_0, 64) terms.
+        assert tail_enclosure(r, 1.0, 1e-12) == _kernel(r, 1.0, 1e-12, 200_000)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        r=st.floats(math.log(1e-3), math.log(50.0)).map(math.exp) | st.sampled_from(_TINY_R),
+        width=st.sampled_from([1e-8, 1e-12, 1e-15, 1e-300]),
+        max_terms=st.integers(2, 200_000)
+        | st.floats(math.log(2), math.log(2e5)).map(lambda e: round(math.exp(e))),
+    )
+    # Intervals down to a few ulp wide, where rounding that is not outward
+    # lands them off S(r).
+    @example(r=2.5, width=1e-300, max_terms=200_000)
+    @example(r=3.8, width=1e-300, max_terms=20_000)
+    @example(r=3.3, width=1e-15, max_terms=200_000)
+    @example(r=1e-157, width=1e-300, max_terms=200_000)
+    def test_contains_mpmath_value(self, r, width, max_terms):
+        try:
+            bracket = tail_enclosure(r, 1.0, width, max_terms)
+        except ValueError as exc:
+            # r^2 underflows and the cap is below 2 N_0 = 8 terms: neither
+            # the walk nor the tail interval can start.
+            assert r * r < sys.float_info.min and max_terms < 8
+            assert "underflowed to 0" in str(exc)
+            return
+        enc = bracket.enclosure
+        assert 0 < bracket.terms_used <= max_terms
+        start = tail_interval.start(MathieuCFParams(r, 1.0), width, max_terms)
+        if start is not None and _outcome(lambda: bracket) != _outcome(
+                lambda: _kernel(r, 1.0, width, start[2])):
+            # A tail interval: certified in floating point.
+            assert bracket.terms_used % 2 == 0 and bracket.terms_used >= 2 * start[1]
+            assert mpmath.mpf(enc.lower) <= mpmath_s(r, 50) <= mpmath.mpf(enc.upper)
+        elif width >= 1e-12:
+            # The walk's bracket, which at 1e-15 and below can end on a
+            # crossed pair a few ulp off S(r) (ROADMAP item 1).
+            assert mpmath.mpf(enc.lower) <= mpmath_s(r, 50) <= mpmath.mpf(enc.upper)
+
+
 class TestEnclosureIdentity:
     def test_fixed_budget(self):
         enc = mathieu_theorem1(1.0, 2, 80)
@@ -475,8 +555,12 @@ class TestEnclosureIdentity:
             mathieu_theorem1(1.0, 0)
         with pytest.raises(ValueError, match="n_terms"):
             mathieu_theorem1(1.0, 2, 1)
+        # r^2 underflows: the k = 1 walk cannot start, the tail interval can.
+        enc, terms, achieved = theorem1_to_width(1e-160, 1, 1e-12)
+        assert achieved and enc.width <= 1e-12 and terms <= 200_000
+        assert mpmath.mpf(enc.lower) <= mpmath_s(1e-160) <= mpmath.mpf(enc.upper)
         with pytest.raises(ValueError, match="underflowed to 0 at r=1e-160"):
-            theorem1_to_width(1e-160, 1, 1e-12)
+            mathieu_theorem1(1e-160, 1)
         # An infinite r used to reach the recurrence: nan, then OverflowError.
         with pytest.raises(ValueError, match="^r must be finite; got inf$"):
             theorem1_to_width(math.inf, 3, 1e-10)
@@ -650,5 +734,5 @@ class TestTelescoping:
     def test_validation(self):
         with pytest.raises(ValueError, match="tol"):
             telescoping_residual(1.0, 2.0, 0.0)
-        with pytest.raises(ValueError, match="underflowed to 0 at r=1e-170"):
-            telescoping_residual(1e-170, 1.0)
+        # r^2 underflows; the tail at x = 1 comes from the tail interval.
+        assert abs(telescoping_residual(1e-170, 1.0)) <= 1e-10
