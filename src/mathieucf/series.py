@@ -191,6 +191,9 @@ class TailBracket(_Record):
 
     ``achieved`` records whether the requested width was reached before the
     term cap; when False, ``enclosure`` is the best enclosure at the cap.
+    For a tail interval, ``terms_used`` counts only the 2N terms of the
+    interval returned: the warm-start walk and the earlier passes of the
+    search for N are not counted, and can cost as much again.
     """
 
     __slots__ = _fields = ("enclosure", "terms_used", "achieved")
@@ -403,18 +406,6 @@ def _bracket_walk(params: MathieuCFParams, width: float, max_terms: int) -> Tail
     return TailBracket(enclosure, n, enclosure.width <= width)
 
 
-def _tail_params(r: float, x: float, width: float) -> MathieuCFParams:
-    """``tail_enclosure``'s argument checks; the parameters they pass."""
-    params = MathieuCFParams(r, x)
-    if params.z < 0:
-        raise ValueError(
-            f"bracketing requires z = x^2 - x >= 0 (x >= 1); got x={x!r}, z={params.z!r}"
-        )
-    if not (width >= 0):
-        raise ValueError(f"width must be >= 0; got {width!r}")
-    return params
-
-
 def _walk(params: MathieuCFParams, width: float, max_terms: int) -> TailBracket:
     """``_bracket_walk``, with a denominator that underflowed raised as
     ``ValueError``."""
@@ -446,7 +437,13 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     holds T(r, 1) in floating point, also where r^2 underflows and the walk
     cannot start (proof in the ``cf`` module docstring).
     """
-    params = _tail_params(r, x, width)
+    params = MathieuCFParams(r, x)
+    if params.z < 0:
+        raise ValueError(
+            f"bracketing requires z = x^2 - x >= 0 (x >= 1); got x={x!r}, z={params.z!r}"
+        )
+    if not (width >= 0):
+        raise ValueError(f"width must be >= 0; got {width!r}")
     if x == 1 and 0 < width:
         from .tail_interval import enclosure  # compiled on the first such call
 

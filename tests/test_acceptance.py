@@ -17,6 +17,7 @@ import pytest
 from conftest import S_AT_10, TWO_TERM_AT_10, ZETA3
 
 from mathieucf import (
+    Enclosure,
     MathieuCFParams,
     ab_form,
     asymptotic,
@@ -30,7 +31,6 @@ from mathieucf import (
     cd_form,
     mathieu_direct,
     mathieu_partial_sum,
-    mathieu_theorem1,
     mathieu_trigamma,
     mathieu_integral,
     apery_cf,
@@ -38,6 +38,7 @@ from mathieucf import (
     telescoping_residual,
     theorem1_to_width,
 )
+from mathieucf import series
 from mathieucf.cli import RunConfig, run
 
 R_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -142,18 +143,18 @@ def test_c04_tail_recursion_residual_on_grid():
 
 
 def test_c05_three_fraction_shapes_agree():
-    """At matched term budgets the three fraction shapes land within 4x the
-    achieved enclosure width of each other, across the full grid."""
+    """At matched term budgets the three fraction shapes agree to within 4x
+    the width of the walk's even/odd bracket, across the full grid."""
     failures = []
     for r in R_GRID:
         for k in K_GRID:
             params = MathieuCFParams(r, float(k))
-            _, terms, _ = theorem1_to_width(r, k, 1e-11, TERM_CAP)
-            # The even/odd bracket at that budget.  At k = 1 the adaptive
-            # enclosure is a tail interval, far narrower than any pair of
-            # approximants at the same budget.
-            enc = mathieu_theorem1(r, k, terms)
             head = mathieu_partial_sum(r, k)
+            # The walk behind theorem1_to_width: at k = 1 that returns a tail
+            # interval instead, far narrower than any pair of approximants.
+            bracket = series._walk(params, 1e-11, TERM_CAP)
+            terms = bracket.terms_used
+            enc = Enclosure(head + bracket.enclosure.lower, head + bracket.enclosure.upper)
             mid = enc.midpoint
             cd_val = head + evaluate(cd_form(params), 0.0, max(2, terms)).value
             kl_val = head + evaluate(

@@ -307,7 +307,11 @@ def _reference_bracket_walk(form, width, max_terms):
 def _kernel(r, x, width, max_terms):
     """``tail_enclosure`` without its tail interval: the flat walk behind
     the same argument checks and error mapping."""
-    return series._walk(series._tail_params(r, x, width), width, max_terms)
+    params = MathieuCFParams(r, x)
+    if params.z < 0 or not (width >= 0):
+        # tail_enclosure raises these before either path runs.
+        return tail_enclosure(r, x, width, max_terms)
+    return series._walk(params, width, max_terms)
 
 
 def _outcome(walk):
