@@ -15,6 +15,7 @@ __version__ = "0.1.0"
 # Loaded on first use (PEP 562), so ``python -m mathieucf eval`` imports only
 # the modules it runs.
 _LIBRARY = ("cf", "series", "bounds", "oracles")
+_OTHER = ("cli", "commands", "selftest", "tail_interval")
 
 
 def _submodule(name: str):
@@ -28,9 +29,10 @@ def __getattr__(name: str):
     if name in _LIBRARY:
         return _submodule(name)
     # Private names and the other submodules are in no library ``__all__``.
-    # ``from mathieucf import cli`` asks for ``cli`` here before importing it,
-    # and must not load the library to learn that.
-    if (name.startswith("_") and name != "__all__") or name in ("cli", "selftest"):
+    # ``from mathieucf import cli`` (or ``from . import commands``) asks for
+    # the name here before importing the submodule, and must not load the
+    # library to learn that.
+    if (name.startswith("_") and name != "__all__") or name in _OTHER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     modules = [_submodule(module) for module in _LIBRARY]
     if name == "__all__":

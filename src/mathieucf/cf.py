@@ -113,12 +113,37 @@ backward pass from V_N, with a'_{j+1} = -g_j (j^2 + 4 rho), g_j =
 j^4/(4(4j^2 - 1)), and b'_{j+1} = m_j + rho, m_j = (j^2 + j + 1)/2.  Each
 step maps interval ends to interval ends (s_{j+1} increases; 1/(b'_1 + t)
 decreases), rho is bracketed by r*r rounded down and up ([0, 2^-1074] where
-it underflows), and every float operation that can round is followed by
-``math.nextafter`` away from the value it bounds.  Exact are j^2 and m_j
-(integers below 2^53), 4 rho and the division by 8; g_j, an int quotient,
-is correctly rounded once.  So the computed ends enclose S_N(V_N); a
-denominator that comes out non-positive raises.  N_0 is computed with every
-operation rounded up, at the upper end of rho's bracket.
+it underflows), and every float operation that can round is followed by one
+float step away from the value it bounds: a positive result is multiplied
+by d = 1 - 2^-53 to step down and divided by d to step up.
+
+Lemma: for a float x >= 2^-1021, x*d rounds to the float below x and x/d
+to the float above it.  Write x = M 2^q with 2^52 <= M < 2^53: the float
+above is x + 2^q, and x 2^-53 = (M/2^53) 2^q lies in [2^(q-1), 2^q).  If
+M > 2^52, x - x 2^-53 lies strictly between x - 2^q, the float below, and
+the midpoint x - 2^(q-1); if x is a power of two, the float below is
+x - 2^(q-1) = x*d itself (x >= 2^-1021 keeps the binade below normal).
+x/d = x + x 2^-53 + x 2^-106/d lies strictly between x + 2^(q-1) and
+x + 3 2^(q-1), so it rounds to x + 2^q (inf past the largest float).
+
+The lemma covers every rounded result of the pass, which carries u = -t
+in [u_lo, u_hi].  Each product and quotient is at least
+1/(24 (n^2 + rho + 1)) with rho < n (N_0 >= 2 rho + 2), far above
+2^-1021: the numerator factors are at least 1 and g_j >= 1/12, the
+denominators at most 2 (m_j + rho + 1), and 1/(1/2 + rho + t) at level 0
+is at least 1/(2 rho + 2).  The sums j^2 + 4 rho, m_j + rho and those of
+the start are at least 1; a denominator m_j + rho - u that lands below
+2^-1021 is exact, as a difference of two multiples of 2^-1074 that is one
+itself, and a non-positive one raises.  A u_hi that overflows makes the
+next denominator -inf, which raises; u_lo is bounded by u_hi operand by
+operand, so it overflows only with it.  Exact are j, j^2, m_j
+(m_{j-1} = m_j - j) and 2n^2 - 3n + 6, integers below 2^53 for n < 6.7e7,
+as are 4 rho and the division by 8; g_j is a correctly rounded int
+quotient, read from a table.  So the computed ends enclose S_N(V_N).  Above
+2^-1021 each step lands on the float that ``math.nextafter`` gives, so the
+ends are those of a pass with a ``nextafter`` call after every rounding.
+N_0 is computed with every operation rounded up, at the upper
+end of rho's bracket.
 """
 
 from __future__ import annotations

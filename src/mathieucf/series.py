@@ -190,7 +190,8 @@ class TailBracket(_Record):
     or at z = 0 the tail interval of 2N terms (see ``tail_enclosure``).
 
     ``achieved`` records whether the requested width was reached before the
-    term cap; when False, ``enclosure`` is the best enclosure at the cap.
+    term cap; when False, ``enclosure`` is the best enclosure at the cap, or
+    for a tail interval the pass at which the search met the rounding floor.
     For a tail interval, ``terms_used`` counts only the 2N terms of the
     interval returned: the warm-start walk and the earlier passes of the
     search for N are not counted, and can cost as much again.

@@ -13,6 +13,8 @@ k >= 2 never compiles it.
 from __future__ import annotations
 
 import math
+from itertools import chain
+from typing import Iterator
 
 from .series import Enclosure, MathieuCFParams, TailBracket, _walk
 
@@ -23,6 +25,34 @@ PROBE_LEVEL = 64
 
 def _up(v: float) -> float:
     return math.nextafter(v, math.inf)
+
+
+# For a float x >= 2^-1021, x * _DOWN is the float below x and x / _DOWN the
+# float above it (the lemma is in the ``cf`` module docstring).
+_DOWN = 1 - 2.0 ** -53
+
+# _g(j) at index j (index 0 unused), through the largest level a pass has
+# asked for, up to _TABLE_LEVELS (32 bytes a level; the default cap needs
+# 100,000).  It grows by rebinding to a longer list, never in place, so a
+# pass never holds a half-grown one.
+_G = [0.0]
+_TABLE_LEVELS = 1 << 17
+
+
+def _g(j: int) -> float:
+    """g_j = j^4/(4(4j^2 - 1)), correctly rounded: one int quotient."""
+    return j * j * j * j / (16 * j * j - 4)
+
+
+def _g_down(n: int) -> Iterator[float]:
+    """g_{n-1}, ..., g_1: from the table, and above _TABLE_LEVELS one
+    quotient a level."""
+    global _G
+    top = min(n, _TABLE_LEVELS)
+    table = _G
+    if len(table) < top:
+        table = _G = table + [_g(j) for j in range(len(table), top)]
+    return chain(map(_g, range(n - 1, top - 1, -1)), table[top - 1:0:-1])
 
 
 def n0_bound(rho_hi: float) -> float:
@@ -48,43 +78,51 @@ def start(params: MathieuCFParams, width: float, max_terms: int):
 def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
     """S_n(V_n) for r^2 in [rho_lo, rho_hi], every rounding outward: one
     backward pass of t -> a'_{j+1}/(b'_{j+1} + t), j = n - 1 .. 1, written
-    -g_j (j^2 + 4 rho)/(m_j + rho + t), then 1/(1/2 + rho + t)."""
-    nextafter = math.nextafter
-    down, up = -math.inf, math.inf
+    -g_j (j^2 + 4 rho)/(m_j + rho + t), then 1/(1/2 + rho + t).  It carries
+    u = -t in [u_lo, u_hi]; ``* dn`` steps a result one float down, ``/ dn``
+    one float up.  j, j^2 and m_j (m_{j-1} = m_j - j) are exact floats for
+    n below 6.7e7."""
+    dn = _DOWN
     rho4_lo, rho4_hi = 4 * rho_lo, 4 * rho_hi
-    c = -2 * n * n + 3 * n - 6  # 8 L_n + 4 rho
-    lo = nextafter(c - rho4_hi, down) / 8
-    hi = nextafter(c + 8 - rho4_lo, up) / 8
-    for j in range(n - 1, 0, -1):
+    k = 2 * n * n - 3 * n + 6  # -(8 L_n + 4 rho)
+    u_lo = (rho4_lo + (k - 8)) * dn / 8
+    u_hi = (rho4_hi + k) / dn / 8
+    j = float(n)
+    m = (j * j + j + 1) / 2
+    for g in _g_down(n):
+        m -= j
+        j -= 1.0
         j2 = j * j
-        m = (j2 + j + 1) / 2
-        g = j2 * j2 / (16 * j2 - 4)
-        d_lo = nextafter(nextafter(m + rho_lo, down) + lo, down)
+        d_lo = ((m + rho_lo) * dn - u_hi) * dn
         if not d_lo > 0:
-            raise ArithmeticError(f"tail interval lost its bound at level {j}")
-        d_hi = nextafter(nextafter(m + rho_hi, up) + hi, up)
-        lo = -nextafter(nextafter(nextafter(j2 + rho4_hi, up) * nextafter(g, up), up) / d_lo, up)
-        hi = -nextafter(nextafter(nextafter(j2 + rho4_lo, down) * nextafter(g, down), down)
-                        / d_hi, down)
-    d_lo = nextafter(nextafter(0.5 + rho_lo, down) + lo, down)
-    d_hi = nextafter(nextafter(0.5 + rho_hi, up) + hi, up)
+            raise ArithmeticError(f"tail interval lost its bound at level {int(j)}")
+        d_hi = ((m + rho_hi) / dn - u_lo) / dn
+        u_hi = (j2 + rho4_hi) / dn * (g / dn) / dn / d_lo / dn
+        u_lo = (j2 + rho4_lo) * dn * (g * dn) * dn / d_hi * dn
+    d_lo = ((0.5 + rho_lo) * dn - u_hi) * dn
+    d_hi = ((0.5 + rho_hi) / dn - u_lo) / dn
     if not d_lo > 0:
         raise ArithmeticError("tail interval lost its bound at level 0")
-    return nextafter(1 / d_hi, down), nextafter(1 / d_lo, up)
+    return 1 / d_hi * dn, 1 / d_lo / dn
 
 
 def _search(rho: tuple[float, float], width: float, n0: int, n_max: int) -> TailBracket:
-    """S_n(V_n) at an n in [n0, n_max] that meets ``width`` (else n_max), as
-    2n terms.  The width falls like n^-3: a pass at max(n0, PROBE_LEVEL)
-    predicts n, and a prediction that falls short is at least doubled."""
+    """S_n(V_n) at an n in [n0, n_max] that meets ``width``, as 2n terms.
+    The width falls like n^-3: a pass at max(n0, PROBE_LEVEL) predicts n,
+    and a prediction that falls short is at least doubled, up to n_max.
+    Near the rounding floor the width stops falling: a pass more than twice
+    as wide as the previous pass predicted is returned, unmet."""
     n = min(max(n0, PROBE_LEVEL), n_max)
     growth = 1.0
+    predicted = math.inf
     while True:
         lo, hi = bounds_at(*rho, n)
-        if hi - lo <= width or n == n_max:
+        if hi - lo <= width or n == n_max or hi - lo > 2 * predicted:
             break
         target = n * max(growth, 1.01 * ((hi - lo) / width) ** (1 / 3))
-        n = math.ceil(target) if target < n_max else n_max
+        n_next = math.ceil(target) if target < n_max else n_max
+        predicted = (hi - lo) * (n / n_next) ** 3
+        n = n_next
         growth = 2.0
     enclosure = Enclosure(lo, hi)
     return TailBracket(enclosure, 2 * n, enclosure.width <= width)

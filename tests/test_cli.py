@@ -576,7 +576,7 @@ class TestMain:
     # theory layer included), the other commands and output formats, and
     # dataclasses/fractions with what they import.
     EVAL_UNUSED = ("mathieucf.selftest", "mathieucf.bounds", "mathieucf.oracles",
-                   "mathieucf.cf", "mathieucf.commands",
+                   "mathieucf.cf", "mathieucf.commands", "mathieucf.tail_interval",
                    "statistics", "csv", "dataclasses", "inspect", "fractions", "decimal",
                    "json")
     REPORT = (

@@ -33,7 +33,7 @@ def test_all_is_the_version_and_the_four_library_modules_lists():
 
 
 @pytest.mark.parametrize("name", ["cf", "series", "oracles", "bounds", "selftest", "cli",
-                                  "commands", "__main__"])
+                                  "commands", "tail_interval", "__main__"])
 def test_module_imports_first(name):
     # fresh_python raises on a non-zero exit, an import cycle's ImportError included.
     fresh_python("-c", f"import mathieucf.{name}")
@@ -58,6 +58,14 @@ def test_module_imports_first(name):
      "except AttributeError as exc:\n"
      "    print(exc)",
      "module 'mathieucf' has no attribute 'no_such_name'"),
-], ids=["cli-alone", "name-is-module-object", "star-import", "unknown-name"])
+    # ``from . import commands`` in a csv eval asks the package for the name
+    # first, and must not load the library to learn it is a submodule.
+    ("import sys\n"
+     "from mathieucf import cli\n"
+     "cli.main(['eval', '--r', '1', '--format', 'csv'])\n"
+     "print([m for m in ('mathieucf.cf', 'mathieucf.bounds', 'mathieucf.oracles')"
+     " if m in sys.modules])",
+     "[]"),
+], ids=["cli-alone", "name-is-module-object", "star-import", "unknown-name", "csv-eval"])
 def test_lazy_package_surface(code, printed):
     assert fresh_python("-c", code).splitlines()[-1] == printed

@@ -523,6 +523,98 @@ class TestTailInterval:
             # crossed pair a few ulp off S(r) (ROADMAP item 1).
             assert mpmath.mpf(enc.lower) <= mpmath_s(r, 50) <= mpmath.mpf(enc.upper)
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        r=st.floats(math.log(1e-3), math.log(20.0)).map(math.exp) | st.sampled_from(_TINY_R),
+        n=st.integers(0, 20_000),
+    )
+    @example(r=0.05, n=100_000)
+    def test_pass_contains_the_reference_pass(self, r, n):
+        # n from N_0 on; rho_lo = 0 and rho_hi is subnormal for the tiny r.
+        rho = _rho_bracket(r)
+        n = max(n, math.ceil(tail_interval.n0_bound(rho[1])))
+        lo, hi = tail_interval.bounds_at(*rho, n)
+        ref_lo, ref_hi = _reference_bounds_at(*rho, n)
+        assert lo <= ref_lo <= ref_hi <= hi
+        assert hi - lo <= 1.3 * (ref_hi - ref_lo)
+
+    @pytest.mark.parametrize("r, n", [(0.05, 64), (1.0, 65), (2.5, 900), (1e-157, 3000)])
+    def test_levels_above_the_table(self, monkeypatch, r, n):
+        # Levels past the g table take one int quotient each, in order.
+        monkeypatch.setattr(tail_interval, "_TABLE_LEVELS", 64)
+        monkeypatch.setattr(tail_interval, "_G", [0.0])
+        rho = _rho_bracket(r)
+        assert tail_interval.bounds_at(*rho, n) == _reference_bounds_at(*rho, n)
+        assert len(tail_interval._G) == 64
+
+    # Outside the pass's domain: rho < 0, or n = 1 (below every N_0).
+    @pytest.mark.parametrize("rho, n, level", [(0.0, 1, 0), (-5.0, 3, 2), (-20.0, 10, 2)])
+    def test_non_positive_denominator_raises(self, rho, n, level):
+        message = f"^tail interval lost its bound at level {level}$"
+        with pytest.raises(ArithmeticError, match=message):
+            _reference_bounds_at(rho, rho, n)
+        with pytest.raises(ArithmeticError, match=message):
+            tail_interval.bounds_at(rho, rho, n)
+
+    @pytest.mark.parametrize("max_terms", [20_000, 200_000])
+    @pytest.mark.parametrize("r", [1e-3, 0.05, 0.3, 1.0, 2.5, 5.0, 12.0, 20.0])
+    def test_floor_stop_keeps_every_met_width(self, r, max_terms):
+        # Stopping the search at the rounding floor gives up no width that
+        # searching on to n_max meets.
+        for width in (1e-8, 1e-10, 1e-12, 1e-13, 1e-14, 1e-15):
+            plan = tail_interval.start(MathieuCFParams(r, 1.0), width, max_terms)
+            if plan is None:
+                continue
+            rho, n0, _ = plan
+            if _search_to_n_max(rho, width, n0, max_terms // 2):
+                assert tail_interval._search(rho, width, n0, max_terms // 2).achieved
+
+
+def _rho_bracket(r):
+    """r^2 bracketed as ``tail_interval.start`` brackets it."""
+    return tail_interval.start(MathieuCFParams(r, 1.0), 1.0, 1 << 40)[0]
+
+
+def _reference_bounds_at(rho_lo, rho_hi, n):
+    """``tail_interval.bounds_at`` with ``math.nextafter`` after every
+    rounding operation and g_j as one int quotient per level."""
+    nextafter = math.nextafter
+    down, up = -math.inf, math.inf
+    rho4_lo, rho4_hi = 4 * rho_lo, 4 * rho_hi
+    c = -2 * n * n + 3 * n - 6  # 8 L_n + 4 rho
+    lo = nextafter(c - rho4_hi, down) / 8
+    hi = nextafter(c + 8 - rho4_lo, up) / 8
+    for j in range(n - 1, 0, -1):
+        j2 = j * j
+        m = (j2 + j + 1) / 2
+        g = j2 * j2 / (16 * j2 - 4)
+        d_lo = nextafter(nextafter(m + rho_lo, down) + lo, down)
+        if not d_lo > 0:
+            raise ArithmeticError(f"tail interval lost its bound at level {j}")
+        d_hi = nextafter(nextafter(m + rho_hi, up) + hi, up)
+        lo = -nextafter(nextafter(nextafter(j2 + rho4_hi, up) * nextafter(g, up), up) / d_lo, up)
+        hi = -nextafter(nextafter(nextafter(j2 + rho4_lo, down) * nextafter(g, down), down)
+                        / d_hi, down)
+    d_lo = nextafter(nextafter(0.5 + rho_lo, down) + lo, down)
+    d_hi = nextafter(nextafter(0.5 + rho_hi, up) + hi, up)
+    if not d_lo > 0:
+        raise ArithmeticError("tail interval lost its bound at level 0")
+    return nextafter(1 / d_hi, down), nextafter(1 / d_lo, up)
+
+
+def _search_to_n_max(rho, width, n0, n_max):
+    """Whether ``tail_interval._search`` without its floor stop meets
+    ``width``: it searches on until a pass meets it or n reaches n_max."""
+    n = min(max(n0, tail_interval.PROBE_LEVEL), n_max)
+    growth = 1.0
+    while True:
+        lo, hi = tail_interval.bounds_at(*rho, n)
+        if hi - lo <= width or n == n_max:
+            return hi - lo <= width
+        target = n * max(growth, 1.01 * ((hi - lo) / width) ** (1 / 3))
+        n = math.ceil(target) if target < n_max else n_max
+        growth = 2.0
+
 
 class TestEnclosureIdentity:
     def test_fixed_budget(self):
