@@ -4,10 +4,11 @@ The series tail from any offset x > 1/2 equals a generalized continued
 fraction whose even/odd approximants bracket the value whenever the partial
 coefficients are positive; splitting the series and bracketing the tail
 turns a slowly decaying sum into certified enclosures at a tiny term count.
+At r = 0 the same fraction is Apery's fraction for zeta(3) = S(0)/2.
 The package bundles the fraction engine, the series representations,
 classical bounds with their crossover analysis, independent numerical
-oracles (trigamma, oscillatory integral, a zeta(3) fraction), a built-in
-invariant suite, and a CLI.
+oracles (trigamma, oscillatory integral) with the constant zeta(3), a
+built-in invariant suite, and a CLI.
 """
 
 __version__ = "0.1.0"

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Tuple
 
-from .oracles import zeta3_reference
-from .series import _Record, _set, mathieu_theorem1
+from .oracles import ZETA3
+from .series import _Record, _require_positive_r, _set, mathieu_theorem1
 
 __all__ = [
     "BoundResult",
@@ -52,11 +52,6 @@ class BoundResult(_Record):
         return self.upper - self.lower
 
 
-def _require_positive_r(r: float):
-    if not (r > 0):
-        raise ValueError(f"r must be > 0; got {r!r}")
-
-
 def makai_bounds(r: float) -> BoundResult:
     """1/(r^2 + 1/2) < S(r) < 1/(r^2 + 1/6)."""
     _require_positive_r(r)
@@ -72,7 +67,7 @@ def alzer_bounds(r: float) -> BoundResult:
     """
     _require_positive_r(r)
     rr = r * r
-    return BoundResult("alzer", 1 / (rr + 1 / (2 * zeta3_reference())), 1 / (rr + 1 / 6))
+    return BoundResult("alzer", 1 / (rr + 1 / (2 * ZETA3)), 1 / (rr + 1 / 6))
 
 
 def mp_upper(r: float) -> BoundResult:

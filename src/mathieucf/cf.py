@@ -137,8 +137,9 @@ the start are at least 1; a denominator m_j + rho - u that lands below
 itself, and a non-positive one raises.  A u_hi that overflows makes the
 next denominator -inf, which raises; u_lo is bounded by u_hi operand by
 operand, so it overflows only with it.  Exact are j, j^2, m_j
-(m_{j-1} = m_j - j) and 2n^2 - 3n + 6, integers below 2^53 for n < 6.7e7,
-as are 4 rho and the division by 8; g_j is a correctly rounded int
+(m_{j-1} = m_j - j) and 2n^2 - 3n + 6, integers below 2^53 for n < 2^26
+(``tail_interval.MAX_LEVEL`` caps N there), as are 4 rho and the
+division by 8; g_j is a correctly rounded int
 quotient, read from a table.  So the computed ends enclose S_N(V_N).  Above
 2^-1021 each step lands on the float that ``math.nextafter`` gives, so the
 ends are those of a pass with a ``nextafter`` call after every rounding.
@@ -157,6 +158,7 @@ from .series import (
     MathieuCFParams,
     _Record,
     _one,
+    _require_positive_r,
     _rescale_factor,
     _rescaled,
     _set,
@@ -174,6 +176,7 @@ __all__ = [
     "kappa_lambda_form",
     "ab_form",
     "cd_form",
+    "apery_form",
     "ab_to_cd_witness",
     "coefficients_positive",
     "telescoping_residual",
@@ -426,8 +429,9 @@ def ab_form(params: MathieuCFParams) -> ContinuedFraction:
         a_{2n} = n^3 / (2(2n-1)),       b_{2n}   = 1
         a_{2n+1} = n(n^2+4rr)/(2(2n+1)), b_{2n+1} = z + rr/(2n+1)
 
-    All coefficients are positive when z >= 0, which is what certified
-    bracketing needs; for z < 0 the odd b's eventually go negative.
+    All coefficients are positive when z >= 0 (z > 0 at r = 0), which is
+    what certified bracketing needs; for z < 0 the odd b's eventually go
+    negative.
     """
     one = _one(params)
     rr = params.r * params.r
@@ -467,6 +471,27 @@ def cd_form(params: MathieuCFParams) -> ContinuedFraction:
         return m ** 3 * one, one
 
     return ContinuedFraction(one - one, terms)
+
+
+def apery_form() -> ContinuedFraction:
+    """Apery's fraction for zeta(3): ``cd_form`` at r = 0, x = 2, with
+    b0 = 1 and the first numerator halved (an exact float step), so
+
+        b0 = 1;  c_1 = 1, d_1 = 4;
+        c_{2n} = c_{2n+1} = n^3;  d_{2n} = 1,  d_{2n+1} = 4(2n+1).
+
+    A_n is linear in c_1 and B_n does not involve it, so the value is
+    1 + T(0, 2)/2 = S(0)/2 = zeta(3) (van der Poorten, "A proof that Euler
+    missed", Math. Intelligencer 1, 1979).  The approximants start 5/4,
+    6/5 and alternate around zeta(3).
+    """
+    tail = cd_form(MathieuCFParams(0.0, 2.0))
+
+    def terms(n: int) -> Tuple[float, float]:
+        c, d = tail.terms(n)
+        return (c / 2 if n == 1 else c), d
+
+    return ContinuedFraction(1.0, terms)
 
 
 def ab_to_cd_witness(n: int) -> float:
@@ -510,9 +535,9 @@ def kappa_lambda_form(params: MathieuCFParams) -> ContinuedFraction:
 def coefficients_positive(params: MathieuCFParams, n_max: int) -> Optional[int]:
     """First index n <= n_max where an ``ab_form`` coefficient is <= 0, else None.
 
-    Positivity for all n is equivalent to z >= 0 (the even coefficients and
-    partial numerators are positive outright for r > 0; the odd denominators
-    z + r^2/(2n+1) decrease toward z).
+    Positivity for all n is equivalent to z >= 0 for r > 0, and to z > 0 at
+    r = 0 (the even coefficients and partial numerators are positive
+    outright; the odd denominators z + r^2/(2n+1) decrease toward z).
     """
     form = ab_form(params)
     for n in range(1, n_max + 1):
@@ -539,6 +564,7 @@ def telescoping_residual(r: float, x: float, tol: float = 1e-10) -> float:
     """
     if not (tol > 0):
         raise ValueError(f"tol must be > 0; got {tol!r}")
+    _require_positive_r(r)
 
     def value_at(x0: float) -> float:
         params = MathieuCFParams(r, x0)

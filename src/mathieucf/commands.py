@@ -164,12 +164,11 @@ def cmd_bench(cfg: RunConfig) -> Tuple[List[Row], int]:
 
 
 def cmd_apery(cfg: RunConfig) -> Tuple[List[Row], int]:
-    from . import oracles
-    from .cf import iter_convergents
+    from .cf import apery_form, iter_convergents
+    from .oracles import ZETA3 as z3
 
-    z3 = oracles.zeta3_reference()
     # One pass over the recurrence: row n is the n-th approximant.
-    approximants = iter_convergents(oracles.apery_continued_fraction(), cfg.n_terms)
+    approximants = iter_convergents(apery_form(), cfg.n_terms)
     next(approximants)  # n = 0 is b0 alone
     rows = [
         {

@@ -26,6 +26,7 @@ from .cf import (
     ContinuedFraction,
     ab_form,
     ab_to_cd_witness,
+    apery_form,
     cd_form,
     coefficients_positive,
     convergent,
@@ -311,14 +312,13 @@ def _check_oracle_triangle() -> str:
 
 def _check_apery() -> str:
     """the zeta(3) fraction hits 5/4 and 6/5 exactly, then alternates in"""
-    assert oracles.apery_cf(1) == 1.25, f"first approximant {oracles.apery_cf(1)!r}"
-    assert oracles.apery_cf(2) == 1.2, f"second approximant {oracles.apery_cf(2)!r}"
-    z3 = oracles.zeta3_reference()
-    err = abs(oracles.apery_cf(60) - z3)
+    vals = [c.value for c in iter_convergents(apery_form(), 60)]
+    assert vals[1] == 1.25, f"first approximant {vals[1]!r}"
+    assert vals[2] == 1.2, f"second approximant {vals[2]!r}"
+    z3 = oracles.ZETA3
+    err = abs(vals[60] - z3)
     assert err < 1e-10, f"60-term approximant off by {err:.3e}"
-    vals = [oracles.apery_cf(n) for n in range(1, 13)]
-    for i, v in enumerate(vals):
-        n = i + 1
+    for n, v in enumerate(vals[1:13], 1):
         if n % 2:
             assert v > z3, f"odd approximant {n} not above zeta(3)"
         else:

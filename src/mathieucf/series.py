@@ -138,9 +138,10 @@ _SCALE = _rescale_factor(DEFAULT_RESCALE_AT)
 class MathieuCFParams(_Record):
     """Parameters of the continued-fraction tail T(r, x).
 
-    ``r`` is the series parameter (finite and > 0 here: the r = 0 limit is
-    served by ``mathieu_direct``, whose tail bracket needs no fraction),
-    ``x`` the tail offset (x > 1/2, where the representation is valid), and
+    ``r`` is the series parameter (finite and >= 0; at r = 0 the shapes in
+    ``cf`` give Apery's fraction for zeta(3) = S(0)/2, while the
+    enclosures, from ``tail_enclosure`` on, need r > 0), ``x`` the tail
+    offset (x > 1/2, where the representation is valid), and
     ``z = x^2 - x`` the variable the partial denominators live in.  Fields
     accept `fractions.Fraction` for exact-arithmetic runs.
     """
@@ -148,8 +149,8 @@ class MathieuCFParams(_Record):
     __slots__ = _fields = ("r", "x")
 
     def __init__(self, r: float, x: float):
-        if not (r > 0):
-            raise ValueError(f"r must be > 0; got {r!r}")
+        if not (r >= 0):
+            raise ValueError(f"r must be >= 0; got {r!r}")
         if r == math.inf:
             raise ValueError(f"r must be finite; got {r!r}")
         if not (x > 0.5):
@@ -187,7 +188,8 @@ class Enclosure(_Record):
 
 class TailBracket(_Record):
     """Enclosure of T(r, x), with its cost: the even/odd-approximant bracket,
-    or at z = 0 the tail interval of 2N terms (see ``tail_enclosure``).
+    or at z = 0 the tail interval of 2N terms, N < 2^26 whatever the term
+    cap (see ``tail_enclosure``).
 
     ``achieved`` records whether the requested width was reached before the
     term cap; when False, ``enclosure`` is the best enclosure at the cap, or
@@ -220,6 +222,11 @@ def _one(params: MathieuCFParams):
     # Multiplicative unit in the parameter's arithmetic (1.0 or Fraction(1)),
     # so integer coefficient ratios stay exact on exact inputs.
     return (params.r - params.r) + 1
+
+
+def _require_positive_r(r: float) -> None:
+    if not (r > 0):
+        raise ValueError(f"r must be > 0; got {r!r}")
 
 
 def _summand_overflow(r: float) -> OverflowError:
@@ -434,10 +441,12 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     At z = 0 (float r, x = 1.0) the bracket narrows only like 1/n.  There,
     with width > 0, a walk of 2 max(N_0, 64) terms that leaves the width
     unmet gives way to the tail interval S_N(V_N) of the contracted
-    fraction, N <= max_terms/2, reported as 2N terms: rounded outward, it
+    fraction, N <= min(max_terms/2, 2^26 - 1), reported as 2N terms (the
+    pass is exact below 2^26 levels): rounded outward, it
     holds T(r, 1) in floating point, also where r^2 underflows and the walk
     cannot start (proof in the ``cf`` module docstring).
     """
+    _require_positive_r(r)
     params = MathieuCFParams(r, x)
     if params.z < 0:
         raise ValueError(

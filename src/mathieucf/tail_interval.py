@@ -21,6 +21,8 @@ from .series import Enclosure, MathieuCFParams, TailBracket, _walk
 # The first pass runs at level max(N_0, this), after a walk of twice as many
 # terms.
 PROBE_LEVEL = 64
+# The highest level of a pass: ``bounds_at`` is exact only below 2^26.
+MAX_LEVEL = (1 << 26) - 1
 
 
 def _up(v: float) -> float:
@@ -69,7 +71,7 @@ def start(params: MathieuCFParams, width: float, max_terms: int):
     rr = r * r
     rho = max(math.nextafter(rr, -math.inf), 0.0), _up(rr)
     floor = n0_bound(rho[1])
-    if not floor <= max_terms // 2:
+    if not floor <= min(max_terms // 2, MAX_LEVEL):
         return None
     n0 = math.ceil(floor)
     return rho, n0, min(max_terms, 2 * max(n0, PROBE_LEVEL))
@@ -80,8 +82,8 @@ def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
     backward pass of t -> a'_{j+1}/(b'_{j+1} + t), j = n - 1 .. 1, written
     -g_j (j^2 + 4 rho)/(m_j + rho + t), then 1/(1/2 + rho + t).  It carries
     u = -t in [u_lo, u_hi]; ``* dn`` steps a result one float down, ``/ dn``
-    one float up.  j, j^2 and m_j (m_{j-1} = m_j - j) are exact floats for
-    n below 6.7e7."""
+    one float up.  j, j^2, m_j (m_{j-1} = m_j - j) and k are exact floats
+    for n below 2^26 (``MAX_LEVEL`` caps n)."""
     dn = _DOWN
     rho4_lo, rho4_hi = 4 * rho_lo, 4 * rho_hi
     k = 2 * n * n - 3 * n + 6  # -(8 L_n + 4 rho)
@@ -107,8 +109,9 @@ def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
 
 
 def _search(rho: tuple[float, float], width: float, n0: int, n_max: int) -> TailBracket:
-    """S_n(V_n) at an n in [n0, n_max] that meets ``width``, as 2n terms.
-    The width falls like n^-3: a pass at max(n0, PROBE_LEVEL) predicts n,
+    """S_n(V_n) at an n in [n0, n_max] that meets ``width``, as 2n terms;
+    n_max <= MAX_LEVEL, as ``bounds_at`` is exact only below 2^26.  The
+    width falls like n^-3: a pass at max(n0, PROBE_LEVEL) predicts n,
     and a prediction that falls short is at least doubled, up to n_max.
     Near the rounding floor the width stops falling: a pass more than twice
     as wide as the previous pass predicted is returned, unmet."""
@@ -130,8 +133,8 @@ def _search(rho: tuple[float, float], width: float, n0: int, n_max: int) -> Tail
 
 def enclosure(params: MathieuCFParams, width: float, max_terms: int) -> TailBracket:
     """``series.tail_enclosure`` at x = 1 with width > 0: the walk's bracket
-    when it meets the width within its 2 max(N_0, 64) terms (or when no
-    tail interval fits the cap), else the tail interval."""
+    when it meets the width within its 2 max(N_0, 64) terms (or when N_0
+    exceeds max_terms/2 or MAX_LEVEL), else the tail interval."""
     plan = start(params, width, max_terms)
     if plan is None:
         return _walk(params, width, max_terms)
@@ -143,4 +146,4 @@ def enclosure(params: MathieuCFParams, width: float, max_terms: int) -> TailBrac
     else:
         if bracket.achieved:
             return bracket
-    return _search(rho, width, n0, max_terms // 2)
+    return _search(rho, width, n0, min(max_terms // 2, MAX_LEVEL))

@@ -33,12 +33,13 @@ from mathieucf import (
     mathieu_partial_sum,
     mathieu_trigamma,
     mathieu_integral,
-    apery_cf,
-    zeta3_reference,
+    apery_form,
+    convergent,
     telescoping_residual,
     theorem1_to_width,
 )
 from mathieucf import series
+from mathieucf.oracles import ZETA3 as zeta3
 from mathieucf.cli import RunConfig, run
 
 R_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -237,12 +238,11 @@ def test_c07_bracketing_is_strict_in_exact_arithmetic():
 
 def test_c08_zeta3_fraction_convergence():
     """The zeta(3) fraction starts 5/4, 6/5 exactly and is within 1e-10 of
-    the independently summed reference after 60 terms."""
-    assert apery_cf(1) == 1.25
-    assert apery_cf(2) == 1.2
-    reference = zeta3_reference()
-    assert reference == pytest.approx(ZETA3, abs=5e-15)
-    assert abs(apery_cf(60) - reference) < 1e-10
+    the package's zeta(3) after 60 terms."""
+    assert convergent(apery_form(), 1).value == 1.25
+    assert convergent(apery_form(), 2).value == 1.2
+    assert zeta3 == pytest.approx(ZETA3, abs=5e-15)
+    assert abs(convergent(apery_form(), 60).value - zeta3) < 1e-10
 
 
 def test_c09_independent_routes_triangle():

@@ -26,7 +26,7 @@ from mathieucf import (
     makai_bounds,
     mp_upper,
 )
-from mathieucf.oracles import zeta3_reference
+from mathieucf.oracles import ZETA3 as PACKAGE_ZETA3
 
 
 class TestClassicalBounds:
@@ -43,8 +43,8 @@ class TestClassicalBounds:
         assert makai_bounds(1.0).lower < b.lower < S_AT_1
 
     def test_lower_constant_value(self):
-        assert 1 / (2 * zeta3_reference()) == pytest.approx(INV_TWO_ZETA3, abs=1e-15)
-        assert zeta3_reference() == pytest.approx(ZETA3, abs=1e-14)
+        assert 1 / (2 * PACKAGE_ZETA3) == pytest.approx(INV_TWO_ZETA3, abs=1e-15)
+        assert PACKAGE_ZETA3 == pytest.approx(ZETA3, abs=1e-14)
 
     def test_mp_upper_branches(self):
         assert mp_upper(0.5).upper == 2.0  # 1/(1/4 + 1/4)

@@ -1,14 +1,17 @@
 """Oracle tests: trigamma against its classical special values and defining
 recurrence, the oscillatory integral against the trigamma route, and the
-zeta(3) fraction against direct summation.
+constant zeta(3) against mpmath and Apery's fraction (the paper's fraction
+at r = 0).
 
 These routes exist to check the fraction machinery, so here they are pinned
-to references outside the package: pi^2/6, pi^2/2, and brute-force partial
-sums with integral-tail brackets.
+to references outside the package: pi^2/6, pi^2/2, mpmath, and brute-force
+partial sums with integral-tail brackets.
 """
 
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
 from conftest import (
     PI2_OVER_2,
@@ -21,13 +24,21 @@ from conftest import (
 )
 
 from mathieucf import (
-    apery_cf,
+    MathieuCFParams,
+    apery_form,
+    cd_form,
+    convergent,
     mathieu_integral,
     mathieu_trigamma,
     tail_via_trigamma,
     trigamma,
-    zeta3_reference,
 )
+from mathieucf.oracles import ZETA3 as PACKAGE_ZETA3
+
+
+def apery(n):
+    """The n-th approximant of Apery's fraction."""
+    return convergent(apery_form(), n).value
 
 
 class TestTrigamma:
@@ -121,31 +132,43 @@ class TestIntegral:
 
 class TestZeta3Fraction:
     def test_first_approximants_exact(self):
-        assert apery_cf(0) == 1.0
-        assert apery_cf(1) == 1.25
-        assert apery_cf(2) == 1.2
+        assert apery(0) == 1.0
+        assert apery(1) == 1.25
+        assert apery(2) == 1.2
 
     def test_sixty_term_error(self):
-        assert abs(apery_cf(60) - ZETA3) < 1e-10
+        assert abs(apery(60) - ZETA3) < 1e-10
 
     def test_approximants_alternate(self):
-        sides = [apery_cf(n) > ZETA3 for n in range(1, 21)]
+        sides = [apery(n) > ZETA3 for n in range(1, 21)]
         assert sides[0] is True  # 5/4 from above
         assert all(a != b for a, b in zip(sides, sides[1:]))
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="n_terms"):
-            apery_cf(-1)
+        with pytest.raises(ValueError, match="n_max"):
+            apery(-1)
+
+    def test_is_the_paper_fraction_at_r0(self):
+        # 1 + T(0, 2)/2, term for term: b0 = 1 and c_1 halved.
+        tail = cd_form(MathieuCFParams(0.0, 2.0))
+        form = apery_form()
+        assert form.b0 == 1.0
+        assert form.term(1) == (1.0, 4.0)
+        assert all(form.term(n) == tail.term(n) for n in range(2, 61))
 
 
 class TestZeta3Reference:
     def test_value(self):
-        assert zeta3_reference() == pytest.approx(ZETA3, abs=5e-15)
+        assert PACKAGE_ZETA3 == pytest.approx(ZETA3, abs=5e-15)
 
-    def test_truncation_error_scales(self):
-        # midpoint error is below 1/(2M^3)
-        assert zeta3_reference(100) == pytest.approx(ZETA3, abs=5e-7)
+    def test_correctly_rounded(self):
+        with mpmath.workdps(40):
+            assert PACKAGE_ZETA3 == float(mpmath.zeta(3))
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="m_terms"):
-            zeta3_reference(0)
+    def test_between_exact_approximants(self):
+        # Apery's coefficient rule run exactly: 1 + T_n(0, 2)/2 with
+        # T_n the n-th cd_form approximant over Fractions.
+        tail = cd_form(MathieuCFParams(Fraction(0), Fraction(2)))
+        odd, even = (1 + convergent(tail, n).value / 2 for n in (59, 60))
+        assert isinstance(odd, Fraction) and isinstance(even, Fraction)
+        assert even < Fraction(PACKAGE_ZETA3) < odd

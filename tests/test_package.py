@@ -66,6 +66,12 @@ def test_module_imports_first(name):
      "print([m for m in ('mathieucf.cf', 'mathieucf.bounds', 'mathieucf.oracles')"
      " if m in sys.modules])",
      "[]"),
-], ids=["cli-alone", "name-is-module-object", "star-import", "unknown-name", "csv-eval"])
+    # Apery's fraction lives in ``cf``; ``bounds`` reads only the constant.
+    ("import sys\n"
+     "import mathieucf.bounds\n"
+     "print('mathieucf.cf' in sys.modules)",
+     "False"),
+], ids=["cli-alone", "name-is-module-object", "star-import", "unknown-name", "csv-eval",
+        "bounds-without-cf"])
 def test_lazy_package_surface(code, printed):
     assert fresh_python("-c", code).splitlines()[-1] == printed

@@ -13,7 +13,8 @@ import pytest
 from mathieucf.bounds import BoundResult, CrossoverReport
 from mathieucf.cf import ContinuedFraction, Convergent, EvalReport
 from mathieucf.cli import RunConfig
-from mathieucf.series import AsymptoticResult, Enclosure, MathieuCFParams, TailBracket
+from mathieucf.series import (AsymptoticResult, Enclosure, MathieuCFParams, TailBracket,
+                              tail_enclosure)
 
 
 def unit_terms(n):
@@ -98,7 +99,7 @@ def test_runconfig_vars_are_the_fields_in_order():
     (lambda: Enclosure(2.0, 1.0), "empty enclosure: lower=2.0 > upper=1.0"),
     (lambda: Enclosure(math.nan, 1.0), "empty enclosure: lower=nan > upper=1.0"),
     (lambda: BoundResult("cf(k=2,l=1)", 2.0, 1.0), "cf(k=2,l=1): lower=2.0 exceeds upper=1.0"),
-    (lambda: MathieuCFParams(0.0, 2.0), "r must be > 0; got 0.0"),
+    (lambda: tail_enclosure(0.0, 2.0, 1e-12), "r must be > 0; got 0.0"),
     (lambda: MathieuCFParams(math.inf, 2.0), "r must be finite; got inf"),
     (lambda: MathieuCFParams(1.0, 0.5), "x must be > 1/2; got 0.5"),
 ])

@@ -51,11 +51,29 @@ P12 = MathieuCFParams(1.0, 2.0)
 
 class TestParams:
     @pytest.mark.parametrize(
-        "r,x", [(0.0, 2.0), (-1.0, 2.0), (math.inf, 2.0), (math.nan, 2.0), (1.0, 0.5), (1.0, 0.0)]
+        "r,x", [(-1.0, 2.0), (math.inf, 2.0), (math.nan, 2.0), (1.0, 0.5), (1.0, 0.0)]
     )
     def test_domain(self, r, x):
         with pytest.raises(ValueError):
             MathieuCFParams(r, x)
+
+    # The fraction shapes exist at r = 0 (Apery's fraction); the enclosures
+    # do not.  x = 0.75 is the residual's z < 0 branch.
+    @pytest.mark.parametrize("call", [
+        lambda: tail_enclosure(0.0, 2.0, 1e-12),
+        lambda: theorem1_to_width(0.0, 3, 1e-12),
+        lambda: mathieu_theorem1(0.0, 3),
+        lambda: telescoping_residual(0.0, 2.0),
+        lambda: telescoping_residual(0.0, 0.75),
+    ], ids=["tail_enclosure", "theorem1_to_width", "mathieu_theorem1", "residual-x2",
+            "residual-x0.75"])
+    def test_enclosures_refuse_r0(self, call):
+        with pytest.raises(ValueError, match=r"^r must be > 0; got 0.0$"):
+            call()
+
+    def test_coefficients_positive_at_r0(self):
+        assert MathieuCFParams(0.0, 2.0).z == 2.0
+        assert coefficients_positive(MathieuCFParams(0.0, 2.0), 50) is None
 
     def test_z(self):
         assert P12.z == 2.0
@@ -555,6 +573,22 @@ class TestTailInterval:
             _reference_bounds_at(rho, rho, n)
         with pytest.raises(ArithmeticError, match=message):
             tail_interval.bounds_at(rho, rho, n)
+
+    def test_levels_stay_below_two_to_the_26(self, monkeypatch):
+        # bounds_at is exact only below 2^26 levels, whatever the term cap;
+        # a recorder stands in for the passes, which would take minutes.
+        levels = []
+
+        def wide(rho_lo, rho_hi, n):
+            levels.append(n)
+            return 0.0, 1.0
+
+        monkeypatch.setattr(tail_interval, "bounds_at", wide)
+        bracket = tail_enclosure(1.0, 1.0, 1e-300, 2 ** 28)
+        assert max(levels) == tail_interval.MAX_LEVEL == 2 ** 26 - 1
+        assert bracket.terms_used == 2 * tail_interval.MAX_LEVEL and not bracket.achieved
+        # With N_0 above the cap no tail interval serves: the walk answers.
+        assert tail_interval.start(MathieuCFParams(1e4, 1.0), 1e-12, 2 ** 30) is None
 
     @pytest.mark.parametrize("max_terms", [20_000, 200_000])
     @pytest.mark.parametrize("r", [1e-3, 0.05, 0.3, 1.0, 2.5, 5.0, 12.0, 20.0])
