@@ -14,8 +14,9 @@ Common flags: ``--r`` takes a single value, a comma list, or
 selects table/json/csv; ``--output`` writes to a file instead of stdout.
 
 Exit codes: 0 success; 1 when a result is only partial (an invariant
-failed, or a requested tolerance was not certified within the term cap);
-2 for configuration errors, in which case nothing is written to --output.
+failed, a requested tolerance was not certified within the term cap, or a
+route or bound column failed and left a ``failed:`` row note); 2 for
+configuration errors, in which case nothing is written to --output.
 
 JSON and CSV outputs serialize floats via ``repr``, which round-trips
 bit-exactly; a parsed output file reproduces the in-memory rows.
@@ -28,7 +29,8 @@ writing never uses.
 
 This module is the eval path: the config, ``eval`` itself, the JSON writer,
 the parser and ``main``.  The other subcommands and the csv and table
-writers live in ``commands``, imported by the first call that needs them.
+writers live in ``commands``, which ``run``, ``render`` and the bench config
+check import inside the function, past the json eval path.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .series import _Record
 
 __all__ = ["ConfigError", "RunConfig", "main", "run", "payload_to_json"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 Row = Dict[str, Any]
 
@@ -57,28 +59,7 @@ class ConfigError(ValueError):
 
 _METHODS = ("cf", "direct", "trigamma", "integral", "asymptotic")
 _FORMATS = ("table", "json", "csv")
-
-
-def _deferred(name: str) -> Callable:
-    """``commands.<name>``: the first call imports ``commands`` and looks the
-    function up, later calls go straight to it.  A json eval never compiles
-    that module."""
-    fn = None
-
-    def call(*args):
-        nonlocal fn
-        if fn is None:
-            from . import commands
-
-            fn = getattr(commands, name)
-        return fn(*args)
-
-    return call
-
-
-_bench_terms = _deferred("_direct_terms_for_tol")
-_to_csv = _deferred("rows_to_csv")
-_to_table = _deferred("rows_to_table")
+_COMMANDS = ("eval", "bounds", "compare", "bench", "apery", "selftest")
 
 
 class RunConfig(_Record):
@@ -102,7 +83,6 @@ class RunConfig(_Record):
         n_terms: int = 60,
         k_values: Tuple[int, ...] = (1, 2, 3, 5),
         repeats: int = 5,
-        force_fail: bool = False,
         format: str = "table",
         output: Optional[str] = None,
     ):
@@ -138,12 +118,14 @@ class RunConfig(_Record):
             if command in ("bounds", "compare", "bench") and not (r > 0):
                 raise ConfigError(f"{command} requires r > 0; got r={r!r}")
             if command == "bench":
-                _bench_terms(r, tol)
+                from . import commands
+
+                commands._direct_terms_for_tol(r, tol)
         # Straight into __dict__, in field order: ``vars(cfg)`` is the JSON config.
         vars(self).update(
             command=command, r_values=r_values, k=k, l=l, tol=tol, max_terms=max_terms,
             methods=methods, n_terms=n_terms, k_values=k_values, repeats=repeats,
-            force_fail=force_fail, format=format, output=output,
+            format=format, output=output,
         )
 
     _fields = ("command", *__init__.__kwdefaults__)
@@ -261,13 +243,6 @@ def cmd_eval(cfg: RunConfig) -> Tuple[List[Row], int]:
     return rows, exit_code
 
 
-_COMMANDS = {
-    "eval": cmd_eval,
-    **{name: _deferred(f"cmd_{name}")
-       for name in ("bounds", "compare", "bench", "apery", "selftest")},
-}
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -379,9 +354,11 @@ def render(cfg: RunConfig, rows: List[Row]) -> str:
             "rows": rows,
         }
         return payload_to_json(payload)
+    from . import commands
+
     if cfg.format == "csv":
-        return _to_csv(rows)
-    return _to_table(rows)
+        return commands.rows_to_csv(rows)
+    return commands.rows_to_table(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("apery", "approximants of the zeta(3) fraction", takes_r=False)
     p.add_argument("--n-terms", type=int)
 
-    p = add("selftest", "run the built-in invariant checks", takes_r=False)
-    p.add_argument("--force-fail", action="store_true", help=argparse.SUPPRESS)
+    add("selftest", "run the built-in invariant checks", takes_r=False)
 
     return parser
 
@@ -456,7 +432,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def run(cfg: RunConfig) -> Tuple[List[Row], int, str]:
     """Execute a config: returns (rows, exit_code, rendered_output)."""
-    rows, exit_code = _COMMANDS[cfg.command](cfg)
+    if cfg.command == "eval":
+        rows, exit_code = cmd_eval(cfg)
+    else:
+        from . import commands
+
+        rows, exit_code = getattr(commands, f"cmd_{cfg.command}")(cfg)
     return rows, exit_code, render(cfg, rows)
 
 

@@ -1,9 +1,10 @@
 """The subcommands other than ``eval`` (bounds, compare, bench, apery,
 selftest), the bench config check, and the csv and table writers.
 
-``cli`` imports this module on the first call that needs it: a non-eval
-command, a csv or table format, or a bench config.  A ``mathieucf eval
---format json`` process never compiles it.  Traced functions are looked up
+``cli`` imports this module inside the functions that need it: ``run`` for
+a non-eval command, ``render`` for a csv or table format, and ``RunConfig``
+for a bench config.  A ``mathieucf eval --format json`` process never
+compiles it.  Traced functions are looked up
 on their modules at each call (``series.theorem1_to_width``,
 ``bounds.cf_bounds``): a name bound when this module loads would keep
 whatever wrapper a tracer had swapped in then, after that tracer is gone.
@@ -29,33 +30,47 @@ def cmd_bounds(cfg: RunConfig) -> Tuple[List[Row], int]:
     from . import bounds
 
     rows: List[Row] = []
+    exit_code = 0
+    unanswered = bounds.BoundResult("failed", None, None)
     for r in sorted(cfg.r_values):
-        s_ref = series.theorem1_to_width(r, 3, 1e-12, cfg.max_terms)[0].midpoint
-        results = {
-            "makai": bounds.makai_bounds(r),
-            "alzer": bounds.alzer_bounds(r),
-            "mp": bounds.mp_upper(r),
-            "cf": bounds.cf_bounds(r, cfg.k, cfg.l),
-            "closed2": bounds.closed_form_bounds(r, 2),
-            "closed3": bounds.closed_form_bounds(r, 3),
+        calls = {
+            "s_ref": lambda: series.theorem1_to_width(r, 3, 1e-12, cfg.max_terms)[0].midpoint,
+            "makai": lambda: bounds.makai_bounds(r),
+            "alzer": lambda: bounds.alzer_bounds(r),
+            "mp": lambda: bounds.mp_upper(r),
+            "cf": lambda: bounds.cf_bounds(r, cfg.k, cfg.l),
+            "closed2": lambda: bounds.closed_form_bounds(r, 2),
+            "closed3": lambda: bounds.closed_form_bounds(r, 3),
         }
+        # A call that cannot answer at this r is a note, as in compare; the
+        # others keep their columns.
+        results, failed = {}, []
+        for name, call in calls.items():
+            try:
+                results[name] = call()
+            except (ValueError, OverflowError) as exc:
+                failed.append(f"{name}: {exc}")
+        s_ref = results.pop("s_ref", None)
         row: Row = {"r": r, "s_ref": s_ref}
         for name in _BOUND_METHODS:
-            b = results[name]
+            b = results.setdefault(name, unanswered)
             row[f"{name}_lower"] = b.lower
             row[f"{name}_upper"] = b.upper
-            row[f"{name}_gap_lower"] = None if b.lower is None else s_ref - b.lower
-            row[f"{name}_gap_upper"] = None if b.upper is None else b.upper - s_ref
+            row[f"{name}_gap_lower"] = None if None in (b.lower, s_ref) else s_ref - b.lower
+            row[f"{name}_gap_upper"] = None if None in (b.upper, s_ref) else b.upper - s_ref
         row["tightest_lower"] = max(
             (name for name in _BOUND_METHODS if results[name].lower is not None),
-            key=lambda name: results[name].lower,
+            key=lambda name: results[name].lower, default=None,
         )
         row["tightest_upper"] = min(
             (name for name in _BOUND_METHODS if results[name].upper is not None),
-            key=lambda name: results[name].upper,
+            key=lambda name: results[name].upper, default=None,
         )
+        row["note"] = "failed: " + "; ".join(failed) if failed else None
+        if failed:
+            exit_code = 1
         rows.append(row)
-    return rows, 0
+    return rows, exit_code
 
 
 _COMPARE_VALUES = ("cf", "direct", "trigamma", "integral", "spread", "asymptotic",
@@ -185,7 +200,7 @@ def cmd_apery(cfg: RunConfig) -> Tuple[List[Row], int]:
 def cmd_selftest(cfg: RunConfig) -> Tuple[List[Row], int]:
     from .selftest import run_selftest  # only this command loads the suite
 
-    rows = run_selftest(force_fail=cfg.force_fail)
+    rows = run_selftest()
     return rows, 1 if any(row["status"] != "pass" for row in rows) else 0
 
 

@@ -379,18 +379,13 @@ CHECKS: List[tuple[str, Callable[[], str]]] = [
 ]
 
 
-def _forced_failure() -> str:
-    raise AssertionError("forced failure requested (--force-fail)")
-
-
-def run_selftest(force_fail: bool = False) -> List[cli.Row]:
-    """Run every check, in ``CHECKS`` order; one row per check, as
-    ``mathieucf selftest`` prints them.  Never raises on check failure."""
-    selected = CHECKS
-    if force_fail:
-        selected = selected + [("forced_failure", _forced_failure)]
+def run_selftest() -> List[cli.Row]:
+    """Run every check in ``CHECKS``, in order; one row per check, as
+    ``mathieucf selftest`` prints them.  A check that raises AssertionError
+    is a FAIL row with the message as its detail; this never raises on a
+    failed check."""
     rows = []
-    for name, fn in selected:
+    for name, fn in CHECKS:
         start = time.perf_counter()
         try:
             detail, status = fn(), "pass"

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import CASES as GOLDEN_CASES
 
-from mathieucf import __version__, oracles, series
+from mathieucf import __version__, oracles, selftest, series
 from mathieucf.cli import (
     SCHEMA_VERSION,
     ConfigError,
@@ -179,6 +179,7 @@ class TestBoundsCommand:
             assert row["tightest_lower"] == max(lowers, key=lowers.get)
             assert row["tightest_upper"] == min(uppers, key=uppers.get)
             assert lowers[row["tightest_lower"]] <= row["s_ref"] <= uppers[row["tightest_upper"]]
+            assert row["note"] is None
 
 
 class TestCompareCommand:
@@ -266,10 +267,23 @@ class TestSelftestCommand:
         assert all(r["status"] == "pass" for r in rows)
         assert len(rows) == 16
 
-    def test_force_fail(self):
-        rows, code, _ = run(RunConfig(command="selftest", force_fail=True))
+    def test_failing_check_exits_1(self, monkeypatch):
+        def forced():
+            raise AssertionError("forced")
+
+        monkeypatch.setattr(selftest, "CHECKS", CHECKS + [("forced", forced)])
+        rows, code, _ = run(RunConfig(command="selftest"))
         assert code == 1
-        assert any(r["status"] == "FAIL" for r in rows)
+        assert len(rows) == 17
+        assert rows[-1]["check"] == "forced"
+        assert rows[-1]["status"] == "FAIL" and rows[-1]["detail"] == "forced"
+        assert all(row["status"] == "pass" for row in rows[:-1])
+
+    def test_no_hidden_failure_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["selftest", "--force-fail"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --force-fail" in capsys.readouterr().err
 
     def test_runner_returns_the_command_rows(self):
         rows = run_selftest()
@@ -422,7 +436,7 @@ class TestMain:
     def test_stdout_json_payload(self, capsys):
         assert main(["eval", "--r", "1", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"]["schema"] == 1
+        assert payload["version"]["schema"] == 2
         assert payload["config"]["command"] == "eval"
         cf = next(r for r in payload["rows"] if r["method"] == "cf")
         assert cf["lower"] <= S_AT_1 <= cf["upper"]
@@ -521,6 +535,31 @@ class TestMain:
         assert row["spread"] == max(row["cf"], row["trigamma"], row["integral"]) - min(
             row["cf"], row["trigamma"], row["integral"]
         )
+        # bounds at large r: the reference walk and the cf column overflow,
+        # every gap is None, and the closed columns keep their values.
+        methods = ("makai", "alzer", "mp", "cf", "closed2", "closed3")
+        for r in ("1e200", "1e160"):
+            assert main(["bounds", "--r", r, "--format", "json"]) == 1
+            out = capsys.readouterr()
+            assert "Traceback" not in out.err
+            (row,) = strict_json(out.out)["rows"]
+            assert row["note"].startswith("failed: s_ref: ")
+            assert "; cf: " in row["note"]
+            assert row["s_ref"] is row["cf_lower"] is row["cf_upper"] is None
+            assert all(row[f"{m}_gap_{side}"] is None for m in methods
+                       for side in ("lower", "upper"))
+            assert row["tightest_lower"] is not None and row["tightest_upper"] is not None
+        # r^2 underflows at r = 1e-170: the k = 1 cf column fails, the
+        # reference (k = 3) and the other columns answer.
+        assert main(["bounds", "--r", "1e-170", "--k", "1", "--format", "json"]) == 1
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        (row,) = strict_json(out.out)["rows"]
+        assert row["note"].startswith("failed: cf: ")
+        assert row["cf_lower"] is row["cf_upper"] is row["cf_gap_lower"] is None
+        assert row["s_ref"] == pytest.approx(2 * ZETA3, abs=1e-12)
+        assert row["tightest_lower"] != "cf" and row["tightest_upper"] != "cf"
+        assert row["closed3_gap_lower"] == row["s_ref"] - row["closed3_lower"]
         # bench at an r whose r^2 is subnormal: the k = 1 row comes from the
         # tail interval.
         assert main(["bench", "--r", "1e-157", "--k-values", "1,3", "--tol", "1e-8",

@@ -24,7 +24,7 @@ def unit_terms(n):
 
 CONFIG = dict(command="eval", r_values=(1.0,), k=2, l=1, tol=1e-12, max_terms=200_000,
               methods=("cf", "direct"), n_terms=60, k_values=(1, 2, 3, 5), repeats=5,
-              force_fail=False, format="table", output=None)
+              format="table", output=None)
 
 # (class, every field in order, one field and another valid value for it, repr)
 CASES = [
@@ -53,7 +53,7 @@ CASES = [
     (RunConfig, CONFIG, ("k", 3),
      "RunConfig(command='eval', r_values=(1.0,), k=2, l=1, tol=1e-12, max_terms=200000, "
      "methods=('cf', 'direct'), n_terms=60, k_values=(1, 2, 3, 5), repeats=5, "
-     "force_fail=False, format='table', output=None)"),
+     "format='table', output=None)"),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
