@@ -19,7 +19,7 @@ import math
 from typing import Callable, Optional, Tuple
 
 from .oracles import ZETA3
-from .series import _Record, _require_positive_r, _set, mathieu_theorem1
+from .series import _Record, _require_positive_r, _set, _summand_overflow, mathieu_theorem1
 
 __all__ = [
     "BoundResult",
@@ -111,14 +111,17 @@ def closed_form_bounds(r: float, k: int) -> BoundResult:
     in tests/test_bounds.py.
     """
     _require_positive_r(r)
+    if k not in (2, 3):
+        raise ValueError(f"closed forms are available for k in {{2, 3}}; got {k}")
     rr = r * r
-    if k == 2:
-        head = 2 / (1 + rr) ** 2
-        return BoundResult("closed_form(2)", head + 1 / (rr + 2.5), head + 1 / (rr + 2.0))
-    if k == 3:
+    try:
+        if k == 2:
+            head = 2 / (1 + rr) ** 2
+            return BoundResult("closed_form(2)", head + 1 / (rr + 2.5), head + 1 / (rr + 2.0))
         head = 2 / (1 + rr) ** 2 + 4 / (4 + rr) ** 2
         return BoundResult("closed_form(3)", head + 1 / (rr + 6.5), head + 1 / (rr + 6.0))
-    raise ValueError(f"closed forms are available for k in {{2, 3}}; got {k}")
+    except OverflowError:
+        raise _summand_overflow(r) from None
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

@@ -58,8 +58,12 @@ contracted approximant N with tail t, and
     U_N = L_N + 1,   tau_N = -a_{2N} a_{2N+1} / (b_{2N+1} + a_{2N+1}).
 
 Claim: for every integer N >= N_0(rho), the least one with N >= 4,
-N >= 2 rho + 2 and N >= 16 rho (rho + 1)/27 + 1, T lies between S_N(L_N)
-and S_N(U_N).
+N >= 2 rho + 2 and N >= 16 rho (rho + 1)/27 + 1, T lies in S_N(V_N), where
+
+    V_N = [L_N + 7/16, L_N + 7/16 + w_N],
+    w_N = min(9/16, (8 rho^2 + 8 rho + 3)/(24N - 7)),
+
+a subset of [L_N, U_N] about 1/(8N) wide for small rho.
 
 Tails.  Let h >= 0 be a tail after a_{2N} of ``ab_form``, so the
 approximant is a_1/(b_1 + ... + a_{2N}/(1 + h)).  Its level-N contracted
@@ -76,10 +80,10 @@ increases (a'_{n+1} < 0) wherever b'_{n+1} + t > 0: on [tau_{n+1}, 0],
 since t > -a_{2n+2} there and b'_{n+1} - a_{2n+2} = a_{2n+1} + b_{2n+1},
 and on [L_{n+1}, 0], since b'_{n+1} + L_{n+1} = (2n^2 + 3n + 4 rho - 1)/8.
 
-Four facts.  ``tests/test_cf.py`` rebuilds each difference as an exact
-``Fraction`` rational function on an (N, rho) grid with more points than
-its degree, so each equality is an identity, and checks each sign from
-N_0(rho) on.
+Six facts.  ``tests/test_cf.py`` rebuilds each difference as an exact
+``Fraction`` rational function on an (N, rho) grid, or (N, rho, w) for (i')
+and (ii'), with more points than its degree, so each equality is an
+identity, and checks each sign from N_0(rho) on.
 
 (i)   s_{N+1}(L_{N+1}) - L_N = P_1 / (8 (4N^2 - 1)(2N^2 + 3N + 4 rho - 1)),
       P_1 = 84N^3 + 64N^2 rho^2 + 64N^2 rho - 25N^2 - 21N - 16 rho^2 - 20 rho + 6
@@ -97,20 +101,37 @@ N_0(rho) on.
       for N >= 4.
 (iv)  U_N = -(2N^2 - 3N + 4 rho - 2)/8 <= 0 for N >= 2.
 
+With the offset c = 7/16 + w at levels N and N + 1,
+    s_{N+1}(L_{N+1} + c) - (L_N + c) = P / (16 (4N^2 - 1)(4N^2 + 6N + 8 rho + 16w + 5)),
+    P = -768N^3 w + (256 rho^2 + 256 rho + 96 - 1024 w^2) N^2 + 192N w
+        - 64 rho^2 - 80 rho + 256 w^2 - 25,
+and at w = 9/16 (c = 1) P = 4 P_2.
+(i')  At w = 0, P = (256 rho^2 + 256 rho + 96) N^2 - 64 rho^2 - 80 rho - 25
+      >= 192 rho^2 + 176 rho + 71 > 0 for N >= 1.
+(ii') If 0 < w and w (24N - 7) >= 8 rho^2 + 8 rho + 3, then
+      (256 rho^2 + 256 rho + 96) N^2 <= 768N^3 w - 224N^2 w, so
+      P <= -32N w (7N - 6) - (1024N^2 - 256) w^2 < 0 for N >= 1.
+
 Value sets.  Let M > N >= N_0; (i) to (iv) then hold at every level from
-N on.  By (i), s_{n+1} maps [L_{n+1}, 0] into [L_n, 0] (s_{n+1}(0) =
-a'_{n+1}/b'_{n+1} < 0), so f_{2M}'s level-N tail lies in [L_N, 0].  By
-(ii) and t >= tau_n, s_{n+1} maps [tau_{n+1}, U_{n+1}] into [tau_n, U_n],
-and tau_M <= L_M < U_M by (iii), so f_{2M+1}'s level-N tail lies in
-[tau_N, U_N].  By (iii) and (iv) both intervals lie in [tau_N, 0], where
-S_N is a homeomorphism onto its image.  Both f_{2M} and f_{2M+1} tend to
-T as M grows, so T = S_N(t) for a t in [L_N, 0] and in [tau_N, U_N],
-that is in V_N = [L_N, U_N]; and S_N(V_N) is the interval between
-S_N(L_N) and S_N(U_N).
+N on, and w_n falls as n grows.  By (i'), s_{n+1} maps [L_{n+1} + 7/16, 0]
+into [L_n + 7/16, 0] (s_{n+1}(0) = a'_{n+1}/b'_{n+1} < 0), so f_{2M}'s
+level-N tail lies in [L_N + 7/16, 0].  Write V'_n = [tau_n, L_n + 7/16 +
+w_n].  As s_{n+1} increases and w_{n+1} <= w_n, s_{n+1}(L_{n+1} + 7/16 +
+w_{n+1}) <= L_n + 7/16 + w_n: by (ii') at w = w_n where w_n < 9/16, and by
+(ii) where w_n = 9/16.  With t >= tau_n, s_{n+1} so maps V'_{n+1} into
+V'_n, and tau_M <= L_M by (iii), so f_{2M+1}'s level-N tail lies in V'_N.
+By (iii) and (iv) both intervals lie in [tau_N, 0], where S_N is a
+homeomorphism onto its image.  Both f_{2M} and f_{2M+1} tend to T as M
+grows, so T = S_N(t) for a t in [L_N + 7/16, 0] and in V'_N, that is in
+V_N; and S_N(V_N) is the interval between S_N at its two ends.  (With
+7/16 and w_N replaced by 0 and 1, (i) and (ii) give the same argument for
+[L_N, U_N].)
 
 Floating point.  ``tail_interval.bounds_at`` evaluates S_N(V_N) in one
-backward pass from V_N, with a'_{j+1} = -g_j (j^2 + 4 rho), g_j =
-j^4/(4(4j^2 - 1)), and b'_{j+1} = m_j + rho, m_j = (j^2 + j + 1)/2.  Each
+backward pass from V_N, with w_N rounded up at the upper end of rho's
+bracket (``math.nextafter`` after each rounding, sound at any magnitude),
+a'_{j+1} = -g_j (j^2 + 4 rho), g_j = j^4/(4(4j^2 - 1)), and
+b'_{j+1} = m_j + rho, m_j = (j^2 + j + 1)/2.  Each
 step maps interval ends to interval ends (s_{j+1} increases; 1/(b'_1 + t)
 decreases), rho is bracketed by r*r rounded down and up ([0, 2^-1074] where
 it underflows), and every float operation that can round is followed by one

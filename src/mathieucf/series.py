@@ -442,9 +442,10 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     with width > 0, a walk of 2 max(N_0, 64) terms that leaves the width
     unmet gives way to the tail interval S_N(V_N) of the contracted
     fraction, N <= min(max_terms/2, 2^26 - 1), reported as 2N terms (the
-    pass is exact below 2^26 levels): rounded outward, it
-    holds T(r, 1) in floating point, also where r^2 underflows and the walk
-    cannot start (proof in the ``cf`` module docstring).
+    pass is exact below 2^26 levels): V_N narrows like 1/N, so the
+    result's width falls like N^-4.  Rounded outward, it holds T(r, 1) in
+    floating point, also where r^2 underflows and the walk cannot start
+    (proof in the ``cf`` module docstring).
     """
     _require_positive_r(r)
     params = MathieuCFParams(r, x)

@@ -3,11 +3,12 @@
 At x = 1 the fraction's even/odd bracket narrows only like 1/n.  When a
 short walk leaves the width unmet, the enclosure is S_N(V_N) instead: the
 contracted fraction (``cf.kappa_lambda_form``) at level N with its tail in
-an interval V_N of width 1, evaluated with every rounding directed outward.
-The proof that V_N holds the tail from N_0(rho) on, rho = r^2, and the
-rounding argument are in the ``cf`` module docstring.  ``tail_enclosure``
-loads this module on its first z = 0 call with a width, so an eval at
-k >= 2 never compiles it.
+V_N = [L_N + 7/16, L_N + 7/16 + w_N], w_N = min(9/16, (8 rho^2 + 8 rho +
+3)/(24N - 7)), about 1/(8N) wide for small rho = r^2, evaluated with every
+rounding directed outward; S_N(V_N) is then about N^-4 wide.  The proof
+that V_N holds the tail from N_0(rho) on, and the rounding argument, are
+in the ``cf`` module docstring.  ``tail_enclosure`` loads this module on
+its first z = 0 call with a width, so an eval at k >= 2 never compiles it.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ def n0_bound(rho_hi: float) -> float:
     return max(4.0, _up(2 * rho_hi + 2), _up(_up(_up(16 * rho_hi * _up(rho_hi + 1)) / 27) + 1))
 
 
+def width_bound(rho_hi: float, n: int) -> float:
+    """The width w_n of V_n for every rho <= rho_hi, rounded up."""
+    return min(0.5625, _up(_up(_up(8 * rho_hi * _up(rho_hi + 1)) + 3) / (24 * n - 7)))
+
+
 def start(params: MathieuCFParams, width: float, max_terms: int):
     """(r^2 bracketed, N_0, terms of the walk first) when the tail interval
     may serve, else None: the walk alone answers."""
@@ -81,14 +87,15 @@ def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
     """S_n(V_n) for r^2 in [rho_lo, rho_hi], every rounding outward: one
     backward pass of t -> a'_{j+1}/(b'_{j+1} + t), j = n - 1 .. 1, written
     -g_j (j^2 + 4 rho)/(m_j + rho + t), then 1/(1/2 + rho + t).  It carries
-    u = -t in [u_lo, u_hi]; ``* dn`` steps a result one float down, ``/ dn``
-    one float up.  j, j^2, m_j (m_{j-1} = m_j - j) and k are exact floats
-    for n below 2^26 (``MAX_LEVEL`` caps n)."""
+    u = -t, from [-(L_n + 7/16) - w_n, -(L_n + 7/16)]; ``* dn`` steps a
+    result one float down, ``/ dn`` one float up.  j, j^2, m_j
+    (m_{j-1} = m_j - j) and k are exact floats for n below 2^26
+    (``MAX_LEVEL`` caps n)."""
     dn = _DOWN
     rho4_lo, rho4_hi = 4 * rho_lo, 4 * rho_hi
     k = 2 * n * n - 3 * n + 6  # -(8 L_n + 4 rho)
-    u_lo = (rho4_lo + (k - 8)) * dn / 8
-    u_hi = (rho4_hi + k) / dn / 8
+    u_hi = ((rho4_hi + k) / dn - 3.5) / dn / 8  # -(L_n + 7/16)
+    u_lo = (((rho4_lo + k) * dn - 3.5) * dn / 8 - width_bound(rho_hi, n)) * dn
     j = float(n)
     m = (j * j + j + 1) / 2
     for g in _g_down(n):
@@ -111,7 +118,8 @@ def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
 def _search(rho: tuple[float, float], width: float, n0: int, n_max: int) -> TailBracket:
     """S_n(V_n) at an n in [n0, n_max] that meets ``width``, as 2n terms;
     n_max <= MAX_LEVEL, as ``bounds_at`` is exact only below 2^26.  The
-    width falls like n^-3: a pass at max(n0, PROBE_LEVEL) predicts n,
+    width falls like n^-4 (w_n about 1/(8n) times the n^-3 that a width-1
+    tail set gives): a pass at max(n0, PROBE_LEVEL) predicts n,
     and a prediction that falls short is at least doubled, up to n_max.
     Near the rounding floor the width stops falling: a pass more than twice
     as wide as the previous pass predicted is returned, unmet."""
@@ -122,9 +130,9 @@ def _search(rho: tuple[float, float], width: float, n0: int, n_max: int) -> Tail
         lo, hi = bounds_at(*rho, n)
         if hi - lo <= width or n == n_max or hi - lo > 2 * predicted:
             break
-        target = n * max(growth, 1.01 * ((hi - lo) / width) ** (1 / 3))
+        target = n * max(growth, 1.01 * ((hi - lo) / width) ** (1 / 4))
         n_next = math.ceil(target) if target < n_max else n_max
-        predicted = (hi - lo) * (n / n_next) ** 3
+        predicted = (hi - lo) * (n / n_next) ** 4
         n = n_next
         growth = 2.0
     enclosure = Enclosure(lo, hi)

@@ -105,6 +105,14 @@ class TestFractionBounds:
             assert abs(closed.lower - walked.lower) <= 1e-14 * scale, (r, closed, walked)
             assert abs(closed.upper - walked.upper) <= 1e-14 * scale, (r, closed, walked)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("r", [1.2e77, 1e100, 1e154])
+    def test_closed_form_overflow_names_the_quantity(self, r, k):
+        # (1 + r^2)^2 overflows while r^2 is finite.
+        with pytest.raises(OverflowError) as info:
+            closed_form_bounds(r, k)
+        assert str(info.value) == f"(m^2 + r^2)^2 overflows float64 at r={r!r}"
+
     @pytest.mark.parametrize("r", [0.3, 1.0, 7.0])
     def test_deeper_split_nests(self, r):
         b2, b3 = closed_form_bounds(r, 2), closed_form_bounds(r, 3)

@@ -267,6 +267,24 @@ def _n0(rho):
     return max(4, math.ceil(2 * rho + 2), math.ceil(Fraction(16, 27) * rho * (rho + 1) + 1))
 
 
+def _w(rho, n):
+    """w_n of the tail set V_n, exact."""
+    return min(Fraction(9, 16), (8 * rho**2 + 8 * rho + 3) / Fraction(24 * n - 7))
+
+
+def _narrowed_difference(r, n, w):
+    """s_{n+1}(L_{n+1} + c) - (L_n + c) at c = 7/16 + w, behind (i') and
+    (ii'): computed, in closed form, and the closed form's numerator P."""
+    s, lower, _ = _tail_steps(r)
+    rho = r * r
+    c = Fraction(7, 16) + w
+    p = (-768 * n**3 * w + n**2 * (256 * rho**2 + 256 * rho + 96 - 1024 * w**2)
+         + 192 * n * w - 64 * rho**2 - 80 * rho + 256 * w**2 - 25)
+    computed = s(n, lower(n + 1) + c) - (lower(n) + c)
+    closed = p / (16 * (4 * n**2 - 1) * (4 * n**2 + 6 * n + 8 * rho + 16 * w + 5))
+    return computed, closed, p
+
+
 class TestTailIntervalProof:
     """The four facts behind the z = 0 tail interval, in exact rationals."""
 
@@ -293,3 +311,52 @@ class TestTailIntervalProof:
             assert d2 >= 0 and p2 < 0, (n, "ii")
             assert d3 >= 0 and q > 0, (n, "iii")
             assert u <= 0, (n, "iv")
+
+    def test_narrowed_closed_form_is_an_identity(self):
+        # Times its closed form's denominator, the difference is a polynomial
+        # of degree at most 6 in n and 2 in each of rho and w: agreeing on
+        # an 8 x 4 x 4 grid of (n, rho, w), the two are equal as polynomials.
+        for n in range(1, 9):
+            for r in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+                for w in (Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(9, 16)):
+                    computed, closed, _ = _narrowed_difference(r, n, w)
+                    assert computed == closed, (n, r, w)
+
+    @pytest.mark.parametrize("r", [Fraction(1, 10**80), Fraction(1, 20), Fraction(1, 3),
+                                   Fraction(1), Fraction(5, 2), Fraction(7, 2), Fraction(5),
+                                   Fraction(10)])
+    def test_narrowed_signs_from_n0_on(self, r):
+        rho = r * r
+        n0 = _n0(rho)
+        s, lower, _ = _tail_steps(r)
+        top = lambda m, wm: lower(m) + Fraction(7, 16) + wm
+        for n in [*range(n0, n0 + 25), 2 * n0, 10 * n0, 100 * n0]:
+            w, w_next = _w(rho, n), _w(rho, n + 1)
+            assert 0 < w_next <= w <= Fraction(9, 16), n
+            # (i'): the lower end L_n + 7/16 maps inward.
+            computed, _, p = _narrowed_difference(r, n, Fraction(0))
+            assert computed > 0 and p > 0, (n, "i'")
+            # (ii') below 9/16, and (ii) at it, where P = 4 P_2.
+            computed, _, p = _narrowed_difference(r, n, w)
+            assert computed < 0 and p < 0, (n, "ii'")
+            if w < Fraction(9, 16):
+                assert p <= -32 * n * w * (7 * n - 6) - (1024 * n**2 - 256) * w**2, n
+            else:
+                assert p == 4 * _differences(r, n)[2][1], n
+            # The upper end of V_{n+1} maps to at most that of V_n.
+            assert s(n, top(n + 1, w_next)) <= top(n, w), n
+
+    @pytest.mark.parametrize("rho", [5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 0.0025,
+                                     0.3, 1.0, 6.25, 12.25, 100.0, 1e4])
+    def test_float_width_bound_rounds_up(self, rho):
+        # Subnormal rho, where 8 rho (rho + 1) rounds to a multiple of
+        # 2^-1074, and the levels around the switch from 9/16 to the bound.
+        exact = Fraction(rho)
+        switch = math.floor((Fraction(16, 9) * (8 * exact**2 + 8 * exact + 3) + 7) / 24) + 1
+        assert _w(exact, switch) < Fraction(9, 16)
+        assert switch == 1 or _w(exact, switch - 1) == Fraction(9, 16)
+        for n in {1, 4, 64, 1000, 100_000, tail_interval.MAX_LEVEL,
+                  max(switch - 1, 1), switch, switch + 1}:
+            w = tail_interval.width_bound(rho, n)
+            assert _w(exact, n) <= Fraction(w) <= Fraction(9, 16), n
+

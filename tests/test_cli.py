@@ -549,6 +549,13 @@ class TestMain:
             assert all(row[f"{m}_gap_{side}"] is None for m in methods
                        for side in ("lower", "upper"))
             assert row["tightest_lower"] is not None and row["tightest_upper"] is not None
+        # At r = 1e100 the closed forms' (1 + r^2)^2 overflows too, and each
+        # failed column's note names the quantity and r.
+        assert main(["bounds", "--r", "1e100", "--format", "json"]) == 1
+        (row,) = strict_json(capsys.readouterr().out)["rows"]
+        overflow = "(m^2 + r^2)^2 overflows float64 at r=1e+100"
+        assert row["note"] == "failed: " + "; ".join(
+            f"{name}: {overflow}" for name in ("s_ref", "cf", "closed2", "closed3"))
         # r^2 underflows at r = 1e-170: the k = 1 cf column fails, the
         # reference (k = 3) and the other columns answer.
         assert main(["bounds", "--r", "1e-170", "--k", "1", "--format", "json"]) == 1

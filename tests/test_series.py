@@ -565,14 +565,20 @@ class TestTailInterval:
         assert tail_interval.bounds_at(*rho, n) == _reference_bounds_at(*rho, n)
         assert len(tail_interval._G) == 64
 
-    # Outside the pass's domain: rho < 0, or n = 1 (below every N_0).
-    @pytest.mark.parametrize("rho, n, level", [(0.0, 1, 0), (-5.0, 3, 2), (-20.0, 10, 2)])
+    # Outside the pass's domain: rho < 0.
+    @pytest.mark.parametrize("rho, n, level", [(-1.0, 1, 0), (-5.0, 3, 2), (-20.0, 10, 2)])
     def test_non_positive_denominator_raises(self, rho, n, level):
         message = f"^tail interval lost its bound at level {level}$"
         with pytest.raises(ArithmeticError, match=message):
             _reference_bounds_at(rho, rho, n)
         with pytest.raises(ArithmeticError, match=message):
             tail_interval.bounds_at(rho, rho, n)
+
+    @pytest.mark.parametrize("r", [0.05, 1.0, 2.5])
+    def test_deep_level_counts(self, r):
+        # Across the deep workload's r range, 1e-12 within 2,000 terms.
+        bracket = tail_enclosure(r, 1.0, 1e-12)
+        assert bracket.achieved and bracket.terms_used <= 2000
 
     def test_levels_stay_below_two_to_the_26(self, monkeypatch):
         # bounds_at is exact only below 2^26 levels, whatever the term cap;
@@ -611,13 +617,16 @@ def _rho_bracket(r):
 
 def _reference_bounds_at(rho_lo, rho_hi, n):
     """``tail_interval.bounds_at`` with ``math.nextafter`` after every
-    rounding operation and g_j as one int quotient per level."""
+    rounding operation and g_j as one int quotient per level; it starts
+    from V_n = [L_n + 7/16, L_n + 7/16 + w_n]."""
     nextafter = math.nextafter
     down, up = -math.inf, math.inf
     rho4_lo, rho4_hi = 4 * rho_lo, 4 * rho_hi
     c = -2 * n * n + 3 * n - 6  # 8 L_n + 4 rho
-    lo = nextafter(c - rho4_hi, down) / 8
-    hi = nextafter(c + 8 - rho4_lo, up) / 8
+    w = nextafter(nextafter(8 * rho_hi * nextafter(rho_hi + 1, up), up) + 3, up)
+    w = min(0.5625, nextafter(w / (24 * n - 7), up))
+    lo = nextafter(nextafter(c - rho4_hi, down) + 3.5, down) / 8
+    hi = nextafter(nextafter(nextafter(c - rho4_lo, up) + 3.5, up) / 8 + w, up)
     for j in range(n - 1, 0, -1):
         j2 = j * j
         m = (j2 + j + 1) / 2
@@ -645,7 +654,7 @@ def _search_to_n_max(rho, width, n0, n_max):
         lo, hi = tail_interval.bounds_at(*rho, n)
         if hi - lo <= width or n == n_max:
             return hi - lo <= width
-        target = n * max(growth, 1.01 * ((hi - lo) / width) ** (1 / 3))
+        target = n * max(growth, 1.01 * ((hi - lo) / width) ** (1 / 4))
         n = math.ceil(target) if target < n_max else n_max
         growth = 2.0
 
