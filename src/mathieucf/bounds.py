@@ -19,7 +19,7 @@ import math
 from typing import Callable, Optional, Tuple
 
 from .oracles import ZETA3
-from .series import _Record, _require_positive_r, _set, _summand_overflow, mathieu_theorem1
+from .series import _Record, _overflow, _require_positive_r, _set, mathieu_theorem1
 
 __all__ = [
     "BoundResult",
@@ -52,10 +52,19 @@ class BoundResult(_Record):
         return self.upper - self.lower
 
 
-def makai_bounds(r: float) -> BoundResult:
-    """1/(r^2 + 1/2) < S(r) < 1/(r^2 + 1/6)."""
+def _squared(r: float) -> float:
+    """r^2 for a positive r, or a named OverflowError where it overflows
+    float64: 1/(r^2 + c) would pass 0.0 off as an upper bound."""
     _require_positive_r(r)
     rr = r * r
+    if rr == math.inf:
+        raise _overflow(r, "r^2")
+    return rr
+
+
+def makai_bounds(r: float) -> BoundResult:
+    """1/(r^2 + 1/2) < S(r) < 1/(r^2 + 1/6)."""
+    rr = _squared(r)
     return BoundResult("makai", 1 / (rr + 0.5), 1 / (rr + 1 / 6))
 
 
@@ -65,8 +74,7 @@ def alzer_bounds(r: float) -> BoundResult:
     Both constants are sharp: the lower as r -> 0 (where S(0) = 2 zeta(3)),
     the upper as r -> infinity.
     """
-    _require_positive_r(r)
-    rr = r * r
+    rr = _squared(r)
     return BoundResult("alzer", 1 / (rr + 1 / (2 * ZETA3)), 1 / (rr + 1 / 6))
 
 
@@ -80,7 +88,10 @@ def mp_upper(r: float) -> BoundResult:
     if r <= math.sqrt(3) / 2:
         value = 1 / (r * r + 0.25)
     else:
-        value = 1 / (math.sqrt(1 + 4 * r * r) - 1)
+        rr4 = 4 * r * r
+        if rr4 == math.inf:
+            raise _overflow(r, "4r^2")
+        value = 1 / (math.sqrt(1 + rr4) - 1)
     return BoundResult("mp", None, value)
 
 
@@ -113,7 +124,7 @@ def closed_form_bounds(r: float, k: int) -> BoundResult:
     _require_positive_r(r)
     if k not in (2, 3):
         raise ValueError(f"closed forms are available for k in {{2, 3}}; got {k}")
-    rr = r * r
+    rr = _squared(r)
     try:
         if k == 2:
             head = 2 / (1 + rr) ** 2
@@ -121,7 +132,7 @@ def closed_form_bounds(r: float, k: int) -> BoundResult:
         head = 2 / (1 + rr) ** 2 + 4 / (4 + rr) ** 2
         return BoundResult("closed_form(3)", head + 1 / (rr + 6.5), head + 1 / (rr + 6.0))
     except OverflowError:
-        raise _summand_overflow(r) from None
+        raise _overflow(r) from None
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

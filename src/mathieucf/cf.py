@@ -60,10 +60,14 @@ contracted approximant N with tail t, and
 Claim: for every integer N >= N_0(rho), the least one with N >= 4,
 N >= 2 rho + 2 and N >= 16 rho (rho + 1)/27 + 1, T lies in S_N(V_N), where
 
-    V_N = [L_N + 7/16, L_N + 7/16 + w_N],
-    w_N = min(9/16, (8 rho^2 + 8 rho + 3)/(24N - 7)),
+    V_N = [L_N + c-_N, L_N + c+_N],    A = 8 rho^2 + 8 rho + 3,
+    c+_N = 7/16 + A/(16 (2N - 1)),    c-_N = c+_N - (rho + 1)^4/(12 N^3),
 
-a subset of [L_N, U_N] about 1/(8N) wide for small rho.
+a subset of [L_N, U_N] (rho + 1)^4/(12 N^3) wide.  The level-N tail
+t_N of T (T = S_N(t_N)) has t_N - L_N = 7/16 + A/(32N) + A/(64N^2) +
+a_3/N^3 + ..., with a_3 = -(16 rho^4 + 64 rho^3 + 72 rho^2 + 40 rho +
+7)/384, so c+_N and c-_N sit (rho + 1)^4/(24 N^3) above and below it, to
+third order.
 
 Tails.  Let h >= 0 be a tail after a_{2N} of ``ab_form``, so the
 approximant is a_1/(b_1 + ... + a_{2N}/(1 + h)).  Its level-N contracted
@@ -81,9 +85,9 @@ since t > -a_{2n+2} there and b'_{n+1} - a_{2n+2} = a_{2n+1} + b_{2n+1},
 and on [L_{n+1}, 0], since b'_{n+1} + L_{n+1} = (2n^2 + 3n + 4 rho - 1)/8.
 
 Six facts.  ``tests/test_cf.py`` rebuilds each difference as an exact
-``Fraction`` rational function on an (N, rho) grid, or (N, rho, w) for (i')
-and (ii'), with more points than its degree, so each equality is an
-identity, and checks each sign from N_0(rho) on.
+``Fraction`` rational function on an (N, rho) grid with more points than
+its degree, so each equality is an identity, and checks each sign from
+N_0(rho) on.
 
 (i)   s_{N+1}(L_{N+1}) - L_N = P_1 / (8 (4N^2 - 1)(2N^2 + 3N + 4 rho - 1)),
       P_1 = 84N^3 + 64N^2 rho^2 + 64N^2 rho - 25N^2 - 21N - 16 rho^2 - 20 rho + 6
@@ -100,37 +104,50 @@ identity, and checks each sign from N_0(rho) on.
       28N^3 - 44N^2 - 6N + 12 > 0 for N >= 2; so Q >= 4N^5 - 15N^4 > 0
       for N >= 4.
 (iv)  U_N = -(2N^2 - 3N + 4 rho - 2)/8 <= 0 for N >= 2.
+(v)   s_{N+1}(L_{N+1} + c+_{N+1}) - (L_N + c+_N)
+          = -(rho + 1)^4
+            / (2 (2N - 1)(N^3 + 2N^2 + 2 (rho + 1) N + (rho + 1)^2)),
+      which is < 0 for N >= 1.
+(vi)  s_{N+1}(L_{N+1} + c-_{N+1}) - (L_N + c-_N)
+          = (rho + 1)^4 P / (12 N^3 (2N - 1) Q'),
+      P  = 36N^6 - 18N^5 + 6 (4 rho^2 + 16 rho - 1) N^4
+           + 18 (2 rho^2 + 6 rho + 1) N^3
+           - 2 (2 rho^4 + 8 rho^3 + 3 rho^2 - 4 rho + 5) N^2
+           - 6 (rho + 1)(rho + 3) N + (rho + 1)^2 (rho^2 + 2 rho - 5),
+      Q' = 6N^6 + 30N^5 + (12 rho + 66) N^4 + (6 rho^2 + 48 rho + 84) N^3
+           + (18 rho^2 + 72 rho + 66) N^2
+           - (2 rho^4 + 8 rho^3 - 6 rho^2 - 40 rho - 28) N
+           - rho^4 - 4 rho^3 + 8 rho + 5.
+      Written in rho and t = N - 2 rho - 2, P and Q' have only non-negative
+      coefficients, and constant terms 1695 and 3397 (rho = t = 0): both
+      are positive, and so is (vi), for N >= 2 rho + 2.
 
-With the offset c = 7/16 + w at levels N and N + 1,
-    s_{N+1}(L_{N+1} + c) - (L_N + c) = P / (16 (4N^2 - 1)(4N^2 + 6N + 8 rho + 16w + 5)),
-    P = -768N^3 w + (256 rho^2 + 256 rho + 96 - 1024 w^2) N^2 + 192N w
-        - 64 rho^2 - 80 rho + 256 w^2 - 25,
-and at w = 9/16 (c = 1) P = 4 P_2.
-(i')  At w = 0, P = (256 rho^2 + 256 rho + 96) N^2 - 64 rho^2 - 80 rho - 25
-      >= 192 rho^2 + 176 rho + 71 > 0 for N >= 1.
-(ii') If 0 < w and w (24N - 7) >= 8 rho^2 + 8 rho + 3, then
-      (256 rho^2 + 256 rho + 96) N^2 <= 768N^3 w - 224N^2 w, so
-      P <= -32N w (7N - 6) - (1024N^2 - 256) w^2 < 0 for N >= 1.
-
-Value sets.  Let M > N >= N_0; (i) to (iv) then hold at every level from
-N on, and w_n falls as n grows.  By (i'), s_{n+1} maps [L_{n+1} + 7/16, 0]
-into [L_n + 7/16, 0] (s_{n+1}(0) = a'_{n+1}/b'_{n+1} < 0), so f_{2M}'s
-level-N tail lies in [L_N + 7/16, 0].  Write V'_n = [tau_n, L_n + 7/16 +
-w_n].  As s_{n+1} increases and w_{n+1} <= w_n, s_{n+1}(L_{n+1} + 7/16 +
-w_{n+1}) <= L_n + 7/16 + w_n: by (ii') at w = w_n where w_n < 9/16, and by
-(ii) where w_n = 9/16.  With t >= tau_n, s_{n+1} so maps V'_{n+1} into
-V'_n, and tau_M <= L_M by (iii), so f_{2M+1}'s level-N tail lies in V'_N.
-By (iii) and (iv) both intervals lie in [tau_N, 0], where S_N is a
-homeomorphism onto its image.  Both f_{2M} and f_{2M+1} tend to T as M
-grows, so T = S_N(t) for a t in [L_N + 7/16, 0] and in V'_N, that is in
-V_N; and S_N(V_N) is the interval between S_N at its two ends.  (With
-7/16 and w_N replaced by 0 and 1, (i) and (ii) give the same argument for
-[L_N, U_N].)
+Value sets.  Let M > N >= N_0; (iii) to (vi) then hold at every level
+from N on, and so do 7/16 <= c-_n < c+_n <= 1: with n >= 2 rho + 2,
+3 A n^2 >= 12 A (rho + 1)^2 >= 8 (rho + 1)^4, that is (rho + 1)^4/(12 n^3)
+<= A/(32n) <= c+_n - 7/16; and with n >= 16 rho (rho + 1)/27 + 1,
+9 (2n - 1) >= 32 rho (rho + 1)/3 + 9 >= A.  So V_n lies in [L_n, U_n],
+U_n <= 0 by (iv), and s_{n+1} increases on [L_{n+1}, 0].  By
+(vi), s_{n+1} maps [L_{n+1} + c-_{n+1}, 0] into [L_n + c-_n, 0]
+(s_{n+1}(0) = a'_{n+1}/b'_{n+1} < 0), so f_{2M}'s level-N tail lies in
+[L_N + c-_N, 0].  Write V'_n = [tau_n, L_n + c+_n].  As s_{n+1} increases,
+(v) gives s_{n+1}(t) < L_n + c+_n for t in V'_{n+1}, and t >= tau_{n+1}
+gives s_{n+1}(t) >= tau_n (a level-n tail of a truncation); so s_{n+1}
+maps V'_{n+1} into V'_n, and tau_M <= L_M by (iii), so f_{2M+1}'s level-N
+tail lies in V'_N.  By (iii) and (iv) both intervals lie in [tau_N, 0],
+where S_N is a homeomorphism onto its image.  Both f_{2M} and f_{2M+1}
+tend to T as M grows, so T = S_N(t) for a t in [L_N + c-_N, 0] and in
+V'_N, that is in V_N; and S_N(V_N) is the interval between S_N at its two
+ends.  (With c-_n and c+_n replaced by 0 and 1, (i) and (ii) give the same
+argument for [L_N, U_N].)
 
 Floating point.  ``tail_interval.bounds_at`` evaluates S_N(V_N) in one
-backward pass from V_N, with w_N rounded up at the upper end of rho's
-bracket (``math.nextafter`` after each rounding, sound at any magnitude),
-a'_{j+1} = -g_j (j^2 + 4 rho), g_j = j^4/(4(4j^2 - 1)), and
+backward pass from a set that holds V_N for every rho in its bracket:
+L_N at the end of the bracket that widens the set, c+_N - 7/16 rounded up
+at the upper end, and c-_N - 7/16 rounded down with A at the lower end and
+(rho + 1)^4/(12 N^3) at the upper end (``tail_interval.offsets``), with
+``math.nextafter`` after each rounding of the start, sound at any
+magnitude.  The pass uses a'_{j+1} = -g_j (j^2 + 4 rho), g_j = j^4/(4(4j^2 - 1)), and
 b'_{j+1} = m_j + rho, m_j = (j^2 + j + 1)/2.  Each
 step maps interval ends to interval ends (s_{j+1} increases; 1/(b'_1 + t)
 decreases), rho is bracketed by r*r rounded down and up ([0, 2^-1074] where
@@ -147,20 +164,20 @@ x - 2^(q-1) = x*d itself (x >= 2^-1021 keeps the binade below normal).
 x/d = x + x 2^-53 + x 2^-106/d lies strictly between x + 2^(q-1) and
 x + 3 2^(q-1), so it rounds to x + 2^q (inf past the largest float).
 
-The lemma covers every rounded result of the pass, which carries u = -t
-in [u_lo, u_hi].  Each product and quotient is at least
+The lemma covers every rounded result of the pass after its start, which
+carries u = -t in [u_lo, u_hi].  Each product and quotient is at least
 1/(24 (n^2 + rho + 1)) with rho < n (N_0 >= 2 rho + 2), far above
 2^-1021: the numerator factors are at least 1 and g_j >= 1/12, the
 denominators at most 2 (m_j + rho + 1), and 1/(1/2 + rho + t) at level 0
-is at least 1/(2 rho + 2).  The sums j^2 + 4 rho, m_j + rho and those of
-the start are at least 1; a denominator m_j + rho - u that lands below
+is at least 1/(2 rho + 2).  The sums j^2 + 4 rho and m_j + rho
+are at least 1; a denominator m_j + rho - u that lands below
 2^-1021 is exact, as a difference of two multiples of 2^-1074 that is one
 itself, and a non-positive one raises.  A u_hi that overflows makes the
 next denominator -inf, which raises; u_lo is bounded by u_hi operand by
 operand, so it overflows only with it.  Exact are j, j^2, m_j
 (m_{j-1} = m_j - j) and 2n^2 - 3n + 6, integers below 2^53 for n < 2^26
-(``tail_interval.MAX_LEVEL`` caps N there), as are 4 rho and the
-division by 8; g_j is a correctly rounded int
+(``tail_interval.MAX_LEVEL`` caps N there), as are 4 rho, 32N - 16, 12N
+and the start's division by 8; g_j is a correctly rounded int
 quotient, read from a table.  So the computed ends enclose S_N(V_N).  Above
 2^-1021 each step lands on the float that ``math.nextafter`` gives, so the
 ends are those of a pass with a ``nextafter`` call after every rounding.

@@ -229,8 +229,8 @@ def _require_positive_r(r: float) -> None:
         raise ValueError(f"r must be > 0; got {r!r}")
 
 
-def _summand_overflow(r: float) -> OverflowError:
-    return OverflowError(f"(m^2 + r^2)^2 overflows float64 at r={r!r}")
+def _overflow(r: float, quantity: str = "(m^2 + r^2)^2") -> OverflowError:
+    return OverflowError(f"{quantity} overflows float64 at r={r!r}")
 
 
 def mathieu_partial_sum(r: float, k: int) -> float:
@@ -239,7 +239,7 @@ def mathieu_partial_sum(r: float, k: int) -> float:
     try:
         return math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, k))
     except OverflowError:
-        raise _summand_overflow(r) from None
+        raise _overflow(r) from None
 
 
 def mathieu_direct(
@@ -311,7 +311,7 @@ def mathieu_direct(
         M = min(math.ceil(M), max(math.ceil((0.75 / tol) ** 0.25), math.ceil(r)))
     rr = r * r
     if rr == math.inf:
-        raise _summand_overflow(r)
+        raise _overflow(r)
     try:
         # Float counters give the int counters' bits for M < 2^53: m + m is
         # exact, float m * m is the rounded m^2 that the int product becomes
@@ -329,7 +329,7 @@ def mathieu_direct(
             lower = 1 / ((M + 1) ** 2 + rr) + (R + 1) / ((R + 1) ** 2 + rr) ** 2
             upper = 1 / (M * M + rr) - 1 / (R * R + rr) + 1 / ((R + 0.5) ** 2 + rr)
     except OverflowError:
-        raise _summand_overflow(r) from None
+        raise _overflow(r) from None
     return Enclosure(partial + lower, partial + upper)
 
 
@@ -439,11 +439,11 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     with it the bracketing guarantee — fails.
 
     At z = 0 (float r, x = 1.0) the bracket narrows only like 1/n.  There,
-    with width > 0, a walk of 2 max(N_0, 64) terms that leaves the width
+    with width > 0, a walk of 2 max(N_0, 32) terms that leaves the width
     unmet gives way to the tail interval S_N(V_N) of the contracted
     fraction, N <= min(max_terms/2, 2^26 - 1), reported as 2N terms (the
-    pass is exact below 2^26 levels): V_N narrows like 1/N, so the
-    result's width falls like N^-4.  Rounded outward, it holds T(r, 1) in
+    pass is exact below 2^26 levels): V_N narrows like N^-3, so the
+    result's width falls like N^-6.  Rounded outward, it holds T(r, 1) in
     floating point, also where r^2 underflows and the walk cannot start
     (proof in the ``cf`` module docstring).
     """

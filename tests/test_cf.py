@@ -273,8 +273,10 @@ def _w(rho, n):
 
 
 def _narrowed_difference(r, n, w):
-    """s_{n+1}(L_{n+1} + c) - (L_n + c) at c = 7/16 + w, behind (i') and
-    (ii'): computed, in closed form, and the closed form's numerator P."""
+    """s_{n+1}(L_{n+1} + c) - (L_n + c) at c = 7/16 + w: computed, in closed
+    form, and the closed form's numerator P.  Its signs at w = 0 (i') and
+    at w = w_n (ii') show that the wider set [L_n + 7/16, L_n + 7/16 + w_n],
+    about 1/(8n) across, also holds the tail."""
     s, lower, _ = _tail_steps(r)
     rho = r * r
     c = Fraction(7, 16) + w
@@ -285,8 +287,85 @@ def _narrowed_difference(r, n, w):
     return computed, closed, p
 
 
+def _offsets(rho, n):
+    """c-_n and c+_n of the tail set V_n = [L_n + c-_n, L_n + c+_n], exact."""
+    c_plus = Fraction(7, 16) + (8 * rho**2 + 8 * rho + 3) / Fraction(16 * (2 * n - 1))
+    return c_plus - (rho + 1)**4 / Fraction(12 * n**3), c_plus
+
+
+def _p_vi(n, rho):
+    """The numerator P of (vi)."""
+    return (36 * n**6 - 18 * n**5 + 6 * (4 * rho**2 + 16 * rho - 1) * n**4
+            + 18 * (2 * rho**2 + 6 * rho + 1) * n**3
+            - 2 * (2 * rho**4 + 8 * rho**3 + 3 * rho**2 - 4 * rho + 5) * n**2
+            - 6 * (rho + 1) * (rho + 3) * n + (rho + 1)**2 * (rho**2 + 2 * rho - 5))
+
+
+def _q_vi(n, rho):
+    """The factor Q' of (vi)'s denominator."""
+    return (6 * n**6 + 30 * n**5 + (12 * rho + 66) * n**4 + (6 * rho**2 + 48 * rho + 84) * n**3
+            + (18 * rho**2 + 72 * rho + 66) * n**2
+            - (2 * rho**4 + 8 * rho**3 - 6 * rho**2 - 40 * rho - 28) * n
+            - rho**4 - 4 * rho**3 + 8 * rho + 5)
+
+
+def _third_order_differences(r, n):
+    """(v) and (vi) at level n: the differences s_{n+1}(L_{n+1} + c) -
+    (L_n + c) at c = c+ and c = c-, computed and in closed form."""
+    s, lower, _ = _tail_steps(r)
+    rho = r * r
+    (lo, hi), (lo_next, hi_next) = _offsets(rho, n), _offsets(rho, n + 1)
+    computed = (s(n, lower(n + 1) + hi_next) - (lower(n) + hi),
+                s(n, lower(n + 1) + lo_next) - (lower(n) + lo))
+    closed = (-(rho + 1)**4 / (2 * (2 * n - 1) * (n**3 + 2 * n**2 + 2 * (rho + 1) * n
+                                                   + (rho + 1)**2)),
+              (rho + 1)**4 * _p_vi(n, rho) / (12 * n**3 * (2 * n - 1) * _q_vi(n, rho)))
+    return computed, closed
+
+
+class _Poly(dict):
+    """A polynomial in (rho, t), {(i, j): coefficient of rho^i t^j}: ring
+    enough to expand P and Q' at n = 2 rho + 2 + t."""
+
+    @staticmethod
+    def of(v):
+        return v if isinstance(v, _Poly) else _Poly({(0, 0): v})
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for key, c in _Poly.of(other).items():
+            out[key] = out.get(key, 0) + c
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly({key: -c for key, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -_Poly.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = _Poly()
+        for (i, j), c in self.items():
+            for (k, m), d in _Poly.of(other).items():
+                out[i + k, j + m] = out.get((i + k, j + m), 0) + c * d
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        out = _Poly.of(1)
+        for _ in range(e):
+            out = out * self
+        return out
+
+
 class TestTailIntervalProof:
-    """The four facts behind the z = 0 tail interval, in exact rationals."""
+    """The facts behind the z = 0 tail interval, in exact rationals."""
 
     def test_closed_forms_are_identities(self):
         # Times its closed form's denominator, each computed difference is a
@@ -346,17 +425,59 @@ class TestTailIntervalProof:
             # The upper end of V_{n+1} maps to at most that of V_n.
             assert s(n, top(n + 1, w_next)) <= top(n, w), n
 
-    @pytest.mark.parametrize("rho", [5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 0.0025,
-                                     0.3, 1.0, 6.25, 12.25, 100.0, 1e4])
-    def test_float_width_bound_rounds_up(self, rho):
-        # Subnormal rho, where 8 rho (rho + 1) rounds to a multiple of
-        # 2^-1074, and the levels around the switch from 9/16 to the bound.
-        exact = Fraction(rho)
-        switch = math.floor((Fraction(16, 9) * (8 * exact**2 + 8 * exact + 3) + 7) / 24) + 1
-        assert _w(exact, switch) < Fraction(9, 16)
-        assert switch == 1 or _w(exact, switch - 1) == Fraction(9, 16)
-        for n in {1, 4, 64, 1000, 100_000, tail_interval.MAX_LEVEL,
-                  max(switch - 1, 1), switch, switch + 1}:
-            w = tail_interval.width_bound(rho, n)
-            assert _w(exact, n) <= Fraction(w) <= Fraction(9, 16), n
+    def test_third_order_closed_forms_are_identities(self):
+        # Times the product of the denominators of its terms and its closed
+        # form, each difference minus its closed form is a polynomial of
+        # degree at most 24 in n and 12 in rho (12 and 6 for (v)): vanishing
+        # on a 25 x 13 grid of (n, rho), it vanishes identically.
+        for n in range(1, 26):
+            for r in [Fraction(k, 5) for k in range(1, 14)]:
+                computed, closed = _third_order_differences(r, n)
+                assert computed == closed, (n, r)
 
+    @pytest.mark.parametrize("r", [Fraction(1, 10**80), Fraction(1, 20), Fraction(1, 3),
+                                   Fraction(1), Fraction(5, 2), Fraction(7, 2), Fraction(5),
+                                   Fraction(10), Fraction(100)])
+    def test_third_order_signs_from_n0_on(self, r):
+        rho = r * r
+        n0 = _n0(rho)
+        s, lower, _ = _tail_steps(r)
+        for n in [*range(n0, n0 + 25), 2 * n0, 10 * n0, 100 * n0]:
+            (v, vi), _ = _third_order_differences(r, n)
+            assert v < 0 and vi > 0, n
+            assert _p_vi(n, rho) > 0 and _q_vi(n, rho) > 0, n
+            # 7/16 <= c- < c+ <= 1: V_n lies in [L_n, U_n].
+            lo, hi = _offsets(rho, n)
+            assert Fraction(7, 16) <= lo < hi <= 1, n
+            # Both ends map inward, so V_{n+1} maps into V_n.
+            lo_next, hi_next = _offsets(rho, n + 1)
+            assert lower(n) + lo < s(n, lower(n + 1) + lo_next), n
+            assert s(n, lower(n + 1) + hi_next) < lower(n) + hi, n
+
+    def test_third_order_numerator_is_positive_from_2_rho_plus_2(self):
+        # At n = 2 rho + 2 + t, P and Q' have no negative coefficient in
+        # (rho, t), and a positive constant term: (vi) > 0 for every
+        # n >= 2 rho + 2, a bound that N_0 includes.
+        rho, t = _Poly({(1, 0): 1}), _Poly({(0, 1): 1})
+        n = 2 * rho + 2 + t
+        for poly, constant in ((_p_vi(n, rho), 1695), (_q_vi(n, rho), 3397)):
+            assert min(poly.values()) >= 0
+            assert poly[0, 0] == constant
+            assert len(poly) == 28
+
+    @pytest.mark.parametrize("rho", [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200,
+                                     0.0025, 0.3, 1.0, 6.25, 12.25, 100.0, 1e4])
+    def test_float_width_bound_rounds_up(self, rho):
+        # The float offsets of V_n's ends round outward for every rho in
+        # the bracket, so V_n's float width bounds the exact one from above.
+        # Subnormal rho, where 8 rho (rho + 1) rounds to a multiple of
+        # 2^-1074, and levels around 2^17, where 12 n^3 stops being exact.
+        rho_hi = math.nextafter(rho, math.inf)
+        for n in (1, 4, 32, 1000, 2**17 - 1, 2**17 + 1, 100_000, tail_interval.MAX_LEVEL):
+            for lo_end, hi_end in ((rho, rho), (rho, rho_hi)):
+                e_lo, e_hi = tail_interval.offsets(lo_end, hi_end, n)
+                for exact in (Fraction(lo_end), Fraction(hi_end)):
+                    c_minus, c_plus = _offsets(exact, n)
+                    assert Fraction(e_lo) <= c_minus - Fraction(7, 16), n
+                    assert Fraction(e_hi) >= c_plus - Fraction(7, 16), n
+                    assert Fraction(e_hi) - Fraction(e_lo) >= c_plus - c_minus, n

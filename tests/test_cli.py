@@ -535,8 +535,8 @@ class TestMain:
         assert row["spread"] == max(row["cf"], row["trigamma"], row["integral"]) - min(
             row["cf"], row["trigamma"], row["integral"]
         )
-        # bounds at large r: the reference walk and the cf column overflow,
-        # every gap is None, and the closed columns keep their values.
+        # bounds where r^2 overflows: every column fails with a note, and
+        # no column or gap is left.
         methods = ("makai", "alzer", "mp", "cf", "closed2", "closed3")
         for r in ("1e200", "1e160"):
             assert main(["bounds", "--r", r, "--format", "json"]) == 1
@@ -545,10 +545,14 @@ class TestMain:
             (row,) = strict_json(out.out)["rows"]
             assert row["note"].startswith("failed: s_ref: ")
             assert "; cf: " in row["note"]
-            assert row["s_ref"] is row["cf_lower"] is row["cf_upper"] is None
-            assert all(row[f"{m}_gap_{side}"] is None for m in methods
-                       for side in ("lower", "upper"))
-            assert row["tightest_lower"] is not None and row["tightest_upper"] is not None
+            overflow = f"r^2 overflows float64 at r={float(r)!r}"
+            for name in ("makai", "alzer", "closed2", "closed3"):
+                assert f"; {name}: {overflow}" in row["note"]
+            assert f"; mp: 4{overflow}" in row["note"]
+            assert row["s_ref"] is None
+            assert all(row[f"{m}_{side}"] is None for m in methods
+                       for side in ("lower", "upper", "gap_lower", "gap_upper"))
+            assert row["tightest_lower"] is row["tightest_upper"] is None
         # At r = 1e100 the closed forms' (1 + r^2)^2 overflows too, and each
         # failed column's note names the quantity and r.
         assert main(["bounds", "--r", "1e100", "--format", "json"]) == 1
@@ -598,6 +602,15 @@ class TestMain:
         for row in rows:
             assert row["note"].startswith("failed: ")
             assert row["terms"] is row["median_seconds"] is row["terms_ratio"] is None
+
+    @pytest.mark.parametrize("r", ["1e154", "1e160", "1e300"])
+    def test_no_upper_bound_is_zero_at_large_r(self, r, capsys):
+        # S(r) > 0 at every r, so an upper column of 0.0 would sit below it:
+        # where r^2 or 4r^2 overflows, the column fails with a note instead.
+        assert main(["bounds", "--r", r, "--format", "json"]) == 1
+        (row,) = strict_json(capsys.readouterr().out)["rows"]
+        uppers = [row[f"{m}_upper"] for m in ("makai", "alzer", "mp", "cf", "closed2", "closed3")]
+        assert all(upper is None or upper > 0 for upper in uppers), uppers
 
     def test_compare_overflow_is_a_row_note(self, capsys):
         # At r = 1e100 the cf head sum overflows and only trigamma survives

@@ -556,6 +556,19 @@ class TestTailInterval:
         assert lo <= ref_lo <= ref_hi <= hi
         assert hi - lo <= 1.3 * (ref_hi - ref_lo)
 
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        r=st.floats(math.log(1e-3), math.log(20.0)).map(math.exp)
+        | st.floats(math.log(1e-157), math.log(1e-3)).map(math.exp),
+        depth=st.floats(1.0, 4.0),
+    )
+    def test_pass_contains_mpmath_value(self, r, depth):
+        # From N_0 to 4 N_0, where the tail set sits closest to the tail.
+        rho = _rho_bracket(r)
+        n = math.ceil(depth * math.ceil(tail_interval.n0_bound(rho[1])))
+        lo, hi = tail_interval.bounds_at(*rho, n)
+        assert mpmath.mpf(lo) <= mpmath_s(r, 50) <= mpmath.mpf(hi)
+
     @pytest.mark.parametrize("r, n", [(0.05, 64), (1.0, 65), (2.5, 900), (1e-157, 3000)])
     def test_levels_above_the_table(self, monkeypatch, r, n):
         # Levels past the g table take one int quotient each, in order.
@@ -566,7 +579,7 @@ class TestTailInterval:
         assert len(tail_interval._G) == 64
 
     # Outside the pass's domain: rho < 0.
-    @pytest.mark.parametrize("rho, n, level", [(-1.0, 1, 0), (-5.0, 3, 2), (-20.0, 10, 2)])
+    @pytest.mark.parametrize("rho, n, level", [(-1.0, 1, 0), (-5.0, 4, 1), (-20.0, 10, 2)])
     def test_non_positive_denominator_raises(self, rho, n, level):
         message = f"^tail interval lost its bound at level {level}$"
         with pytest.raises(ArithmeticError, match=message):
@@ -576,9 +589,9 @@ class TestTailInterval:
 
     @pytest.mark.parametrize("r", [0.05, 1.0, 2.5])
     def test_deep_level_counts(self, r):
-        # Across the deep workload's r range, 1e-12 within 2,000 terms.
+        # Across the deep workload's r range, 1e-12 within 200 terms.
         bracket = tail_enclosure(r, 1.0, 1e-12)
-        assert bracket.achieved and bracket.terms_used <= 2000
+        assert bracket.achieved and bracket.terms_used <= 200
 
     def test_levels_stay_below_two_to_the_26(self, monkeypatch):
         # bounds_at is exact only below 2^26 levels, whatever the term cap;
@@ -586,8 +599,9 @@ class TestTailInterval:
         levels = []
 
         def wide(rho_lo, rho_hi, n):
+            # The n^-6 law, meeting no width of an ulp or more below 2^26.
             levels.append(n)
-            return 0.0, 1.0
+            return 1.0 - 2.0 ** -52 * (2 ** 27 / n) ** 6, 1.0
 
         monkeypatch.setattr(tail_interval, "bounds_at", wide)
         bracket = tail_enclosure(1.0, 1.0, 1e-300, 2 ** 28)
@@ -595,6 +609,15 @@ class TestTailInterval:
         assert bracket.terms_used == 2 * tail_interval.MAX_LEVEL and not bracket.achieved
         # With N_0 above the cap no tail interval serves: the walk answers.
         assert tail_interval.start(MathieuCFParams(1e4, 1.0), 1e-12, 2 ** 30) is None
+
+    @pytest.mark.parametrize("r, width", [(0.05, 1e-300), (0.3, 9e-15), (1.0, 2.5e-15)])
+    def test_width_below_the_floor_stops_near_it(self, r, width):
+        # Out of reach at any level: the search aims at no less than an
+        # ulp-scale width, and stops where the width stops falling, not at
+        # the cap.
+        bracket = tail_enclosure(r, 1.0, width)
+        assert not bracket.achieved and bracket.terms_used <= 2000
+        assert bracket.enclosure.width < 1e-13
 
     @pytest.mark.parametrize("max_terms", [20_000, 200_000])
     @pytest.mark.parametrize("r", [1e-3, 0.05, 0.3, 1.0, 2.5, 5.0, 12.0, 20.0])
@@ -618,15 +641,21 @@ def _rho_bracket(r):
 def _reference_bounds_at(rho_lo, rho_hi, n):
     """``tail_interval.bounds_at`` with ``math.nextafter`` after every
     rounding operation and g_j as one int quotient per level; it starts
-    from V_n = [L_n + 7/16, L_n + 7/16 + w_n]."""
+    from V_n = [L_n + c-_n, L_n + c+_n], c+_n = 7/16 + A/(16(2n - 1)),
+    A = 8 rho^2 + 8 rho + 3, and c-_n = c+_n - (rho + 1)^4/(12 n^3)."""
     nextafter = math.nextafter
     down, up = -math.inf, math.inf
     rho4_lo, rho4_hi = 4 * rho_lo, 4 * rho_hi
     c = -2 * n * n + 3 * n - 6  # 8 L_n + 4 rho
-    w = nextafter(nextafter(8 * rho_hi * nextafter(rho_hi + 1, up), up) + 3, up)
-    w = min(0.5625, nextafter(w / (24 * n - 7), up))
-    lo = nextafter(nextafter(c - rho4_hi, down) + 3.5, down) / 8
-    hi = nextafter(nextafter(nextafter(c - rho4_lo, up) + 3.5, up) / 8 + w, up)
+    a_hi = nextafter(nextafter(8 * rho_hi * nextafter(rho_hi + 1, up), up) + 3, up)
+    a_lo = nextafter(nextafter(8 * rho_lo * nextafter(rho_lo + 1, down), down) + 3, down)
+    q = nextafter(rho_hi + 1, up)
+    q = nextafter(q * q, up)
+    gap = nextafter(nextafter(nextafter(nextafter(q * q, up) / n, up) / n, up) / (12 * n), up)
+    e_hi = nextafter(a_hi / (32 * n - 16), up)
+    e_lo = nextafter(nextafter(a_lo / (32 * n - 16), down) - gap, down)
+    lo = nextafter(nextafter(nextafter(c - rho4_hi, down) + 3.5, down) / 8 + e_lo, down)
+    hi = nextafter(nextafter(nextafter(c - rho4_lo, up) + 3.5, up) / 8 + e_hi, up)
     for j in range(n - 1, 0, -1):
         j2 = j * j
         m = (j2 + j + 1) / 2
@@ -654,9 +683,9 @@ def _search_to_n_max(rho, width, n0, n_max):
         lo, hi = tail_interval.bounds_at(*rho, n)
         if hi - lo <= width or n == n_max:
             return hi - lo <= width
-        target = n * max(growth, 1.01 * ((hi - lo) / width) ** (1 / 4))
+        target = n * max(growth, 1.01 * ((hi - lo) / width) ** (1 / 6))
         n = math.ceil(target) if target < n_max else n_max
-        growth = 2.0
+        growth = 1.25
 
 
 class TestEnclosureIdentity:
@@ -678,8 +707,8 @@ class TestEnclosureIdentity:
         assert enc.contains(S_AT_1)
 
     def test_adaptive_cap_reported(self):
-        enc, terms, achieved = theorem1_to_width(1.0, 1, 1e-12, max_terms=1000)
-        assert not achieved and terms == 1000
+        enc, terms, achieved = theorem1_to_width(1.0, 1, 1e-12, max_terms=150)
+        assert not achieved and terms == 150
         assert enc.width > 1e-12
         assert enc.contains(S_AT_1)  # still certified, just wide
 
