@@ -22,10 +22,11 @@ JSON and CSV outputs serialize floats via ``repr``, which round-trips
 bit-exactly; a parsed output file reproduces the in-memory rows.
 
 JSON is written byte for byte as ``json.dumps(payload, indent=2)`` would,
-by CPython's C encoder (``_json``, which ``json.encoder`` wraps) called
-directly: one encoder per indent depth, built once, writes all the rows in
-a single call.  Importing ``json`` would also load its decoder, which
-writing never uses.
+for the one payload shape the commands write: ``version`` and ``config``
+dicts of scalars and flat tuples, then a list of flat dict rows.  CPython's
+C encoder (``_json``, which ``json.encoder`` wraps) is called directly: one
+encoder per indent depth, built once, writes all the rows in a single call.
+Importing ``json`` would also load its decoder, which writing never uses.
 
 This module is the eval path: the config, ``eval`` itself, the JSON writer,
 the parser and ``main``.  The other subcommands and the csv and table
@@ -247,9 +248,6 @@ def cmd_eval(cfg: RunConfig) -> Tuple[List[Row], int]:
 # serialization
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
 def _unserializable(obj: Any):
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
@@ -270,80 +268,39 @@ def _encode(obj: Any, depth: int) -> str:
     return "".join(_encoder(depth)(obj, 0))
 
 
-def _key(key: Any) -> str:
-    """A dict key as ``json.dumps`` writes it: int, float, bool and None keys
-    become their JSON text, and every key is quoted."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-        key = _encode(key, 0)
-    return _json.encode_basestring_ascii(key)
-
-
-def _flat(values) -> bool:
-    for value in values:
-        if isinstance(value, _CONTAINERS) and value:
-            return False
-    return True
-
-
-def _are_rows(items: Sequence) -> bool:
-    """Whether every item is a non-empty flat dict (one holding no non-empty
-    dict, list or tuple), as every command's rows are."""
-    types = set()
-    for item in items:
-        if not (isinstance(item, dict) and item):
-            return False
-        types.update(map(type, item.values()))
-    if any(issubclass(t, _CONTAINERS) for t in types):
-        return all(_flat(item.values()) for item in items)  # {} or [] values
-    return True
-
-
-def _to_json(obj: Any, depth: int, open_ids: set) -> str:
-    """``obj`` as ``json.dumps(indent=2)`` writes it at ``depth``.
-    ``open_ids`` holds the ids of the containers being written around it, so
-    a cycle raises as ``json.dumps`` does instead of recursing without end."""
-    if not (isinstance(obj, _CONTAINERS) and obj):
-        return _encode(obj, depth)  # a scalar, {} or []
-    inner, outer = "  " * (depth + 1), "  " * depth
-    if not isinstance(obj, dict) and _are_rows(obj):
-        # One call writes every row at the rows' items' depth.  Each raw
-        # newline in its output is a separator (ensure_ascii escapes those in
-        # strings), and inside a row one is always followed by a key's quote,
-        # so "}" + separator + "{" only occurs between rows.
-        row = "  " * (depth + 2)
-        text = _encode(obj, depth + 2).replace(
-            f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}")
-        return f"[\n{inner}{{\n{row}{text[2:-2]}\n{inner}}}\n{outer}]"
-    if _flat(obj.values() if isinstance(obj, dict) else obj):
-        # One encoder call writes every item on its own indented line.
-        text = _encode(obj, depth + 1)
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
-    if id(obj) in open_ids:
-        raise ValueError("Circular reference detected")
-    open_ids.add(id(obj))
-    if isinstance(obj, dict):
-        items = [f"{_key(k)}: {_to_json(v, depth + 1, open_ids)}" for k, v in obj.items()]
-        brackets = "{}"
-    else:
-        items = [_to_json(v, depth + 1, open_ids) for v in obj]
-        brackets = "[]"
-    open_ids.remove(id(obj))
-    body = (",\n" + inner).join(items)
-    return f"{brackets[0]}\n{inner}{body}\n{outer}{brackets[1]}"
+def _value(obj: Any, depth: int) -> str:
+    """A scalar, or a dict, list or tuple of scalars, at ``depth``: one
+    encoder call writes every item on its own indented line."""
+    text = _encode(obj, depth + 1)
+    if text[0] not in "[{" or len(text) == 2:  # a scalar, {} or []
+        return text
+    return f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
 
 
 def payload_to_json(payload: Dict[str, Any]) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte.
-
-    With ``indent`` set, ``json`` walks the payload in pure Python.  Here a
-    list of rows goes through the C encoder in a single call, each other
-    flat container in one call of its own, and only the containers above
-    them are assembled by hand.
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, for the
+    shape the commands write: a non-empty dict, str keys, whose values are
+    scalars, dicts of scalars and flat tuples, or a list of non-empty dict
+    rows whose values are scalars, ``{}`` or ``[]``.  ``json`` with
+    ``indent`` walks it in pure Python; here the rows take one C encoder
+    call, and each other value and tuple one call of its own.
     """
-    return _to_json(payload, 0, set()) + "\n"
+    quote = _json.encode_basestring_ascii
+    items = []
+    for key, value in payload.items():
+        if isinstance(value, list) and value:
+            # A raw newline in the rows' text is a separator (ensure_ascii
+            # escapes those in strings), and one inside a row precedes a
+            # key's quote: "}" + separator + "{" occurs only between rows.
+            text = _encode(value, 3).replace("},\n      {", "\n    },\n    {\n      ")
+            value = f"[\n    {{\n      {text[2:-2]}\n    }}\n  ]"
+        elif isinstance(value, dict) and value:
+            value = ",\n    ".join(f"{quote(k)}: {_value(v, 2)}" for k, v in value.items())
+            value = f"{{\n    {value}\n  }}"
+        else:
+            value = _value(value, 1)
+        items.append(f"{quote(key)}: {value}")
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
 def render(cfg: RunConfig, rows: List[Row]) -> str:

@@ -209,12 +209,8 @@ def cmd_selftest(cfg: RunConfig) -> Tuple[List[Row], int]:
 
 
 def _columns(rows: List[Row]) -> List[str]:
-    cols: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
-    return cols
+    """The first row's keys: every row of a command has the same ones."""
+    return list(rows[0]) if rows else []
 
 
 def _csv_cell(value: Any) -> str:
@@ -234,7 +230,7 @@ def rows_to_csv(rows: List[Row]) -> str:
     cols = _columns(rows)
     writer.writerow(cols)
     for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in cols])
+        writer.writerow([_csv_cell(row[col]) for col in cols])
     return buf.getvalue()
 
 
@@ -277,7 +273,7 @@ def rows_to_table(rows: List[Row]) -> str:
     if not rows:
         return "(no rows)\n"
     cols = _columns(rows)
-    cells = [[_table_cell(row.get(col)) for col in cols] for row in rows]
+    cells = [[_table_cell(row[col]) for col in cols] for row in rows]
     widths = [
         max(len(col), *(len(line[i]) for line in cells)) for i, col in enumerate(cols)
     ]

@@ -438,9 +438,9 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     means "spend the whole budget".  Raises for z < 0, where positivity — and
     with it the bracketing guarantee — fails.
 
-    At z = 0 (float r, x = 1.0) the bracket narrows only like 1/n.  There,
-    with width > 0, a walk of 2 max(N_0, 32) terms that leaves the width
-    unmet gives way to the tail interval S_N(V_N) of the contracted
+    At z = 0 (int or float r, x = 1) the bracket narrows only like 1/n.
+    There, with width > 0, a walk of 2 max(N_0, 32) terms that leaves the
+    width unmet gives way to the tail interval S_N(V_N) of the contracted
     fraction, N <= min(max_terms/2, 2^26 - 1), reported as 2N terms (the
     pass is exact below 2^26 levels): V_N narrows like N^-3, so the
     result's width falls like N^-6.  Rounded outward, it holds T(r, 1) in
@@ -544,10 +544,10 @@ _ASYMPTOTIC_TERM_CAP = 500
 # Bits kept at each end of the bracketed factors of an asymptotic term.
 _G = 128
 _MIN_NORMAL = sys.float_info.min
-# Per _G, entry m is |B_2m numerator| as the bracket (lo, hi, e) that
-# ``_truncated`` gives it, then B_2m's denominator and whether B_2m < 0:
-# the numerators run to thousands of bits, and every call reuses them.
-_B2M_BRACKETS: dict[int, list[tuple[int, int, int, int, bool]]] = {}
+# Entry m is |B_2m numerator| as the bracket (lo, hi, e) that ``_truncated``
+# gives it, then B_2m's denominator and whether B_2m < 0: the numerators run
+# to thousands of bits, and every call reuses them.
+_B2M_BRACKETS: list[tuple[int, int, int, int, bool]] = []
 
 
 def _truncated(lo: int, hi: int, e: int) -> tuple[int, int, int]:
@@ -617,7 +617,7 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     # num2^(m+1) in [nl, nh] * 2^ne and odd2^(m+1) in [ol, oh] * 2^oe.
     nl = nh = ol = oh = 1
     ne = oe = 0
-    brackets = _B2M_BRACKETS.setdefault(_G, [])
+    brackets = _B2M_BRACKETS
     terms: list[float] = []
     first_omitted = None
     m = 0

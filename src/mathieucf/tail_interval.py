@@ -86,9 +86,11 @@ def start(params: MathieuCFParams, width: float, max_terms: int):
     """(r^2 bracketed, N_0, terms of the walk first) when the tail interval
     may serve, else None: the walk alone answers."""
     r, x = params.r, params.x
-    if not (0 < width and params.z == 0 and isinstance(r, float) and isinstance(x, float)):
+    # An int runs as a float does; an exact (Fraction) run is left to the walk.
+    if not (0 < width and params.z == 0 and isinstance(r, (int, float))
+            and isinstance(x, (int, float))):
         return None
-    rr = r * r
+    rr = r * r  # an int past float range raises OverflowError, as the walk would
     rho = max(_down(rr), 0.0), _up(rr)
     floor = n0_bound(rho[1])
     if not floor <= min(max_terms // 2, MAX_LEVEL):

@@ -12,7 +12,7 @@ import mpmath
 import numpy
 import pytest
 from conftest import S_AT_1, ZETA3, fresh_python, mpmath_s
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import CASES as GOLDEN_CASES
 
@@ -333,66 +333,34 @@ _FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, 1.7976931348623157e308, float("inf"), float("-inf"), float("nan")]
 )
 _KEYS = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\n\t\x1f", "\u00e9", "\U0001d11e"])
-_LEAVES = (st.none() | st.booleans() | st.integers(-2**80, 2**80) | _FLOATS
-           | _FLOATS.map(numpy.float64) | _KEYS)
-
-
-def _json_payloads(depth):
-    """A scalar at depth 0; else a dict, list or tuple of items at most
-    ``depth - 1`` deep."""
-    if depth == 0:
-        return _LEAVES
-    items = st.integers(0, depth - 1).flatmap(_json_payloads)
-    return (st.dictionaries(_KEYS, items, max_size=4) | st.lists(items, max_size=4)
-            | st.lists(items, max_size=4).map(tuple))
-
-
-_ANY_KEYS = _KEYS | st.none() | st.booleans() | st.integers(-2**80, 2**80) | _FLOATS
-
-
-def _any_key_payloads(depth):
-    """As ``_json_payloads``, with int, float, bool and None keys as well."""
-    if depth == 0:
-        return _LEAVES
-    items = st.integers(0, depth - 1).flatmap(_any_key_payloads)
-    return st.dictionaries(_ANY_KEYS, items, max_size=4) | st.lists(items, max_size=4)
-
-
 # Text that would fool a row writer which read the encoder's output without
 # knowing that every newline inside a string is escaped.
 _ROW_TEXT = _KEYS | st.sampled_from(["}", "{", '"},\n      {"', "\n", '},\n    {', "}]"])
 _ROW_VALUES = (st.none() | st.booleans() | st.integers(-2**80, 2**80) | _FLOATS
                | _FLOATS.map(numpy.float64) | _ROW_TEXT | st.sampled_from([{}, [], ()]))
 _FLAT_ROWS = st.dictionaries(_ROW_TEXT, _ROW_VALUES, min_size=1, max_size=5)
-# A row holding one non-empty container, which the row writer must not take.
-_NESTED_ROWS = st.builds(lambda row, key, value: {**row, key: value},
-                         _FLAT_ROWS, _ROW_TEXT, st.lists(_ROW_VALUES, min_size=1, max_size=3))
+
+
+# Configs whose rows carry a note: a failed bound column, failed routes, and
+# a tolerance missed at the term cap.
+_NOTE_CASES = {
+    "bounds-r-overflow": ["bounds", "--r", "1e160"],
+    "compare-r-overflow": ["compare", "--r", "1e300"],
+    "eval-term-cap": ["eval", "--r", "1", "--k", "1", "--max-terms", "2"],
+}
 
 
 class TestJsonWriter:
     """``payload_to_json`` writes exactly what ``json.dumps(indent=2)`` does."""
 
-    @settings(derandomize=True, max_examples=400, deadline=None)
-    @given(payload=st.integers(0, 4).flatmap(_json_payloads))
-    def test_matches_json_dumps(self, payload):
-        assert payload_to_json(payload) == json.dumps(payload, indent=2) + "\n"
-
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(payload=st.integers(1, 3).flatmap(_any_key_payloads))
-    @example(payload={1: [1]})
-    @example(payload={2.5: [1], True: {"a": [None]}, None: [], float("nan"): [{}]})
-    def test_non_str_keys_match_json_dumps(self, payload):
-        assert payload_to_json(payload) == json.dumps(payload, indent=2) + "\n"
-
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(rows=st.lists(_FLAT_ROWS, max_size=5),
-           nested=st.none() | st.tuples(st.integers(0, 5), _NESTED_ROWS))
-    def test_rows_match_json_dumps(self, rows, nested):
-        if nested is not None:
-            rows.insert(nested[0], nested[1])
-        payload = {"version": {"schema": SCHEMA_VERSION, "package": __version__},
-                   "config": vars(RunConfig(command="eval")), "rows": rows}
-        assert payload_to_json(payload) == json.dumps(payload, indent=2) + "\n"
+    @given(rows=st.lists(_FLAT_ROWS, max_size=5))
+    def test_rows_match_json_dumps(self, rows):
+        # The shape ``render`` writes, then the one of selftest's round trip.
+        for payload in ({"version": {"schema": SCHEMA_VERSION, "package": __version__},
+                         "config": vars(RunConfig(command="eval")), "rows": rows},
+                        {"config": {"tol": 1e-12}, "rows": rows, "version": 1}):
+            assert payload_to_json(payload) == json.dumps(payload, indent=2) + "\n"
 
     def test_failed_call_leaves_the_writer_usable(self):
         rows = [{"a": 1.5}, {"b": object()}]
@@ -403,28 +371,10 @@ class TestJsonWriter:
         # An encoder that kept the ids of that call would call this circular.
         rows.pop()
         assert payload_to_json({"rows": rows}) == json.dumps({"rows": rows}, indent=2) + "\n"
-        with pytest.raises(TypeError, match="^keys must be str, int, float, bool or None, "
-                                            "not tuple$"):
-            payload_to_json({(1,): [1]})
 
-    def test_cycle_raises_as_json_dumps_does(self):
-        loop = [1]
-        loop.append(loop)
-        node = {"a": 1}
-        node["self"] = [node, 2]
-        for payload in ({"a": loop}, node):
-            with pytest.raises(ValueError, match="^Circular reference detected$"):
-                json.dumps(payload, indent=2)
-            with pytest.raises(ValueError, match="^Circular reference detected$"):
-                payload_to_json(payload)
-        # A container written twice, but not inside itself, is no cycle.
-        shared = [1, [2]]
-        payload = {"a": shared, "b": [shared, {"c": shared}]}
-        assert payload_to_json(payload) == json.dumps(payload, indent=2) + "\n"
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES) + sorted(_NOTE_CASES))
     def test_golden_configs_match_json_dumps(self, name):
-        argv, _ = GOLDEN_CASES[name]
+        argv = _NOTE_CASES[name] if name in _NOTE_CASES else GOLDEN_CASES[name][0]
         cfg = _config_from_args(_build_parser().parse_args(argv + ["--format", "json"]))
         rows, _, text = run(cfg)
         payload = {"version": {"schema": SCHEMA_VERSION, "package": __version__},

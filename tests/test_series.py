@@ -487,11 +487,11 @@ class TestTailInterval:
         max_terms=st.integers(1, 2500),
     )
     def test_kernel_bits_off_the_tail_interval(self, r, x, width, max_terms):
-        # Bit for bit the flat walk whenever z > 0, the width is 0, a
-        # parameter is exact, or the walk meets the width within its warm
-        # start (or no tail interval fits the cap).  Exact walks are kept
-        # short: their rationals grow with every term.
-        if not (isinstance(r, float) and isinstance(x, float)):
+        # Bit for bit the flat walk whenever z > 0, the width is 0, r is a
+        # Fraction, or the walk meets the width within its warm start (or no
+        # tail interval fits the cap).  Exact walks are kept short: their
+        # rationals grow with every term.
+        if isinstance(r, Fraction):
             max_terms = min(max_terms, 30)
         got = _outcome(lambda: tail_enclosure(r, x, width, max_terms))
         kernel = _outcome(lambda: _kernel(r, x, width, max_terms))
@@ -503,7 +503,7 @@ class TestTailInterval:
 
     @pytest.mark.parametrize("r", [4.5, 5.0, 7.0, 10.0])
     def test_walk_that_meets_the_width_is_kept(self, r):
-        # Here the walk meets 1e-12 within 2 max(N_0, 64) terms.
+        # Here the walk meets 1e-12 within 2 max(N_0, PROBE_LEVEL) terms.
         assert tail_enclosure(r, 1.0, 1e-12) == _kernel(r, 1.0, 1e-12, 200_000)
 
     @settings(derandomize=True, max_examples=120, deadline=None)
@@ -586,6 +586,26 @@ class TestTailInterval:
             _reference_bounds_at(rho, rho, n)
         with pytest.raises(ArithmeticError, match=message):
             tail_interval.bounds_at(rho, rho, n)
+
+    @pytest.mark.parametrize("r, x", [(1, 1.0), (0.5, 1), (2, 1), (7, 1), (40, 1.0)])
+    @pytest.mark.parametrize("width", [1e-8, 1e-12, 1e-15])
+    def test_int_parameters_run_as_floats(self, r, x, width):
+        # An int r or x = 1 takes the tail interval as its float twin does,
+        # instead of walking to the term cap.
+        assert tail_enclosure(r, x, width) == tail_enclosure(float(r), float(x), width)
+
+    def test_int_r_meets_the_width_as_a_float_r_does(self):
+        assert theorem1_to_width(1, 1, 1e-12) == theorem1_to_width(1.0, 1, 1e-12)
+        assert theorem1_to_width(1, 1, 1e-12)[1:] == (190, True)
+
+    @pytest.mark.parametrize("r", [10**155, 10**400])
+    def test_int_r_past_float_range_overflows(self, r):
+        # r^2 past float range: the walk's OverflowError, with or without a
+        # tail interval to try first.
+        with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+            tail_enclosure(r, 1.0, 1e-12)
+        with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+            tail_enclosure(r, 1.0, 0.0)
 
     @pytest.mark.parametrize("r", [0.05, 1.0, 2.5])
     def test_deep_level_counts(self, r):
@@ -863,16 +883,19 @@ class TestAsymptotic:
         # the exact route runs often, and the bracket's own rounding is
         # exercised where 128 bits almost never reach it.
         monkeypatch.setattr(series, "_G", 56)
+        monkeypatch.setattr(series, "_B2M_BRACKETS", [])
         self.test_bit_identical_to_fraction_terms(r, n_terms)
 
     def test_bernoulli_brackets_follow_g(self, monkeypatch):
         # The cached |B_2m numerator| brackets are built at the _G in force,
-        # so the 56-bit test above does run on 56-bit Bernoulli brackets.
+        # so the 56-bit test above, with a fresh list, runs on 56-bit
+        # Bernoulli brackets.
         asymptotic(117.0)
+        default = series._B2M_BRACKETS
         monkeypatch.setattr(series, "_G", 56)
+        monkeypatch.setattr(series, "_B2M_BRACKETS", [])
         asymptotic(117.0)
-        for g in (128, 56):
-            brackets = series._B2M_BRACKETS[g]
+        for g, brackets in ((128, default), (56, series._B2M_BRACKETS)):
             assert len(brackets) > 300
             assert g <= max(hi.bit_length() for _, hi, _, _, _ in brackets) <= g + 1
 
