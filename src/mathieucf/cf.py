@@ -342,13 +342,7 @@ def convergent(
     return last
 
 
-def evaluate(
-    cf: ContinuedFraction,
-    tol: float,
-    max_terms: int,
-    *,
-    rescale_at: float = DEFAULT_RESCALE_AT,
-) -> EvalReport:
+def evaluate(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     """Iterate approximants until |f_n - f_{n-1}| <= tol or max_terms.
 
     The delta between successive approximants is a stopping heuristic, not a
@@ -364,7 +358,7 @@ def evaluate(
     value = prev
     delta = math.inf
     terms_used = 0
-    for n, A, B, _ in _recurrence(cf, rescale_at):
+    for n, A, B, _ in _recurrence(cf, DEFAULT_RESCALE_AT):
         if n == 0:
             continue
         value = _ratio(A, B)

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import io
 import math
-import re
 import time
 from typing import Any, Callable, List, Tuple
 
 from . import series
 from .cli import _METHODS, ConfigError, Row, RunConfig, _route
 
-__all__ = ["rows_to_csv", "csv_to_rows", "rows_to_table"]
+__all__ = ["rows_to_csv", "rows_to_table"]
 
 _BOUND_METHODS = ("makai", "alzer", "mp", "cf", "closed2", "closed3")
 
@@ -232,32 +231,6 @@ def rows_to_csv(rows: List[Row]) -> str:
     for row in rows:
         writer.writerow([_csv_cell(row[col]) for col in cols])
     return buf.getvalue()
-
-
-_INT_RE = re.compile(r"^-?\d+$")
-
-
-def _csv_uncell(text: str) -> Any:
-    if text == "":
-        return None
-    if _INT_RE.match(text):
-        return int(text)
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def csv_to_rows(text: str) -> List[Row]:
-    """Inverse of ``rows_to_csv`` for the cell types this package emits."""
-    import csv
-
-    reader = csv.reader(io.StringIO(text))
-    try:
-        cols = next(reader)
-    except StopIteration:
-        return []
-    return [{col: _csv_uncell(cell) for col, cell in zip(cols, row)} for row in reader]
 
 
 def _table_cell(value: Any) -> str:

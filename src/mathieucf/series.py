@@ -188,15 +188,14 @@ class Enclosure(_Record):
 
 class TailBracket(_Record):
     """Enclosure of T(r, x), with its cost: the even/odd-approximant bracket,
-    or at z = 0 the tail interval of 2N terms, N < 2^26 whatever the term
-    cap (see ``tail_enclosure``).
+    or at z = 0 the tail interval (``tail_interval.enclosure``).
 
     ``achieved`` records whether the requested width was reached before the
     term cap; when False, ``enclosure`` is the best enclosure at the cap, or
     for a tail interval the pass at which the search met the rounding floor.
-    For a tail interval, ``terms_used`` counts only the 2N terms of the
-    interval returned: the warm-start walk and the earlier passes of the
-    search for N are not counted, and can cost as much again.
+    For a tail interval at level N, ``terms_used`` is 2N: the walk before it
+    and the earlier passes of ``tail_interval._search`` are not counted, and
+    can cost as much again.
     """
 
     __slots__ = _fields = ("enclosure", "terms_used", "achieved")
@@ -333,7 +332,7 @@ def mathieu_direct(
     return Enclosure(partial + lower, partial + upper)
 
 
-def _bracket_walk(params: MathieuCFParams, width: float, max_terms: int) -> TailBracket:
+def _walk(params: MathieuCFParams, width: float, max_terms: int) -> TailBracket:
     """Walk the approximants of ``ab_form(params)``, tracking the even/odd
     bracket [f_even, f_odd] of its value.
 
@@ -355,7 +354,12 @@ def _bracket_walk(params: MathieuCFParams, width: float, max_terms: int) -> Tail
       nonzero multiple of ulp(0.0), so hi - lo <= stop exactly when lo > hi.
       Exact (Fraction or int) runs never cross.  The branch it guards tells
       crossing from width.  A NaN difference fails it, as NaN fails
-      ``lo > hi``, and the walk runs on to the cap."""
+      ``lo > hi``, and the walk runs on to the cap.
+
+    At z = 0, b_1 = r^2 underflows below r ~ 1.5e-154: B_n can reach 0, or
+    stay so small that the odd end of the bracket overflows to inf.  Both
+    raise ``ValueError``; the ``try`` around the loop costs nothing per
+    term."""
     big = DEFAULT_RESCALE_AT
     scale = _SCALE
     stop = width if 0 < width else -math.ulp(0.0)
@@ -369,65 +373,56 @@ def _bracket_walk(params: MathieuCFParams, width: float, max_terms: int) -> Tail
     a_prev, a_cur = 1, one - one  # A_{-1}, A_0
     b_prev, b_cur = 0, 1  # B_{-1}, B_0
     lo = None
-    while True:
-        a_cur, a_prev = b * a_cur + a_odd * a_prev, a_cur
-        b_cur, b_prev = b * b_cur + a_odd * b_prev, b_cur
-        if not (a_cur <= big and b_cur <= big):
-            a_cur, a_prev, b_cur, b_prev = _rescaled(q, scale, a_cur, a_prev, b_cur, b_prev)
-        hi = a_cur / b_cur
-        if q >= max_terms:
-            n = q
-            break
-        n = q + 1
-        m += one
-        mm = m * m
-        a = mm * m / d
-        a_cur, a_prev = a_cur + a * a_prev, a_cur
-        b_cur, b_prev = b_cur + a * b_prev, b_cur
-        if not (a_cur <= big and b_cur <= big):
-            a_cur, a_prev, b_cur, b_prev = _rescaled(n, scale, a_cur, a_prev, b_cur, b_prev)
-        lo = a_cur / b_cur
-        if hi - lo <= stop:
-            if lo > hi:
-                # Exact arithmetic guarantees even <= odd here; a crossing
-                # can only be float rounding after the true gap shrank below
-                # ulp scale.  The bracket is saturated: swap and stop.  A
-                # large inversion would mean the positivity hypothesis was
-                # violated.
-                drift = (16 + n) * math.ulp(max(abs(lo), abs(hi)))
-                if lo - hi > drift:
-                    raise ValueError(
-                        f"approximants not bracketing at n={n}: even={lo!r} > "
-                        f"odd={hi!r}; positive-coefficient hypothesis violated?"
-                    )
-                lo, hi = hi, lo
-            break
-        if n >= max_terms:
-            break
-        q += 2
-        d = 2 * q
-        a_odd = m * (mm + rr4) / d
-        b = z + rr / q
+    try:
+        while True:
+            a_cur, a_prev = b * a_cur + a_odd * a_prev, a_cur
+            b_cur, b_prev = b * b_cur + a_odd * b_prev, b_cur
+            if not (a_cur <= big and b_cur <= big):
+                a_cur, a_prev, b_cur, b_prev = _rescaled(q, scale, a_cur, a_prev, b_cur, b_prev)
+            hi = a_cur / b_cur
+            if q >= max_terms:
+                n = q
+                break
+            n = q + 1
+            m += one
+            mm = m * m
+            a = mm * m / d
+            a_cur, a_prev = a_cur + a * a_prev, a_cur
+            b_cur, b_prev = b_cur + a * b_prev, b_cur
+            if not (a_cur <= big and b_cur <= big):
+                a_cur, a_prev, b_cur, b_prev = _rescaled(n, scale, a_cur, a_prev, b_cur, b_prev)
+            lo = a_cur / b_cur
+            if hi - lo <= stop:
+                if lo > hi:
+                    # Exact arithmetic guarantees even <= odd here; a
+                    # crossing can only be float rounding after the true gap
+                    # shrank below ulp scale.  The bracket is saturated: swap
+                    # and stop.  A large inversion would mean the positivity
+                    # hypothesis was violated.
+                    drift = (16 + n) * math.ulp(max(abs(lo), abs(hi)))
+                    if lo - hi > drift:
+                        raise ValueError(
+                            f"approximants not bracketing at n={n}: even={lo!r} > "
+                            f"odd={hi!r}; positive-coefficient hypothesis violated?"
+                        )
+                    lo, hi = hi, lo
+                break
+            if n >= max_terms:
+                break
+            q += 2
+            d = 2 * q
+            a_odd = m * (mm + rr4) / d
+            b = z + rr / q
+    except ZeroDivisionError:  # B_n reached 0: an odd end at inf, as below
+        lo = hi = math.inf
     if lo is None:  # max_terms <= 1 leaves the bracket open
         raise ValueError(f"max_terms={max_terms} too small to form a bracket")
     enclosure = Enclosure(lo, hi)
-    return TailBracket(enclosure, n, enclosure.width <= width)
-
-
-def _walk(params: MathieuCFParams, width: float, max_terms: int) -> TailBracket:
-    """``_bracket_walk``, with a denominator that underflowed raised as
-    ``ValueError``."""
-    try:
-        bracket = _bracket_walk(params, width, max_terms)
-    except ZeroDivisionError:
-        bracket = None
-    # At z = 0, b_1 = r^2 underflows below r ~ 1.5e-154: B_n can reach 0, or
-    # stay so small that the odd end of the bracket overflows to inf.
-    if bracket is None or bracket.enclosure.upper == math.inf:
+    if hi == math.inf:
         raise ValueError(
             f"approximant denominator underflowed to 0 at r={params.r!r}: r^2 underflows"
         )
-    return bracket
+    return TailBracket(enclosure, n, enclosure.width <= width)
 
 
 def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -> TailBracket:
@@ -439,13 +434,12 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     with it the bracketing guarantee — fails.
 
     At z = 0 (int or float r, x = 1) the bracket narrows only like 1/n.
-    There, with width > 0, a walk of 2 max(N_0, 32) terms that leaves the
-    width unmet gives way to the tail interval S_N(V_N) of the contracted
-    fraction, N <= min(max_terms/2, 2^26 - 1), reported as 2N terms (the
-    pass is exact below 2^26 levels): V_N narrows like N^-3, so the
-    result's width falls like N^-6.  Rounded outward, it holds T(r, 1) in
-    floating point, also where r^2 underflows and the walk cannot start
-    (proof in the ``cf`` module docstring).
+    There, with width > 0, ``tail_interval.enclosure`` answers: a short walk,
+    and where that leaves the width unmet the tail interval S_N(V_N) of the
+    contracted fraction, whose width falls like N^-6 (``tail_interval._search``
+    picks N).  Rounded outward, it holds T(r, 1) in floating point, also
+    where r^2 underflows and the walk cannot start (proof in the ``cf``
+    module docstring).
     """
     _require_positive_r(r)
     params = MathieuCFParams(r, x)

@@ -7,8 +7,11 @@ frozen here; tests check the library against them, never the library
 against itself.
 """
 
+import csv
+import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +82,31 @@ def backward_cf(b0, term_fn, depth):
         a, b = term_fn(n)
         acc = a / (b + acc)
     return b0 + acc
+
+
+_INT_RE = re.compile(r"^-?\d+$")
+
+
+def _csv_uncell(text):
+    if text == "":
+        return None
+    if _INT_RE.match(text):
+        return int(text)
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def csv_to_rows(text):
+    """Inverse of ``mathieucf.commands.rows_to_csv`` for the cell types the
+    package emits: empty is None, then int, float, or the text itself."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        cols = next(reader)
+    except StopIteration:
+        return []
+    return [{col: _csv_uncell(cell) for col, cell in zip(cols, row)} for row in reader]
 
 
 @pytest.fixture

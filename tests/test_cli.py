@@ -11,7 +11,7 @@ import textwrap
 import mpmath
 import numpy
 import pytest
-from conftest import S_AT_1, ZETA3, fresh_python, mpmath_s
+from conftest import S_AT_1, ZETA3, csv_to_rows, fresh_python, mpmath_s
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import CASES as GOLDEN_CASES
@@ -27,7 +27,7 @@ from mathieucf.cli import (
     run,
 )
 from mathieucf.cli import _COMMANDS, _METHODS, _build_parser, _config_from_args
-from mathieucf.commands import _direct_terms_for_tol, csv_to_rows, rows_to_csv, rows_to_table
+from mathieucf.commands import _direct_terms_for_tol, rows_to_csv, rows_to_table
 from mathieucf.selftest import CHECKS, run_selftest
 
 
@@ -299,6 +299,15 @@ class TestSelftestCommand:
             return [{**row, "seconds": None} for row in rows]
 
         assert untimed(command_rows) == untimed(rows)
+
+    def test_round_trip_check_catches_a_lossy_csv_writer(self, monkeypatch):
+        from mathieucf import commands
+
+        cell = commands._csv_cell
+        monkeypatch.setattr(commands, "_csv_cell",
+                            lambda v: f"{v:.12g}" if isinstance(v, float) else cell(v))
+        row = {row["check"]: row for row in run_selftest()}["cli.serialization_round_trip"]
+        assert (row["status"], row["detail"]) == ("FAIL", "CSV round-trip changed the rows")
 
 
 class TestSerialization:

@@ -16,8 +16,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import (GOLDEN, S_AT_1, S_AT_10, TWO_TERM_AT_10, ZETA3, brute_tail_bracket,
-                      mpmath_s)
+from conftest import S_AT_1, S_AT_10, TWO_TERM_AT_10, ZETA3, brute_tail_bracket, mpmath_s
 
 from mathieucf import (
     AsymptoticResult,
@@ -284,6 +283,20 @@ class TestTailEnclosure:
         # Width 0 still walks, and still cannot start.
         with pytest.raises(ValueError, match=f"underflowed to 0 at r={r!r}"):
             tail_enclosure(r, 1.0, 0.0, 1000)
+
+    @pytest.mark.parametrize("r,max_terms", [
+        # B_1 = r^2 is 0: the first division fails, before a one-term cap
+        # can leave the bracket open ("max_terms=1 too small" at r = 1).
+        (1e-170, 1),
+        (1e-170, 200_000),
+        # r^2 is subnormal: the walk runs to the cap with its odd end at inf.
+        (1e-157, 200_000),
+    ])
+    def test_walk_underflow_exit(self, r, max_terms):
+        with pytest.raises(ValueError) as info:
+            series._walk(MathieuCFParams(r, 1.0), 0.0, max_terms)
+        assert str(info.value) == (
+            f"approximant denominator underflowed to 0 at r={r!r}: r^2 underflows")
 
 
 def _reference_bracket_walk(form, width, max_terms):
