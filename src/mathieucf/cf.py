@@ -389,30 +389,23 @@ def even_contraction(cf: ContinuedFraction) -> ContinuedFraction:
         d_k = a_{2k-1} b_{2k} + b_{2k-2} (a_{2k} + b_{2k-1} b_{2k})
                                       is absent for k = 2)
     """
-    cache: dict[int, Tuple[float, float]] = {}
-
-    def orig(n: int) -> Tuple[float, float]:
-        t = cache.get(n)
-        if t is None:
-            t = cache[n] = cf.term(n)
-        return t
 
     def even_b(n: int):
-        _, b = orig(n)
+        _, b = cf.term(n)
         if b == 0:
             raise ValueError(f"contraction does not exist: b_{n} = 0")
         return b
 
     def terms(k: int) -> Tuple[float, float]:
         if k == 1:
-            a1, b1 = orig(1)
+            a1, b1 = cf.term(1)
             b2 = even_b(2)
-            a2, _ = orig(2)
+            a2, _ = cf.term(2)
             return a1 * b2, a2 + b1 * b2
         m = k - 1  # contracted term k consumes original terms 2m-1 .. 2m+2
-        a2m, _ = orig(2 * m)
-        a2m1, b2m1 = orig(2 * m + 1)
-        a2m2, _ = orig(2 * m + 2)
+        a2m, _ = cf.term(2 * m)
+        a2m1, b2m1 = cf.term(2 * m + 1)
+        a2m2, _ = cf.term(2 * m + 2)
         b2m = even_b(2 * m)
         b2m2 = even_b(2 * m + 2)
         c = -a2m * a2m1 * b2m2

@@ -188,14 +188,12 @@ class Enclosure(_Record):
 
 class TailBracket(_Record):
     """Enclosure of T(r, x), with its cost: the even/odd-approximant bracket,
-    or at z = 0 the tail interval (``tail_interval.enclosure``).
+    or at z = 0 the tail interval (the plan is in ``tail_enclosure``).
 
     ``achieved`` records whether the requested width was reached before the
     term cap; when False, ``enclosure`` is the best enclosure at the cap, or
     for a tail interval the pass at which the search met the rounding floor.
-    For a tail interval at level N, ``terms_used`` is 2N: the walk before it
-    and the earlier passes of ``tail_interval._search`` are not counted, and
-    can cost as much again.
+    For a tail interval at level N, ``terms_used`` is 2N.
     """
 
     __slots__ = _fields = ("enclosure", "terms_used", "achieved")
@@ -434,12 +432,18 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     with it the bracketing guarantee — fails.
 
     At z = 0 (int or float r, x = 1) the bracket narrows only like 1/n.
-    There, with width > 0, ``tail_interval.enclosure`` answers: a short walk,
-    and where that leaves the width unmet the tail interval S_N(V_N) of the
-    contracted fraction, whose width falls like N^-6 (``tail_interval._search``
-    picks N).  Rounded outward, it holds T(r, 1) in floating point, also
-    where r^2 underflows and the walk cannot start (proof in the ``cf``
-    module docstring).
+    There, with width > 0, ``tail_interval.start`` brackets r^2 and finds
+    N_0, the level from which the tail set V_N provably holds the tail.
+    Where N_0 exceeds max_terms/2 or ``tail_interval.MAX_LEVEL`` the walk
+    alone answers.  Else a warm walk of 2 max(N_0, PROBE_LEVEL) terms (at
+    most max_terms) runs first, and answers if it meets the width; if not,
+    the tail interval S_N(V_N) of the contracted fraction does, whose width
+    falls like N^-6: ``tail_interval._search`` passes first at N = max(N_0,
+    PROBE_LEVEL) and picks N up to min(max_terms/2, MAX_LEVEL).  Rounded
+    outward, it holds T(r, 1) in floating point, also where r^2 underflows
+    and the walk cannot start (proof in the ``cf`` module docstring).
+    ``terms_used`` is then 2N: the warm walk and the earlier passes are not
+    counted, and can cost as much again.
     """
     _require_positive_r(r)
     params = MathieuCFParams(r, x)
@@ -450,9 +454,20 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     if not (width >= 0):
         raise ValueError(f"width must be >= 0; got {width!r}")
     if x == 1 and 0 < width:
-        from .tail_interval import enclosure  # compiled on the first such call
+        from .tail_interval import MAX_LEVEL, _search, start  # compiled on the first such call
 
-        return enclosure(params, width, max_terms)
+        plan = start(params, width, max_terms)
+        if plan is not None:
+            rho, n0, warm_terms = plan
+            try:
+                bracket = _walk(params, width, warm_terms)
+                if bracket.achieved:
+                    return bracket
+            except ValueError:  # the walk failed, as where r^2 underflows
+                pass
+            lower, upper, level = _search(rho, width, n0, min(max_terms // 2, MAX_LEVEL))
+            enclosure = Enclosure(lower, upper)
+            return TailBracket(enclosure, 2 * level, enclosure.width <= width)
     return _walk(params, width, max_terms)
 
 
@@ -495,13 +510,9 @@ _ZIGZAG_ROW: list[int] = [1]
 
 def _bernoulli(n: int) -> Fraction:
     """B_n, extending the cached table through index n."""
-    if n >= len(_BERNOULLI):
-        _extend_bernoulli(n)
-    return _BERNOULLI[n]
-
-
-def _extend_bernoulli(n: int) -> None:
     global _ZIGZAG_ROW
+    if n < len(_BERNOULLI):
+        return _BERNOULLI[n]
     from fractions import Fraction
 
     if not _BERNOULLI:
@@ -516,6 +527,7 @@ def _extend_bernoulli(n: int) -> None:
         four = 4 ** (m // 2)
         b = Fraction(m * _ZIGZAG_ROW[-1], four * (four - 1))
         _BERNOULLI.append(b if m % 4 == 2 else -b)
+    return _BERNOULLI[n]
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:

@@ -1,16 +1,17 @@
-"""The tail interval of T(r, 1), for ``series.tail_enclosure`` at z = 0.
+"""The tail interval of T(r, 1): float arithmetic for ``series.tail_enclosure``
+at z = 0, which holds the plan of when it serves and at what level.
 
-At x = 1 the fraction's even/odd bracket narrows only like 1/n.  When a
-short walk leaves the width unmet, the enclosure is S_N(V_N) instead: the
-contracted fraction (``cf.kappa_lambda_form``) at level N with its tail in
-V_N = [L_N + c-_N, L_N + c+_N], where c+_N = 7/16 + (8 rho^2 + 8 rho +
-3)/(16(2N - 1)) and c-_N = c+_N - (rho + 1)^4/(12N^3) for rho = r^2, which
-put the set's ends the same distance either side of the tail's asymptotic
-offset to third order, evaluated with every rounding directed outward;
-S_N(V_N) is then about N^-6 wide.  The proof that V_N holds the tail from
-N_0(rho) on, and the rounding argument, are in the ``cf`` module docstring.
-``tail_enclosure`` loads this module on its first z = 0 call with a width,
-so an eval at k >= 2 never compiles it.
+At x = 1 the fraction's even/odd bracket narrows only like 1/n.  The tail
+interval is S_N(V_N): the contracted fraction (``cf.kappa_lambda_form``) at
+level N with its tail in V_N = [L_N + c-_N, L_N + c+_N], where c+_N = 7/16 +
+(8 rho^2 + 8 rho + 3)/(16(2N - 1)) and c-_N = c+_N - (rho + 1)^4/(12N^3) for
+rho = r^2, which put the set's ends the same distance either side of the
+tail's asymptotic offset to third order, evaluated with every rounding
+directed outward; S_N(V_N) is then about N^-6 wide.  The proof that V_N
+holds the tail from N_0(rho) on, and the rounding argument, are in the
+``cf`` module docstring.  The module imports nothing from the package;
+``tail_enclosure`` loads it on its first z = 0 call with a width, so an eval
+at k >= 2 never compiles it.
 """
 
 from __future__ import annotations
@@ -19,10 +20,7 @@ import math
 from itertools import chain
 from typing import Iterator
 
-from .series import Enclosure, MathieuCFParams, TailBracket, _walk
-
-# The first pass runs at level max(N_0, this), after a walk of twice as many
-# terms.
+# The least level of the first pass (the plan is in ``series.tail_enclosure``).
 PROBE_LEVEL = 32
 # The highest level of a pass: ``bounds_at`` is exact only below 2^26.
 MAX_LEVEL = (1 << 26) - 1
@@ -82,9 +80,10 @@ def offsets(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def start(params: MathieuCFParams, width: float, max_terms: int):
-    """(r^2 bracketed, N_0, terms of the walk first) when the tail interval
-    may serve, else None: the walk alone answers."""
+def start(params, width: float, max_terms: int):
+    """For ``series.MathieuCFParams`` params: (r^2 bracketed, N_0, terms of
+    the walk first) when the tail interval may serve, else None, as the plan
+    in ``series.tail_enclosure`` sets out."""
     r, x = params.r, params.x
     # An int runs as a float does; an exact (Fraction) run is left to the walk.
     if not (0 < width and params.z == 0 and isinstance(r, (int, float))
@@ -132,17 +131,18 @@ def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
     return 1 / d_hi * dn, 1 / d_lo / dn
 
 
-def _search(rho: tuple[float, float], width: float, n0: int, n_max: int) -> TailBracket:
-    """S_n(V_n) at an n in [n0, n_max] that meets ``width``, as 2n terms;
-    n_max <= MAX_LEVEL, as ``bounds_at`` is exact only below 2^26.  The
-    width falls like n^-6 (V_n is about n^-3 wide, times the n^-3 that a
-    width-1 tail set gives): a pass at max(n0, PROBE_LEVEL) predicts the n
-    that meets the width, or hi 2^-52 where that is wider, and a pass that
-    falls short predicts again from its own width, at least 1.25 times as
-    deep, up to n_max.  Near the rounding floor the width stops falling: a
-    pass no wider than hi 2^-52, more than twice as wide as the previous
-    pass aimed at, or no narrower than the previous pass is returned,
-    unmet."""
+def _search(rho: tuple[float, float], width: float, n0: int,
+            n_max: int) -> tuple[float, float, int]:
+    """S_n(V_n) as (lower, upper, n), at an n in [n0, n_max] that meets
+    ``width``; n_max <= MAX_LEVEL, as ``bounds_at`` is exact only below
+    2^26.  The width falls like n^-6 (V_n is about n^-3 wide, times the n^-3
+    that a width-1 tail set gives): the first pass (its level is in the
+    ``series.tail_enclosure`` plan) predicts the n that meets the width, or
+    hi 2^-52 where that is wider, and a pass that falls short predicts again
+    from its own width, at least 1.25 times as deep, up to n_max.  Near the
+    rounding floor the width stops falling: a pass no wider than hi 2^-52,
+    more than twice as wide as the previous pass aimed at, or no narrower
+    than the previous pass is returned, unmet."""
     n = min(max(n0, PROBE_LEVEL), n_max)
     growth = 1.0
     aimed = last = math.inf
@@ -150,28 +150,8 @@ def _search(rho: tuple[float, float], width: float, n0: int, n_max: int) -> Tail
         lo, hi = bounds_at(*rho, n)
         aim = max(width, hi * 2.0 ** -52)
         if hi - lo <= aim or n == n_max or hi - lo > 2 * aimed or hi - lo >= last:
-            break
+            return lo, hi, n
         target = n * max(growth, 1.01 * ((hi - lo) / aim) ** (1 / 6))
         n = math.ceil(target) if target < n_max else n_max
         aimed, last = aim, hi - lo
         growth = 1.25
-    enclosure = Enclosure(lo, hi)
-    return TailBracket(enclosure, 2 * n, enclosure.width <= width)
-
-
-def enclosure(params: MathieuCFParams, width: float, max_terms: int) -> TailBracket:
-    """``series.tail_enclosure`` at x = 1 with width > 0: the walk's bracket
-    when it meets the width within its 2 max(N_0, PROBE_LEVEL) terms (or when N_0
-    exceeds max_terms/2 or MAX_LEVEL), else the tail interval."""
-    plan = start(params, width, max_terms)
-    if plan is None:
-        return _walk(params, width, max_terms)
-    rho, n0, warm_terms = plan
-    try:
-        bracket = _walk(params, width, warm_terms)
-    except ValueError:  # the walk failed, as where r^2 underflows
-        pass
-    else:
-        if bracket.achieved:
-            return bracket
-    return _search(rho, width, n0, min(max_terms // 2, MAX_LEVEL))

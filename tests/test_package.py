@@ -71,7 +71,12 @@ def test_module_imports_first(name):
      "import mathieucf.bounds\n"
      "print('mathieucf.cf' in sys.modules)",
      "False"),
+    # The tail interval's float kernel is a leaf: it imports nothing from the package.
+    ("import sys\n"
+     "import mathieucf.tail_interval\n"
+     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mathieucf'))",
+     "['mathieucf', 'mathieucf.tail_interval']"),
 ], ids=["cli-alone", "name-is-module-object", "star-import", "unknown-name", "csv-eval",
-        "bounds-without-cf"])
+        "bounds-without-cf", "tail-interval-leaf"])
 def test_lazy_package_surface(code, printed):
     assert fresh_python("-c", code).splitlines()[-1] == printed

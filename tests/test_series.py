@@ -663,7 +663,8 @@ class TestTailInterval:
                 continue
             rho, n0, _ = plan
             if _search_to_n_max(rho, width, n0, max_terms // 2):
-                assert tail_interval._search(rho, width, n0, max_terms // 2).achieved
+                lower, upper, _ = tail_interval._search(rho, width, n0, max_terms // 2)
+                assert upper - lower <= width
 
 
 def _rho_bracket(r):
