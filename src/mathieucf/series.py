@@ -193,7 +193,9 @@ class TailBracket(_Record):
     ``achieved`` records whether the requested width was reached before the
     term cap; when False, ``enclosure`` is the best enclosure at the cap, or
     for a tail interval the pass at which the search met the rounding floor.
-    For a tail interval at level N, ``terms_used`` is 2N.
+    For a tail interval at level N, ``terms_used`` is 2N: the passes before
+    it, and the walk that runs first where N_0 > ``PROBE_LEVEL``, are not
+    counted.
     """
 
     __slots__ = _fields = ("enclosure", "terms_used", "achieved")
@@ -435,15 +437,20 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     There, with width > 0, ``tail_interval.start`` brackets r^2 and finds
     N_0, the level from which the tail set V_N provably holds the tail.
     Where N_0 exceeds max_terms/2 or ``tail_interval.MAX_LEVEL`` the walk
-    alone answers.  Else a warm walk of 2 max(N_0, PROBE_LEVEL) terms (at
-    most max_terms) runs first, and answers if it meets the width; if not,
-    the tail interval S_N(V_N) of the contracted fraction does, whose width
-    falls like N^-6: ``tail_interval._search`` passes first at N = max(N_0,
-    PROBE_LEVEL) and picks N up to min(max_terms/2, MAX_LEVEL).  Rounded
-    outward, it holds T(r, 1) in floating point, also where r^2 underflows
-    and the walk cannot start (proof in the ``cf`` module docstring).
-    ``terms_used`` is then 2N: the warm walk and the earlier passes are not
-    counted, and can cost as much again.
+    alone answers.  Else the tail interval S_N(V_N) of the contracted
+    fraction does, whose width falls like N^-6: ``tail_interval._search``
+    passes first at N = max(N_0, PROBE_LEVEL) and picks N up to
+    min(max_terms/2, MAX_LEVEL).  Only where N_0 > PROBE_LEVEL (r from about
+    2.6) does a walk of 2 N_0 terms run first, and answer if it meets the
+    width: from r of about 4.5 it meets 1e-12 in fewer terms than the tail
+    interval needs.  Below that a first pass costs less than the 64-term
+    walk would, which meets there no width under about 8e-7 (it ends 1e-2
+    wide at r = 0.9 and 8e-7 at r = 2.58): at such loose widths the pass's
+    bracket answers instead.  Rounded outward, the tail interval holds
+    T(r, 1) in floating point, also where r^2 underflows and the walk cannot
+    start (proof in the ``cf`` module docstring).  ``terms_used`` is then
+    2N: the walk and the earlier passes are not counted, and can cost as
+    much again.
     """
     _require_positive_r(r)
     params = MathieuCFParams(r, x)
@@ -458,13 +465,14 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
 
         plan = start(params, width, max_terms)
         if plan is not None:
-            rho, n0, warm_terms = plan
-            try:
-                bracket = _walk(params, width, warm_terms)
-                if bracket.achieved:
-                    return bracket
-            except ValueError:  # the walk failed, as where r^2 underflows
-                pass
+            rho, n0, walk_terms = plan
+            if walk_terms:
+                try:
+                    bracket = _walk(params, width, walk_terms)
+                    if bracket.achieved:
+                        return bracket
+                except ValueError:  # a crossed pair past its drift: the pass answers
+                    pass
             lower, upper, level = _search(rho, width, n0, min(max_terms // 2, MAX_LEVEL))
             enclosure = Enclosure(lower, upper)
             return TailBracket(enclosure, 2 * level, enclosure.width <= width)

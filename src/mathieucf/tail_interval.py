@@ -9,9 +9,10 @@ rho = r^2, which put the set's ends the same distance either side of the
 tail's asymptotic offset to third order, evaluated with every rounding
 directed outward; S_N(V_N) is then about N^-6 wide.  The proof that V_N
 holds the tail from N_0(rho) on, and the rounding argument, are in the
-``cf`` module docstring.  The module imports nothing from the package;
-``tail_enclosure`` loads it on its first z = 0 call with a width, so an eval
-at k >= 2 never compiles it.
+``cf`` module docstring.  A pass reads each level's constants, which do
+not depend on rho, from one table (``_levels_down``).  The module imports
+nothing from the package; ``tail_enclosure`` loads it on its first z = 0
+call with a width, so an eval at k >= 2 never compiles it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import math
 from itertools import chain
 from typing import Iterator
 
-# The least level of the first pass (the plan is in ``series.tail_enclosure``).
+# The least level of the first pass; only where N_0 exceeds it does a walk
+# run first (the plan is in ``series.tail_enclosure``).
 PROBE_LEVEL = 32
 # The highest level of a pass: ``bounds_at`` is exact only below 2^26.
 MAX_LEVEL = (1 << 26) - 1
@@ -38,28 +40,34 @@ def _down(v: float) -> float:
 # float above it (the lemma is in the ``cf`` module docstring).
 _DOWN = 1 - 2.0 ** -53
 
-# _g(j) at index j (index 0 unused), through the largest level a pass has
-# asked for, up to _TABLE_LEVELS (32 bytes a level; the default cap needs
-# 100,000).  It grows by rebinding to a longer list, never in place, so a
-# pass never holds a half-grown one.
-_G = [0.0]
-_TABLE_LEVELS = 1 << 17
+# _level(j) at index j (index 0 unused), through the largest level a pass
+# has asked for, up to _TABLE_LEVELS: 176 bytes a level, 2.9 MB in all (a
+# width of 1e-12 needs fewer than 100 levels for r <= 2.5; the default cap
+# can ask for 100,000).  It grows by rebinding to a longer list, never in
+# place, so a pass never holds a half-grown one.
+_LEVELS = [None]
+_TABLE_LEVELS = 1 << 14
 
 
-def _g(j: int) -> float:
-    """g_j = j^4/(4(4j^2 - 1)), correctly rounded: one int quotient."""
-    return j * j * j * j / (16 * j * j - 4)
+def _level(j: int) -> tuple[float, float, float, float]:
+    """The constants of level j, none of which depends on rho: m_j = (j^2 +
+    j + 1)/2 and j^2, exact below 2^26, and g_j = j^4/(4(4j^2 - 1)),
+    correctly rounded (one int quotient), stepped one float up (/ _DOWN)
+    and one float down (* _DOWN)."""
+    jj = j * j
+    g = jj * jj / (16 * jj - 4)
+    return (jj + j + 1) / 2, float(jj), g / _DOWN, g * _DOWN
 
 
-def _g_down(n: int) -> Iterator[float]:
-    """g_{n-1}, ..., g_1: from the table, and above _TABLE_LEVELS one
-    quotient a level."""
-    global _G
+def _levels_down(n: int) -> Iterator[tuple[float, float, float, float]]:
+    """_level(n - 1), ..., _level(1): from the table, and above
+    _TABLE_LEVELS one at a time."""
+    global _LEVELS
     top = min(n, _TABLE_LEVELS)
-    table = _G
+    table = _LEVELS
     if len(table) < top:
-        table = _G = table + [_g(j) for j in range(len(table), top)]
-    return chain(map(_g, range(n - 1, top - 1, -1)), table[top - 1:0:-1])
+        table = _LEVELS = table + [_level(j) for j in range(len(table), top)]
+    return chain(map(_level, range(n - 1, top - 1, -1)), table[top - 1:0:-1])
 
 
 def n0_bound(rho_hi: float) -> float:
@@ -82,8 +90,8 @@ def offsets(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
 
 def start(params, width: float, max_terms: int):
     """For ``series.MathieuCFParams`` params: (r^2 bracketed, N_0, terms of
-    the walk first) when the tail interval may serve, else None, as the plan
-    in ``series.tail_enclosure`` sets out."""
+    the walk first, 0 for none) when the tail interval may serve, else None,
+    as the plan in ``series.tail_enclosure`` sets out."""
     r, x = params.r, params.x
     # An int runs as a float does; an exact (Fraction) run is left to the walk.
     if not (0 < width and params.z == 0 and isinstance(r, (int, float))
@@ -95,7 +103,7 @@ def start(params, width: float, max_terms: int):
     if not floor <= min(max_terms // 2, MAX_LEVEL):
         return None
     n0 = math.ceil(floor)
-    return rho, n0, min(max_terms, 2 * max(n0, PROBE_LEVEL))
+    return rho, n0, 2 * n0 if n0 > PROBE_LEVEL else 0  # 2 n0 <= max_terms
 
 
 def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
@@ -104,26 +112,23 @@ def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
     -g_j (j^2 + 4 rho)/(m_j + rho + t), then 1/(1/2 + rho + t).  It carries
     u = -t, from [-(L_n + c+_n), -(L_n + c-_n)], whose ends are rounded
     with ``nextafter``; in the loop ``* dn`` steps a result one float down,
-    ``/ dn`` one float up.  j, j^2, m_j (m_{j-1} = m_j - j) and k are exact
-    floats for n below 2^26 (``MAX_LEVEL`` caps n)."""
+    ``/ dn`` one float up.  Each level's m_j, j^2 and g_j stepped each way
+    come from ``_levels_down``; they and k are exact floats for n below
+    2^26 (``MAX_LEVEL`` caps n)."""
     dn = _DOWN
     rho4_lo, rho4_hi = 4 * rho_lo, 4 * rho_hi
     e_lo, e_hi = offsets(rho_lo, rho_hi, n)
     k = 2 * n * n - 3 * n + 6  # -(8 L_n + 4 rho)
     u_hi = _up(_up(_up(rho4_hi + k) - 3.5) / 8 - e_lo)  # -(L_n + c-_n)
     u_lo = _down(_down(_down(rho4_lo + k) - 3.5) / 8 - e_hi)  # -(L_n + c+_n)
-    j = float(n)
-    m = (j * j + j + 1) / 2
-    for g in _g_down(n):
-        m -= j
-        j -= 1.0
-        j2 = j * j
+    for m, j2, g_up, g_dn in _levels_down(n):
         d_lo = ((m + rho_lo) * dn - u_hi) * dn
         if not d_lo > 0:
-            raise ArithmeticError(f"tail interval lost its bound at level {int(j)}")
+            level = math.isqrt(int(j2))  # j^2 is an exact int below 2^52
+            raise ArithmeticError(f"tail interval lost its bound at level {level}")
         d_hi = ((m + rho_hi) / dn - u_lo) / dn
-        u_hi = (j2 + rho4_hi) / dn * (g / dn) / dn / d_lo / dn
-        u_lo = (j2 + rho4_lo) * dn * (g * dn) * dn / d_hi * dn
+        u_hi = (j2 + rho4_hi) / dn * g_up / dn / d_lo / dn
+        u_lo = (j2 + rho4_lo) * dn * g_dn * dn / d_hi * dn
     d_lo = ((0.5 + rho_lo) * dn - u_hi) * dn
     d_hi = ((0.5 + rho_hi) / dn - u_lo) / dn
     if not d_lo > 0:

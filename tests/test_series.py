@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -488,8 +489,9 @@ _TINY_R = (1e-170, 1e-160, 1e-157, 1e-156)
 
 
 class TestTailInterval:
-    """``tail_enclosure`` at z = 0 with width > 0: after a short walk, the
-    tail interval of the contracted fraction (proof in the ``cf`` docstring)."""
+    """``tail_enclosure`` at z = 0 with width > 0: the tail interval of the
+    contracted fraction (proof in the ``cf`` docstring), after a short walk
+    only where N_0 > PROBE_LEVEL."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
@@ -501,9 +503,10 @@ class TestTailInterval:
     )
     def test_kernel_bits_off_the_tail_interval(self, r, x, width, max_terms):
         # Bit for bit the flat walk whenever z > 0, the width is 0, r is a
-        # Fraction, or the walk meets the width within its warm start (or no
-        # tail interval fits the cap).  Exact walks are kept short: their
-        # rationals grow with every term.
+        # Fraction, or no tail interval fits the cap; and where N_0 >
+        # PROBE_LEVEL, when the walk meets the width within its first 2 N_0
+        # terms.  Exact walks are kept short: their rationals grow with
+        # every term.
         if isinstance(r, Fraction):
             max_terms = min(max_terms, 30)
         got = _outcome(lambda: tail_enclosure(r, x, width, max_terms))
@@ -518,6 +521,42 @@ class TestTailInterval:
     def test_walk_that_meets_the_width_is_kept(self, r):
         # Here the walk meets 1e-12 within 2 max(N_0, PROBE_LEVEL) terms.
         assert tail_enclosure(r, 1.0, 1e-12) == _kernel(r, 1.0, 1e-12, 200_000)
+
+    def test_walk_first_only_above_the_probe_level(self, monkeypatch):
+        # Where N_0 <= PROBE_LEVEL (all of r <= 2.5) a first pass costs less
+        # than the walk, which meets no width of 1e-6 or less there.
+        calls = []
+        walk = series._walk
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(series, "_walk", counted)
+        for i in range(50):
+            r = 0.05 + 2.45 * i / 49
+            for width in (1e-8, 1e-12):
+                tail_enclosure(r, 1.0, width)
+        assert calls == []
+        for r in (4.5, 5.0, 7.0, 10.0):
+            calls.clear()
+            tail_enclosure(r, 1.0, 1e-12)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("width", [1e-2, 1e-3, 1e-4])
+    def test_loose_widths_take_the_pass(self, width):
+        # r in [0.9, 2.58], where N_0 <= PROBE_LEVEL (r = 2.6 has N_0 = 33):
+        # the walk would meet these widths, and the first pass's bracket
+        # answers instead.
+        for i in range(18):
+            r = 0.9 + 1.68 * i / 17
+            _, n0, walk_terms = tail_interval.start(MathieuCFParams(r, 1.0), width, 200_000)
+            assert walk_terms == 0
+            bracket = tail_enclosure(r, 1.0, width)
+            enc = bracket.enclosure
+            assert bracket.achieved
+            assert bracket.terms_used % 2 == 0 and bracket.terms_used >= 2 * n0
+            assert mpmath.mpf(enc.lower) <= mpmath_s(r, 50) <= mpmath.mpf(enc.upper)
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(
@@ -584,12 +623,25 @@ class TestTailInterval:
 
     @pytest.mark.parametrize("r, n", [(0.05, 64), (1.0, 65), (2.5, 900), (1e-157, 3000)])
     def test_levels_above_the_table(self, monkeypatch, r, n):
-        # Levels past the g table take one int quotient each, in order.
+        # Levels past the table are made one at a time, in order.
         monkeypatch.setattr(tail_interval, "_TABLE_LEVELS", 64)
-        monkeypatch.setattr(tail_interval, "_G", [0.0])
+        monkeypatch.setattr(tail_interval, "_LEVELS", [None])
         rho = _rho_bracket(r)
         assert tail_interval.bounds_at(*rho, n) == _reference_bounds_at(*rho, n)
-        assert len(tail_interval._G) == 64
+        assert len(tail_interval._LEVELS) == 64
+
+    def test_full_table_memory(self, monkeypatch):
+        # The table filled to _TABLE_LEVELS, counting the lists it is grown
+        # through, stays within the 4.2 MB the g_j table took at 2^17 levels.
+        monkeypatch.setattr(tail_interval, "_LEVELS", [None])
+        tracemalloc.start()
+        try:
+            tail_interval.bounds_at(1.0, 1.0, tail_interval._TABLE_LEVELS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tail_interval._LEVELS) == tail_interval._TABLE_LEVELS
+        assert peak <= 4.2e6
 
     # Outside the pass's domain: rho < 0.
     @pytest.mark.parametrize("rho, n, level", [(-1.0, 1, 0), (-5.0, 4, 1), (-20.0, 10, 2)])
