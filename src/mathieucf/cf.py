@@ -150,21 +150,45 @@ at the upper end, and c-_N - 7/16 rounded down with A at the lower end and
 magnitude.  The pass uses a'_{j+1} = -g_j (j^2 + 4 rho), g_j = j^4/(4(4j^2 - 1)), and
 b'_{j+1} = m_j + rho, m_j = (j^2 + j + 1)/2.  Each
 step maps interval ends to interval ends (s_{j+1} increases; 1/(b'_1 + t)
-decreases), rho is bracketed by r*r rounded down and up ([0, 2^-1074] where
-it underflows), and every float operation that can round is followed by one
-float step away from the value it bounds: a positive result is multiplied
-by d = 1 - 2^-53 to step down and divided by d to step up.
+decreases), and rho is bracketed by r*r rounded down and up ([0, 2^-1074]
+where it underflows).  In the denominators and at level 0 every float
+operation that can round is followed by one float step away from the
+value it bounds: a positive result is multiplied by d = 1 - 2^-53 to step
+down and divided by d to step up.  A numerator end, (j^2 + 4 rho) g_j
+over a denominator end, rounds to nearest three times with no step, and
+its g_j is stepped instead.
 
-Lemma: for a float x >= 2^-1021, x*d rounds to the float below x and x/d
-to the float above it.  Write x = M 2^q with 2^52 <= M < 2^53: the float
-above is x + 2^q, and x 2^-53 = (M/2^53) 2^q lies in [2^(q-1), 2^q).  If
-M > 2^52, x - x 2^-53 lies strictly between x - 2^q, the float below, and
-the midpoint x - 2^(q-1); if x is a power of two, the float below is
-x - 2^(q-1) = x*d itself (x >= 2^-1021 keeps the binade below normal).
-x/d = x + x 2^-53 + x 2^-106/d lies strictly between x + 2^(q-1) and
-x + 3 2^(q-1), so it rounds to x + 2^q (inf past the largest float).
+Lemma (the step): for a float x >= 2^-1021, x*d rounds to the float below
+x and x/d to the float above it.  Write x = M 2^q with 2^52 <= M < 2^53:
+the float above is x + 2^q, and x 2^-53 = (M/2^53) 2^q lies in
+[2^(q-1), 2^q).  If M > 2^52, x - x 2^-53 lies strictly between x - 2^q,
+the float below, and the midpoint x - 2^(q-1); if x is a power of two,
+the float below is x - 2^(q-1) = x*d itself (x >= 2^-1021 keeps the
+binade below normal).  x/d = x + x 2^-53 + x 2^-106/d lies strictly
+between x + 2^(q-1) and x + 3 2^(q-1), so it rounds to x + 2^q (inf past
+the largest float).
 
-The lemma covers every rounded result of the pass after its start, which
+Lemma (the standard model; Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 2002, section 2.2): if the exact result v of a float
++, * or / is at least 2^-1022 and rounds to a finite float, it rounds to
+nearest as fl(v) = v/(1 + delta) with |delta| <= eps = 2^-53.  For fl(v) in
+[2^e, 2^(e+1)] the floats there are 2^(e-52) apart, so |v - fl(v)| <=
+2^(e-53) <= eps fl(v).
+
+The table: by the standard model the float nearest g_j lies in
+[g_j/(1 + eps), g_j/(1 - eps)].  A float step up multiplies a positive
+normal float M 2^q by 1 + 1/M > 1 + eps, and a step down by 1 - 1/M, or
+by 1 - eps from a power of two: at most 1 - eps.  So g+_j, g_j stepped
+four floats up (``tail_interval._level``), is at least g_j (1 + eps)^3,
+and g-_j, four floats down, at most g_j (1 - eps)^3.  The upper end of a
+numerator, (j^2 + 4 rho_hi) g+_j / d_lo in three roundings, is by the
+standard model at least its exact value over (1 + eps)^3, so at least the
+exact g_j (j^2 + 4 rho_hi)/d_lo; the lower end, (j^2 + 4 rho_lo) g-_j /
+d_hi, is at most its exact value over (1 - eps)^3, so at most the exact
+g_j (j^2 + 4 rho_lo)/d_hi.  An upper end that rounds to inf bounds from
+above too.
+
+The lemmas cover every rounded result of the pass after its start, which
 carries u = -t in [u_lo, u_hi].  Each product and quotient is at least
 1/(24 (n^2 + rho + 1)) with rho < n (N_0 >= 2 rho + 2), far above
 2^-1021: the numerator factors are at least 1 and g_j >= 1/12, the
@@ -178,9 +202,10 @@ operand, so it overflows only with it.  Exact are j, j^2, m_j
 (m_{j-1} = m_j - j) and 2n^2 - 3n + 6, integers below 2^53 for n < 2^26
 (``tail_interval.MAX_LEVEL`` caps N there), as are 4 rho, 32N - 16, 12N
 and the start's division by 8; g_j is a correctly rounded int
-quotient, read from a table.  So the computed ends enclose S_N(V_N).  Above
-2^-1021 each step lands on the float that ``math.nextafter`` gives, so the
-ends are those of a pass with a ``nextafter`` call after every rounding.
+quotient, stepped and read from a table.  So the computed ends enclose
+S_N(V_N).  Above 2^-1021 each step lands on the float that
+``math.nextafter`` gives, so the start, the denominators and level 0 are
+those of a pass with a ``nextafter`` call after every rounding.
 N_0 is computed with every operation rounded up, at the upper
 end of rho's bracket.
 """

@@ -194,8 +194,8 @@ class TailBracket(_Record):
     term cap; when False, ``enclosure`` is the best enclosure at the cap, or
     for a tail interval the pass at which the search met the rounding floor.
     For a tail interval at level N, ``terms_used`` is 2N: the passes before
-    it, and the walk that runs first where N_0 > ``PROBE_LEVEL``, are not
-    counted.
+    it (the first at N_0), and the walk of N_0 // 2 terms that runs first
+    where N_0 > ``PROBE_LEVEL``, are not counted.
     """
 
     __slots__ = _fields = ("enclosure", "terms_used", "achieved")
@@ -439,18 +439,17 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     Where N_0 exceeds max_terms/2 or ``tail_interval.MAX_LEVEL`` the walk
     alone answers.  Else the tail interval S_N(V_N) of the contracted
     fraction does, whose width falls like N^-6: ``tail_interval._search``
-    passes first at N = max(N_0, PROBE_LEVEL) and picks N up to
-    min(max_terms/2, MAX_LEVEL).  Only where N_0 > PROBE_LEVEL (r from about
-    2.6) does a walk of 2 N_0 terms run first, and answer if it meets the
-    width: from r of about 4.5 it meets 1e-12 in fewer terms than the tail
-    interval needs.  Below that a first pass costs less than the 64-term
-    walk would, which meets there no width under about 8e-7 (it ends 1e-2
-    wide at r = 0.9 and 8e-7 at r = 2.58): at such loose widths the pass's
-    bracket answers instead.  Rounded outward, the tail interval holds
-    T(r, 1) in floating point, also where r^2 underflows and the walk cannot
-    start (proof in the ``cf`` module docstring).  ``terms_used`` is then
-    2N: the walk and the earlier passes are not counted, and can cost as
-    much again.
+    passes first at N = N_0 and picks N up to min(max_terms/2, MAX_LEVEL).
+    Only where N_0 > PROBE_LEVEL (r from about 2.6) does a walk run first,
+    of N_0 // 2 terms, about half what the first pass costs, and answer
+    if it meets the width: from r of about 4.8 it meets 1e-12 within them
+    (at r = 4.5 it needs 472 terms, where N_0 = 257).  Below r of about 2.6
+    the first pass is at most 32 levels and no walk runs: at loose widths a short
+    walk would meet, the pass's far narrower bracket answers.  Rounded
+    outward, the tail interval holds T(r, 1) in floating point, also where
+    r^2 underflows and the walk cannot start (proof in the ``cf`` module
+    docstring).  ``terms_used`` is then 2N: the walk and the earlier passes
+    are not counted, and can cost as much again.
     """
     _require_positive_r(r)
     params = MathieuCFParams(r, x)

@@ -6,11 +6,14 @@ interval is S_N(V_N): the contracted fraction (``cf.kappa_lambda_form``) at
 level N with its tail in V_N = [L_N + c-_N, L_N + c+_N], where c+_N = 7/16 +
 (8 rho^2 + 8 rho + 3)/(16(2N - 1)) and c-_N = c+_N - (rho + 1)^4/(12N^3) for
 rho = r^2, which put the set's ends the same distance either side of the
-tail's asymptotic offset to third order, evaluated with every rounding
-directed outward; S_N(V_N) is then about N^-6 wide.  The proof that V_N
-holds the tail from N_0(rho) on, and the rounding argument, are in the
-``cf`` module docstring.  A pass reads each level's constants, which do
-not depend on rho, from one table (``_levels_down``).  The module imports
+tail's asymptotic offset to third order, evaluated with its roundings
+directed outward: the start, the denominators and level 0 step each
+rounding one float outward, and each numerator rounds to nearest three
+times against a g_j stepped four floats outward.  S_N(V_N) is about N^-6
+wide, and the search passes first at N_0.  The proof that V_N holds the
+tail from N_0(rho) on, and the rounding argument, are in the ``cf``
+module docstring.  A pass reads each level's constants, which do not
+depend on rho, from one table (``_levels_down``).  The module imports
 nothing from the package; ``tail_enclosure`` loads it on its first z = 0
 call with a width, so an eval at k >= 2 never compiles it.
 """
@@ -21,8 +24,8 @@ import math
 from itertools import chain
 from typing import Iterator
 
-# The least level of the first pass; only where N_0 exceeds it does a walk
-# run first (the plan is in ``series.tail_enclosure``).
+# Only where N_0 exceeds this level does a walk run first (the plan is in
+# ``series.tail_enclosure``).
 PROBE_LEVEL = 32
 # The highest level of a pass: ``bounds_at`` is exact only below 2^26.
 MAX_LEVEL = (1 << 26) - 1
@@ -39,6 +42,9 @@ def _down(v: float) -> float:
 # For a float x >= 2^-1021, x * _DOWN is the float below x and x / _DOWN the
 # float above it (the lemma is in the ``cf`` module docstring).
 _DOWN = 1 - 2.0 ** -53
+# A numerator -g_j (j^2 + 4 rho)/d rounds three times to nearest; g_j
+# stepped this many floats outward covers all three (``cf`` docstring).
+_G_STEPS = 4
 
 # _level(j) at index j (index 0 unused), through the largest level a pass
 # has asked for, up to _TABLE_LEVELS: 176 bytes a level, 2.9 MB in all (a
@@ -52,11 +58,13 @@ _TABLE_LEVELS = 1 << 14
 def _level(j: int) -> tuple[float, float, float, float]:
     """The constants of level j, none of which depends on rho: m_j = (j^2 +
     j + 1)/2 and j^2, exact below 2^26, and g_j = j^4/(4(4j^2 - 1)),
-    correctly rounded (one int quotient), stepped one float up (/ _DOWN)
-    and one float down (* _DOWN)."""
+    correctly rounded (one int quotient), stepped ``_G_STEPS`` floats up
+    and as many down."""
     jj = j * j
-    g = jj * jj / (16 * jj - 4)
-    return (jj + j + 1) / 2, float(jj), g / _DOWN, g * _DOWN
+    g_up = g_dn = jj * jj / (16 * jj - 4)
+    for _ in range(_G_STEPS):
+        g_up, g_dn = _up(g_up), _down(g_dn)
+    return (jj + j + 1) / 2, float(jj), g_up, g_dn
 
 
 def _levels_down(n: int) -> Iterator[tuple[float, float, float, float]]:
@@ -90,8 +98,10 @@ def offsets(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
 
 def start(params, width: float, max_terms: int):
     """For ``series.MathieuCFParams`` params: (r^2 bracketed, N_0, terms of
-    the walk first, 0 for none) when the tail interval may serve, else None,
-    as the plan in ``series.tail_enclosure`` sets out."""
+    the walk first) when the tail interval may serve, else None, as the plan
+    in ``series.tail_enclosure`` sets out.  The walk has N_0 // 2 terms
+    where N_0 > ``PROBE_LEVEL`` (a term costs about what a level does, so
+    the walk costs about half the first pass at N_0), and 0 below."""
     r, x = params.r, params.x
     # An int runs as a float does; an exact (Fraction) run is left to the walk.
     if not (0 < width and params.z == 0 and isinstance(r, (int, float))
@@ -103,18 +113,20 @@ def start(params, width: float, max_terms: int):
     if not floor <= min(max_terms // 2, MAX_LEVEL):
         return None
     n0 = math.ceil(floor)
-    return rho, n0, 2 * n0 if n0 > PROBE_LEVEL else 0  # 2 n0 <= max_terms
+    return rho, n0, n0 // 2 if n0 > PROBE_LEVEL else 0
 
 
 def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
-    """S_n(V_n) for r^2 in [rho_lo, rho_hi], every rounding outward: one
+    """S_n(V_n) for r^2 in [rho_lo, rho_hi], its ends moved outward: one
     backward pass of t -> a'_{j+1}/(b'_{j+1} + t), j = n - 1 .. 1, written
     -g_j (j^2 + 4 rho)/(m_j + rho + t), then 1/(1/2 + rho + t).  It carries
     u = -t, from [-(L_n + c+_n), -(L_n + c-_n)], whose ends are rounded
-    with ``nextafter``; in the loop ``* dn`` steps a result one float down,
-    ``/ dn`` one float up.  Each level's m_j, j^2 and g_j stepped each way
-    come from ``_levels_down``; they and k are exact floats for n below
-    2^26 (``MAX_LEVEL`` caps n)."""
+    with ``nextafter``.  In the denominators and at level 0 ``* dn`` steps
+    a result one float down, ``/ dn`` one float up; each numerator end
+    rounds to nearest three times, covered by its g_j stepped
+    ``_G_STEPS`` floats outward.  Each level's m_j, j^2 and g_j stepped
+    each way come from ``_levels_down``; they and k are exact floats for n
+    below 2^26 (``MAX_LEVEL`` caps n)."""
     dn = _DOWN
     rho4_lo, rho4_hi = 4 * rho_lo, 4 * rho_hi
     e_lo, e_hi = offsets(rho_lo, rho_hi, n)
@@ -127,8 +139,8 @@ def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
             level = math.isqrt(int(j2))  # j^2 is an exact int below 2^52
             raise ArithmeticError(f"tail interval lost its bound at level {level}")
         d_hi = ((m + rho_hi) / dn - u_lo) / dn
-        u_hi = (j2 + rho4_hi) / dn * g_up / dn / d_lo / dn
-        u_lo = (j2 + rho4_lo) * dn * g_dn * dn / d_hi * dn
+        u_hi = (j2 + rho4_hi) * g_up / d_lo
+        u_lo = (j2 + rho4_lo) * g_dn / d_hi
     d_lo = ((0.5 + rho_lo) * dn - u_hi) * dn
     d_hi = ((0.5 + rho_hi) / dn - u_lo) / dn
     if not d_lo > 0:
@@ -141,14 +153,14 @@ def _search(rho: tuple[float, float], width: float, n0: int,
     """S_n(V_n) as (lower, upper, n), at an n in [n0, n_max] that meets
     ``width``; n_max <= MAX_LEVEL, as ``bounds_at`` is exact only below
     2^26.  The width falls like n^-6 (V_n is about n^-3 wide, times the n^-3
-    that a width-1 tail set gives): the first pass (its level is in the
-    ``series.tail_enclosure`` plan) predicts the n that meets the width, or
-    hi 2^-52 where that is wider, and a pass that falls short predicts again
+    that a width-1 tail set gives), a law already steady at N_0: the first
+    pass, at n0, predicts the n that meets the width, or hi 2^-52 where
+    that is wider, and a pass that falls short predicts again
     from its own width, at least 1.25 times as deep, up to n_max.  Near the
     rounding floor the width stops falling: a pass no wider than hi 2^-52,
     more than twice as wide as the previous pass aimed at, or no narrower
     than the previous pass is returned, unmet."""
-    n = min(max(n0, PROBE_LEVEL), n_max)
+    n = min(n0, n_max)
     growth = 1.0
     aimed = last = math.inf
     while True:

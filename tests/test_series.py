@@ -504,7 +504,7 @@ class TestTailInterval:
     def test_kernel_bits_off_the_tail_interval(self, r, x, width, max_terms):
         # Bit for bit the flat walk whenever z > 0, the width is 0, r is a
         # Fraction, or no tail interval fits the cap; and where N_0 >
-        # PROBE_LEVEL, when the walk meets the width within its first 2 N_0
+        # PROBE_LEVEL, when the walk meets the width within its first N_0 // 2
         # terms.  Exact walks are kept short: their rationals grow with
         # every term.
         if isinstance(r, Fraction):
@@ -517,9 +517,9 @@ class TestTailInterval:
         elif _outcome(lambda: _kernel(r, x, width, start[2]))[-1] is True:
             assert got == kernel
 
-    @pytest.mark.parametrize("r", [4.5, 5.0, 7.0, 10.0])
+    @pytest.mark.parametrize("r", [5.0, 6.0, 7.0, 10.0])
     def test_walk_that_meets_the_width_is_kept(self, r):
-        # Here the walk meets 1e-12 within 2 max(N_0, PROBE_LEVEL) terms.
+        # Here the walk meets 1e-12 within its N_0 // 2 terms.
         assert tail_enclosure(r, 1.0, 1e-12) == _kernel(r, 1.0, 1e-12, 200_000)
 
     def test_walk_first_only_above_the_probe_level(self, monkeypatch):
@@ -542,6 +542,25 @@ class TestTailInterval:
             calls.clear()
             tail_enclosure(r, 1.0, 1e-12)
             assert len(calls) == 1
+
+    def test_two_passes_from_n0(self, monkeypatch):
+        # Across the deep workload's r range at 1e-12: the first pass at
+        # N_0 predicts a level that meets the width.
+        levels = []
+        bounds_at = tail_interval.bounds_at
+
+        def counted(rho_lo, rho_hi, n):
+            levels.append(n)
+            return bounds_at(rho_lo, rho_hi, n)
+
+        monkeypatch.setattr(tail_interval, "bounds_at", counted)
+        for i in range(50):
+            r = 0.05 + 2.45 * i / 49
+            levels.clear()
+            bracket = tail_enclosure(r, 1.0, 1e-12)
+            _, n0, _ = tail_interval.start(MathieuCFParams(r, 1.0), 1e-12, 200_000)
+            assert bracket.achieved and len(levels) == 2 and levels[0] == n0
+            assert bracket.terms_used == 2 * levels[1]
 
     @pytest.mark.parametrize("width", [1e-2, 1e-3, 1e-4])
     def test_loose_widths_take_the_pass(self, width):
@@ -601,11 +620,22 @@ class TestTailInterval:
     @example(r=0.05, n=100_000)
     def test_pass_contains_the_reference_pass(self, r, n):
         # n from N_0 on; rho_lo = 0 and rho_hi is subnormal for the tiny r.
+        # The pass holds the exact S_k(V_k) at both ends of rho's bracket, at
+        # a level k of at most _EXACT_LEVELS (from N_0 on, so r up to about
+        # 4.6; 32 where rho is subnormal, as its exact numbers grow by about
+        # a thousand bits a level), and is not much wider than the
+        # ``nextafter`` pass.
         rho = _rho_bracket(r)
-        n = max(n, math.ceil(tail_interval.n0_bound(rho[1])))
+        n0 = math.ceil(tail_interval.n0_bound(rho[1]))
+        n = max(n, n0)
         lo, hi = tail_interval.bounds_at(*rho, n)
         ref_lo, ref_hi = _reference_bounds_at(*rho, n)
-        assert lo <= ref_lo <= ref_hi <= hi
+        k = min(n, _EXACT_LEVELS if rho[1] >= sys.float_info.min else 32)
+        if n0 <= k:
+            k_lo, k_hi = tail_interval.bounds_at(*rho, k)
+            for end in rho:
+                for t in _exact_tail_set(end, k):
+                    assert _exact_pass_within(end, k, t, k_lo, k_hi)
         assert hi - lo <= 1.3 * (ref_hi - ref_lo)
 
     @settings(derandomize=True, max_examples=80, deadline=None)
@@ -623,11 +653,16 @@ class TestTailInterval:
 
     @pytest.mark.parametrize("r, n", [(0.05, 64), (1.0, 65), (2.5, 900), (1e-157, 3000)])
     def test_levels_above_the_table(self, monkeypatch, r, n):
-        # Levels past the table are made one at a time, in order.
-        monkeypatch.setattr(tail_interval, "_TABLE_LEVELS", 64)
-        monkeypatch.setattr(tail_interval, "_LEVELS", [None])
+        # Levels past the table are made one at a time, in order: the pass
+        # is the one that makes every level one at a time (a table of one
+        # entry).
         rho = _rho_bracket(r)
-        assert tail_interval.bounds_at(*rho, n) == _reference_bounds_at(*rho, n)
+        monkeypatch.setattr(tail_interval, "_TABLE_LEVELS", 1)
+        monkeypatch.setattr(tail_interval, "_LEVELS", [None])
+        untabled = tail_interval.bounds_at(*rho, n)
+        assert tail_interval._LEVELS == [None]
+        monkeypatch.setattr(tail_interval, "_TABLE_LEVELS", 64)
+        assert tail_interval.bounds_at(*rho, n) == untabled
         assert len(tail_interval._LEVELS) == 64
 
     def test_full_table_memory(self, monkeypatch):
@@ -661,7 +696,7 @@ class TestTailInterval:
 
     def test_int_r_meets_the_width_as_a_float_r_does(self):
         assert theorem1_to_width(1, 1, 1e-12) == theorem1_to_width(1.0, 1, 1e-12)
-        assert theorem1_to_width(1, 1, 1e-12)[1:] == (190, True)
+        assert theorem1_to_width(1, 1, 1e-12)[1:] == (196, True)
 
     @pytest.mark.parametrize("r", [10**155, 10**400])
     def test_int_r_past_float_range_overflows(self, r):
@@ -760,10 +795,47 @@ def _reference_bounds_at(rho_lo, rho_hi, n):
     return nextafter(1 / d_hi, down), nextafter(1 / d_lo, up)
 
 
+# The highest level at which the tests run an exact pass: its cost grows
+# like the square of the level.
+_EXACT_LEVELS = 300
+
+
+def _exact_tail_set(rho, n):
+    """The ends of V_n = [L_n + c-_n, L_n + c+_n] for a float rho, as
+    Fractions: L_n = -(2n^2 - 3n + 6 + 4 rho)/8, c+_n = 7/16 + (8 rho^2 +
+    8 rho + 3)/(16(2n - 1)) and c-_n = c+_n - (rho + 1)^4/(12 n^3)."""
+    rho = Fraction(rho)
+    tail = -(2 * n * n - 3 * n + 6 + 4 * rho) / 8
+    c_hi = Fraction(7, 16) + (8 * rho * rho + 8 * rho + 3) / (16 * (2 * n - 1))
+    c_lo = c_hi - (rho + 1) ** 4 / (12 * n ** 3)
+    return tail + c_lo, tail + c_hi
+
+
+def _exact_pass_within(rho, n, t, lo, hi):
+    """Whether lo <= S_n(t) <= hi, with S_n(t) exact for a float rho and a
+    Fraction t: t_n = t, t_j = -g_j (j^2 + 4 rho)/(m_j + rho + t_{j+1}) for
+    j = n - 1 .. 1, then 1/(1/2 + rho + t_1).  It carries t = p/q
+    unreduced, as a gcd per level costs more than it saves."""
+    rn, rd = rho.as_integer_ratio()
+    p, q = t.numerator, t.denominator
+    for j in range(n - 1, 0, -1):
+        jj = j * j
+        # g_j (j^2 + 4 rho) = j^4 (j^2 rd + 4 rn)/((16 j^2 - 4) rd) and
+        # m_j + rho = ((j^2 + j + 1) rd + 2 rn)/(2 rd); rd cancels.
+        p, q = (-2 * jj * jj * (jj * rd + 4 * rn) * q,
+                (16 * jj - 4) * (((jj + j + 1) * rd + 2 * rn) * q + 2 * rd * p))
+    num, den = 2 * rd * q, (rd + 2 * rn) * q + 2 * rd * p
+    if den < 0:
+        num, den = -num, -den
+    lo_n, lo_d = lo.as_integer_ratio()
+    hi_n, hi_d = hi.as_integer_ratio()
+    return lo_n * den <= num * lo_d and num * hi_d <= hi_n * den
+
+
 def _search_to_n_max(rho, width, n0, n_max):
     """Whether ``tail_interval._search`` without its floor stop meets
     ``width``: it searches on until a pass meets it or n reaches n_max."""
-    n = min(max(n0, tail_interval.PROBE_LEVEL), n_max)
+    n = min(n0, n_max)
     growth = 1.0
     while True:
         lo, hi = tail_interval.bounds_at(*rho, n)
