@@ -193,9 +193,10 @@ class TailBracket(_Record):
     ``achieved`` records whether the requested width was reached before the
     term cap; when False, ``enclosure`` is the best enclosure at the cap, or
     for a tail interval the pass at which the search met the rounding floor.
-    For a tail interval at level N, ``terms_used`` is 2N: the passes before
-    it (the first at N_0), and the walk of N_0 // 2 terms that runs first
-    where N_0 > ``PROBE_LEVEL``, are not counted.
+    For a tail interval at level N, ``terms_used`` is 2N: a pass before it
+    (the first, at max(N_0, the width law's level), mostly meets the width),
+    and the walk of N_0 // 2 terms that runs first where N_0 >
+    ``PROBE_LEVEL``, are not counted.
     """
 
     __slots__ = _fields = ("enclosure", "terms_used", "achieved")
@@ -438,18 +439,19 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     N_0, the level from which the tail set V_N provably holds the tail.
     Where N_0 exceeds max_terms/2 or ``tail_interval.MAX_LEVEL`` the walk
     alone answers.  Else the tail interval S_N(V_N) of the contracted
-    fraction does, whose width falls like N^-6: ``tail_interval._search``
-    passes first at N = N_0 and picks N up to min(max_terms/2, MAX_LEVEL).
-    Only where N_0 > PROBE_LEVEL (r from about 2.6) does a walk run first,
-    of N_0 // 2 terms, about half what the first pass costs, and answer
-    if it meets the width: from r of about 4.8 it meets 1e-12 within them
-    (at r = 4.5 it needs 472 terms, where N_0 = 257).  Below r of about 2.6
-    the first pass is at most 32 levels and no walk runs: at loose widths a short
+    fraction does, whose width falls like W(rho) N^-6: ``tail_interval._search``
+    passes first at N = max(N_0, the level that law predicts for the width),
+    and again, up to min(max_terms/2, MAX_LEVEL), only where a pass falls
+    short.  Only where N_0 > PROBE_LEVEL (r from about 2.6) does a walk run
+    first, of N_0 // 2 terms, at most about half what the first pass costs,
+    and answer if it meets the width: from r of about 4.8 it meets 1e-12
+    within them (at r = 4.5 it needs 472 terms, where N_0 = 257).  Below r
+    of about 2.6 N_0 is at most 32 and no walk runs: at loose widths a short
     walk would meet, the pass's far narrower bracket answers.  Rounded
     outward, the tail interval holds T(r, 1) in floating point, also where
     r^2 underflows and the walk cannot start (proof in the ``cf`` module
-    docstring).  ``terms_used`` is then 2N: the walk and the earlier passes
-    are not counted, and can cost as much again.
+    docstring).  ``terms_used`` is then 2N: the walk and any earlier pass
+    are not counted.
     """
     _require_positive_r(r)
     params = MathieuCFParams(r, x)

@@ -9,13 +9,17 @@ rho = r^2, which put the set's ends the same distance either side of the
 tail's asymptotic offset to third order, evaluated with its roundings
 directed outward: the start, the denominators and level 0 step each
 rounding one float outward, and each numerator rounds to nearest three
-times against a g_j stepped four floats outward.  S_N(V_N) is about N^-6
-wide, and the search passes first at N_0.  The proof that V_N holds the
-tail from N_0(rho) on, and the rounding argument, are in the ``cf``
-module docstring.  A pass reads each level's constants, which do not
-depend on rho, from one table (``_levels_down``).  The module imports
-nothing from the package; ``tail_enclosure`` loads it on its first z = 0
-call with a width, so an eval at k >= 2 never compiles it.
+times against a g_j stepped four floats outward.  S_N(V_N) is about
+W(rho) N^-6 wide, with W(rho) = (rho + 1)^4/12 D(r) and D(r) = 2 (pi r)^3
+cosh(pi r)/sinh(pi r)^3: a law measured, not proven (the recipe is in
+``_search``), which only picks N.  The search passes first at max(N_0,
+the level that law predicts for the width), and again only where a pass
+falls short.  The proof that V_N holds the tail from N_0(rho) on, and
+the rounding argument, are in the ``cf`` module docstring.  A pass reads
+each level's constants, which do not depend on rho, from one table
+(``_levels_down``).  The module imports nothing from the package;
+``tail_enclosure`` loads it on its first z = 0 call with a width, so an
+eval at k >= 2 never compiles it.
 """
 
 from __future__ import annotations
@@ -101,7 +105,8 @@ def start(params, width: float, max_terms: int):
     the walk first) when the tail interval may serve, else None, as the plan
     in ``series.tail_enclosure`` sets out.  The walk has N_0 // 2 terms
     where N_0 > ``PROBE_LEVEL`` (a term costs about what a level does, so
-    the walk costs about half the first pass at N_0), and 0 below."""
+    the walk costs at most about half the first pass, which runs at
+    max(N_0, ``_predicted_level``)), and 0 below."""
     r, x = params.r, params.x
     # An int runs as a float does; an exact (Fraction) run is left to the walk.
     if not (0 < width and params.z == 0 and isinstance(r, (int, float))
@@ -148,27 +153,49 @@ def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
     return 1 / d_hi * dn, 1 / d_lo / dn
 
 
+def _predicted_level(rho_hi: float, width: float) -> int:
+    """The least n at which the width law W(rho) n^-6 (``_search``) meets
+    ``width``, or 2^-52/(rho_hi + 1/2) where that is wider, with a 2% margin:
+    an int >= 1 for every rho_hi >= 0 up to where N_0 passes ``MAX_LEVEL``,
+    never lower for a narrower width.  D(r) is written with
+    q = e^(-2 pi r), as f^3 q (1 + q) for f = 2 pi r/(1 - q), so that it
+    neither overflows (sinh(pi r)^3 does from r of about 75) nor loses its
+    limit D = 2 as r goes to 0."""
+    # Makai's 1/(rho + 1/2) <= S(r) stands in for hi in the floor stop's hi 2^-52.
+    aim = max(width, 2.0 ** -52 / (rho_hi + 0.5))
+    x = 2 * math.pi * math.sqrt(rho_hi)
+    q = math.exp(-x)
+    f = x / -math.expm1(-x) if x else 1.0
+    law = (rho_hi + 1) ** 4 / 12 * (f ** 3 * q * (1 + q))  # W(rho_hi)
+    return max(1, math.ceil(1.02 * (law / aim) ** (1 / 6)))
+
+
 def _search(rho: tuple[float, float], width: float, n0: int,
             n_max: int) -> tuple[float, float, int]:
     """S_n(V_n) as (lower, upper, n), at an n in [n0, n_max] that meets
     ``width``; n_max <= MAX_LEVEL, as ``bounds_at`` is exact only below
-    2^26.  The width falls like n^-6 (V_n is about n^-3 wide, times the n^-3
-    that a width-1 tail set gives), a law already steady at N_0: the first
-    pass, at n0, predicts the n that meets the width, or hi 2^-52 where
-    that is wider, and a pass that falls short predicts again
-    from its own width, at least 1.25 times as deep, up to n_max.  Near the
-    rounding floor the width stops falling: a pass no wider than hi 2^-52,
-    more than twice as wide as the previous pass aimed at, or no narrower
-    than the previous pass is returned, unmet."""
-    n = min(n0, n_max)
-    growth = 1.0
+    2^26.  The width falls like W(rho) n^-6, with W(rho) = (rho + 1)^4/12
+    D(r) and D(r) = 2 (pi r)^3 cosh(pi r)/sinh(pi r)^3 (2 at r = 0): V_n is
+    (rho + 1)^4/(12 n^3) wide, and D(r) n^-3 is the slope of S_n in its tail,
+    the shape of Euler's product sinh(pi r)/(pi r) = prod (1 + r^2/j^2).
+    The law is measured, not proven, and only picks n: ``bounds_at``'s
+    width times n^6/W(rho_hi) reads about 1 + 1.6/n (1.18-1.21 at n = 8,
+    1.09-1.13 at 16, 1.04-1.06 at 40, 1.02-1.03 at 80, for r from 0.01 to
+    3 where n >= N_0, rho bracketed as ``start`` brackets it).  So the first
+    pass runs at max(n0, ``_predicted_level``), which meets the width, or
+    hi 2^-52 where that is wider, everywhere but near the rounding floor.
+    A pass that falls short predicts again from its own width, at least
+    1.25 times as deep (its level was already aimed), up to n_max.  Near
+    the floor the width stops falling: a pass no wider than hi 2^-52, more
+    than twice as wide as the previous pass aimed at, or no narrower than
+    the previous pass is returned, unmet."""
+    n = min(max(n0, _predicted_level(rho[1], width)), n_max)
     aimed = last = math.inf
     while True:
         lo, hi = bounds_at(*rho, n)
         aim = max(width, hi * 2.0 ** -52)
         if hi - lo <= aim or n == n_max or hi - lo > 2 * aimed or hi - lo >= last:
             return lo, hi, n
-        target = n * max(growth, 1.01 * ((hi - lo) / aim) ** (1 / 6))
+        target = n * max(1.25, 1.01 * ((hi - lo) / aim) ** (1 / 6))
         n = math.ceil(target) if target < n_max else n_max
         aimed, last = aim, hi - lo
-        growth = 1.25

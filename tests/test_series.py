@@ -543,9 +543,9 @@ class TestTailInterval:
             tail_enclosure(r, 1.0, 1e-12)
             assert len(calls) == 1
 
-    def test_two_passes_from_n0(self, monkeypatch):
-        # Across the deep workload's r range at 1e-12: the first pass at
-        # N_0 predicts a level that meets the width.
+    def test_one_pass_at_the_predicted_level(self, monkeypatch):
+        # Across the deep workload's r range: the width law's level meets
+        # the width in one pass, from N_0 on.
         levels = []
         bounds_at = tail_interval.bounds_at
 
@@ -554,13 +554,22 @@ class TestTailInterval:
             return bounds_at(rho_lo, rho_hi, n)
 
         monkeypatch.setattr(tail_interval, "bounds_at", counted)
-        for i in range(50):
-            r = 0.05 + 2.45 * i / 49
-            levels.clear()
-            bracket = tail_enclosure(r, 1.0, 1e-12)
-            _, n0, _ = tail_interval.start(MathieuCFParams(r, 1.0), 1e-12, 200_000)
-            assert bracket.achieved and len(levels) == 2 and levels[0] == n0
-            assert bracket.terms_used == 2 * levels[1]
+        for width in (1e-12, 1e-9):
+            for i in range(50):
+                r = 0.05 + 2.45 * i / 49
+                levels.clear()
+                bracket = tail_enclosure(r, 1.0, width)
+                _, n0, _ = tail_interval.start(MathieuCFParams(r, 1.0), width, 200_000)
+                assert len(levels) == 1 and levels[0] >= n0 and bracket.achieved
+                assert bracket.terms_used == 2 * levels[0]
+
+    # rho = 10,640 is about the largest with N_0 <= MAX_LEVEL.
+    @pytest.mark.parametrize("rho", [0.0, 5e-324, 1e-300, 1e-6, 1.0, 6.25, 100.0, 10_640.0])
+    def test_predicted_level_is_finite_and_monotone(self, rho):
+        levels = [tail_interval._predicted_level(rho, width)
+                  for width in (math.inf, 1.0, 1e-12, 1e-300)]
+        assert all(type(n) is int and n >= 1 for n in levels)
+        assert levels == sorted(levels)
 
     @pytest.mark.parametrize("width", [1e-2, 1e-3, 1e-4])
     def test_loose_widths_take_the_pass(self, width):
@@ -651,6 +660,24 @@ class TestTailInterval:
         lo, hi = tail_interval.bounds_at(*rho, n)
         assert mpmath.mpf(lo) <= mpmath_s(r, 50) <= mpmath.mpf(hi)
 
+    # Exact rho (rho_lo = rho_hi), where the outward roundings alone hold
+    # the exact values, and one bracket as ``start`` makes it.
+    @pytest.mark.parametrize("rho, n", [
+        ((0.0025, 0.0025), 200), ((1.0, 1.0), 120), ((6.25, 6.25), 200),
+        ((math.nextafter(2.25, 0), math.nextafter(2.25, 3)), 60),
+    ])
+    def test_each_level_holds_the_exact_tail(self, monkeypatch, rho, n):
+        # Level by level, [u_lo, u_hi] holds the exact u_j = -t_j from both
+        # ends of V_n, at both ends of rho's bracket.
+        seen = _pass_levels(monkeypatch, rho, n)
+        assert len(seen) == n
+        for end in rho:
+            for t in _exact_tail_set(end, n):
+                for (u_lo, u_hi), (p, q) in zip(seen, _exact_levels(end, n, t), strict=True):
+                    lo_n, lo_d = u_lo.as_integer_ratio()
+                    hi_n, hi_d = u_hi.as_integer_ratio()
+                    assert q > 0 and lo_n * q <= -p * lo_d and -p * hi_d <= hi_n * q
+
     @pytest.mark.parametrize("r, n", [(0.05, 64), (1.0, 65), (2.5, 900), (1e-157, 3000)])
     def test_levels_above_the_table(self, monkeypatch, r, n):
         # Levels past the table are made one at a time, in order: the pass
@@ -696,7 +723,7 @@ class TestTailInterval:
 
     def test_int_r_meets_the_width_as_a_float_r_does(self):
         assert theorem1_to_width(1, 1, 1e-12) == theorem1_to_width(1.0, 1, 1e-12)
-        assert theorem1_to_width(1, 1, 1e-12)[1:] == (196, True)
+        assert theorem1_to_width(1, 1, 1e-12)[1:] == (190, True)
 
     @pytest.mark.parametrize("r", [10**155, 10**400])
     def test_int_r_past_float_range_overflows(self, r):
@@ -811,25 +838,54 @@ def _exact_tail_set(rho, n):
     return tail + c_lo, tail + c_hi
 
 
-def _exact_pass_within(rho, n, t, lo, hi):
-    """Whether lo <= S_n(t) <= hi, with S_n(t) exact for a float rho and a
-    Fraction t: t_n = t, t_j = -g_j (j^2 + 4 rho)/(m_j + rho + t_{j+1}) for
-    j = n - 1 .. 1, then 1/(1/2 + rho + t_1).  It carries t = p/q
-    unreduced, as a gcd per level costs more than it saves."""
+def _exact_levels(rho, n, t):
+    """t_j = p/q, exact for a float rho and a Fraction t, for j = n .. 1:
+    t_n = t, then t_j = -g_j (j^2 + 4 rho)/(m_j + rho + t_{j+1}).  q stays
+    positive while the denominators do.  It carries t = p/q unreduced, as a
+    gcd per level costs more than it saves."""
     rn, rd = rho.as_integer_ratio()
     p, q = t.numerator, t.denominator
+    yield p, q
     for j in range(n - 1, 0, -1):
         jj = j * j
         # g_j (j^2 + 4 rho) = j^4 (j^2 rd + 4 rn)/((16 j^2 - 4) rd) and
         # m_j + rho = ((j^2 + j + 1) rd + 2 rn)/(2 rd); rd cancels.
         p, q = (-2 * jj * jj * (jj * rd + 4 * rn) * q,
                 (16 * jj - 4) * (((jj + j + 1) * rd + 2 * rn) * q + 2 * rd * p))
+        yield p, q
+
+
+def _exact_pass_within(rho, n, t, lo, hi):
+    """Whether lo <= S_n(t) <= hi, with S_n(t) = 1/(1/2 + rho + t_1) exact
+    (``_exact_levels``)."""
+    rn, rd = rho.as_integer_ratio()
+    *_, (p, q) = _exact_levels(rho, n, t)
     num, den = 2 * rd * q, (rd + 2 * rn) * q + 2 * rd * p
     if den < 0:
         num, den = -num, -den
     lo_n, lo_d = lo.as_integer_ratio()
     hi_n, hi_d = hi.as_integer_ratio()
     return lo_n * den <= num * lo_d and num * hi_d <= hi_n * den
+
+
+def _pass_levels(monkeypatch, rho, n):
+    """[u_lo, u_hi] of ``tail_interval.bounds_at(*rho, n)`` at each level
+    j = n .. 1 (u = -t_j), read from the pass's frame each time its loop
+    asks ``_levels_down`` for the next level's constants, and once when
+    the loop ends."""
+    seen = []
+    levels_down = tail_interval._levels_down
+
+    def reading(n):
+        frame = sys._getframe(1)  # bounds_at, which resumes this generator
+        for level in levels_down(n):
+            seen.append((frame.f_locals["u_lo"], frame.f_locals["u_hi"]))
+            yield level
+        seen.append((frame.f_locals["u_lo"], frame.f_locals["u_hi"]))
+
+    monkeypatch.setattr(tail_interval, "_levels_down", reading)
+    tail_interval.bounds_at(*rho, n)
+    return seen
 
 
 def _search_to_n_max(rho, width, n0, n_max):
