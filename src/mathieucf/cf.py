@@ -147,16 +147,20 @@ L_N at the end of the bracket that widens the set, c+_N - 7/16 rounded up
 at the upper end, and c-_N - 7/16 rounded down with A at the lower end and
 (rho + 1)^4/(12 N^3) at the upper end (``tail_interval.offsets``), with
 ``math.nextafter`` after each rounding of the start, sound at any
-magnitude.  The pass uses a'_{j+1} = -g_j (j^2 + 4 rho), g_j = j^4/(4(4j^2 - 1)), and
-b'_{j+1} = m_j + rho, m_j = (j^2 + j + 1)/2.  Each
-step maps interval ends to interval ends (s_{j+1} increases; 1/(b'_1 + t)
+magnitude.  The pass carries u = -t in [u_lo, u_hi].  Level j = N - 1 ..
+1 takes an end u' to (j^2 + 4 rho) g_j/(a - u'), with g_j = j^4/(4(4j^2 -
+1)), so a'_{j+1} = -g_j (j^2 + 4 rho), and a = b'_{j+1} = m_j + rho, m_j =
+(j^2 + j + 1)/2; level 0 takes it to 1/(1/2 + rho - u').  Each step maps
+interval ends to interval ends (s_{j+1} increases; 1/(b'_1 + t)
 decreases), and rho is bracketed by r*r rounded down and up ([0, 2^-1074]
-where it underflows).  In the denominators and at level 0 every float
-operation that can round is followed by one float step away from the
-value it bounds: a positive result is multiplied by d = 1 - 2^-53 to step
-down and divided by d to step up.  A numerator end, (j^2 + 4 rho) g_j
-over a denominator end, rounds to nearest three times with no step, and
-its g_j is stepped instead.
+where it underflows): u_hi takes rho_hi in its numerator and rho_lo in its
+denominator, u_lo the reverse.  At level 0 every float operation that can
+round is followed by one float step away from the value it bounds: a
+positive result is multiplied by d = 1 - 2^-53 to step down and divided by
+d to step up.  A level j >= 1 steps nothing: each end rounds to nearest
+twice in its denominator, fl(a) - u', and three times in its numerator,
+(j^2 + 4 rho) g_j over the denominator, and its g_j is rounded outward
+instead.
 
 Lemma (the step): for a float x >= 2^-1021, x*d rounds to the float below
 x and x/d to the float above it.  Write x = M 2^q with 2^52 <= M < 2^53:
@@ -170,44 +174,70 @@ the largest float).
 
 Lemma (the standard model; Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., 2002, section 2.2): if the exact result v of a float
-+, * or / is at least 2^-1022 and rounds to a finite float, it rounds to
-nearest as fl(v) = v/(1 + delta) with |delta| <= eps = 2^-53.  For fl(v) in
-[2^e, 2^(e+1)] the floats there are 2^(e-52) apart, so |v - fl(v)| <=
-2^(e-53) <= eps fl(v).
++, -, * or / is at least 2^-1022 in magnitude and rounds to a finite
+float, it rounds to nearest as fl(v) = v (1 + delta) = v/(1 + delta')
+with |delta|, |delta'| <= eps = 2^-53.  For v and fl(v) in [2^e, 2^(e+1)]
+the floats there are 2^(e-52) apart, so |v - fl(v)| <= 2^(e-53), at most
+eps |v| and eps |fl(v)|.
 
-The table: by the standard model the float nearest g_j lies in
-[g_j/(1 + eps), g_j/(1 - eps)].  A float step up multiplies a positive
-normal float M 2^q by 1 + 1/M > 1 + eps, and a step down by 1 - 1/M, or
-by 1 - eps from a power of two: at most 1 - eps.  So g+_j, g_j stepped
-four floats up (``tail_interval._level``), is at least g_j (1 + eps)^3,
-and g-_j, four floats down, at most g_j (1 - eps)^3.  The upper end of a
-numerator, (j^2 + 4 rho_hi) g+_j / d_lo in three roundings, is by the
-standard model at least its exact value over (1 + eps)^3, so at least the
-exact g_j (j^2 + 4 rho_hi)/d_lo; the lower end, (j^2 + 4 rho_lo) g-_j /
-d_hi, is at most its exact value over (1 - eps)^3, so at most the exact
-g_j (j^2 + 4 rho_lo)/d_hi.  An upper end that rounds to inf bounds from
-above too.
+The table: g+_j is the least float at or above g_j (1 + eps)^6 and g-_j
+the greatest at or below g_j (1 - eps)^6 (``tail_interval._G_POWER``):
+each is an exact int quotient, j^4 (2^53 +- 1)^6 over (16j^2 - 4) 2^318,
+rounded to nearest by int division and moved one float where it lands on
+the wrong side.  A float step up multiplies a positive normal float M 2^q
+(2^52 <= M < 2^53) by 1 + 1/M <= 1 + 2 eps, so g+_j <= g_j (1 + eps)^6
+(1 + 2 eps).
 
-The lemmas cover every rounded result of the pass after its start, which
-carries u = -t in [u_lo, u_hi].  Each product and quotient is at least
-1/(24 (n^2 + rho + 1)) with rho < n (N_0 >= 2 rho + 2), far above
-2^-1021: the numerator factors are at least 1 and g_j >= 1/12, the
-denominators at most 2 (m_j + rho + 1), and 1/(1/2 + rho + t) at level 0
-is at least 1/(2 rho + 2).  The sums j^2 + 4 rho and m_j + rho
-are at least 1; a denominator m_j + rho - u that lands below
-2^-1021 is exact, as a difference of two multiples of 2^-1074 that is one
-itself, and a non-positive one raises.  A u_hi that overflows makes the
-next denominator -inf, which raises; u_lo is bounded by u_hi operand by
-operand, so it overflows only with it.  Exact are j, j^2, m_j
-(m_{j-1} = m_j - j) and 2n^2 - 3n + 6, integers below 2^53 for n < 2^26
-(``tail_interval.MAX_LEVEL`` caps N there), as are 4 rho, 32N - 16, 12N
-and the start's division by 8; g_j is a correctly rounded int
-quotient, stepped and read from a table.  So the computed ends enclose
-S_N(V_N).  Above 2^-1021 each step lands on the float that
-``math.nextafter`` gives, so the start, the denominators and level 0 are
-those of a pass with a ``nextafter`` call after every rounding.
-N_0 is computed with every operation rounded up, at the upper
-end of rho's bracket.
+A level.  Let a level's denominator have the exact value D = a - u' > 0,
+with K = a/D.  It rounds to fl(fl(a) - u') = (a (1 + delta_1) - u')(1 +
+delta_2) = D (1 + K delta_1)(1 + delta_2), so into [D (1 - K eps)(1 - eps),
+D (1 + K eps)(1 + eps)].  With K <= 2, (1 + K eps)(1 + eps) <= (1 + eps)^3,
+and by fl(v) >= v/(1 + eps) the upper end, (j^2 + 4 rho_hi) g+_j over d_lo
+in three roundings, is at least (j^2 + 4 rho_hi) g+_j / (D (1 + eps)^6),
+at least its exact (j^2 + 4 rho_hi) g_j / D.  By fl(v) <= v (1 + eps) the
+lower end is at most (j^2 + 4 rho_lo) g-_j (1 + eps)^3 / (D (1 - 2 eps)(1
+- eps)), at most its exact (j^2 + 4 rho_lo) g_j / D, as (1 - eps)^5 (1 +
+eps)^3 = (1 - eps^2)^3 (1 - eps)^2 < 1 - 2 eps.  A fifth power would not
+do: (1 + eps)^5 < (1 + eps)^4 (1 + 2 eps).
+
+The ratio: K <= 2 at every level j >= 1 of a pass at N from N_0 to
+``tail_interval.MAX_LEVEL`` = 2^23 - 1.  Write a_j = m_j + rho_lo (a_0 =
+1/2 + rho_lo) and N_j = (j^2 + 4 rho_lo) g_j.  Every upper end u' that
+enters level j is at most a_j/2, so D >= a_j/2 at d_lo; at d_hi, a = m_j +
+rho_hi >= a_j and u' = u_lo <= u_hi (rounding is monotone), so D >= a/2
+there too, or K <= 1 where u_lo <= 0.
+- The start: c-_N >= 7/16 from N_0 on, so -(L_N + c-_N) at rho_hi is below
+  a_{N-1}/2 by (2N - 1)/16 - (rho_hi - rho_lo)/2 > 3/8 (rho < N/2), and
+  the start's roundings, on values below 2^48, move u_hi by less than 1/16.
+- A level: if u' <= a_j/2, then K <= 2 and the new upper end is at most
+  Lambda N_j/D <= 2 Lambda N_j/a_j, where Lambda = (1 + 5 eps)(1 +
+  eps)^6 (1 + 2 eps)(1 + eps)^3/((1 - 2 eps)(1 - eps)) < 1 + 20 eps
+  gathers rho_hi <= rho_lo (1 + 2 eps)/(1 - 2 eps) in the numerator (or
+  rho_hi - rho_lo <= 2^-1073 where r*r is subnormal), g+_j's bound, the
+  numerator's three roundings and the denominator's two.  And (4j^2 - 1)
+  a_j a_{j-1} - (j^2 + 4 rho) j^4 = (3j^4 + 3j^2 - 1)/4 + rho (3j^2 - 1) +
+  rho^2 (4j^2 - 1), with rho = rho_lo (m_j m_{j-1} = (j^4 + j^2 + 1)/4),
+  is at least (j^2 + 4 rho) j^4/(2j^2), so 4 N_j (1 + 1/(2j^2)) <= a_j
+  a_{j-1} (``tests/test_cf.py`` checks the identity).  For j < 2^23, 20
+  eps < 2^-47 < 1/(2j^2), so the new end is at most a_{j-1}/2.
+Above 2^23 the argument fails: the outward roundings of g_j, added up
+over the levels, can outrun the pull of the fraction back toward its tail,
+so ``MAX_LEVEL`` caps N below it.  In a pass it covers, the ``d_lo > 0`` test
+never fires; it raises only outside the claim (N < N_0, or rho < 0).
+
+The lemmas cover every rounded result of the pass after its start.  Each
+product and quotient is at least 1/(24 (n^2 + rho + 1)) with rho < n
+(N_0 >= 2 rho + 2), far above 2^-1021: the numerator factors are at least
+1 and g_j >= 1/12, the denominators at most 2 (m_j + rho + 1), and 1/(1/2
++ rho + t) at level 0 is at least 1/(2 rho + 2).  The sums j^2 + 4 rho and
+m_j + rho are at least 1, and each denominator is at least a_j/2 >= 1/4.
+Exact are j, j^2, m_j (m_{j-1} = m_j - j) and 2n^2 - 3n + 6, integers
+below 2^53 for n < 2^26, as are 4 rho, 32N - 16, 12N and the start's
+division by 8; g+_j and g-_j are read from a table.  So the computed ends enclose S_N(V_N).  Above 2^-1021 each
+step lands on the float that ``math.nextafter`` gives, so level 0 is that
+of a pass with a ``nextafter`` call after every rounding, as the start is.
+N_0 is computed with every operation rounded up, at the upper end of rho's
+bracket.
 """
 
 from __future__ import annotations

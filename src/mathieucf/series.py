@@ -133,6 +133,8 @@ def _rescaled(n: int, scale: float, a_cur, a_prev, b_cur, b_prev):
 # Direct summation refuses tolerances needing more terms than this.
 _DIRECT_TERM_CAP = 20_000_000
 _SCALE = _rescale_factor(DEFAULT_RESCALE_AT)
+# ``tail_interval`` once ``tail_enclosure`` has loaded it.
+_tail_interval = None
 
 
 class MathieuCFParams(_Record):
@@ -193,10 +195,8 @@ class TailBracket(_Record):
     ``achieved`` records whether the requested width was reached before the
     term cap; when False, ``enclosure`` is the best enclosure at the cap, or
     for a tail interval the pass at which the search met the rounding floor.
-    For a tail interval at level N, ``terms_used`` is 2N: a pass before it
-    (the first, at max(N_0, the width law's level), mostly meets the width),
-    and the walk of N_0 // 2 terms that runs first where N_0 >
-    ``PROBE_LEVEL``, are not counted.
+    For a tail interval at level N, ``terms_used`` is 2N; a pass before it
+    and a walk run first (``tail_enclosure``) are not counted.
     """
 
     __slots__ = _fields = ("enclosure", "terms_used", "achieved")
@@ -442,18 +442,33 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     fraction does, whose width falls like W(rho) N^-6: ``tail_interval._search``
     passes first at N = max(N_0, the level that law predicts for the width),
     and again, up to min(max_terms/2, MAX_LEVEL), only where a pass falls
-    short.  Only where N_0 > PROBE_LEVEL (r from about 2.6) does a walk run
-    first, of N_0 // 2 terms, at most about half what the first pass costs,
-    and answer if it meets the width: from r of about 4.8 it meets 1e-12
-    within them (at r = 4.5 it needs 472 terms, where N_0 = 257).  Below r
-    of about 2.6 N_0 is at most 32 and no walk runs: at loose widths a short
-    walk would meet, the pass's far narrower bracket answers.  Rounded
-    outward, the tail interval holds T(r, 1) in floating point, also where
-    r^2 underflows and the walk cannot start (proof in the ``cf`` module
-    docstring).  ``terms_used`` is then 2N: the walk and any earlier pass
-    are not counted.
+    short.  Only where N_0 > PROBE_LEVEL (r from about 2.6) does a walk of
+    N_0 // 2 terms run first, at about 0.6 times the first pass's cost
+    (``tail_interval.start``), and answer if it meets the width: from r of
+    about 4.8 it meets 1e-12 within them.  Rounded outward, the tail
+    interval holds T(r, 1) in floating point, also where r^2 underflows and
+    the walk cannot start (proof in the ``cf`` module docstring).
+    ``terms_used`` is then 2N: the walk and any earlier pass are not counted.
     """
     _require_positive_r(r)
+    if x == 1 and 0 < width:  # valid x and width; a plan needs a finite r
+        global _tail_interval
+        if _tail_interval is None:  # compiled on the first such call
+            from . import tail_interval as _tail_interval
+        plan = _tail_interval.start(r, x, width, max_terms)
+        if plan is not None:
+            rho, n0, walk_terms = plan
+            if walk_terms:
+                try:
+                    bracket = _walk(MathieuCFParams(r, x), width, walk_terms)
+                    if bracket.achieved:
+                        return bracket
+                except ValueError:  # a crossed pair past its drift: the pass answers
+                    pass
+            n_max = min(max_terms // 2, _tail_interval.MAX_LEVEL)
+            lower, upper, level = _tail_interval._search(rho, width, n0, n_max)
+            enclosure = Enclosure(lower, upper)
+            return TailBracket(enclosure, 2 * level, enclosure.width <= width)
     params = MathieuCFParams(r, x)
     if params.z < 0:
         raise ValueError(
@@ -461,22 +476,6 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
         )
     if not (width >= 0):
         raise ValueError(f"width must be >= 0; got {width!r}")
-    if x == 1 and 0 < width:
-        from .tail_interval import MAX_LEVEL, _search, start  # compiled on the first such call
-
-        plan = start(params, width, max_terms)
-        if plan is not None:
-            rho, n0, walk_terms = plan
-            if walk_terms:
-                try:
-                    bracket = _walk(params, width, walk_terms)
-                    if bracket.achieved:
-                        return bracket
-                except ValueError:  # a crossed pair past its drift: the pass answers
-                    pass
-            lower, upper, level = _search(rho, width, n0, min(max_terms // 2, MAX_LEVEL))
-            enclosure = Enclosure(lower, upper)
-            return TailBracket(enclosure, 2 * level, enclosure.width <= width)
     return _walk(params, width, max_terms)
 
 

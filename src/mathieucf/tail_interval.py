@@ -7,9 +7,9 @@ level N with its tail in V_N = [L_N + c-_N, L_N + c+_N], where c+_N = 7/16 +
 (8 rho^2 + 8 rho + 3)/(16(2N - 1)) and c-_N = c+_N - (rho + 1)^4/(12N^3) for
 rho = r^2, which put the set's ends the same distance either side of the
 tail's asymptotic offset to third order, evaluated with its roundings
-directed outward: the start, the denominators and level 0 step each
-rounding one float outward, and each numerator rounds to nearest three
-times against a g_j stepped four floats outward.  S_N(V_N) is about
+directed outward: the start and level 0 step each rounding one float
+outward, and each level above rounds to nearest, 10 float operations for
+both ends, against g_j (1 +- 2^-53)^6 rounded outward.  S_N(V_N) is about
 W(rho) N^-6 wide, with W(rho) = (rho + 1)^4/12 D(r) and D(r) = 2 (pi r)^3
 cosh(pi r)/sinh(pi r)^3: a law measured, not proven (the recipe is in
 ``_search``), which only picks N.  The search passes first at max(N_0,
@@ -26,29 +26,25 @@ from __future__ import annotations
 
 import math
 from itertools import chain
+from math import inf, nextafter
 from typing import Iterator
 
 # Only where N_0 exceeds this level does a walk run first (the plan is in
 # ``series.tail_enclosure``).
 PROBE_LEVEL = 32
-# The highest level of a pass: ``bounds_at`` is exact only below 2^26.
-MAX_LEVEL = (1 << 26) - 1
-
-
-def _up(v: float) -> float:
-    return math.nextafter(v, math.inf)
-
-
-def _down(v: float) -> float:
-    return math.nextafter(v, -math.inf)
+# The highest level of a pass: the rounding argument for ``bounds_at`` (``cf``
+# docstring) holds only below 2^23.
+MAX_LEVEL = (1 << 23) - 1
 
 
 # For a float x >= 2^-1021, x * _DOWN is the float below x and x / _DOWN the
 # float above it (the lemma is in the ``cf`` module docstring).
 _DOWN = 1 - 2.0 ** -53
-# A numerator -g_j (j^2 + 4 rho)/d rounds three times to nearest; g_j
-# stepped this many floats outward covers all three (``cf`` docstring).
-_G_STEPS = 4
+# A level's end g_j (j^2 + 4 rho)/(m_j + rho - u) rounds five times to
+# nearest, twice in its denominator; g_j times (1 + 2^-53) and (1 - 2^-53)
+# to this power, rounded outward, covers all five (``cf`` docstring).
+_G_POWER = 6
+_G_UP, _G_DN = (2 ** 53 + 1) ** _G_POWER, (2 ** 53 - 1) ** _G_POWER
 
 # _level(j) at index j (index 0 unused), through the largest level a pass
 # has asked for, up to _TABLE_LEVELS: 176 bytes a level, 2.9 MB in all (a
@@ -59,15 +55,24 @@ _LEVELS = [None]
 _TABLE_LEVELS = 1 << 14
 
 
+def _rounded(p: int, q: int, toward: float) -> float:
+    """p/q for ints p, q > 0, rounded toward ``toward`` (inf or -inf)."""
+    v = p / q  # correctly rounded to nearest
+    n, d = v.as_integer_ratio()
+    if n * q != p * d and (n * q < p * d) == (toward > 0):
+        v = nextafter(v, toward)
+    return v
+
+
 def _level(j: int) -> tuple[float, float, float, float]:
     """The constants of level j, none of which depends on rho: m_j = (j^2 +
-    j + 1)/2 and j^2, exact below 2^26, and g_j = j^4/(4(4j^2 - 1)),
-    correctly rounded (one int quotient), stepped ``_G_STEPS`` floats up
-    and as many down."""
+    j + 1)/2 and j^2, exact below 2^26, and g_j = j^4/(4(4j^2 - 1)) times
+    (1 + 2^-53)^``_G_POWER`` rounded up and times (1 - 2^-53)^``_G_POWER``
+    rounded down, each from one exact int quotient."""
     jj = j * j
-    g_up = g_dn = jj * jj / (16 * jj - 4)
-    for _ in range(_G_STEPS):
-        g_up, g_dn = _up(g_up), _down(g_dn)
+    den = (16 * jj - 4) << (53 * _G_POWER)
+    g_up = _rounded(jj * jj * _G_UP, den, inf)
+    g_dn = _rounded(jj * jj * _G_DN, den, -inf)
     return (jj + j + 1) / 2, float(jj), g_up, g_dn
 
 
@@ -84,7 +89,8 @@ def _levels_down(n: int) -> Iterator[tuple[float, float, float, float]]:
 
 def n0_bound(rho_hi: float) -> float:
     """N_0 for every rho <= rho_hi, rounded up; inf for huge rho."""
-    return max(4.0, _up(2 * rho_hi + 2), _up(_up(_up(16 * rho_hi * _up(rho_hi + 1)) / 27) + 1))
+    quad = nextafter(nextafter(16 * rho_hi * nextafter(rho_hi + 1, inf), inf) / 27, inf)
+    return max(4.0, nextafter(2 * rho_hi + 2, inf), nextafter(quad + 1, inf))
 
 
 def offsets(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
@@ -92,28 +98,31 @@ def offsets(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
     in [rho_lo, rho_hi]: a ``nextafter`` after each rounding, so sound at
     any magnitude (12 n^3 is not an exact float above about 2^17)."""
     den = 32 * n - 16  # 16 (2n - 1)
-    hi = _up(_up(_up(8 * rho_hi * _up(rho_hi + 1)) + 3) / den)
-    gap = _up(rho_hi + 1)
-    gap = _up(gap * gap)
-    gap = _up(_up(_up(_up(gap * gap) / n) / n) / (12 * n))  # (rho + 1)^4/(12 n^3)
-    lo = _down(_down(_down(_down(8 * rho_lo * _down(rho_lo + 1)) + 3) / den) - gap)
-    return lo, hi
+    a_hi = nextafter(nextafter(8 * rho_hi * nextafter(rho_hi + 1, inf), inf) + 3, inf)
+    a_lo = nextafter(nextafter(8 * rho_lo * nextafter(rho_lo + 1, -inf), -inf) + 3, -inf)
+    gap = nextafter(rho_hi + 1, inf)  # then (rho + 1)^4/(12 n^3), rounded up
+    gap = nextafter(gap * gap, inf)
+    gap = nextafter(nextafter(gap * gap, inf) / n, inf)
+    gap = nextafter(nextafter(gap / n, inf) / (12 * n), inf)
+    lo = nextafter(nextafter(a_lo / den, -inf) - gap, -inf)
+    return lo, nextafter(a_hi / den, inf)
 
 
-def start(params, width: float, max_terms: int):
-    """For ``series.MathieuCFParams`` params: (r^2 bracketed, N_0, terms of
-    the walk first) when the tail interval may serve, else None, as the plan
-    in ``series.tail_enclosure`` sets out.  The walk has N_0 // 2 terms
-    where N_0 > ``PROBE_LEVEL`` (a term costs about what a level does, so
-    the walk costs at most about half the first pass, which runs at
-    max(N_0, ``_predicted_level``)), and 0 below."""
-    r, x = params.r, params.x
+def start(r: float, x: float, width: float, max_terms: int):
+    """(r^2 bracketed, N_0, terms of the walk first) when the tail interval
+    may serve ``tail_enclosure(r, x, width, max_terms)``, else None, as the
+    plan in ``series.tail_enclosure`` sets out.  The walk has N_0 // 2
+    terms where N_0 > ``PROBE_LEVEL``, and 0 below.  A walk term costs
+    about 1.25 times a level (pinned, at r = 3 and 4.2), so the walk costs
+    about 0.6 times the first pass, which runs at max(N_0,
+    ``_predicted_level``) levels; on r in [2.6, 4.8] at width 1e-12,
+    N_0 // 3 and N_0 // 4 terms were no faster."""
     # An int runs as a float does; an exact (Fraction) run is left to the walk.
-    if not (0 < width and params.z == 0 and isinstance(r, (int, float))
+    if not (0 < width and x == 1 and isinstance(r, (int, float))
             and isinstance(x, (int, float))):
         return None
     rr = r * r  # an int past float range raises OverflowError, as the walk would
-    rho = max(_down(rr), 0.0), _up(rr)
+    rho = max(nextafter(rr, -inf), 0.0), nextafter(rr, inf)
     floor = n0_bound(rho[1])
     if not floor <= min(max_terms // 2, MAX_LEVEL):
         return None
@@ -126,24 +135,28 @@ def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
     backward pass of t -> a'_{j+1}/(b'_{j+1} + t), j = n - 1 .. 1, written
     -g_j (j^2 + 4 rho)/(m_j + rho + t), then 1/(1/2 + rho + t).  It carries
     u = -t, from [-(L_n + c+_n), -(L_n + c-_n)], whose ends are rounded
-    with ``nextafter``.  In the denominators and at level 0 ``* dn`` steps
-    a result one float down, ``/ dn`` one float up; each numerator end
-    rounds to nearest three times, covered by its g_j stepped
-    ``_G_STEPS`` floats outward.  Each level's m_j, j^2 and g_j stepped
-    each way come from ``_levels_down``; they and k are exact floats for n
-    below 2^26 (``MAX_LEVEL`` caps n)."""
+    with ``nextafter``.  A level is 10 float operations, none of them
+    stepped: each end rounds to nearest twice in its denominator and three
+    times in its numerator, covered by g_j (1 +- 2^-53)^``_G_POWER``
+    rounded outward.  At level 0 ``* dn`` steps a result one float down,
+    ``/ dn`` one float up.  Each level's m_j, j^2 and g_j rounded out each
+    way come from ``_levels_down``; they and k are exact floats for n below
+    2^26, and the rounding argument holds for n below 2^23 (``MAX_LEVEL``
+    caps n)."""
     dn = _DOWN
     rho4_lo, rho4_hi = 4 * rho_lo, 4 * rho_hi
     e_lo, e_hi = offsets(rho_lo, rho_hi, n)
     k = 2 * n * n - 3 * n + 6  # -(8 L_n + 4 rho)
-    u_hi = _up(_up(_up(rho4_hi + k) - 3.5) / 8 - e_lo)  # -(L_n + c-_n)
-    u_lo = _down(_down(_down(rho4_lo + k) - 3.5) / 8 - e_hi)  # -(L_n + c+_n)
+    u_hi = nextafter(nextafter(rho4_hi + k, inf) - 3.5, inf)
+    u_hi = nextafter(u_hi / 8 - e_lo, inf)  # -(L_n + c-_n)
+    u_lo = nextafter(nextafter(rho4_lo + k, -inf) - 3.5, -inf)
+    u_lo = nextafter(u_lo / 8 - e_hi, -inf)  # -(L_n + c+_n)
     for m, j2, g_up, g_dn in _levels_down(n):
-        d_lo = ((m + rho_lo) * dn - u_hi) * dn
+        d_lo = m + rho_lo - u_hi
         if not d_lo > 0:
             level = math.isqrt(int(j2))  # j^2 is an exact int below 2^52
             raise ArithmeticError(f"tail interval lost its bound at level {level}")
-        d_hi = ((m + rho_hi) / dn - u_lo) / dn
+        d_hi = m + rho_hi - u_lo
         u_hi = (j2 + rho4_hi) * g_up / d_lo
         u_lo = (j2 + rho4_lo) * g_dn / d_hi
     d_lo = ((0.5 + rho_lo) * dn - u_hi) * dn
@@ -173,11 +186,12 @@ def _predicted_level(rho_hi: float, width: float) -> int:
 def _search(rho: tuple[float, float], width: float, n0: int,
             n_max: int) -> tuple[float, float, int]:
     """S_n(V_n) as (lower, upper, n), at an n in [n0, n_max] that meets
-    ``width``; n_max <= MAX_LEVEL, as ``bounds_at`` is exact only below
-    2^26.  The width falls like W(rho) n^-6, with W(rho) = (rho + 1)^4/12
-    D(r) and D(r) = 2 (pi r)^3 cosh(pi r)/sinh(pi r)^3 (2 at r = 0): V_n is
-    (rho + 1)^4/(12 n^3) wide, and D(r) n^-3 is the slope of S_n in its tail,
-    the shape of Euler's product sinh(pi r)/(pi r) = prod (1 + r^2/j^2).
+    ``width``; n_max <= MAX_LEVEL, as the rounding argument for
+    ``bounds_at`` holds only below 2^23.  The width falls like W(rho)
+    n^-6, with W(rho) = (rho + 1)^4/12 D(r) and D(r) = 2 (pi r)^3 cosh(pi
+    r)/sinh(pi r)^3 (2 at r = 0): V_n is (rho + 1)^4/(12 n^3) wide, and
+    D(r) n^-3 is the slope of S_n in its tail, the shape of Euler's
+    product sinh(pi r)/(pi r) = prod (1 + r^2/j^2).
     The law is measured, not proven, and only picks n: ``bounds_at``'s
     width times n^6/W(rho_hi) reads about 1 + 1.6/n (1.18-1.21 at n = 8,
     1.09-1.13 at 16, 1.04-1.06 at 40, 1.02-1.03 at 80, for r from 0.01 to

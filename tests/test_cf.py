@@ -465,6 +465,20 @@ class TestTailIntervalProof:
             assert poly[0, 0] == constant
             assert len(poly) == 28
 
+    def test_ratio_lemma_is_an_identity(self):
+        # The rounding argument's step (``cf`` docstring): with a_j = m_j +
+        # rho, (4j^2 - 1) a_j a_{j-1} - (j^2 + 4 rho) j^4 is the polynomial
+        # below, of degree 6 in j and 2 in rho: agreeing on a 7 x 3 grid of
+        # (j, rho), the two are equal.  Each of its terms is non-negative
+        # for j >= 1, and it is at least (j^2 + 4 rho) j^2/2.
+        for j in range(1, 8):
+            for rho in (Fraction(0), Fraction(1, 3), Fraction(5, 2)):
+                a_j, a_before = (Fraction(i * i + i + 1, 2) + rho for i in (j, j - 1))
+                excess = (4 * j * j - 1) * a_j * a_before - (j * j + 4 * rho) * j ** 4
+                assert excess == (Fraction(3 * j ** 4 + 3 * j * j - 1, 4)
+                                  + rho * (3 * j * j - 1) + rho * rho * (4 * j * j - 1))
+                assert excess >= (j * j + 4 * rho) * j * j / 2
+
     @pytest.mark.parametrize("rho", [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200,
                                      0.0025, 0.3, 1.0, 6.25, 12.25, 100.0, 1e4])
     def test_float_width_bound_rounds_up(self, rho):

@@ -9,6 +9,7 @@ and from hand-evaluated coefficient formulas at small indices.
 import itertools
 import math
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -511,7 +512,7 @@ class TestTailInterval:
             max_terms = min(max_terms, 30)
         got = _outcome(lambda: tail_enclosure(r, x, width, max_terms))
         kernel = _outcome(lambda: _kernel(r, x, width, max_terms))
-        start = tail_interval.start(MathieuCFParams(r, x), width, max_terms)
+        start = tail_interval.start(r, x, width, max_terms)
         if start is None:
             assert got == kernel
         elif _outcome(lambda: _kernel(r, x, width, start[2]))[-1] is True:
@@ -559,11 +560,12 @@ class TestTailInterval:
                 r = 0.05 + 2.45 * i / 49
                 levels.clear()
                 bracket = tail_enclosure(r, 1.0, width)
-                _, n0, _ = tail_interval.start(MathieuCFParams(r, 1.0), width, 200_000)
+                _, n0, _ = tail_interval.start(r, 1.0, width, 200_000)
                 assert len(levels) == 1 and levels[0] >= n0 and bracket.achieved
                 assert bracket.terms_used == 2 * levels[0]
 
-    # rho = 10,640 is about the largest with N_0 <= MAX_LEVEL.
+    # rho = 10,640 is about where N_0 reaches 2^26 (it passes MAX_LEVEL from
+    # about 3,760).
     @pytest.mark.parametrize("rho", [0.0, 5e-324, 1e-300, 1e-6, 1.0, 6.25, 100.0, 10_640.0])
     def test_predicted_level_is_finite_and_monotone(self, rho):
         levels = [tail_interval._predicted_level(rho, width)
@@ -578,7 +580,7 @@ class TestTailInterval:
         # answers instead.
         for i in range(18):
             r = 0.9 + 1.68 * i / 17
-            _, n0, walk_terms = tail_interval.start(MathieuCFParams(r, 1.0), width, 200_000)
+            _, n0, walk_terms = tail_interval.start(r, 1.0, width, 200_000)
             assert walk_terms == 0
             bracket = tail_enclosure(r, 1.0, width)
             enc = bracket.enclosure
@@ -610,7 +612,7 @@ class TestTailInterval:
             return
         enc = bracket.enclosure
         assert 0 < bracket.terms_used <= max_terms
-        start = tail_interval.start(MathieuCFParams(r, 1.0), width, max_terms)
+        start = tail_interval.start(r, 1.0, width, max_terms)
         if start is not None and _outcome(lambda: bracket) != _outcome(
                 lambda: _kernel(r, 1.0, width, start[2])):
             # A tail interval: certified in floating point.
@@ -678,6 +680,43 @@ class TestTailInterval:
                     hi_n, hi_d = u_hi.as_integer_ratio()
                     assert q > 0 and lo_n * q <= -p * lo_d and -p * hi_d <= hi_n * q
 
+    def test_g_bounds_cover_the_level_roundings(self):
+        # The rounding argument (``cf`` docstring) needs g+_j >= g_j (1 +
+        # eps)^6 and g-_j <= g_j (1 - eps)^6, eps = 2^-53, and the table holds
+        # the nearest such floats: at levels 1..64, on both sides of
+        # _TABLE_LEVELS (from the table and made one at a time) and up to
+        # MAX_LEVEL.  A power of 5 fails here.
+        eps = Fraction(1, 2 ** 53)
+        top = tail_interval._TABLE_LEVELS
+        levels = dict(zip(range(top + 1, 0, -1), tail_interval._levels_down(top + 2)))
+        edge = tail_interval.MAX_LEVEL
+        levels.update((j, tail_interval._level(j)) for j in range(edge - 2, edge + 1))
+        for j in [*range(1, 65), *range(top - 3, top + 2), *range(edge - 2, edge + 1)]:
+            m, j2, g_up, g_dn = levels[j]
+            assert (m, j2) == ((j * j + j + 1) / 2, j * j)
+            g = Fraction(j ** 4, 4 * (4 * j * j - 1))
+            assert Fraction(g_up) >= g * (1 + eps) ** 6 > Fraction(math.nextafter(g_up, 0)), j
+            assert Fraction(g_dn) <= g * (1 - eps) ** 6 < Fraction(math.nextafter(g_dn, math.inf)), j
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_denominator_ratio_stays_below_two(self, seed):
+        # The rounding argument's hypothesis: at every level j of a pass
+        # from N_0 on, (m_j + rho_hi)/d_lo <= 2 for the computed d_lo =
+        # m_j + rho_lo - u_hi, compared exactly.  rho from 0 to about 22
+        # (N_0 <= 300) and n from N_0 to 300.
+        rng = random.Random(29_000 + seed)
+        brackets = [(0.0, 0.0), _rho_bracket(1e-3)]
+        brackets += [_rho_bracket(rng.uniform(0.01, 4.68)) for _ in range(20)]
+        for rho_lo, rho_hi in brackets:
+            n0 = math.ceil(tail_interval.n0_bound(rho_hi))
+            n = rng.randrange(n0, 301)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                seen = _pass_levels(monkeypatch, (rho_lo, rho_hi), n)
+            for j, (_, u_hi) in zip(range(n - 1, 0, -1), seen):
+                m = (j * j + j + 1) / 2
+                d_lo = m + rho_lo - u_hi
+                assert Fraction(m) + Fraction(rho_hi) <= 2 * Fraction(d_lo), (rho_hi, n, j)
+
     @pytest.mark.parametrize("r, n", [(0.05, 64), (1.0, 65), (2.5, 900), (1e-157, 3000)])
     def test_levels_above_the_table(self, monkeypatch, r, n):
         # Levels past the table are made one at a time, in order: the pass
@@ -733,6 +772,33 @@ class TestTailInterval:
             tail_enclosure(r, 1.0, 1e-12)
         with pytest.raises(OverflowError, match="^int too large to convert to float$"):
             tail_enclosure(r, 1.0, 0.0)
+        with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+            theorem1_to_width(r, 1, 1e-12)
+
+    @pytest.mark.parametrize("r, x, width, message", [
+        (math.inf, 1.0, 1e-12, "r must be finite; got inf"),
+        (math.nan, 1.0, 1e-12, "r must be > 0; got nan"),
+        (-1.0, 1.0, 1e-12, "r must be > 0; got -1.0"),
+        (0.0, 1.0, 1e-12, "r must be > 0; got 0.0"),
+        (1.0, 1.0, math.nan, "width must be >= 0; got nan"),
+        (1.0, 1.0, -1.0, "width must be >= 0; got -1.0"),
+        (1.0, 0.75, 1e-12, "bracketing requires z = x^2 - x >= 0 (x >= 1); got x=0.75, z=-0.1875"),
+    ])
+    def test_validation_on_the_tail_interval_route(self, r, x, width, message):
+        # The z = 0 route runs before MathieuCFParams and the checks after
+        # it: each invalid input still raises their exception and message.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tail_enclosure(r, x, width)
+        if x == 0.75:
+            message = "k must be a positive integer; got 0.75"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            theorem1_to_width(r, x, width)
+
+    def test_fraction_r_walks_exactly_at_x_one(self):
+        bracket = tail_enclosure(Fraction(1, 3), 1, 1e-3, 30)
+        assert bracket == _reference_bracket_walk(ab_form(MathieuCFParams(Fraction(1, 3), 1)), 1e-3, 30)
+        assert type(bracket.enclosure.lower) is Fraction
+        assert (bracket.terms_used, bracket.achieved) == (30, False)
 
     @pytest.mark.parametrize("r", [0.05, 1.0, 2.5])
     def test_deep_level_counts(self, r):
@@ -740,9 +806,10 @@ class TestTailInterval:
         bracket = tail_enclosure(r, 1.0, 1e-12)
         assert bracket.achieved and bracket.terms_used <= 200
 
-    def test_levels_stay_below_two_to_the_26(self, monkeypatch):
-        # bounds_at is exact only below 2^26 levels, whatever the term cap;
-        # a recorder stands in for the passes, which would take minutes.
+    def test_levels_stay_below_two_to_the_23(self, monkeypatch):
+        # bounds_at's rounding argument holds only below 2^23 levels, whatever
+        # the term cap; a recorder stands in for the passes, which would take
+        # seconds each.
         levels = []
 
         def wide(rho_lo, rho_hi, n):
@@ -752,16 +819,17 @@ class TestTailInterval:
 
         monkeypatch.setattr(tail_interval, "bounds_at", wide)
         bracket = tail_enclosure(1.0, 1.0, 1e-300, 2 ** 28)
-        assert max(levels) == tail_interval.MAX_LEVEL == 2 ** 26 - 1
+        assert max(levels) == tail_interval.MAX_LEVEL == 2 ** 23 - 1
         assert bracket.terms_used == 2 * tail_interval.MAX_LEVEL and not bracket.achieved
         # With N_0 above the cap no tail interval serves: the walk answers.
-        assert tail_interval.start(MathieuCFParams(1e4, 1.0), 1e-12, 2 ** 30) is None
+        assert tail_interval.start(1e4, 1.0, 1e-12, 2 ** 30) is None
 
-    @pytest.mark.parametrize("r, width", [(0.05, 1e-300), (0.3, 9e-15), (1.0, 2.5e-15)])
+    @pytest.mark.parametrize("r, width", [(0.05, 1e-300), (0.3, 6.5e-15), (1.0, 2e-15)])
     def test_width_below_the_floor_stops_near_it(self, r, width):
-        # Out of reach at any level: the search aims at no less than an
-        # ulp-scale width, and stops where the width stops falling, not at
-        # the cap.
+        # Out of reach at any level (the narrowest passes are 7.1e-15 wide
+        # at r = 0.3 and 2.2e-15 at r = 1): the search aims at no less than
+        # an ulp-scale width, and stops where the width stops falling, not
+        # at the cap.
         bracket = tail_enclosure(r, 1.0, width)
         assert not bracket.achieved and bracket.terms_used <= 2000
         assert bracket.enclosure.width < 1e-13
@@ -772,7 +840,7 @@ class TestTailInterval:
         # Stopping the search at the rounding floor gives up no width that
         # searching on to n_max meets.
         for width in (1e-8, 1e-10, 1e-12, 1e-13, 1e-14, 1e-15):
-            plan = tail_interval.start(MathieuCFParams(r, 1.0), width, max_terms)
+            plan = tail_interval.start(r, 1.0, width, max_terms)
             if plan is None:
                 continue
             rho, n0, _ = plan
@@ -783,7 +851,7 @@ class TestTailInterval:
 
 def _rho_bracket(r):
     """r^2 bracketed as ``tail_interval.start`` brackets it."""
-    return tail_interval.start(MathieuCFParams(r, 1.0), 1.0, 1 << 40)[0]
+    return tail_interval.start(r, 1.0, 1.0, 1 << 40)[0]
 
 
 def _reference_bounds_at(rho_lo, rho_hi, n):
