@@ -60,14 +60,18 @@ contracted approximant N with tail t, and
 Claim: for every integer N >= N_0(rho), the least one with N >= 4,
 N >= 2 rho + 2 and N >= 16 rho (rho + 1)/27 + 1, T lies in S_N(V_N), where
 
-    V_N = [L_N + c-_N, L_N + c+_N],    A = 8 rho^2 + 8 rho + 3,
-    c+_N = 7/16 + A/(16 (2N - 1)),    c-_N = c+_N - (rho + 1)^4/(12 N^3),
+    V_N = [L_N + c_N, L_N + c_N + 2 h_N],    A = 8 rho^2 + 8 rho + 3,
+    c_N = 7/16 + A/(16 (2N - 1)) - (rho + 1)^4/(12 N^2 (2N - 3)),
+    h_N = (rho + 1)^4 (rho^2 + 4 rho + 8)/(96 N^5),
 
-a subset of [L_N, U_N] (rho + 1)^4/(12 N^3) wide.  The level-N tail
-t_N of T (T = S_N(t_N)) has t_N - L_N = 7/16 + A/(32N) + A/(64N^2) +
-a_3/N^3 + ..., with a_3 = -(16 rho^4 + 64 rho^3 + 72 rho^2 + 40 rho +
-7)/384, so c+_N and c-_N sit (rho + 1)^4/(24 N^3) above and below it, to
-third order.
+a subset of [L_N, U_N] 2 h_N wide.  The level-N tail t_N of T (T =
+S_N(t_N)) has t_N - L_N = 7/16 + A/(32N) + A/(64N^2) + a_3/N^3 + a_4/N^4
++ a_5/N^5 + ..., with a_3 = -(16 rho^4 + 64 rho^3 + 72 rho^2 + 40 rho +
+7)/384, a_4 = -(2 rho + 1)(8 rho^3 + 28 rho^2 + 30 rho + 13)/256 and a_5 =
+(16 rho^6 + 128 rho^5 + 336 rho^4 + 384 rho^3 + 200 rho^2 + 24 rho -
+7)/1536 (t_N = s_{N+1}(t_{N+1}) solved order by order).  c_N matches it
+through N^-4 and falls short of a_5/N^5 by h_N exactly, so the set's ends
+sit h_N below and above the tail, to fifth order.
 
 Tails.  Let h >= 0 be a tail after a_{2N} of ``ab_form``, so the
 approximant is a_1/(b_1 + ... + a_{2N}/(1 + h)).  Its level-N contracted
@@ -84,18 +88,13 @@ increases (a'_{n+1} < 0) wherever b'_{n+1} + t > 0: on [tau_{n+1}, 0],
 since t > -a_{2n+2} there and b'_{n+1} - a_{2n+2} = a_{2n+1} + b_{2n+1},
 and on [L_{n+1}, 0], since b'_{n+1} + L_{n+1} = (2n^2 + 3n + 4 rho - 1)/8.
 
-Six facts.  ``tests/test_cf.py`` rebuilds each difference as an exact
-``Fraction`` rational function on an (N, rho) grid with more points than
-its degree, so each equality is an identity, and checks each sign from
-N_0(rho) on.
+Four facts, (iii) to (vi').  ``tests/test_cf.py`` rebuilds each
+difference as an exact ``Fraction`` rational function on an (N, rho)
+grid with more points than its degree, so each equality is an identity,
+expands each polynomial below at the substitutions named with it, and
+checks each sign from N_0(rho) on.  In (v') and (vi') s = rho + 1 and
+B = s^2 + 2s + 5 = rho^2 + 4 rho + 8.
 
-(i)   s_{N+1}(L_{N+1}) - L_N = P_1 / (8 (4N^2 - 1)(2N^2 + 3N + 4 rho - 1)),
-      P_1 = 84N^3 + 64N^2 rho^2 + 64N^2 rho - 25N^2 - 21N - 16 rho^2 - 20 rho + 6
-          = 16 rho^2 (4N^2 - 1) + 4 rho (16N^2 - 5) + 84N^3 - 25N^2 - 21N + 6,
-      and 84N^3 - 25N^2 - 21N + 6 >= 59N^2 - 21N + 6 > 0: P_1 > 0 for N >= 1.
-(ii)  U_N - s_{N+1}(U_{N+1}) = -P_2 / (8 (4N^2 - 1)(2N^2 + 3N + 4 rho + 7)),
-      P_2 = -108N^3 + (64 rho^2 + 64 rho - 57) N^2 + 27N - 16 rho^2 - 20 rho + 14.
-      Once 64 rho^2 + 64 rho <= 108 (N - 1), P_2 <= -165N^2 + 27N + 14 < 0.
 (iii) L_N - tau_N = Q / (8 (2N - 1)(N^3 + 4N rho + 2 rho)),
       Q = 8N^5 - 8N^4 rho - 15N^4 + 28N^3 rho + 6N^3 - 32N^2 rho^2
           - 44N^2 rho - 6N rho + 8 rho^2 + 12 rho.
@@ -104,50 +103,70 @@ N_0(rho) on.
       28N^3 - 44N^2 - 6N + 12 > 0 for N >= 2; so Q >= 4N^5 - 15N^4 > 0
       for N >= 4.
 (iv)  U_N = -(2N^2 - 3N + 4 rho - 2)/8 <= 0 for N >= 2.
-(v)   s_{N+1}(L_{N+1} + c+_{N+1}) - (L_N + c+_N)
-          = -(rho + 1)^4
-            / (2 (2N - 1)(N^3 + 2N^2 + 2 (rho + 1) N + (rho + 1)^2)),
-      which is < 0 for N >= 1.
-(vi)  s_{N+1}(L_{N+1} + c-_{N+1}) - (L_N + c-_N)
-          = (rho + 1)^4 P / (12 N^3 (2N - 1) Q'),
-      P  = 36N^6 - 18N^5 + 6 (4 rho^2 + 16 rho - 1) N^4
-           + 18 (2 rho^2 + 6 rho + 1) N^3
-           - 2 (2 rho^4 + 8 rho^3 + 3 rho^2 - 4 rho + 5) N^2
-           - 6 (rho + 1)(rho + 3) N + (rho + 1)^2 (rho^2 + 2 rho - 5),
-      Q' = 6N^6 + 30N^5 + (12 rho + 66) N^4 + (6 rho^2 + 48 rho + 84) N^3
-           + (18 rho^2 + 72 rho + 66) N^2
-           - (2 rho^4 + 8 rho^3 - 6 rho^2 - 40 rho - 28) N
-           - rho^4 - 4 rho^3 + 8 rho + 5.
-      Written in rho and t = N - 2 rho - 2, P and Q' have only non-negative
-      coefficients, and constant terms 1695 and 3397 (rho = t = 0): both
-      are positive, and so is (vi), for N >= 2 rho + 2.
+(v')  s_{N+1}(L_{N+1} + c_{N+1} + 2 h_{N+1}) - (L_N + c_N + 2 h_N)
+          = -(rho + 1)^4 P_5 / (48 N^5 (2N - 3)(2N - 1) Q_5),
+      P_5 = 768 B N^10 - 288 (7s^2 + 14s + 38) N^9
+            + 32 (14s^4 + 72s^3 + 48s^2 - 663) N^8
+            + 24 (16s^4 + 8s^3 - 63s^2 - 334s - 751) N^7
+            - 16 (4s^6 + 8s^5 + 21s^4 + 192s^3 + 336s^2 + 960s + 156) N^6
+            - 16 (2s^6 + 4s^5 + 84s^4 + 255s^3 + 447s^2 + 369s - 516) N^5
+            + 8 (2s^8 + 8s^7 + 36s^6 + 56s^5 - 21s^4 - 102s^3 - 204s^2
+                 + 750s + 585) N^4
+            - 8 (4s^8 + 16s^7 + 41s^6 + 50s^5 - 27s^4 - 228s^3 - 483s^2
+                 - 570s + 75) N^3
+            + 4 B (2s^6 + 4s^5 + 19s^4 + 120s^2 - 12s - 36) N^2
+            + 4 s B (2s^5 + 4s^4 + 3s^3 - 6s - 36) N
+            - 3 s^2 B (s^4 + 2s^3 + 9s^2 + 24),
+      Q_5 = 48N^9 + 312N^8 + 24 (4s + 33) N^7 + 48 (s + 4)(s + 5) N^6
+            + 24 (9s^2 + 30s + 20) N^5 - 8 (s^4 - 45s^2 - 60s + 9) N^4
+            - 4 (7s^4 - 60s^2 + 42) N^3 + 4 (s^6 + 2s^5 - 4s^4 - 36s - 12) N^2
+            - 4 s (5s^3 + 18s + 12) N - s^2 (s^4 + 2s^3 + 9s^2 + 24).
+      Written in rho and t = N - 2 rho - 2, Q_5 has only non-negative
+      coefficients and constant term 366996, and P_5 has 15 negative
+      ones, so the range is split.  For rho >= 1, in u = rho - 1 and t,
+      P_5 has only non-negative coefficients and constant term
+      3069580272.  For rho < 1, where N_0 = 4, (1 + w)^8 P_5 at rho =
+      w/(1 + w) and N = 4 + t (w >= 0, t >= 0) has only non-negative
+      coefficients in (w, t) and constant term 319152672.  So (v') < 0
+      from N_0 on.
+(vi') s_{N+1}(L_{N+1} + c_{N+1}) - (L_N + c_N)
+          = (rho + 1)^4 P_4 / (12 N^2 (2N - 3)(2N - 1) Q_4),
+      P_4 = 48 B N^4 + 54N^3 - 4 (s^4 + 9s^2 + 6s + 24) N^2
+            - 12 s (s - 1) N + s^2 (s^2 + 6),
+      Q_4 = 12N^6 + 42N^5 + 12 (2s + 3) N^4 + 6 (2s^2 + 6s - 1) N^3
+            + 6 (3s^2 - 2) N^2 - 2 s (s^3 + 6) N - s^2 (s^2 + 6).
+      Written in rho and t = N - 2 rho - 2, P_4 and Q_4 have only
+      non-negative coefficients, and constant terms 5943 and 3397: both
+      are positive, and so is (vi'), for N >= 2 rho + 2.
 
-Value sets.  Let M > N >= N_0; (iii) to (vi) then hold at every level
-from N on, and so do 7/16 <= c-_n < c+_n <= 1: with n >= 2 rho + 2,
-3 A n^2 >= 12 A (rho + 1)^2 >= 8 (rho + 1)^4, that is (rho + 1)^4/(12 n^3)
-<= A/(32n) <= c+_n - 7/16; and with n >= 16 rho (rho + 1)/27 + 1,
-9 (2n - 1) >= 32 rho (rho + 1)/3 + 9 >= A.  So V_n lies in [L_n, U_n],
-U_n <= 0 by (iv), and s_{n+1} increases on [L_{n+1}, 0].  By
-(vi), s_{n+1} maps [L_{n+1} + c-_{n+1}, 0] into [L_n + c-_n, 0]
-(s_{n+1}(0) = a'_{n+1}/b'_{n+1} < 0), so f_{2M}'s level-N tail lies in
-[L_N + c-_N, 0].  Write V'_n = [tau_n, L_n + c+_n].  As s_{n+1} increases,
-(v) gives s_{n+1}(t) < L_n + c+_n for t in V'_{n+1}, and t >= tau_{n+1}
-gives s_{n+1}(t) >= tau_n (a level-n tail of a truncation); so s_{n+1}
-maps V'_{n+1} into V'_n, and tau_M <= L_M by (iii), so f_{2M+1}'s level-N
-tail lies in V'_N.  By (iii) and (iv) both intervals lie in [tau_N, 0],
-where S_N is a homeomorphism onto its image.  Both f_{2M} and f_{2M+1}
-tend to T as M grows, so T = S_N(t) for a t in [L_N + c-_N, 0] and in
-V'_N, that is in V_N; and S_N(V_N) is the interval between S_N at its two
-ends.  (With c-_n and c+_n replaced by 0 and 1, (i) and (ii) give the same
-argument for [L_N, U_N].)
+Value sets.  Let M > N >= N_0; (iii) to (vi') then hold at every level
+from N on, and so do 7/16 <= c_n < c_n + 2 h_n <= c+_n <= 1, where c+_n =
+7/16 + A/(16 (2n - 1)).  With n >= 2 rho + 2, 3 A n^2 >= 12 A (rho + 1)^2
+>= 8 (rho + 1)^4, so with n >= 3,
+12 A n^2 (2n - 3) >= 16 (rho + 1)^4 (2n - 1), that is c_n >= 7/16; and
+rho^2 + 4 rho + 8 <= (n^2 + 4n + 20)/4,
+so (rho^2 + 4 rho + 8)(2n - 3) <= 4 n^3, that is 2 h_n <= c+_n - c_n.
+With n >= 16 rho (rho + 1)/27 + 1, 9 (2n - 1) >= 32 rho (rho + 1)/3 + 9
+>= A, that is c+_n <= 1.  So V_n lies in [L_n, U_n], U_n <= 0 by (iv),
+and s_{n+1} increases on [L_{n+1}, 0].  By (vi'), s_{n+1} maps [L_{n+1}
++ c_{n+1}, 0] into [L_n + c_n, 0] (s_{n+1}(0) = a'_{n+1}/b'_{n+1} < 0),
+so f_{2M}'s level-N tail lies in [L_N + c_N, 0].  Write V'_n = [tau_n,
+L_n + c_n + 2 h_n].  As s_{n+1} increases, (v') gives s_{n+1}(t) < L_n +
+c_n + 2 h_n for t in V'_{n+1}, and t >= tau_{n+1} gives s_{n+1}(t) >=
+tau_n (a level-n tail of a truncation); so s_{n+1} maps V'_{n+1} into
+V'_n, and tau_M <= L_M by (iii), so f_{2M+1}'s level-N tail lies in
+V'_N.  By (iii) and (iv) both intervals lie in [tau_N, 0], where S_N is
+a homeomorphism onto its image.  Both f_{2M} and f_{2M+1} tend to T as
+M grows, so T = S_N(t) for a t in [L_N + c_N, 0] and in V'_N, that is in
+V_N; and S_N(V_N) is the interval between S_N at its two ends.
 
 Floating point.  ``tail_interval.bounds_at`` evaluates S_N(V_N) in one
 backward pass from a set that holds V_N for every rho in its bracket:
-L_N at the end of the bracket that widens the set, c+_N - 7/16 rounded up
-at the upper end, and c-_N - 7/16 rounded down with A at the lower end and
-(rho + 1)^4/(12 N^3) at the upper end (``tail_interval.offsets``), with
-``math.nextafter`` after each rounding of the start, sound at any
-magnitude.  The pass carries u = -t in [u_lo, u_hi].  Level j = N - 1 ..
+L_N, and each term of c_N - 7/16 rounded down and of c_N + 2 h_N - 7/16
+rounded up, at the end of the bracket that widens the set
+(``tail_interval.offsets``; the sign of 2N - 3 picks the end of the
+(rho + 1)^4 term), with ``math.nextafter`` after each rounding of the
+start.  The pass carries u = -t in [u_lo, u_hi].  Level j = N - 1 ..
 1 takes an end u' to (j^2 + 4 rho) g_j/(a - u'), with g_j = j^4/(4(4j^2 -
 1)), so a'_{j+1} = -g_j (j^2 + 4 rho), and a = b'_{j+1} = m_j + rho, m_j =
 (j^2 + j + 1)/2; level 0 takes it to 1/(1/2 + rho - u').  Each step maps
@@ -206,7 +225,7 @@ The ratio: K <= 2 at every level j >= 1 of a pass at N from N_0 to
 enters level j is at most a_j/2, so D >= a_j/2 at d_lo; at d_hi, a = m_j +
 rho_hi >= a_j and u' = u_lo <= u_hi (rounding is monotone), so D >= a/2
 there too, or K <= 1 where u_lo <= 0.
-- The start: c-_N >= 7/16 from N_0 on, so -(L_N + c-_N) at rho_hi is below
+- The start: c_N >= 7/16 from N_0 on, so -(L_N + c_N) at rho_hi is below
   a_{N-1}/2 by (2N - 1)/16 - (rho_hi - rho_lo)/2 > 3/8 (rho < N/2), and
   the start's roundings, on values below 2^48, move u_hi by less than 1/16.
 - A level: if u' <= a_j/2, then K <= 2 and the new upper end is at most
@@ -232,8 +251,9 @@ product and quotient is at least 1/(24 (n^2 + rho + 1)) with rho < n
 + rho + t) at level 0 is at least 1/(2 rho + 2).  The sums j^2 + 4 rho and
 m_j + rho are at least 1, and each denominator is at least a_j/2 >= 1/4.
 Exact are j, j^2, m_j (m_{j-1} = m_j - j) and 2n^2 - 3n + 6, integers
-below 2^53 for n < 2^26, as are 4 rho, 32N - 16, 12N and the start's
-division by 8; g+_j and g-_j are read from a table.  So the computed ends enclose S_N(V_N).  Above 2^-1021 each
+below 2^53 for n < 2^26, as are 4 rho, 32N - 16, N^2, 48N, 24N - 36 and
+the start's division by 8; g+_j and g-_j are read from a table.  So the
+computed ends enclose S_N(V_N).  Above 2^-1021 each
 step lands on the float that ``math.nextafter`` gives, so level 0 is that
 of a pass with a ``nextafter`` call after every rounding, as the start is.
 N_0 is computed with every operation rounded up, at the upper end of rho's

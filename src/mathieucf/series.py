@@ -439,7 +439,7 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     N_0, the level from which the tail set V_N provably holds the tail.
     Where N_0 exceeds max_terms/2 or ``tail_interval.MAX_LEVEL`` the walk
     alone answers.  Else the tail interval S_N(V_N) of the contracted
-    fraction does, whose width falls like W(rho) N^-6: ``tail_interval._search``
+    fraction does, whose width falls like W(rho) N^-8: ``tail_interval._search``
     passes first at N = max(N_0, the level that law predicts for the width),
     and again, up to min(max_terms/2, MAX_LEVEL), only where a pass falls
     short.  Only where N_0 > PROBE_LEVEL (r from about 2.6) does a walk of

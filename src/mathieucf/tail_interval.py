@@ -3,15 +3,16 @@ at z = 0, which holds the plan of when it serves and at what level.
 
 At x = 1 the fraction's even/odd bracket narrows only like 1/n.  The tail
 interval is S_N(V_N): the contracted fraction (``cf.kappa_lambda_form``) at
-level N with its tail in V_N = [L_N + c-_N, L_N + c+_N], where c+_N = 7/16 +
-(8 rho^2 + 8 rho + 3)/(16(2N - 1)) and c-_N = c+_N - (rho + 1)^4/(12N^3) for
-rho = r^2, which put the set's ends the same distance either side of the
-tail's asymptotic offset to third order, evaluated with its roundings
-directed outward: the start and level 0 step each rounding one float
-outward, and each level above rounds to nearest, 10 float operations for
-both ends, against g_j (1 +- 2^-53)^6 rounded outward.  S_N(V_N) is about
-W(rho) N^-6 wide, with W(rho) = (rho + 1)^4/12 D(r) and D(r) = 2 (pi r)^3
-cosh(pi r)/sinh(pi r)^3: a law measured, not proven (the recipe is in
+level N with its tail in V_N = [L_N + c_N, L_N + c_N + 2h_N], where c_N =
+7/16 + (8 rho^2 + 8 rho + 3)/(16(2N - 1)) - (rho + 1)^4/(12N^2(2N - 3))
+and h_N = (rho + 1)^4 (rho^2 + 4 rho + 8)/(96N^5) for rho = r^2, which put
+the set's ends h_N either side of the tail's asymptotic offset to fifth
+order, evaluated with its roundings directed outward: the start and level
+0 step each rounding one float outward, and each level above rounds to
+nearest, 10 float operations for both ends, against g_j (1 +- 2^-53)^6
+rounded outward.  S_N(V_N) is about W(rho) N^-8 wide, with W(rho) =
+(rho + 1)^4 (rho^2 + 4 rho + 8)/48 D(r) and D(r) = 2 (pi r)^3 cosh(pi
+r)/sinh(pi r)^3: a law measured, not proven (the recipe is in
 ``_search``), which only picks N.  The search passes first at max(N_0,
 the level that law predicts for the width), and again only where a pass
 falls short.  The proof that V_N holds the tail from N_0(rho) on, and
@@ -94,18 +95,28 @@ def n0_bound(rho_hi: float) -> float:
 
 
 def offsets(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
-    """c-_n - 7/16 rounded down and c+_n - 7/16 rounded up, for every rho
-    in [rho_lo, rho_hi]: a ``nextafter`` after each rounding, so sound at
-    any magnitude (12 n^3 is not an exact float above about 2^17)."""
+    """c_n - 7/16 rounded down and c_n + 2h_n - 7/16 rounded up, for every
+    rho in [rho_lo, rho_hi]: a ``nextafter`` after each rounding, so sound
+    for every n >= 1 below 2^26, where n^2 and 48n are exact floats (12
+    n^2 (2n - 3) is not above about 2^17).  G = (rho + 1)^4/(12 n^2 (2n -
+    3)) is bounded through its size, as its sign flips at n = 1."""
     den = 32 * n - 16  # 16 (2n - 1)
     a_hi = nextafter(nextafter(8 * rho_hi * nextafter(rho_hi + 1, inf), inf) + 3, inf)
     a_lo = nextafter(nextafter(8 * rho_lo * nextafter(rho_lo + 1, -inf), -inf) + 3, -inf)
-    gap = nextafter(rho_hi + 1, inf)  # then (rho + 1)^4/(12 n^3), rounded up
-    gap = nextafter(gap * gap, inf)
-    gap = nextafter(nextafter(gap * gap, inf) / n, inf)
-    gap = nextafter(nextafter(gap / n, inf) / (12 * n), inf)
-    lo = nextafter(nextafter(a_lo / den, -inf) - gap, -inf)
-    return lo, nextafter(a_hi / den, inf)
+    nn, k = n * n, abs(24 * n - 36)  # 12 |2n - 3|
+    p_hi = nextafter(rho_hi + 1, inf)  # then (rho + 1)^4/n^2, rounded up
+    p_hi = nextafter(p_hi * p_hi, inf)
+    p_hi = nextafter(nextafter(p_hi * p_hi, inf) / nn, inf)
+    p_lo = nextafter(rho_lo + 1, -inf)  # and rounded down
+    p_lo = nextafter(p_lo * p_lo, -inf)
+    p_lo = nextafter(nextafter(p_lo * p_lo, -inf) / nn, -inf)
+    g_hi, g_lo = nextafter(p_hi / k, inf), nextafter(p_lo / k, -inf)
+    if n < 2:
+        g_hi, g_lo = -g_lo, -g_hi
+    b = nextafter(nextafter(rho_hi * nextafter(rho_hi + 4, inf), inf) + 8, inf)
+    h2 = nextafter(nextafter(nextafter(p_hi * b, inf) / nn, inf) / (48 * n), inf)  # 2h_n
+    lo = nextafter(nextafter(a_lo / den, -inf) - g_hi, -inf)
+    return lo, nextafter(nextafter(nextafter(a_hi / den, inf) - g_lo, inf) + h2, inf)
 
 
 def start(r: float, x: float, width: float, max_terms: int):
@@ -134,7 +145,7 @@ def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
     """S_n(V_n) for r^2 in [rho_lo, rho_hi], its ends moved outward: one
     backward pass of t -> a'_{j+1}/(b'_{j+1} + t), j = n - 1 .. 1, written
     -g_j (j^2 + 4 rho)/(m_j + rho + t), then 1/(1/2 + rho + t).  It carries
-    u = -t, from [-(L_n + c+_n), -(L_n + c-_n)], whose ends are rounded
+    u = -t, from [-(L_n + c_n + 2h_n), -(L_n + c_n)], whose ends are rounded
     with ``nextafter``.  A level is 10 float operations, none of them
     stepped: each end rounds to nearest twice in its denominator and three
     times in its numerator, covered by g_j (1 +- 2^-53)^``_G_POWER``
@@ -148,9 +159,9 @@ def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
     e_lo, e_hi = offsets(rho_lo, rho_hi, n)
     k = 2 * n * n - 3 * n + 6  # -(8 L_n + 4 rho)
     u_hi = nextafter(nextafter(rho4_hi + k, inf) - 3.5, inf)
-    u_hi = nextafter(u_hi / 8 - e_lo, inf)  # -(L_n + c-_n)
+    u_hi = nextafter(u_hi / 8 - e_lo, inf)  # -(L_n + c_n)
     u_lo = nextafter(nextafter(rho4_lo + k, -inf) - 3.5, -inf)
-    u_lo = nextafter(u_lo / 8 - e_hi, -inf)  # -(L_n + c+_n)
+    u_lo = nextafter(u_lo / 8 - e_hi, -inf)  # -(L_n + c_n + 2h_n)
     for m, j2, g_up, g_dn in _levels_down(n):
         d_lo = m + rho_lo - u_hi
         if not d_lo > 0:
@@ -167,7 +178,7 @@ def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
 
 
 def _predicted_level(rho_hi: float, width: float) -> int:
-    """The least n at which the width law W(rho) n^-6 (``_search``) meets
+    """The least n at which the width law W(rho) n^-8 (``_search``) meets
     ``width``, or 2^-52/(rho_hi + 1/2) where that is wider, with a 2% margin:
     an int >= 1 for every rho_hi >= 0 up to where N_0 passes ``MAX_LEVEL``,
     never lower for a narrower width.  D(r) is written with
@@ -179,8 +190,8 @@ def _predicted_level(rho_hi: float, width: float) -> int:
     x = 2 * math.pi * math.sqrt(rho_hi)
     q = math.exp(-x)
     f = x / -math.expm1(-x) if x else 1.0
-    law = (rho_hi + 1) ** 4 / 12 * (f ** 3 * q * (1 + q))  # W(rho_hi)
-    return max(1, math.ceil(1.02 * (law / aim) ** (1 / 6)))
+    law = (rho_hi + 1) ** 4 * (rho_hi * (rho_hi + 4) + 8) / 48 * (f ** 3 * q * (1 + q))
+    return max(1, math.ceil(1.02 * (law / aim) ** (1 / 8)))
 
 
 def _search(rho: tuple[float, float], width: float, n0: int,
@@ -188,16 +199,17 @@ def _search(rho: tuple[float, float], width: float, n0: int,
     """S_n(V_n) as (lower, upper, n), at an n in [n0, n_max] that meets
     ``width``; n_max <= MAX_LEVEL, as the rounding argument for
     ``bounds_at`` holds only below 2^23.  The width falls like W(rho)
-    n^-6, with W(rho) = (rho + 1)^4/12 D(r) and D(r) = 2 (pi r)^3 cosh(pi
-    r)/sinh(pi r)^3 (2 at r = 0): V_n is (rho + 1)^4/(12 n^3) wide, and
-    D(r) n^-3 is the slope of S_n in its tail, the shape of Euler's
-    product sinh(pi r)/(pi r) = prod (1 + r^2/j^2).
-    The law is measured, not proven, and only picks n: ``bounds_at``'s
-    width times n^6/W(rho_hi) reads about 1 + 1.6/n (1.18-1.21 at n = 8,
-    1.09-1.13 at 16, 1.04-1.06 at 40, 1.02-1.03 at 80, for r from 0.01 to
-    3 where n >= N_0, rho bracketed as ``start`` brackets it).  So the first
-    pass runs at max(n0, ``_predicted_level``), which meets the width, or
-    hi 2^-52 where that is wider, everywhere but near the rounding floor.
+    n^-8, with W(rho) = (rho + 1)^4 (rho^2 + 4 rho + 8)/48 D(r) and D(r) =
+    2 (pi r)^3 cosh(pi r)/sinh(pi r)^3 (2 at r = 0): V_n is (rho + 1)^4
+    (rho^2 + 4 rho + 8)/(48 n^5) wide, and D(r) n^-3 is the slope of S_n
+    in its tail, the shape of Euler's product sinh(pi r)/(pi r) = prod (1 +
+    r^2/j^2).  The law is measured, not proven, and only picks n:
+    ``bounds_at``'s width times n^8/W(rho_hi) reads 1.18-1.25 at n = 8,
+    1.09-1.12 at 16, 1.05-1.08 at 32 and 1.04-1.06 at 48, for r from 0.01
+    to 3 where n >= N_0 and the width is at least 2^10 ulp of hi, rho
+    bracketed as ``start`` brackets it.  So the first pass runs at max(n0,
+    ``_predicted_level``), which meets the width, or hi 2^-52 where that
+    is wider, everywhere but near the rounding floor.
     A pass that falls short predicts again from its own width, at least
     1.25 times as deep (its level was already aimed), up to n_max.  Near
     the floor the width stops falling: a pass no wider than hi 2^-52, more
@@ -210,6 +222,6 @@ def _search(rho: tuple[float, float], width: float, n0: int,
         aim = max(width, hi * 2.0 ** -52)
         if hi - lo <= aim or n == n_max or hi - lo > 2 * aimed or hi - lo >= last:
             return lo, hi, n
-        target = n * max(1.25, 1.01 * ((hi - lo) / aim) ** (1 / 6))
+        target = n * max(1.25, 1.01 * ((hi - lo) / aim) ** (1 / 8))
         n = math.ceil(target) if target < n_max else n_max
         aimed, last = aim, hi - lo

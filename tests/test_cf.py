@@ -242,24 +242,16 @@ def _tail_steps(r):
 
 
 def _differences(r, n):
-    """(i) to (iv) of the proof at level n: the four quantities whose signs
-    it needs, and the closed forms it gives them."""
-    s, lower, tau = _tail_steps(r)
+    """(iii) and (iv) of the proof at level n: the two quantities whose
+    signs it needs, and the closed forms it gives them."""
+    _, lower, tau = _tail_steps(r)
     rho = r * r
-    upper = lambda m: lower(m) + 1
-    p1 = (84 * n**3 + 64 * n**2 * rho**2 + 64 * n**2 * rho - 25 * n**2 - 21 * n
-          - 16 * rho**2 - 20 * rho + 6)
-    p2 = (-108 * n**3 + (64 * rho**2 + 64 * rho - 57) * n**2 + 27 * n
-          - 16 * rho**2 - 20 * rho + 14)
     q = (8 * n**5 - 8 * n**4 * rho - 15 * n**4 + 28 * n**3 * rho + 6 * n**3
          - 32 * n**2 * rho**2 - 44 * n**2 * rho - 6 * n * rho + 8 * rho**2 + 12 * rho)
-    computed = (s(n, lower(n + 1)) - lower(n), upper(n) - s(n, upper(n + 1)),
-                lower(n) - tau(n), upper(n))
-    closed = (p1 / (8 * (4 * n**2 - 1) * (2 * n**2 + 3 * n + 4 * rho - 1)),
-              -p2 / (8 * (4 * n**2 - 1) * (2 * n**2 + 3 * n + 4 * rho + 7)),
-              q / (8 * (2 * n - 1) * (n**3 + 4 * n * rho + 2 * rho)),
+    computed = (lower(n) - tau(n), lower(n) + 1)
+    closed = (q / (8 * (2 * n - 1) * (n**3 + 4 * n * rho + 2 * rho)),
               -(2 * n**2 - 3 * n + 4 * rho - 2) / 8)
-    return computed, closed, (p1, p2, q)
+    return computed, closed, q
 
 
 def _n0(rho):
@@ -267,65 +259,78 @@ def _n0(rho):
     return max(4, math.ceil(2 * rho + 2), math.ceil(Fraction(16, 27) * rho * (rho + 1) + 1))
 
 
-def _w(rho, n):
-    """w_n of the tail set V_n, exact."""
-    return min(Fraction(9, 16), (8 * rho**2 + 8 * rho + 3) / Fraction(24 * n - 7))
-
-
-def _narrowed_difference(r, n, w):
-    """s_{n+1}(L_{n+1} + c) - (L_n + c) at c = 7/16 + w: computed, in closed
-    form, and the closed form's numerator P.  Its signs at w = 0 (i') and
-    at w = w_n (ii') show that the wider set [L_n + 7/16, L_n + 7/16 + w_n],
-    about 1/(8n) across, also holds the tail."""
-    s, lower, _ = _tail_steps(r)
-    rho = r * r
-    c = Fraction(7, 16) + w
-    p = (-768 * n**3 * w + n**2 * (256 * rho**2 + 256 * rho + 96 - 1024 * w**2)
-         + 192 * n * w - 64 * rho**2 - 80 * rho + 256 * w**2 - 25)
-    computed = s(n, lower(n + 1) + c) - (lower(n) + c)
-    closed = p / (16 * (4 * n**2 - 1) * (4 * n**2 + 6 * n + 8 * rho + 16 * w + 5))
-    return computed, closed, p
-
-
 def _offsets(rho, n):
-    """c-_n and c+_n of the tail set V_n = [L_n + c-_n, L_n + c+_n], exact."""
-    c_plus = Fraction(7, 16) + (8 * rho**2 + 8 * rho + 3) / Fraction(16 * (2 * n - 1))
-    return c_plus - (rho + 1)**4 / Fraction(12 * n**3), c_plus
+    """c_n and c_n + 2h_n of the tail set V_n = [L_n + c_n, L_n + c_n +
+    2h_n], exact."""
+    s4 = (rho + 1)**4
+    c = (Fraction(7, 16) + (8 * rho**2 + 8 * rho + 3) / Fraction(16 * (2 * n - 1))
+         - s4 / Fraction(12 * n**2 * (2 * n - 3)))
+    return c, c + s4 * (rho**2 + 4 * rho + 8) / Fraction(48 * n**5)
 
 
-def _p_vi(n, rho):
-    """The numerator P of (vi)."""
-    return (36 * n**6 - 18 * n**5 + 6 * (4 * rho**2 + 16 * rho - 1) * n**4
-            + 18 * (2 * rho**2 + 6 * rho + 1) * n**3
-            - 2 * (2 * rho**4 + 8 * rho**3 + 3 * rho**2 - 4 * rho + 5) * n**2
-            - 6 * (rho + 1) * (rho + 3) * n + (rho + 1)**2 * (rho**2 + 2 * rho - 5))
+# The polynomials of (v') and (vi') in n and s = rho + 1, as the ``cf``
+# docstring writes them; B = s^2 + 2s + 5 = rho^2 + 4 rho + 8.
+
+def _p_upper(n, rho):
+    """P_5, the numerator of (v') over -(rho + 1)^4."""
+    s = rho + 1
+    b = s**2 + 2 * s + 5
+    return (768 * b * n**10 - 288 * (7 * s**2 + 14 * s + 38) * n**9
+            + 32 * (14 * s**4 + 72 * s**3 + 48 * s**2 - 663) * n**8
+            + 24 * (16 * s**4 + 8 * s**3 - 63 * s**2 - 334 * s - 751) * n**7
+            - 16 * (4 * s**6 + 8 * s**5 + 21 * s**4 + 192 * s**3 + 336 * s**2 + 960 * s + 156) * n**6
+            - 16 * (2 * s**6 + 4 * s**5 + 84 * s**4 + 255 * s**3 + 447 * s**2 + 369 * s - 516) * n**5
+            + 8 * (2 * s**8 + 8 * s**7 + 36 * s**6 + 56 * s**5 - 21 * s**4 - 102 * s**3
+                   - 204 * s**2 + 750 * s + 585) * n**4
+            - 8 * (4 * s**8 + 16 * s**7 + 41 * s**6 + 50 * s**5 - 27 * s**4 - 228 * s**3
+                   - 483 * s**2 - 570 * s + 75) * n**3
+            + 4 * b * (2 * s**6 + 4 * s**5 + 19 * s**4 + 120 * s**2 - 12 * s - 36) * n**2
+            + 4 * s * b * (2 * s**5 + 4 * s**4 + 3 * s**3 - 6 * s - 36) * n
+            - 3 * s**2 * b * (s**4 + 2 * s**3 + 9 * s**2 + 24))
 
 
-def _q_vi(n, rho):
-    """The factor Q' of (vi)'s denominator."""
-    return (6 * n**6 + 30 * n**5 + (12 * rho + 66) * n**4 + (6 * rho**2 + 48 * rho + 84) * n**3
-            + (18 * rho**2 + 72 * rho + 66) * n**2
-            - (2 * rho**4 + 8 * rho**3 - 6 * rho**2 - 40 * rho - 28) * n
-            - rho**4 - 4 * rho**3 + 8 * rho + 5)
+def _q_upper(n, rho):
+    """Q_5, the factor of (v')'s denominator."""
+    s = rho + 1
+    return (48 * n**9 + 312 * n**8 + 24 * (4 * s + 33) * n**7 + 48 * (s + 4) * (s + 5) * n**6
+            + 24 * (9 * s**2 + 30 * s + 20) * n**5 - 8 * (s**4 - 45 * s**2 - 60 * s + 9) * n**4
+            - 4 * (7 * s**4 - 60 * s**2 + 42) * n**3
+            + 4 * (s**6 + 2 * s**5 - 4 * s**4 - 36 * s - 12) * n**2
+            - 4 * s * (5 * s**3 + 18 * s + 12) * n - s**2 * (s**4 + 2 * s**3 + 9 * s**2 + 24))
 
 
-def _third_order_differences(r, n):
-    """(v) and (vi) at level n: the differences s_{n+1}(L_{n+1} + c) -
-    (L_n + c) at c = c+ and c = c-, computed and in closed form."""
+def _p_lower(n, rho):
+    """P_4, the numerator of (vi') over (rho + 1)^4."""
+    s = rho + 1
+    return (48 * (s**2 + 2 * s + 5) * n**4 + 54 * n**3 - 4 * (s**4 + 9 * s**2 + 6 * s + 24) * n**2
+            - 12 * s * (s - 1) * n + s**2 * (s**2 + 6))
+
+
+def _q_lower(n, rho):
+    """Q_4, the factor of (vi')'s denominator."""
+    s = rho + 1
+    return (12 * n**6 + 42 * n**5 + 12 * (2 * s + 3) * n**4 + 6 * (2 * s**2 + 6 * s - 1) * n**3
+            + 6 * (3 * s**2 - 2) * n**2 - 2 * s * (s**3 + 6) * n - s**2 * (s**2 + 6))
+
+
+def _fifth_order_differences(r, n):
+    """(v') and (vi') at level n: s_{n+1}(L_{n+1} + c) - (L_n + c) at the
+    upper end c = c_n + 2h_n and the lower end c = c_n (c_{n+1} + 2h_{n+1}
+    and c_{n+1} inside s_{n+1}), computed and in closed form."""
     s, lower, _ = _tail_steps(r)
     rho = r * r
     (lo, hi), (lo_next, hi_next) = _offsets(rho, n), _offsets(rho, n + 1)
     computed = (s(n, lower(n + 1) + hi_next) - (lower(n) + hi),
                 s(n, lower(n + 1) + lo_next) - (lower(n) + lo))
-    closed = (-(rho + 1)**4 / (2 * (2 * n - 1) * (n**3 + 2 * n**2 + 2 * (rho + 1) * n
-                                                   + (rho + 1)**2)),
-              (rho + 1)**4 * _p_vi(n, rho) / (12 * n**3 * (2 * n - 1) * _q_vi(n, rho)))
+    ends = (2 * n - 3) * (2 * n - 1)
+    closed = (-(rho + 1)**4 * _p_upper(n, rho) / (48 * n**5 * ends * _q_upper(n, rho)),
+              (rho + 1)**4 * _p_lower(n, rho) / (12 * n**2 * ends * _q_lower(n, rho)))
     return computed, closed
 
 
 class _Poly(dict):
-    """A polynomial in (rho, t), {(i, j): coefficient of rho^i t^j}: ring
-    enough to expand P and Q' at n = 2 rho + 2 + t."""
+    """A polynomial in two variables, {(i, j): coefficient of x^i y^j}:
+    ring enough to expand the proof's polynomials at its substitutions."""
 
     @staticmethod
     def of(v):
@@ -364,6 +369,16 @@ class _Poly(dict):
         return out
 
 
+_RHO, _T = _Poly({(1, 0): 1}), _Poly({(0, 1): 1})
+
+
+def _cleared(poly, degree):
+    """(1 + w)^degree poly(w/(1 + w), t), for a poly in (rho, t) of degree at
+    most ``degree`` in rho: a polynomial in (w, t)."""
+    return sum((c * _RHO**i * (1 + _RHO)**(degree - i) * _T**j for (i, j), c in poly.items()),
+               _Poly())
+
+
 class TestTailIntervalProof:
     """The facts behind the z = 0 tail interval, in exact rationals."""
 
@@ -385,85 +400,67 @@ class TestTailIntervalProof:
         # The level tail_enclosure starts from is never below the proven one.
         assert math.ceil(tail_interval.n0_bound(math.nextafter(float(rho), math.inf))) >= n0
         for n in [*range(n0, n0 + 25), 2 * n0, 10 * n0]:
-            (d1, d2, d3, u), _, (p1, p2, q) = _differences(r, n)
-            assert d1 >= 0 and p1 > 0, (n, "i")
-            assert d2 >= 0 and p2 < 0, (n, "ii")
+            (d3, u), _, q = _differences(r, n)
             assert d3 >= 0 and q > 0, (n, "iii")
             assert u <= 0, (n, "iv")
 
-    def test_narrowed_closed_form_is_an_identity(self):
-        # Times its closed form's denominator, the difference is a polynomial
-        # of degree at most 6 in n and 2 in each of rho and w: agreeing on
-        # an 8 x 4 x 4 grid of (n, rho, w), the two are equal as polynomials.
-        for n in range(1, 9):
-            for r in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
-                for w in (Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(9, 16)):
-                    computed, closed, _ = _narrowed_difference(r, n, w)
-                    assert computed == closed, (n, r, w)
-
-    @pytest.mark.parametrize("r", [Fraction(1, 10**80), Fraction(1, 20), Fraction(1, 3),
-                                   Fraction(1), Fraction(5, 2), Fraction(7, 2), Fraction(5),
-                                   Fraction(10)])
-    def test_narrowed_signs_from_n0_on(self, r):
-        rho = r * r
-        n0 = _n0(rho)
-        s, lower, _ = _tail_steps(r)
-        top = lambda m, wm: lower(m) + Fraction(7, 16) + wm
-        for n in [*range(n0, n0 + 25), 2 * n0, 10 * n0, 100 * n0]:
-            w, w_next = _w(rho, n), _w(rho, n + 1)
-            assert 0 < w_next <= w <= Fraction(9, 16), n
-            # (i'): the lower end L_n + 7/16 maps inward.
-            computed, _, p = _narrowed_difference(r, n, Fraction(0))
-            assert computed > 0 and p > 0, (n, "i'")
-            # (ii') below 9/16, and (ii) at it, where P = 4 P_2.
-            computed, _, p = _narrowed_difference(r, n, w)
-            assert computed < 0 and p < 0, (n, "ii'")
-            if w < Fraction(9, 16):
-                assert p <= -32 * n * w * (7 * n - 6) - (1024 * n**2 - 256) * w**2, n
-            else:
-                assert p == 4 * _differences(r, n)[2][1], n
-            # The upper end of V_{n+1} maps to at most that of V_n.
-            assert s(n, top(n + 1, w_next)) <= top(n, w), n
-
-    def test_third_order_closed_forms_are_identities(self):
+    def test_fifth_order_closed_forms_are_identities(self):
         # Times the product of the denominators of its terms and its closed
         # form, each difference minus its closed form is a polynomial of
-        # degree at most 24 in n and 12 in rho (12 and 6 for (v)): vanishing
-        # on a 25 x 13 grid of (n, rho), it vanishes identically.
-        for n in range(1, 26):
-            for r in [Fraction(k, 5) for k in range(1, 14)]:
-                computed, closed = _third_order_differences(r, n)
+        # degree at most 29 in n and 18 in rho (20 and 12 for (vi')):
+        # vanishing on a 30 x 19 grid of (n, rho), it vanishes identically.
+        for n in range(1, 31):
+            for r in [Fraction(k, 5) for k in range(1, 20)]:
+                computed, closed = _fifth_order_differences(r, n)
                 assert computed == closed, (n, r)
 
     @pytest.mark.parametrize("r", [Fraction(1, 10**80), Fraction(1, 20), Fraction(1, 3),
                                    Fraction(1), Fraction(5, 2), Fraction(7, 2), Fraction(5),
                                    Fraction(10), Fraction(100)])
-    def test_third_order_signs_from_n0_on(self, r):
+    def test_fifth_order_signs_from_n0_on(self, r):
         rho = r * r
         n0 = _n0(rho)
         s, lower, _ = _tail_steps(r)
         for n in [*range(n0, n0 + 25), 2 * n0, 10 * n0, 100 * n0]:
-            (v, vi), _ = _third_order_differences(r, n)
+            (v, vi), _ = _fifth_order_differences(r, n)
             assert v < 0 and vi > 0, n
-            assert _p_vi(n, rho) > 0 and _q_vi(n, rho) > 0, n
-            # 7/16 <= c- < c+ <= 1: V_n lies in [L_n, U_n].
+            assert _p_upper(n, rho) > 0 and _q_upper(n, rho) > 0, n
+            assert _p_lower(n, rho) > 0 and _q_lower(n, rho) > 0, n
+            # 7/16 <= c_n < c_n + 2h_n <= c+_n <= 1: V_n lies in [L_n, U_n].
             lo, hi = _offsets(rho, n)
-            assert Fraction(7, 16) <= lo < hi <= 1, n
+            c_plus = Fraction(7, 16) + (8 * rho**2 + 8 * rho + 3) / Fraction(16 * (2 * n - 1))
+            assert Fraction(7, 16) <= lo < hi <= c_plus <= 1, n
             # Both ends map inward, so V_{n+1} maps into V_n.
             lo_next, hi_next = _offsets(rho, n + 1)
             assert lower(n) + lo < s(n, lower(n + 1) + lo_next), n
             assert s(n, lower(n + 1) + hi_next) < lower(n) + hi, n
 
-    def test_third_order_numerator_is_positive_from_2_rho_plus_2(self):
-        # At n = 2 rho + 2 + t, P and Q' have no negative coefficient in
-        # (rho, t), and a positive constant term: (vi) > 0 for every
-        # n >= 2 rho + 2, a bound that N_0 includes.
-        rho, t = _Poly({(1, 0): 1}), _Poly({(0, 1): 1})
-        n = 2 * rho + 2 + t
-        for poly, constant in ((_p_vi(n, rho), 1695), (_q_vi(n, rho), 3397)):
+    def test_lower_end_polynomials_have_no_negative_coefficient(self):
+        # (vi'): at n = 2 rho + 2 + t, P_4 and Q_4 have no negative
+        # coefficient in (rho, t), and a positive constant term: (vi') > 0
+        # for every n >= 2 rho + 2, a bound that N_0 includes.
+        n = 2 * _RHO + 2 + _T
+        for poly, constant, terms in ((_p_lower(n, _RHO), 5943, 25),
+                                      (_q_lower(n, _RHO), 3397, 28)):
             assert min(poly.values()) >= 0
             assert poly[0, 0] == constant
-            assert len(poly) == 28
+            assert sum(c != 0 for c in poly.values()) == terms
+
+    def test_upper_end_polynomials_have_no_negative_coefficient(self):
+        # (v'): Q_5 has no negative coefficient at n = 2 rho + 2 + t, where
+        # P_5 has 15.  P_5 has none at n = 2 rho + 2 + t with rho = 1 + u
+        # (rho >= 1), nor, cleared by (1 + w)^8, at n = 4 + t with rho =
+        # w/(1 + w) (rho < 1, where N_0 = 4).  So (v') < 0 from N_0 on.
+        n = 2 * _RHO + 2 + _T
+        q = _q_upper(n, _RHO)
+        assert min(q.values()) >= 0 and q[0, 0] == 366996
+        assert sum(c < 0 for c in _p_upper(n, _RHO).values()) == 15
+        u = _RHO  # the first variable, now rho - 1
+        above = _p_upper(2 * (1 + u) + 2 + _T, 1 + u)
+        assert min(above.values()) >= 0 and above[0, 0] == 3069580272
+        below = _cleared(_p_upper(4 + _T, _RHO), 8)
+        assert min(below.values()) >= 0 and below[0, 0] == 319152672
+        assert max(i for i, _ in _p_upper(4 + _T, _RHO)) == 8
 
     def test_ratio_lemma_is_an_identity(self):
         # The rounding argument's step (``cf`` docstring): with a_j = m_j +
@@ -485,13 +482,14 @@ class TestTailIntervalProof:
         # The float offsets of V_n's ends round outward for every rho in
         # the bracket, so V_n's float width bounds the exact one from above.
         # Subnormal rho, where 8 rho (rho + 1) rounds to a multiple of
-        # 2^-1074, and levels around 2^17, where 12 n^3 stops being exact.
+        # 2^-1074, n = 1, where 2n - 3 < 0, and levels around 2^17, where
+        # 12 n^2 (2n - 3) stops being exact.
         rho_hi = math.nextafter(rho, math.inf)
         for n in (1, 4, 32, 1000, 2**17 - 1, 2**17 + 1, 100_000, tail_interval.MAX_LEVEL):
             for lo_end, hi_end in ((rho, rho), (rho, rho_hi)):
                 e_lo, e_hi = tail_interval.offsets(lo_end, hi_end, n)
                 for exact in (Fraction(lo_end), Fraction(hi_end)):
-                    c_minus, c_plus = _offsets(exact, n)
-                    assert Fraction(e_lo) <= c_minus - Fraction(7, 16), n
-                    assert Fraction(e_hi) >= c_plus - Fraction(7, 16), n
-                    assert Fraction(e_hi) - Fraction(e_lo) >= c_plus - c_minus, n
+                    c_lo, c_hi = _offsets(exact, n)
+                    assert Fraction(e_lo) <= c_lo - Fraction(7, 16), n
+                    assert Fraction(e_hi) >= c_hi - Fraction(7, 16), n
+                    assert Fraction(e_hi) - Fraction(e_lo) >= c_hi - c_lo, n

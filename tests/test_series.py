@@ -573,6 +573,29 @@ class TestTailInterval:
         assert all(type(n) is int and n >= 1 for n in levels)
         assert levels == sorted(levels)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_width_law_band(self, seed):
+        # The law that picks the first pass's level, measured: width n^8/W(rho)
+        # with W(rho) = (rho + 1)^4 (rho^2 + 4 rho + 8)/48 D(r) and D(r) = 2
+        # (pi r)^3 cosh(pi r)/sinh(pi r)^3, at rho_hi, reads 1.036-1.252 for r in
+        # [0.01, 3] and n from max(N_0, 8) to 64, while the width is at least
+        # 2^10 ulp of hi (seeds 0-2), highest at n = 8 and lowest near 48.
+        rng = random.Random(30_000 + seed)
+        ratios = []
+        for _ in range(24):
+            r = rng.uniform(0.01, 3.0)
+            rho = _rho_bracket(r)
+            x = math.pi * math.sqrt(rho[1])
+            law = (rho[1] + 1) ** 4 * (rho[1] ** 2 + 4 * rho[1] + 8) / 48 * (
+                2 * x ** 3 * math.cosh(x) / math.sinh(x) ** 3)
+            for n in range(max(math.ceil(tail_interval.n0_bound(rho[1])), 8), 65):
+                lo, hi = tail_interval.bounds_at(*rho, n)
+                if hi - lo < 2.0 ** -42 * hi:
+                    break
+                ratios.append((hi - lo) * n ** 8 / law)
+        assert len(ratios) > 500
+        assert 1.0 < min(ratios) and max(ratios) < 1.3
+
     @pytest.mark.parametrize("width", [1e-2, 1e-3, 1e-4])
     def test_loose_widths_take_the_pass(self, width):
         # r in [0.9, 2.58], where N_0 <= PROBE_LEVEL (r = 2.6 has N_0 = 33):
@@ -668,10 +691,10 @@ class TestTailInterval:
         ((0.0025, 0.0025), 200), ((1.0, 1.0), 120), ((6.25, 6.25), 200),
         ((math.nextafter(2.25, 0), math.nextafter(2.25, 3)), 60),
     ])
-    def test_each_level_holds_the_exact_tail(self, monkeypatch, rho, n):
+    def test_each_level_holds_the_exact_tail(self, rho, n):
         # Level by level, [u_lo, u_hi] holds the exact u_j = -t_j from both
         # ends of V_n, at both ends of rho's bracket.
-        seen = _pass_levels(monkeypatch, rho, n)
+        seen = _pass_levels(rho, n)
         assert len(seen) == n
         for end in rho:
             for t in _exact_tail_set(end, n):
@@ -710,8 +733,7 @@ class TestTailInterval:
         for rho_lo, rho_hi in brackets:
             n0 = math.ceil(tail_interval.n0_bound(rho_hi))
             n = rng.randrange(n0, 301)
-            with pytest.MonkeyPatch.context() as monkeypatch:
-                seen = _pass_levels(monkeypatch, (rho_lo, rho_hi), n)
+            seen = _pass_levels((rho_lo, rho_hi), n)
             for j, (_, u_hi) in zip(range(n - 1, 0, -1), seen):
                 m = (j * j + j + 1) / 2
                 d_lo = m + rho_lo - u_hi
@@ -745,7 +767,7 @@ class TestTailInterval:
         assert peak <= 4.2e6
 
     # Outside the pass's domain: rho < 0.
-    @pytest.mark.parametrize("rho, n, level", [(-1.0, 1, 0), (-5.0, 4, 1), (-20.0, 10, 2)])
+    @pytest.mark.parametrize("rho, n, level", [(-1.0, 1, 0), (-6.0, 4, 1), (-24.0, 10, 3)])
     def test_non_positive_denominator_raises(self, rho, n, level):
         message = f"^tail interval lost its bound at level {level}$"
         with pytest.raises(ArithmeticError, match=message):
@@ -762,7 +784,7 @@ class TestTailInterval:
 
     def test_int_r_meets_the_width_as_a_float_r_does(self):
         assert theorem1_to_width(1, 1, 1e-12) == theorem1_to_width(1.0, 1, 1e-12)
-        assert theorem1_to_width(1, 1, 1e-12)[1:] == (190, True)
+        assert theorem1_to_width(1, 1, 1e-12)[1:] == (72, True)
 
     @pytest.mark.parametrize("r", [10**155, 10**400])
     def test_int_r_past_float_range_overflows(self, r):
@@ -813,9 +835,9 @@ class TestTailInterval:
         levels = []
 
         def wide(rho_lo, rho_hi, n):
-            # The n^-6 law, meeting no width of an ulp or more below 2^26.
+            # The n^-8 law, meeting no width of an ulp or more below 2^26.
             levels.append(n)
-            return 1.0 - 2.0 ** -52 * (2 ** 27 / n) ** 6, 1.0
+            return 1.0 - 2.0 ** -52 * (2 ** 27 / n) ** 8, 1.0
 
         monkeypatch.setattr(tail_interval, "bounds_at", wide)
         bracket = tail_enclosure(1.0, 1.0, 1e-300, 2 ** 28)
@@ -824,10 +846,10 @@ class TestTailInterval:
         # With N_0 above the cap no tail interval serves: the walk answers.
         assert tail_interval.start(1e4, 1.0, 1e-12, 2 ** 30) is None
 
-    @pytest.mark.parametrize("r, width", [(0.05, 1e-300), (0.3, 6.5e-15), (1.0, 2e-15)])
+    @pytest.mark.parametrize("r, width", [(0.05, 1e-300), (0.3, 6e-15), (1.0, 1.8e-15)])
     def test_width_below_the_floor_stops_near_it(self, r, width):
-        # Out of reach at any level (the narrowest passes are 7.1e-15 wide
-        # at r = 0.3 and 2.2e-15 at r = 1): the search aims at no less than
+        # Out of reach at any level (the narrowest passes are 6.2e-15 wide
+        # at r = 0.3 and 1.9e-15 at r = 1): the search aims at no less than
         # an ulp-scale width, and stops where the width stops falling, not
         # at the cap.
         bracket = tail_enclosure(r, 1.0, width)
@@ -857,19 +879,36 @@ def _rho_bracket(r):
 def _reference_bounds_at(rho_lo, rho_hi, n):
     """``tail_interval.bounds_at`` with ``math.nextafter`` after every
     rounding operation and g_j as one int quotient per level; it starts
-    from V_n = [L_n + c-_n, L_n + c+_n], c+_n = 7/16 + A/(16(2n - 1)),
-    A = 8 rho^2 + 8 rho + 3, and c-_n = c+_n - (rho + 1)^4/(12 n^3)."""
+    from V_n = [L_n + c_n, L_n + c_n + 2h_n], c_n = 7/16 + A/(16(2n - 1))
+    - (rho + 1)^4/(12 n^2 (2n - 3)), A = 8 rho^2 + 8 rho + 3, and h_n =
+    (rho + 1)^4 (rho^2 + 4 rho + 8)/(96 n^5)."""
     nextafter = math.nextafter
     down, up = -math.inf, math.inf
     rho4_lo, rho4_hi = 4 * rho_lo, 4 * rho_hi
     c = -2 * n * n + 3 * n - 6  # 8 L_n + 4 rho
     a_hi = nextafter(nextafter(8 * rho_hi * nextafter(rho_hi + 1, up), up) + 3, up)
     a_lo = nextafter(nextafter(8 * rho_lo * nextafter(rho_lo + 1, down), down) + 3, down)
-    q = nextafter(rho_hi + 1, up)
-    q = nextafter(q * q, up)
-    gap = nextafter(nextafter(nextafter(nextafter(q * q, up) / n, up) / n, up) / (12 * n), up)
-    e_hi = nextafter(a_hi / (32 * n - 16), up)
-    e_lo = nextafter(nextafter(a_lo / (32 * n - 16), down) - gap, down)
+
+    def fourth(end, way):  # (end + 1)^4
+        q = nextafter(end + 1, way)
+        q = nextafter(q * q, way)
+        return nextafter(q * q, way)
+
+    def over_n(v, times, way):
+        for _ in range(times):
+            v = nextafter(v / n, way)
+        return v
+
+    # (rho + 1)^4/(12 n^2 (2n - 3)): its bounds swap sign at n = 1.
+    k = 24 * n - 36
+    gap_hi = nextafter(over_n(fourth(rho_hi, up), 2, up) / abs(k), up)
+    gap_lo = nextafter(over_n(fourth(rho_lo, down), 2, down) / abs(k), down)
+    if k < 0:
+        gap_hi, gap_lo = -gap_lo, -gap_hi
+    b = nextafter(nextafter(nextafter(rho_hi * rho_hi, up) + rho4_hi, up) + 8, up)
+    width = over_n(nextafter(nextafter(fourth(rho_hi, up) * b, up) / 48, up), 5, up)  # 2h_n
+    e_hi = nextafter(nextafter(nextafter(a_hi / (32 * n - 16), up) - gap_lo, up) + width, up)
+    e_lo = nextafter(nextafter(a_lo / (32 * n - 16), down) - gap_hi, down)
     lo = nextafter(nextafter(nextafter(c - rho4_hi, down) + 3.5, down) / 8 + e_lo, down)
     hi = nextafter(nextafter(nextafter(c - rho4_lo, up) + 3.5, up) / 8 + e_hi, up)
     for j in range(n - 1, 0, -1):
@@ -896,14 +935,16 @@ _EXACT_LEVELS = 300
 
 
 def _exact_tail_set(rho, n):
-    """The ends of V_n = [L_n + c-_n, L_n + c+_n] for a float rho, as
-    Fractions: L_n = -(2n^2 - 3n + 6 + 4 rho)/8, c+_n = 7/16 + (8 rho^2 +
-    8 rho + 3)/(16(2n - 1)) and c-_n = c+_n - (rho + 1)^4/(12 n^3)."""
+    """The ends of V_n = [L_n + c_n, L_n + c_n + 2h_n] for a float rho, as
+    Fractions: L_n = -(2n^2 - 3n + 6 + 4 rho)/8, c_n = 7/16 + (8 rho^2 + 8
+    rho + 3)/(16(2n - 1)) - (rho + 1)^4/(12 n^2 (2n - 3)) and h_n = (rho +
+    1)^4 (rho^2 + 4 rho + 8)/(96 n^5)."""
     rho = Fraction(rho)
+    s4 = (rho + 1) ** 4
     tail = -(2 * n * n - 3 * n + 6 + 4 * rho) / 8
-    c_hi = Fraction(7, 16) + (8 * rho * rho + 8 * rho + 3) / (16 * (2 * n - 1))
-    c_lo = c_hi - (rho + 1) ** 4 / (12 * n ** 3)
-    return tail + c_lo, tail + c_hi
+    c = (Fraction(7, 16) + (8 * rho * rho + 8 * rho + 3) / (16 * (2 * n - 1))
+         - s4 / (12 * n * n * (2 * n - 3)))
+    return tail + c, tail + c + s4 * (rho * rho + 4 * rho + 8) / (48 * n ** 5)
 
 
 def _exact_levels(rho, n, t):
@@ -936,11 +977,12 @@ def _exact_pass_within(rho, n, t, lo, hi):
     return lo_n * den <= num * lo_d and num * hi_d <= hi_n * den
 
 
-def _pass_levels(monkeypatch, rho, n):
+def _pass_levels(rho, n):
     """[u_lo, u_hi] of ``tail_interval.bounds_at(*rho, n)`` at each level
     j = n .. 1 (u = -t_j), read from the pass's frame each time its loop
     asks ``_levels_down`` for the next level's constants, and once when
-    the loop ends."""
+    the loop ends.  Each call patches ``_levels_down`` in a context of its
+    own, so that calls do not wrap each other's reader."""
     seen = []
     levels_down = tail_interval._levels_down
 
@@ -951,8 +993,9 @@ def _pass_levels(monkeypatch, rho, n):
             yield level
         seen.append((frame.f_locals["u_lo"], frame.f_locals["u_hi"]))
 
-    monkeypatch.setattr(tail_interval, "_levels_down", reading)
-    tail_interval.bounds_at(*rho, n)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(tail_interval, "_levels_down", reading)
+        tail_interval.bounds_at(*rho, n)
     return seen
 
 
@@ -965,7 +1008,7 @@ def _search_to_n_max(rho, width, n0, n_max):
         lo, hi = tail_interval.bounds_at(*rho, n)
         if hi - lo <= width or n == n_max:
             return hi - lo <= width
-        target = n * max(growth, 1.01 * ((hi - lo) / width) ** (1 / 6))
+        target = n * max(growth, 1.01 * ((hi - lo) / width) ** (1 / 8))
         n = math.ceil(target) if target < n_max else n_max
         growth = 1.25
 
@@ -989,8 +1032,8 @@ class TestEnclosureIdentity:
         assert enc.contains(S_AT_1)
 
     def test_adaptive_cap_reported(self):
-        enc, terms, achieved = theorem1_to_width(1.0, 1, 1e-12, max_terms=150)
-        assert not achieved and terms == 150
+        enc, terms, achieved = theorem1_to_width(1.0, 1, 1e-12, max_terms=60)
+        assert not achieved and terms == 60
         assert enc.width > 1e-12
         assert enc.contains(S_AT_1)  # still certified, just wide
 
