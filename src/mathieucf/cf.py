@@ -54,7 +54,7 @@ Fractions with Applications* (1992).  Write rho = r^2 > 0, a_n, b_n for the
 With s_n(t) = a'_n/(b'_n + t) and S_N = s_1 o ... o s_N, S_N(t) is the
 contracted approximant N with tail t, and
 
-    L_N = -b'_{N+1}/2 + 5N/8 - 1/2 = (-2N^2 + 3N - 6 - 4 rho)/8,
+    L_N = (-2N^2 + 3N - 6 - 4 rho)/8 = -b'_{N+1}/2 + 5N/8 - 1/2,
     U_N = L_N + 1,   tau_N = -a_{2N} a_{2N+1} / (b_{2N+1} + a_{2N+1}).
 
 Claim: for every integer N >= N_0(rho), the least one with N >= 4,
@@ -65,13 +65,16 @@ N >= 2 rho + 2 and N >= 16 rho (rho + 1)/27 + 1, T lies in S_N(V_N), where
     h_N = (rho + 1)^4 (rho^2 + 4 rho + 8)/(96 N^5),
 
 a subset of [L_N, U_N] 2 h_N wide.  The level-N tail t_N of T (T =
-S_N(t_N)) has t_N - L_N = 7/16 + A/(32N) + A/(64N^2) + a_3/N^3 + a_4/N^4
-+ a_5/N^5 + ..., with a_3 = -(16 rho^4 + 64 rho^3 + 72 rho^2 + 40 rho +
-7)/384, a_4 = -(2 rho + 1)(8 rho^3 + 28 rho^2 + 30 rho + 13)/256 and a_5 =
-(16 rho^6 + 128 rho^5 + 336 rho^4 + 384 rho^3 + 200 rho^2 + 24 rho -
-7)/1536 (t_N = s_{N+1}(t_{N+1}) solved order by order).  c_N matches it
-through N^-4 and falls short of a_5/N^5 by h_N exactly, so the set's ends
-sit h_N below and above the tail, to fifth order.
+S_N(t_N)), with t_N = s_{N+1}(t_{N+1}) solved order by order, has
+
+    t_N - L_N = 7/16 + A/(32N) + A/(64N^2) + a_3/N^3 + a_4/N^4 + a_5/N^5 + ...,
+    a_3 = -(16 rho^4 + 64 rho^3 + 72 rho^2 + 40 rho + 7)/384,
+    a_4 = -(2 rho + 1)(8 rho^3 + 28 rho^2 + 30 rho + 13)/256,
+    a_5 = (16 rho^6 + 128 rho^5 + 336 rho^4 + 384 rho^3 + 200 rho^2 + 24 rho
+          - 7)/1536.
+
+c_N matches it through N^-4 and falls short of a_5/N^5 by h_N exactly, so
+the set's ends sit h_N below and above the tail, to fifth order.
 
 Tails.  Let h >= 0 be a tail after a_{2N} of ``ab_form``, so the
 approximant is a_1/(b_1 + ... + a_{2N}/(1 + h)).  Its level-N contracted
@@ -88,12 +91,13 @@ increases (a'_{n+1} < 0) wherever b'_{n+1} + t > 0: on [tau_{n+1}, 0],
 since t > -a_{2n+2} there and b'_{n+1} - a_{2n+2} = a_{2n+1} + b_{2n+1},
 and on [L_{n+1}, 0], since b'_{n+1} + L_{n+1} = (2n^2 + 3n + 4 rho - 1)/8.
 
-Four facts, (iii) to (vi').  ``tests/test_cf.py`` rebuilds each
-difference as an exact ``Fraction`` rational function on an (N, rho)
-grid with more points than its degree, so each equality is an identity,
-expands each polynomial below at the substitutions named with it, and
-checks each sign from N_0(rho) on.  In (v') and (vi') s = rho + 1 and
-B = s^2 + 2s + 5 = rho^2 + 4 rho + 8.
+Four facts, (iii) to (vi').  ``tests/test_cf.py`` reads each formula
+below from this docstring, rebuilds each difference as an exact
+``Fraction`` rational function on an (N, rho) grid with more points than
+its degree, so each equality is an identity, expands each polynomial
+below at the substitutions named with it, and checks each sign from
+N_0(rho) on.  In (v') and (vi'), B = s^2 + 2s + 5 = rho^2 + 4 rho + 8
+and s = rho + 1.
 
 (iii) L_N - tau_N = Q / (8 (2N - 1)(N^3 + 4N rho + 2 rho)),
       Q = 8N^5 - 8N^4 rho - 15N^4 + 28N^3 rho + 6N^3 - 32N^2 rho^2

@@ -439,15 +439,17 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
     N_0, the level from which the tail set V_N provably holds the tail.
     Where N_0 exceeds max_terms/2 or ``tail_interval.MAX_LEVEL`` the walk
     alone answers.  Else the tail interval S_N(V_N) of the contracted
-    fraction does, whose width falls like W(rho) N^-8: ``tail_interval._search``
-    passes first at N = max(N_0, the level that law predicts for the width),
-    and again, up to min(max_terms/2, MAX_LEVEL), only where a pass falls
-    short.  Only where N_0 > PROBE_LEVEL (r from about 2.6) does a walk of
-    N_0 // 2 terms run first, at about 0.6 times the first pass's cost
-    (``tail_interval.start``), and answer if it meets the width: from r of
-    about 4.8 it meets 1e-12 within them.  Rounded outward, the tail
-    interval holds T(r, 1) in floating point, also where r^2 underflows and
-    the walk cannot start (proof in the ``cf`` module docstring).
+    fraction does: ``tail_interval._search`` passes first at N = max(N_0,
+    the level its width law predicts for the width), and again, up to
+    min(max_terms/2, MAX_LEVEL), only where a pass falls short.  Only where
+    N_0 > PROBE_LEVEL (r from about 2.6) does a walk of N_0 // 2 terms run
+    first, and answer if it meets the width: from r of about 4.8 it meets
+    1e-12 within them.  A walk term costs about 1.25 times a level (pinned
+    at r = 3 and 4.2), so the walk costs about 0.6 times the first pass; on
+    r in [2.6, 4.8] at 1e-12, N_0 // 3 and N_0 // 4 terms were no faster.
+    Rounded outward, the tail interval holds T(r, 1) in floating point,
+    also where r^2 underflows and the walk cannot start (proof in the
+    ``cf`` module docstring).
     ``terms_used`` is then 2N: the walk and any earlier pass are not counted.
     """
     _require_positive_r(r)
@@ -457,7 +459,7 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
             from . import tail_interval as _tail_interval
         plan = _tail_interval.start(r, x, width, max_terms)
         if plan is not None:
-            rho, n0, walk_terms = plan
+            rho, n0, n_max, walk_terms = plan
             if walk_terms:
                 try:
                     bracket = _walk(MathieuCFParams(r, x), width, walk_terms)
@@ -465,7 +467,6 @@ def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -
                         return bracket
                 except ValueError:  # a crossed pair past its drift: the pass answers
                     pass
-            n_max = min(max_terms // 2, _tail_interval.MAX_LEVEL)
             lower, upper, level = _tail_interval._search(rho, width, n0, n_max)
             enclosure = Enclosure(lower, upper)
             return TailBracket(enclosure, 2 * level, enclosure.width <= width)

@@ -1,26 +1,15 @@
 """The tail interval of T(r, 1): float arithmetic for ``series.tail_enclosure``
 at z = 0, which holds the plan of when it serves and at what level.
 
-At x = 1 the fraction's even/odd bracket narrows only like 1/n.  The tail
-interval is S_N(V_N): the contracted fraction (``cf.kappa_lambda_form``) at
-level N with its tail in V_N = [L_N + c_N, L_N + c_N + 2h_N], where c_N =
-7/16 + (8 rho^2 + 8 rho + 3)/(16(2N - 1)) - (rho + 1)^4/(12N^2(2N - 3))
-and h_N = (rho + 1)^4 (rho^2 + 4 rho + 8)/(96N^5) for rho = r^2, which put
-the set's ends h_N either side of the tail's asymptotic offset to fifth
-order, evaluated with its roundings directed outward: the start and level
-0 step each rounding one float outward, and each level above rounds to
-nearest, 10 float operations for both ends, against g_j (1 +- 2^-53)^6
-rounded outward.  S_N(V_N) is about W(rho) N^-8 wide, with W(rho) =
-(rho + 1)^4 (rho^2 + 4 rho + 8)/48 D(r) and D(r) = 2 (pi r)^3 cosh(pi
-r)/sinh(pi r)^3: a law measured, not proven (the recipe is in
-``_search``), which only picks N.  The search passes first at max(N_0,
-the level that law predicts for the width), and again only where a pass
-falls short.  The proof that V_N holds the tail from N_0(rho) on, and
-the rounding argument, are in the ``cf`` module docstring.  A pass reads
-each level's constants, which do not depend on rho, from one table
-(``_levels_down``).  The module imports nothing from the package;
-``tail_enclosure`` loads it on its first z = 0 call with a width, so an
-eval at k >= 2 never compiles it.
+The tail interval is S_N(V_N), the contracted fraction
+(``cf.kappa_lambda_form``) at level N with its tail in the set V_N,
+evaluated with its roundings directed outward (``bounds_at``).  The ``cf``
+module docstring defines V_N and proves that it holds the tail from
+N_0(rho) on, and that the rounding keeps it held; ``_search`` holds the
+measured width law that picks N.  A pass reads each level's constants,
+which do not depend on rho, from one table (``_levels_down``).  The module
+imports nothing from the package; ``tail_enclosure`` loads it on its first
+z = 0 call with a width, so an eval at k >= 2 never compiles it.
 """
 
 from __future__ import annotations
@@ -120,14 +109,11 @@ def offsets(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
 
 
 def start(r: float, x: float, width: float, max_terms: int):
-    """(r^2 bracketed, N_0, terms of the walk first) when the tail interval
-    may serve ``tail_enclosure(r, x, width, max_terms)``, else None, as the
-    plan in ``series.tail_enclosure`` sets out.  The walk has N_0 // 2
-    terms where N_0 > ``PROBE_LEVEL``, and 0 below.  A walk term costs
-    about 1.25 times a level (pinned, at r = 3 and 4.2), so the walk costs
-    about 0.6 times the first pass, which runs at max(N_0,
-    ``_predicted_level``) levels; on r in [2.6, 4.8] at width 1e-12,
-    N_0 // 3 and N_0 // 4 terms were no faster."""
+    """(r^2 bracketed, N_0, the highest level a pass may take, terms of the
+    walk first) when the tail interval may serve ``tail_enclosure(r, x,
+    width, max_terms)``, else None, as the plan there sets out: the level
+    cap min(max_terms // 2, ``MAX_LEVEL``) is at least N_0, and the walk has
+    N_0 // 2 terms where N_0 > ``PROBE_LEVEL``, and 0 below."""
     # An int runs as a float does; an exact (Fraction) run is left to the walk.
     if not (0 < width and x == 1 and isinstance(r, (int, float))
             and isinstance(x, (int, float))):
@@ -135,25 +121,23 @@ def start(r: float, x: float, width: float, max_terms: int):
     rr = r * r  # an int past float range raises OverflowError, as the walk would
     rho = max(nextafter(rr, -inf), 0.0), nextafter(rr, inf)
     floor = n0_bound(rho[1])
-    if not floor <= min(max_terms // 2, MAX_LEVEL):
+    n_max = min(max_terms // 2, MAX_LEVEL)
+    if not floor <= n_max:
         return None
     n0 = math.ceil(floor)
-    return rho, n0, n0 // 2 if n0 > PROBE_LEVEL else 0
+    return rho, n0, n_max, n0 // 2 if n0 > PROBE_LEVEL else 0
 
 
 def bounds_at(rho_lo: float, rho_hi: float, n: int) -> tuple[float, float]:
     """S_n(V_n) for r^2 in [rho_lo, rho_hi], its ends moved outward: one
-    backward pass of t -> a'_{j+1}/(b'_{j+1} + t), j = n - 1 .. 1, written
-    -g_j (j^2 + 4 rho)/(m_j + rho + t), then 1/(1/2 + rho + t).  It carries
-    u = -t, from [-(L_n + c_n + 2h_n), -(L_n + c_n)], whose ends are rounded
-    with ``nextafter``.  A level is 10 float operations, none of them
-    stepped: each end rounds to nearest twice in its denominator and three
-    times in its numerator, covered by g_j (1 +- 2^-53)^``_G_POWER``
-    rounded outward.  At level 0 ``* dn`` steps a result one float down,
-    ``/ dn`` one float up.  Each level's m_j, j^2 and g_j rounded out each
-    way come from ``_levels_down``; they and k are exact floats for n below
-    2^26, and the rounding argument holds for n below 2^23 (``MAX_LEVEL``
-    caps n)."""
+    backward pass that carries u = -t from V_n's ends (``offsets``), as the
+    ``cf`` docstring's floating-point argument sets out.  A level is 10
+    float operations, none of them stepped, against g_j (1 +-
+    2^-53)^``_G_POWER`` rounded outward; at level 0 ``* dn`` steps a
+    result one float down, ``/ dn`` one float up.  Each level's m_j, j^2
+    and g_j rounded out each way come from ``_levels_down``; they and k are
+    exact floats for n below 2^26, and the argument holds for n below 2^23
+    (``MAX_LEVEL`` caps n)."""
     dn = _DOWN
     rho4_lo, rho4_hi = 4 * rho_lo, 4 * rho_hi
     e_lo, e_hi = offsets(rho_lo, rho_hi, n)
@@ -194,27 +178,34 @@ def _predicted_level(rho_hi: float, width: float) -> int:
     return max(1, math.ceil(1.02 * (law / aim) ** (1 / 8)))
 
 
+def _next_level(n: int, wide: float, aim: float, n_max: int) -> int:
+    """The level after a pass at n that came out ``wide`` for ``aim``: the
+    width law's level for aim, predicted from that pass with a 1% margin,
+    at least 1.25 n (n was already aimed) and at most n_max."""
+    target = n * max(1.25, 1.01 * (wide / aim) ** (1 / 8))
+    return math.ceil(target) if target < n_max else n_max
+
+
 def _search(rho: tuple[float, float], width: float, n0: int,
             n_max: int) -> tuple[float, float, int]:
     """S_n(V_n) as (lower, upper, n), at an n in [n0, n_max] that meets
     ``width``; n_max <= MAX_LEVEL, as the rounding argument for
     ``bounds_at`` holds only below 2^23.  The width falls like W(rho)
     n^-8, with W(rho) = (rho + 1)^4 (rho^2 + 4 rho + 8)/48 D(r) and D(r) =
-    2 (pi r)^3 cosh(pi r)/sinh(pi r)^3 (2 at r = 0): V_n is (rho + 1)^4
-    (rho^2 + 4 rho + 8)/(48 n^5) wide, and D(r) n^-3 is the slope of S_n
-    in its tail, the shape of Euler's product sinh(pi r)/(pi r) = prod (1 +
-    r^2/j^2).  The law is measured, not proven, and only picks n:
-    ``bounds_at``'s width times n^8/W(rho_hi) reads 1.18-1.25 at n = 8,
-    1.09-1.12 at 16, 1.05-1.08 at 32 and 1.04-1.06 at 48, for r from 0.01
-    to 3 where n >= N_0 and the width is at least 2^10 ulp of hi, rho
-    bracketed as ``start`` brackets it.  So the first pass runs at max(n0,
+    2 (pi r)^3 cosh(pi r)/sinh(pi r)^3 (2 at r = 0): V_n is 2 h_n wide
+    (``cf`` docstring), and D(r) n^-3 is the slope of S_n in its tail, the
+    shape of Euler's product sinh(pi r)/(pi r) = prod (1 + r^2/j^2).  The
+    law is measured, not proven, and only picks n: ``bounds_at``'s width
+    times n^8/W(rho_hi) reads 1.18-1.25 at n = 8, 1.09-1.12 at 16,
+    1.05-1.08 at 32 and 1.04-1.06 at 48, for r from 0.01 to 3 where n >=
+    N_0 and the width is at least 2^10 ulp of hi, rho bracketed as
+    ``start`` brackets it.  So the first pass runs at max(n0,
     ``_predicted_level``), which meets the width, or hi 2^-52 where that
-    is wider, everywhere but near the rounding floor.
-    A pass that falls short predicts again from its own width, at least
-    1.25 times as deep (its level was already aimed), up to n_max.  Near
-    the floor the width stops falling: a pass no wider than hi 2^-52, more
-    than twice as wide as the previous pass aimed at, or no narrower than
-    the previous pass is returned, unmet."""
+    is wider, everywhere but near the rounding floor, and a pass that falls
+    short passes again at ``_next_level``.  Near the floor the width stops
+    falling: a pass no wider than hi 2^-52, more than twice as wide as the
+    previous pass aimed at, or no narrower than the previous pass is
+    returned, unmet."""
     n = min(max(n0, _predicted_level(rho[1], width)), n_max)
     aimed = last = math.inf
     while True:
@@ -222,6 +213,5 @@ def _search(rho: tuple[float, float], width: float, n0: int,
         aim = max(width, hi * 2.0 ** -52)
         if hi - lo <= aim or n == n_max or hi - lo > 2 * aimed or hi - lo >= last:
             return lo, hi, n
-        target = n * max(1.25, 1.01 * ((hi - lo) / aim) ** (1 / 8))
-        n = math.ceil(target) if target < n_max else n_max
+        n = _next_level(n, hi - lo, aim, n_max)
         aimed, last = aim, hi - lo

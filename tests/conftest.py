@@ -4,16 +4,19 @@ The constants below were derived before the library existed, from
 independent routes (plain partial sums with integral tail brackets, a
 high-precision trigamma evaluation, and the oscillatory integral), and are
 frozen here; tests check the library against them, never the library
-against itself.
+against itself.  ``formula`` reads the z = 0 proof's formulas from the
+``cf`` module docstring, the text the package ships.
 """
 
 import csv
+import functools
 import io
 import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -114,6 +117,49 @@ def golden_cf():
     from mathieucf import ContinuedFraction
 
     return ContinuedFraction(0.0, lambda n: (1.0, 1.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _formula_code(name, source):
+    key = re.escape(name)
+    # A fact's label, such as (iii), names the equation at the start of its line.
+    head = rf"^[ \t]*{key}[^=]*=" if name[0] == "(" else rf"(?<![\w']){key}[ \t]*="
+    found = re.search(head + r"(.+?)(?:<?=|\+ \.\.\.|`|[,.]$)", source, re.M | re.S)
+    assert found, name
+    code, before = [], "+"
+    for token in re.findall(r"\d+|[A-Za-z]\w*|\S", found[1]):
+        assert token[0].isalnum() or token in "+-*/()^", (name, token)
+        if (before[-1].isalnum() or before == ")") and (token[0].isalnum() or token == "("):
+            code.append("*")  # juxtaposition
+        exact = token.isdigit() and before != "^"
+        code.append("**" if token == "^" else f"F({token})" if exact else token)
+        before = token
+    return compile(" ".join(code), name, "eval")
+
+
+def formula(name, source=None, **values):
+    """The formula ``source`` (the ``cf`` docstring by default) writes as
+    ``name = ...``, or after a label such as ``(iii)``, up to an ``=``,
+    ``<=``, ``+ ...``, backtick or line-ending comma or full stop, at
+    ``values``; a name they leave out is read from ``source`` in turn.  ``^``
+    is a power, juxtaposition a product, and an integer a ``Fraction`` outside
+    exponents: exact over ints, Fractions and polynomials.  Anything but
+    names, integers and ``+-*/()^`` fails to read."""
+    if source is None:
+        from mathieucf import cf
+        source = cf.__doc__
+    code = _formula_code(name, source)
+    for other in set(code.co_names) - {"F"} - values.keys():
+        values[other] = formula(other, source, **values)
+    return eval(code, {"__builtins__": {}, "F": Fraction}, values)
+
+
+def tail_set(rho, n):
+    """The ends of the tail set V_n = [L_n + c_n, L_n + c_n + 2 h_n] (``cf``
+    docstring), exact for an int, Fraction or float rho."""
+    at = {"N": n, "rho": Fraction(rho)}
+    low = formula("L_N", **at) + formula("c_N", **at)
+    return low, low + 2 * formula("h_N", **at)
 
 
 def fresh_python(*args):

@@ -6,8 +6,9 @@ fractions where the determinant identity can be checked exactly.
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from conftest import GOLDEN, backward_cf
+from conftest import GOLDEN, backward_cf, formula, mpmath_s, tail_set
 
 from mathieucf import (
     ContinuedFraction,
@@ -243,15 +244,11 @@ def _tail_steps(r):
 
 def _differences(r, n):
     """(iii) and (iv) of the proof at level n: the two quantities whose
-    signs it needs, and the closed forms it gives them."""
+    signs it needs, and the closed forms the ``cf`` docstring gives them."""
     _, lower, tau = _tail_steps(r)
-    rho = r * r
-    q = (8 * n**5 - 8 * n**4 * rho - 15 * n**4 + 28 * n**3 * rho + 6 * n**3
-         - 32 * n**2 * rho**2 - 44 * n**2 * rho - 6 * n * rho + 8 * rho**2 + 12 * rho)
+    at = {"N": n, "rho": r * r}
     computed = (lower(n) - tau(n), lower(n) + 1)
-    closed = (q / (8 * (2 * n - 1) * (n**3 + 4 * n * rho + 2 * rho)),
-              -(2 * n**2 - 3 * n + 4 * rho - 2) / 8)
-    return computed, closed, q
+    return computed, (formula("(iii)", **at), formula("(iv)", **at)), formula("Q", **at)
 
 
 def _n0(rho):
@@ -259,73 +256,21 @@ def _n0(rho):
     return max(4, math.ceil(2 * rho + 2), math.ceil(Fraction(16, 27) * rho * (rho + 1) + 1))
 
 
-def _offsets(rho, n):
-    """c_n and c_n + 2h_n of the tail set V_n = [L_n + c_n, L_n + c_n +
-    2h_n], exact."""
-    s4 = (rho + 1)**4
-    c = (Fraction(7, 16) + (8 * rho**2 + 8 * rho + 3) / Fraction(16 * (2 * n - 1))
-         - s4 / Fraction(12 * n**2 * (2 * n - 3)))
-    return c, c + s4 * (rho**2 + 4 * rho + 8) / Fraction(48 * n**5)
-
-
-# The polynomials of (v') and (vi') in n and s = rho + 1, as the ``cf``
-# docstring writes them; B = s^2 + 2s + 5 = rho^2 + 4 rho + 8.
-
-def _p_upper(n, rho):
-    """P_5, the numerator of (v') over -(rho + 1)^4."""
-    s = rho + 1
-    b = s**2 + 2 * s + 5
-    return (768 * b * n**10 - 288 * (7 * s**2 + 14 * s + 38) * n**9
-            + 32 * (14 * s**4 + 72 * s**3 + 48 * s**2 - 663) * n**8
-            + 24 * (16 * s**4 + 8 * s**3 - 63 * s**2 - 334 * s - 751) * n**7
-            - 16 * (4 * s**6 + 8 * s**5 + 21 * s**4 + 192 * s**3 + 336 * s**2 + 960 * s + 156) * n**6
-            - 16 * (2 * s**6 + 4 * s**5 + 84 * s**4 + 255 * s**3 + 447 * s**2 + 369 * s - 516) * n**5
-            + 8 * (2 * s**8 + 8 * s**7 + 36 * s**6 + 56 * s**5 - 21 * s**4 - 102 * s**3
-                   - 204 * s**2 + 750 * s + 585) * n**4
-            - 8 * (4 * s**8 + 16 * s**7 + 41 * s**6 + 50 * s**5 - 27 * s**4 - 228 * s**3
-                   - 483 * s**2 - 570 * s + 75) * n**3
-            + 4 * b * (2 * s**6 + 4 * s**5 + 19 * s**4 + 120 * s**2 - 12 * s - 36) * n**2
-            + 4 * s * b * (2 * s**5 + 4 * s**4 + 3 * s**3 - 6 * s - 36) * n
-            - 3 * s**2 * b * (s**4 + 2 * s**3 + 9 * s**2 + 24))
-
-
-def _q_upper(n, rho):
-    """Q_5, the factor of (v')'s denominator."""
-    s = rho + 1
-    return (48 * n**9 + 312 * n**8 + 24 * (4 * s + 33) * n**7 + 48 * (s + 4) * (s + 5) * n**6
-            + 24 * (9 * s**2 + 30 * s + 20) * n**5 - 8 * (s**4 - 45 * s**2 - 60 * s + 9) * n**4
-            - 4 * (7 * s**4 - 60 * s**2 + 42) * n**3
-            + 4 * (s**6 + 2 * s**5 - 4 * s**4 - 36 * s - 12) * n**2
-            - 4 * s * (5 * s**3 + 18 * s + 12) * n - s**2 * (s**4 + 2 * s**3 + 9 * s**2 + 24))
-
-
-def _p_lower(n, rho):
-    """P_4, the numerator of (vi') over (rho + 1)^4."""
-    s = rho + 1
-    return (48 * (s**2 + 2 * s + 5) * n**4 + 54 * n**3 - 4 * (s**4 + 9 * s**2 + 6 * s + 24) * n**2
-            - 12 * s * (s - 1) * n + s**2 * (s**2 + 6))
-
-
-def _q_lower(n, rho):
-    """Q_4, the factor of (vi')'s denominator."""
-    s = rho + 1
-    return (12 * n**6 + 42 * n**5 + 12 * (2 * s + 3) * n**4 + 6 * (2 * s**2 + 6 * s - 1) * n**3
-            + 6 * (3 * s**2 - 2) * n**2 - 2 * s * (s**3 + 6) * n - s**2 * (s**2 + 6))
-
-
 def _fifth_order_differences(r, n):
-    """(v') and (vi') at level n: s_{n+1}(L_{n+1} + c) - (L_n + c) at the
-    upper end c = c_n + 2h_n and the lower end c = c_n (c_{n+1} + 2h_{n+1}
-    and c_{n+1} inside s_{n+1}), computed and in closed form."""
-    s, lower, _ = _tail_steps(r)
+    """(v') and (vi') at level n: s_{n+1}(end_{n+1}) - end_n at the upper
+    end L_n + c_n + 2h_n of V_n and at its lower end L_n + c_n, computed
+    and in the ``cf`` docstring's closed forms."""
+    s, _, _ = _tail_steps(r)
     rho = r * r
-    (lo, hi), (lo_next, hi_next) = _offsets(rho, n), _offsets(rho, n + 1)
-    computed = (s(n, lower(n + 1) + hi_next) - (lower(n) + hi),
-                s(n, lower(n + 1) + lo_next) - (lower(n) + lo))
-    ends = (2 * n - 3) * (2 * n - 1)
-    closed = (-(rho + 1)**4 * _p_upper(n, rho) / (48 * n**5 * ends * _q_upper(n, rho)),
-              (rho + 1)**4 * _p_lower(n, rho) / (12 * n**2 * ends * _q_lower(n, rho)))
-    return computed, closed
+    (lo, hi), (lo_next, hi_next) = tail_set(rho, n), tail_set(rho, n + 1)
+    computed = (s(n, hi_next) - hi, s(n, lo_next) - lo)
+    return computed, (formula("(v')", N=n, rho=rho), formula("(vi')", N=n, rho=rho))
+
+
+def _expansion(rho, n, a5_shift=0):
+    """The ``cf`` docstring's expansion of t_n - L_n through n^-5, with
+    a_5 - a5_shift in place of a_5."""
+    return formula("t_N - L_N", N=n, rho=rho, a_5=formula("a_5", rho=rho) - a5_shift)
 
 
 class _Poly(dict):
@@ -424,24 +369,26 @@ class TestTailIntervalProof:
         for n in [*range(n0, n0 + 25), 2 * n0, 10 * n0, 100 * n0]:
             (v, vi), _ = _fifth_order_differences(r, n)
             assert v < 0 and vi > 0, n
-            assert _p_upper(n, rho) > 0 and _q_upper(n, rho) > 0, n
-            assert _p_lower(n, rho) > 0 and _q_lower(n, rho) > 0, n
+            at = {"N": n, "rho": rho}
+            assert formula("P_5", **at) > 0 and formula("Q_5", **at) > 0, n
+            assert formula("P_4", **at) > 0 and formula("Q_4", **at) > 0, n
             # 7/16 <= c_n < c_n + 2h_n <= c+_n <= 1: V_n lies in [L_n, U_n].
-            lo, hi = _offsets(rho, n)
-            c_plus = Fraction(7, 16) + (8 * rho**2 + 8 * rho + 3) / Fraction(16 * (2 * n - 1))
+            ends, ends_next = tail_set(rho, n), tail_set(rho, n + 1)
+            lo, hi = (end - lower(n) for end in ends)
+            c_plus = Fraction(7, 16) + formula("A", rho=rho) / (16 * (2 * n - 1))
             assert Fraction(7, 16) <= lo < hi <= c_plus <= 1, n
             # Both ends map inward, so V_{n+1} maps into V_n.
-            lo_next, hi_next = _offsets(rho, n + 1)
-            assert lower(n) + lo < s(n, lower(n + 1) + lo_next), n
-            assert s(n, lower(n + 1) + hi_next) < lower(n) + hi, n
+            assert ends[0] < s(n, ends_next[0]), n
+            assert s(n, ends_next[1]) < ends[1], n
 
     def test_lower_end_polynomials_have_no_negative_coefficient(self):
         # (vi'): at n = 2 rho + 2 + t, P_4 and Q_4 have no negative
         # coefficient in (rho, t), and a positive constant term: (vi') > 0
         # for every n >= 2 rho + 2, a bound that N_0 includes.
         n = 2 * _RHO + 2 + _T
-        for poly, constant, terms in ((_p_lower(n, _RHO), 5943, 25),
-                                      (_q_lower(n, _RHO), 3397, 28)):
+        at = {"N": n, "rho": _RHO}
+        for poly, constant, terms in ((formula("P_4", **at), 5943, 25),
+                                      (formula("Q_4", **at), 3397, 28)):
             assert min(poly.values()) >= 0
             assert poly[0, 0] == constant
             assert sum(c != 0 for c in poly.values()) == terms
@@ -451,16 +398,50 @@ class TestTailIntervalProof:
         # P_5 has 15.  P_5 has none at n = 2 rho + 2 + t with rho = 1 + u
         # (rho >= 1), nor, cleared by (1 + w)^8, at n = 4 + t with rho =
         # w/(1 + w) (rho < 1, where N_0 = 4).  So (v') < 0 from N_0 on.
-        n = 2 * _RHO + 2 + _T
-        q = _q_upper(n, _RHO)
+        at = {"N": 2 * _RHO + 2 + _T, "rho": _RHO}
+        q = formula("Q_5", **at)
         assert min(q.values()) >= 0 and q[0, 0] == 366996
-        assert sum(c < 0 for c in _p_upper(n, _RHO).values()) == 15
+        assert sum(c < 0 for c in formula("P_5", **at).values()) == 15
         u = _RHO  # the first variable, now rho - 1
-        above = _p_upper(2 * (1 + u) + 2 + _T, 1 + u)
+        above = formula("P_5", N=2 * (1 + u) + 2 + _T, rho=1 + u)
         assert min(above.values()) >= 0 and above[0, 0] == 3069580272
-        below = _cleared(_p_upper(4 + _T, _RHO), 8)
+        at_four = formula("P_5", N=4 + _T, rho=_RHO)
+        below = _cleared(at_four, 8)
         assert min(below.values()) >= 0 and below[0, 0] == 319152672
-        assert max(i for i, _ in _p_upper(4 + _T, _RHO)) == 8
+        assert max(i for i, _ in at_four) == 8
+
+    @pytest.mark.parametrize("rho", [Fraction(1, 4), Fraction(1), Fraction(4)])
+    def test_centre_falls_short_of_a5_by_h_exactly(self, rho):
+        # c_n matches the expansion through n^-4 and its n^-5 term with
+        # a_5 - n^5 h_n: n^6 times the difference stays bounded and settles
+        # (-0.338, -2.23 and -87.7), where a wrong term would grow like n.
+        values = []
+        for n in (10**3, 10**4, 10**5):
+            at = {"N": n, "rho": rho}
+            c = formula("c_N", **at)
+            values.append((c - _expansion(rho, n, n**5 * formula("h_N", **at))) * n**6)
+        assert abs(values[2] - values[1]) < abs(values[1] - values[0]) / 5
+        assert abs(values[1] - values[0]) < abs(values[0]) / 100
+
+    @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(1), Fraction(2)])
+    def test_expansion_holds_the_true_tail(self, r):
+        # t_n from T(r, 1) = S(r) at 400 digits, inverting the contracted
+        # fraction level by level (t_{n-1} = a'_n/(b'_n + t_n)): n^6 times
+        # t_n - L_n minus the expansion settles (0.264, 3.35 and 558 at n =
+        # 160), where a wrong a_5 would grow like n.
+        rho = r * r
+        kl = kappa_lambda_form(MathieuCFParams(r, Fraction(1)))
+        values = []
+        with mpmath.workdps(400):
+            t = mpmath_s(float(r), 400)
+            for n in range(1, 161):
+                a, b = (mpmath.mpf(v.numerator) / v.denominator for v in kl.term(n))
+                t = a / t - b
+                if n in (40, 80, 160):
+                    e = formula("L_N", N=n, rho=rho) + _expansion(rho, n)
+                    values.append((t - mpmath.mpf(e.numerator) / e.denominator) * n**6)
+        assert abs(values[2] - values[1]) < abs(values[1] - values[0]) / 1.5
+        assert abs(values[1] - values[0]) < abs(values[0]) / 10
 
     def test_ratio_lemma_is_an_identity(self):
         # The rounding argument's step (``cf`` docstring): with a_j = m_j +
@@ -489,7 +470,7 @@ class TestTailIntervalProof:
             for lo_end, hi_end in ((rho, rho), (rho, rho_hi)):
                 e_lo, e_hi = tail_interval.offsets(lo_end, hi_end, n)
                 for exact in (Fraction(lo_end), Fraction(hi_end)):
-                    c_lo, c_hi = _offsets(exact, n)
+                    c_lo, c_hi = (end - formula("L_N", N=n, rho=exact) for end in tail_set(exact, n))
                     assert Fraction(e_lo) <= c_lo - Fraction(7, 16), n
                     assert Fraction(e_hi) >= c_hi - Fraction(7, 16), n
                     assert Fraction(e_hi) - Fraction(e_lo) >= c_hi - c_lo, n

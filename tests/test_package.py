@@ -2,10 +2,13 @@
 own ``__all__`` lists, so each exported name must appear once and be the
 very object its defining module holds.  The import graph is a stack: every
 module imports cleanly when it is the first one a process imports.  The
-package loads its library modules on first use of a name they export.
+package loads its library modules on first use of a name they export.  No
+module of the package or its tests imports sympy, which is declared nowhere.
 """
 
+import ast
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import fresh_python
@@ -80,3 +83,16 @@ def test_module_imports_first(name):
         "bounds-without-cf", "tail-interval-leaf"])
 def test_lazy_package_surface(code, printed):
     assert fresh_python("-c", code).splitlines()[-1] == printed
+
+
+def test_nothing_imports_sympy():
+    root = Path(__file__).resolve().parents[1]
+    for path in [*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "sympy" not in (name.split(".")[0] for name in names), (path, node.lineno)

@@ -1,7 +1,8 @@
 """The README's library examples run, and print what their comments say.
 
 Every ```python block of README.md is executed in order in one namespace;
-the assertions restate the values the README quotes in its comments.
+the assertions restate the values the README quotes in its comments.  The
+tail set's formulas in README are the ``cf`` docstring's.
 """
 
 import pathlib
@@ -9,6 +10,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from conftest import formula
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,3 +57,12 @@ def test_exact_fraction_approximants(ns):
         Fraction(1, 3), Fraction(2, 7), Fraction(19, 64),
         Fraction(27, 92), Fraction(449, 1524), Fraction(1627, 5532),
     ]
+
+
+def test_tail_set_formulas_are_the_cf_docstrings():
+    text = README.read_text()
+    for n in range(1, 12):
+        for rho in (Fraction(k, 3) for k in range(12)):
+            at = {"N": n, "rho": rho}
+            assert formula("c_N", text, **at) == formula("c_N", **at)
+            assert formula("h_N", text, **at) == formula("h_N", **at)

@@ -18,7 +18,8 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import S_AT_1, S_AT_10, TWO_TERM_AT_10, ZETA3, brute_tail_bracket, mpmath_s
+from conftest import (S_AT_1, S_AT_10, TWO_TERM_AT_10, ZETA3, brute_tail_bracket, mpmath_s,
+                      tail_set)
 
 from mathieucf import (
     AsymptoticResult,
@@ -515,7 +516,7 @@ class TestTailInterval:
         start = tail_interval.start(r, x, width, max_terms)
         if start is None:
             assert got == kernel
-        elif _outcome(lambda: _kernel(r, x, width, start[2]))[-1] is True:
+        elif _outcome(lambda: _kernel(r, x, width, start[3]))[-1] is True:
             assert got == kernel
 
     @pytest.mark.parametrize("r", [5.0, 6.0, 7.0, 10.0])
@@ -560,7 +561,7 @@ class TestTailInterval:
                 r = 0.05 + 2.45 * i / 49
                 levels.clear()
                 bracket = tail_enclosure(r, 1.0, width)
-                _, n0, _ = tail_interval.start(r, 1.0, width, 200_000)
+                _, n0, _, _ = tail_interval.start(r, 1.0, width, 200_000)
                 assert len(levels) == 1 and levels[0] >= n0 and bracket.achieved
                 assert bracket.terms_used == 2 * levels[0]
 
@@ -575,11 +576,10 @@ class TestTailInterval:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_width_law_band(self, seed):
-        # The law that picks the first pass's level, measured: width n^8/W(rho)
-        # with W(rho) = (rho + 1)^4 (rho^2 + 4 rho + 8)/48 D(r) and D(r) = 2
-        # (pi r)^3 cosh(pi r)/sinh(pi r)^3, at rho_hi, reads 1.036-1.252 for r in
-        # [0.01, 3] and n from max(N_0, 8) to 64, while the width is at least
-        # 2^10 ulp of hi (seeds 0-2), highest at n = 8 and lowest near 48.
+        # The law that picks the first pass's level (``tail_interval._search``),
+        # measured: width n^8/W(rho_hi) reads 1.036-1.252 for r in [0.01, 3]
+        # and n from max(N_0, 8) to 64, while the width is at least 2^10 ulp
+        # of hi (seeds 0-2), highest at n = 8 and lowest near 48.
         rng = random.Random(30_000 + seed)
         ratios = []
         for _ in range(24):
@@ -603,7 +603,7 @@ class TestTailInterval:
         # answers instead.
         for i in range(18):
             r = 0.9 + 1.68 * i / 17
-            _, n0, walk_terms = tail_interval.start(r, 1.0, width, 200_000)
+            _, n0, _, walk_terms = tail_interval.start(r, 1.0, width, 200_000)
             assert walk_terms == 0
             bracket = tail_enclosure(r, 1.0, width)
             enc = bracket.enclosure
@@ -637,7 +637,7 @@ class TestTailInterval:
         assert 0 < bracket.terms_used <= max_terms
         start = tail_interval.start(r, 1.0, width, max_terms)
         if start is not None and _outcome(lambda: bracket) != _outcome(
-                lambda: _kernel(r, 1.0, width, start[2])):
+                lambda: _kernel(r, 1.0, width, start[3])):
             # A tail interval: certified in floating point.
             assert bracket.terms_used % 2 == 0 and bracket.terms_used >= 2 * start[1]
             assert mpmath.mpf(enc.lower) <= mpmath_s(r, 50) <= mpmath.mpf(enc.upper)
@@ -668,7 +668,7 @@ class TestTailInterval:
         if n0 <= k:
             k_lo, k_hi = tail_interval.bounds_at(*rho, k)
             for end in rho:
-                for t in _exact_tail_set(end, k):
+                for t in tail_set(end, k):
                     assert _exact_pass_within(end, k, t, k_lo, k_hi)
         assert hi - lo <= 1.3 * (ref_hi - ref_lo)
 
@@ -697,7 +697,7 @@ class TestTailInterval:
         seen = _pass_levels(rho, n)
         assert len(seen) == n
         for end in rho:
-            for t in _exact_tail_set(end, n):
+            for t in tail_set(end, n):
                 for (u_lo, u_hi), (p, q) in zip(seen, _exact_levels(end, n, t), strict=True):
                     lo_n, lo_d = u_lo.as_integer_ratio()
                     hi_n, hi_d = u_hi.as_integer_ratio()
@@ -865,9 +865,9 @@ class TestTailInterval:
             plan = tail_interval.start(r, 1.0, width, max_terms)
             if plan is None:
                 continue
-            rho, n0, _ = plan
-            if _search_to_n_max(rho, width, n0, max_terms // 2):
-                lower, upper, _ = tail_interval._search(rho, width, n0, max_terms // 2)
+            rho, n0, n_max, _ = plan
+            if _search_to_n_max(rho, width, n0, n_max):
+                lower, upper, _ = tail_interval._search(rho, width, n0, n_max)
                 assert upper - lower <= width
 
 
@@ -878,10 +878,8 @@ def _rho_bracket(r):
 
 def _reference_bounds_at(rho_lo, rho_hi, n):
     """``tail_interval.bounds_at`` with ``math.nextafter`` after every
-    rounding operation and g_j as one int quotient per level; it starts
-    from V_n = [L_n + c_n, L_n + c_n + 2h_n], c_n = 7/16 + A/(16(2n - 1))
-    - (rho + 1)^4/(12 n^2 (2n - 3)), A = 8 rho^2 + 8 rho + 3, and h_n =
-    (rho + 1)^4 (rho^2 + 4 rho + 8)/(96 n^5)."""
+    rounding operation and g_j as one int quotient per level, from the
+    ends of V_n (``cf`` docstring) rounded outward."""
     nextafter = math.nextafter
     down, up = -math.inf, math.inf
     rho4_lo, rho4_hi = 4 * rho_lo, 4 * rho_hi
@@ -932,19 +930,6 @@ def _reference_bounds_at(rho_lo, rho_hi, n):
 # The highest level at which the tests run an exact pass: its cost grows
 # like the square of the level.
 _EXACT_LEVELS = 300
-
-
-def _exact_tail_set(rho, n):
-    """The ends of V_n = [L_n + c_n, L_n + c_n + 2h_n] for a float rho, as
-    Fractions: L_n = -(2n^2 - 3n + 6 + 4 rho)/8, c_n = 7/16 + (8 rho^2 + 8
-    rho + 3)/(16(2n - 1)) - (rho + 1)^4/(12 n^2 (2n - 3)) and h_n = (rho +
-    1)^4 (rho^2 + 4 rho + 8)/(96 n^5)."""
-    rho = Fraction(rho)
-    s4 = (rho + 1) ** 4
-    tail = -(2 * n * n - 3 * n + 6 + 4 * rho) / 8
-    c = (Fraction(7, 16) + (8 * rho * rho + 8 * rho + 3) / (16 * (2 * n - 1))
-         - s4 / (12 * n * n * (2 * n - 3)))
-    return tail + c, tail + c + s4 * (rho * rho + 4 * rho + 8) / (48 * n ** 5)
 
 
 def _exact_levels(rho, n, t):
@@ -1000,17 +985,14 @@ def _pass_levels(rho, n):
 
 
 def _search_to_n_max(rho, width, n0, n_max):
-    """Whether ``tail_interval._search`` without its floor stop meets
-    ``width``: it searches on until a pass meets it or n reaches n_max."""
+    """Whether ``tail_interval._search`` without its floor stop, from n0 on,
+    meets ``width`` before n reaches n_max."""
     n = min(n0, n_max)
-    growth = 1.0
     while True:
         lo, hi = tail_interval.bounds_at(*rho, n)
         if hi - lo <= width or n == n_max:
             return hi - lo <= width
-        target = n * max(growth, 1.01 * ((hi - lo) / width) ** (1 / 8))
-        n = math.ceil(target) if target < n_max else n_max
-        growth = 1.25
+        n = tail_interval._next_level(n, hi - lo, width, n_max)
 
 
 class TestEnclosureIdentity:
