@@ -98,6 +98,8 @@ its degree, so each equality is an identity, expands each polynomial
 below at the substitutions named with it, and checks each sign from
 N_0(rho) on.  In (v') and (vi'), B = s^2 + 2s + 5 = rho^2 + 4 rho + 8
 and s = rho + 1.
+Of a polynomial P, P(0) is the constant term, #P the number of non-zero
+coefficients and #-P that of negative ones.
 
 (iii) L_N - tau_N = Q / (8 (2N - 1)(N^3 + 4N rho + 2 rho)),
       Q = 8N^5 - 8N^4 rho - 15N^4 + 28N^3 rho + 6N^3 - 32N^2 rho^2
@@ -126,13 +128,12 @@ and s = rho + 1.
             - 4 (7s^4 - 60s^2 + 42) N^3 + 4 (s^6 + 2s^5 - 4s^4 - 36s - 12) N^2
             - 4 s (5s^3 + 18s + 12) N - s^2 (s^4 + 2s^3 + 9s^2 + 24).
       Written in rho and t = N - 2 rho - 2, Q_5 has only non-negative
-      coefficients and constant term 366996, and P_5 has 15 negative
-      ones, so the range is split.  For rho >= 1, in u = rho - 1 and t,
-      P_5 has only non-negative coefficients and constant term
-      3069580272.  For rho < 1, where N_0 = 4, (1 + w)^8 P_5 at rho =
-      w/(1 + w) and N = 4 + t (w >= 0, t >= 0) has only non-negative
-      coefficients in (w, t) and constant term 319152672.  So (v') < 0
-      from N_0 on.
+      coefficients and Q_5(0) = 366996, and #-P_5 = 15, so the range is
+      split.  For rho >= 1, P^u_5, P_5 in u = rho - 1 and t, has only
+      non-negative coefficients and P^u_5(0) = 3069580272.  For rho < 1,
+      where N_0 = 4, P^w_5, (1 + w)^8 P_5 at rho = w/(1 + w) and N = 4 + t
+      (w >= 0, t >= 0), has only non-negative coefficients in (w, t) and
+      P^w_5(0) = 319152672.  So (v') < 0 from N_0 on.
 (vi') s_{N+1}(L_{N+1} + c_{N+1}) - (L_N + c_N)
           = (rho + 1)^4 P_4 / (12 N^2 (2N - 3)(2N - 1) Q_4),
       P_4 = 48 B N^4 + 54N^3 - 4 (s^4 + 9s^2 + 6s + 24) N^2
@@ -140,13 +141,17 @@ and s = rho + 1.
       Q_4 = 12N^6 + 42N^5 + 12 (2s + 3) N^4 + 6 (2s^2 + 6s - 1) N^3
             + 6 (3s^2 - 2) N^2 - 2 s (s^3 + 6) N - s^2 (s^2 + 6).
       Written in rho and t = N - 2 rho - 2, P_4 and Q_4 have only
-      non-negative coefficients, and constant terms 5943 and 3397: both
-      are positive, and so is (vi'), for N >= 2 rho + 2.
+      non-negative coefficients, #P_4 = 25 and #Q_4 = 28 of them non-zero,
+      and P_4(0) = 5943 and Q_4(0) = 3397: both are positive, and so is
+      (vi'), for N >= 2 rho + 2.
 
 Value sets.  Let M > N >= N_0; (iii) to (vi') then hold at every level
-from N on, and so do 7/16 <= c_n < c_n + 2 h_n <= c+_n <= 1, where c+_n =
-7/16 + A/(16 (2n - 1)).  With n >= 2 rho + 2, 3 A n^2 >= 12 A (rho + 1)^2
->= 8 (rho + 1)^4, so with n >= 3,
+from N on, and so do 7/16 <= c_n < c_n + 2 h_n <= c+_n <= 1, where
+
+    c+_n = 7/16 + A/(16 (2n - 1)).
+
+With n >= 2 rho + 2, 3 A n^2 >= 12 A (rho + 1)^2 >= 8 (rho + 1)^4, so
+with n >= 3,
 12 A n^2 (2n - 3) >= 16 (rho + 1)^4 (2n - 1), that is c_n >= 7/16; and
 rho^2 + 4 rho + 8 <= (n^2 + 4n + 20)/4,
 so (rho^2 + 4 rho + 8)(2n - 3) <= 4 n^3, that is 2 h_n <= c+_n - c_n.
@@ -262,6 +267,47 @@ step lands on the float that ``math.nextafter`` gives, so level 0 is that
 of a pass with a ``nextafter`` call after every rounding, as the start is.
 N_0 is computed with every operation rounded up, at the upper end of rho's
 bracket.
+
+The asymptotic jump.  ``series.asymptotic`` forms t_m as the float nearest
+tau_m = (-1)^m B_2m / r^(2m+2), keeps t_0 .. t_{M-1}, where M is the first m
+at which the cap or (with ``auto``) |t_m| >= |t_{m-1}| stops it, and returns
+their fsum, M and |t_M|.  For r < 112 it may form t_0 .. t_h only, for an
+h with |t_h| < 2^-70 t_0 (``_RELEVANT``; so h >= 1), and then t_w, t_{w+1},
+.. to the stop, where w <= cap is the largest m with (2m)(2m - 1) <= x =
+fl(fl(C rf) rf), rf = float(r) and C = ``_FOUR_PI_SQUARED``, 4 pi^2 (1 -
+2^-48) rounded down, if w >= h + 3.  (The terms near m = pi r fall like
+e^(-2 pi r) and reach 2^-1022 near r = 112, past which the test of (b)
+would fail.)  Claim: the outputs are those of the loop without the skip.
+Write eps = 2^-53.
+(a) By Euler's formula, |B_2k| = 2 (2k)! zeta(2k)/(2 pi)^(2k) for k >= 1,
+    and zeta decreases on (1, inf), so for k >= 2
+        |tau_k/tau_{k-1}| < (2k)(2k - 1)/(4 pi^2 r^2).
+    rf <= r (1 + eps), so x <= C r^2 (1 + eps)^4 < 4 pi^2 (1 - 2^-50) r^2,
+    and (2k)(2k - 1) grows with k, so |tau_k| < (1 - 2^-50) |tau_{k-1}|
+    for h < k <= w.  Every tau_k with k >= 1 is negative.
+(b) The loop goes back (d) unless |t_w| > 2^-1022, and then |tau_w| >
+    2^-1022 (rounding is monotone): by (a), tau_h .. tau_w are normal.  For
+    normal y < (1 - 2^-50) z, fl(y) < fl(z), as z 2^-50 is at least four
+    floats' spacing at z.  So |t_h| > .. > |t_w|: the stop rule cannot fire
+    at a skipped m, nor at w, where it compares t_w with t_h in place of
+    t_{w-1}; every skipped t_k lies in [-|t_h|, 0], and their sum K in
+    [-n |t_h|, 0], n = w - h - 1.
+(c) Let F be the formed kept terms, v = fsum(F) = fl(sum F) (fsum rounds
+    correctly), delta = sum F - v, and g the gap from v to the float below
+    it; the gap above is at most 2g, so |delta| <= g.  fl(sum F + K) = v if
+    K = 0, or if -g/2 < delta + K, as delta + K < delta is below the half
+    gap above.  ``_settled`` takes E = fl(n |t_h|), d = fsum(F + [-v]) =
+    fl(delta), so |d| <= g, and accepts when v > 2^-960 and fl(E - d) <
+    (g/2)(1 - 2^-48), where g/2 and its product are exact.  Then E - d <
+    (g/2)(1 - 2^-48)(1 + 2 eps) and E < 2g; with n |t_h| <= E (1 + eps) and
+    delta >= d - eps |d| (delta is exact where it is subnormal),
+        delta + K > -(g/2)(1 - 2^-48 + 2^-52 + 2^-52 + 2^-51) > -g/2.
+(d) Otherwise the loop restores the brackets saved at the jump and forms
+    t_{h+1}, .. in turn, as without the skip.  Each formed term is the float
+    nearest tau_m whatever bracket ``series._power`` (square and multiply
+    through ``series._truncated``) gives num^(2m+2), so all outputs and
+    error texts agree: a skipped term is finite, and the rest are formed in
+    the same order.
 """
 
 from __future__ import annotations

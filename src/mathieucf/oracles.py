@@ -40,6 +40,8 @@ ZETA3 = 1.2020569031595942
 # below 1e-19 there.
 _TRIGAMMA_SHIFT = 10.0
 _TRIGAMMA_BERNOULLI_TERMS = 10
+# B_2, B_4, .., B_20 as floats, built on first use.
+_TRIGAMMA_B2K: list[float] = []
 
 
 def trigamma(s: Union[float, complex]) -> complex:
@@ -63,9 +65,11 @@ def trigamma(s: Union[float, complex]) -> complex:
     inv2 = inv * inv
     total = inv + 0.5 * inv2
     power = inv2 * inv
-    bern = bernoulli_numbers(2 * _TRIGAMMA_BERNOULLI_TERMS)
-    for k in range(1, _TRIGAMMA_BERNOULLI_TERMS + 1):
-        total += float(bern[2 * k]) * power
+    if not _TRIGAMMA_B2K:
+        bern = bernoulli_numbers(2 * _TRIGAMMA_BERNOULLI_TERMS)
+        _TRIGAMMA_B2K.extend(float(b) for b in bern[2::2])
+    for b2k in _TRIGAMMA_B2K:
+        total += b2k * power
         power *= inv2
     # Sum the recurrence corrections smallest-last for accuracy.
     for term in reversed(shifted):

@@ -559,6 +559,9 @@ _ASYMPTOTIC_TERM_CAP = 500
 # Bits kept at each end of the bracketed factors of an asymptotic term.
 _G = 128
 _MIN_NORMAL = sys.float_info.min
+# The thresholds of the jump: the ``cf`` docstring, "The asymptotic jump".
+_RELEVANT = 2.0 ** -70
+_FOUR_PI_SQUARED = 39.47841760435729
 # Entry m is |B_2m numerator| as the bracket (lo, hi, e) that ``_truncated``
 # gives it, then B_2m's denominator and whether B_2m < 0: the numerators run
 # to thousands of bits, and every call reuses them.
@@ -586,31 +589,51 @@ def _scaled_quotient(a: int, b: int, e: int) -> float:
     return t
 
 
+def _power(x: int, p: int) -> tuple[int, int, int]:
+    """x^p as a ``_truncated`` bracket, by square and multiply."""
+    lo, hi, e = 1, 1, 0
+    for bit in bin(p)[2:]:
+        y = x if bit == "1" else 1
+        lo, hi, e = _truncated(lo * lo * y, hi * hi * y, 2 * e)
+    return lo, hi, e
+
+
+def _settled(terms: list[float], bound: float) -> bool:
+    """Whether fsum(terms) stays the fsum with any reals in [-bound, 0] added."""
+    v = math.fsum(terms)
+    half_gap = (v - math.nextafter(v, -math.inf)) / 2
+    return v > 2**-960 and bound - math.fsum(terms + [-v]) < half_gap * (1 - 2**-48)
+
+
 def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     """Large-r expansion S(r) ~ sum_{m>=0} (-1)^m B_{2m} / r^{2m+2}.
 
-    The expansion is divergent; ``n_terms="auto"`` truncates at the smallest
-    term (stop right before the first term whose magnitude fails to
-    decrease), the standard optimal truncation.  Past the leading 1/r^2 every
-    term is negative, and term magnitudes shrink roughly until 2m ~ 2*pi*r,
-    so small r means ``auto`` keeps a single term and ``first_omitted_term``
-    (the magnitude of the first term dropped) exceeds the term kept — the
-    signal that the expansion has nothing to offer at that r.  Auto
-    truncation is capped at 500 terms.
+    The expansion is divergent; ``n_terms="auto"`` stops right before the
+    first term whose magnitude fails to decrease (the standard optimal
+    truncation), capped at 500 terms.  Past the leading 1/r^2 every term is
+    negative, and magnitudes shrink roughly until m ~ pi r: at small r
+    ``auto`` keeps one term and ``first_omitted_term`` (the magnitude of the
+    first term dropped) exceeds it, the sign of nothing to offer there.
 
     Every term is the correctly rounded float of its exact rational value,
     so huge Bernoulli numerators cannot overflow.  With r = num/(odd * 2^s),
     term m is (-1)^m B_2m * odd^(2m+2) * 2^(s(2m+2)) / num^(2m+2).  The
     factors |B_2m numerator|, odd^(2m+2) and num^(2m+2) are carried as
     brackets of about _G bits (the first built once per m and kept across
-    calls), so the term lies between two small
-    quotients; rounding is monotone, so when both round to the same float,
-    that float is the term (while all three factors fit in _G bits the
-    bracket is exact and one quotient is enough).  Otherwise (a near tie, or
-    an overflow) the term is one correctly rounded ``int / int`` of the
-    exact integers.  A term beyond float64 (B_2/r^4 for r below about
-    1.7e-78) is outside the route's domain and raises ``ValueError``, as
-    does a non-finite r.
+    calls), so the term lies between two small quotients; rounding is
+    monotone, so when both round to the same float, that float is the term
+    (while all three factors fit in _G bits the bracket is exact and one
+    quotient is enough).  Otherwise (a near tie, or an overflow) the term is
+    one correctly rounded ``int / int`` of the exact integers.  A term
+    beyond float64 (B_2/r^4 for r below about 1.7e-78) is outside the
+    route's domain and raises ``ValueError``, as does a non-finite r.
+
+    Only terms that can change the result are formed: the head, until one
+    falls below 2^-70 t_0, then those from the last m where |t_m| < |t_m-1|
+    is proven (near pi r) to the stop.  ``terms_used`` counts the skipped
+    ones, which are formed after all where their bound cannot settle the
+    sum; so every output is as with all terms formed (``cf`` docstring,
+    "The asymptotic jump").
     """
     if not (0 < r < math.inf):
         raise ValueError(f"r must be finite and > 0; got {r!r}")
@@ -634,14 +657,15 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     ne = oe = 0
     brackets = _B2M_BRACKETS
     terms: list[float] = []
+    resume, skipped = (), 0  # the state before the jump; None once undone
     first_omitted = None
     m = 0
     while True:
         nl, nh, ne = _truncated(nl * num2, nh * num2, ne)
         if odd2 != 1:
             ol, oh, oe = _truncated(ol * odd2, oh * odd2, oe)
-        if m == len(brackets):
-            b2m = _bernoulli(2 * m)
+        while m >= len(brackets):
+            b2m = _bernoulli(2 * len(brackets))
             bl = abs(b2m.numerator)
             brackets.append((*_truncated(bl, bl, 0), b2m.denominator, b2m < 0))
         bl, bh, be, bd, negative = brackets[m]
@@ -666,12 +690,28 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
             t = -t
         if m % 2:
             t = -t
-        if auto and terms and abs(t) >= abs(terms[-1]):
-            first_omitted = abs(t)
-            break
-        if m == cap:
+        stop = auto and terms and abs(t) >= abs(terms[-1]) or m == cap
+        if resume and (len(terms) == resume[0] and not abs(t) > _MIN_NORMAL
+                       or stop and not _settled(terms, skipped * abs(terms[resume[0] - 1]))):
+            m, nl, nh, ne, ol, oh, oe = resume  # form the skipped terms after all
+            del terms[m:]
+            resume, skipped = None, 0
+            continue
+        if stop:
             first_omitted = abs(t)
             break
         terms.append(t)
         m += 1
-    return AsymptoticResult(math.fsum(terms), len(terms), first_omitted)
+        if resume == () and r < 112 and abs(t) < terms[0] * _RELEVANT:
+            # Jump to the last m with |t_m| < |t_m-1| proven; past r = 112 t_m is subnormal there.
+            rf = float(r)
+            x = _FOUR_PI_SQUARED * rf * rf
+            w = min(cap, int((1 + math.sqrt(1 + 4 * x)) / 4))
+            while w > m and 2 * w * (2 * w - 1) > x:
+                w -= 1
+            if w > m + 1:
+                resume, skipped = (m, nl, nh, ne, ol, oh, oe), w - m
+                nl, nh, ne = _power(num2, w)
+                ol, oh, oe = _power(odd2, w) if odd2 != 1 else (1, 1, 0)
+                m = w
+    return AsymptoticResult(math.fsum(terms), len(terms) + skipped, first_omitted)

@@ -4,8 +4,9 @@ The constants below were derived before the library existed, from
 independent routes (plain partial sums with integral tail brackets, a
 high-precision trigamma evaluation, and the oscillatory integral), and are
 frozen here; tests check the library against them, never the library
-against itself.  ``formula`` reads the z = 0 proof's formulas from the
-``cf`` module docstring, the text the package ships.
+against itself.  ``formula`` and ``figure`` read the z = 0 proof's
+formulas and figures from the ``cf`` module docstring, the text the
+package ships.
 """
 
 import csv
@@ -152,6 +153,18 @@ def formula(name, source=None, **values):
     for other in set(code.co_names) - {"F"} - values.keys():
         values[other] = formula(other, source, **values)
     return eval(code, {"__builtins__": {}, "F": Fraction}, values)
+
+
+def figure(name, source=None):
+    """The integer that ``source`` (the ``cf`` docstring by default) states as
+    ``name = <integer>``, where it may stand mid-sentence, such as the
+    constant term ``P_4(0)`` or the coefficient count ``#P_4``."""
+    if source is None:
+        from mathieucf import cf
+        source = cf.__doc__
+    found = re.findall(rf"(?<![\w'^#-]){re.escape(name)}[ \t]*=[ \t]*(\d+)\b", source)
+    assert len(found) == 1, (name, found)
+    return int(found[0])
 
 
 def tail_set(rho, n):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from conftest import GOLDEN, backward_cf, formula, mpmath_s, tail_set
+from conftest import GOLDEN, backward_cf, figure, formula, mpmath_s, tail_set
 
 from mathieucf import (
     ContinuedFraction,
@@ -375,7 +375,7 @@ class TestTailIntervalProof:
             # 7/16 <= c_n < c_n + 2h_n <= c+_n <= 1: V_n lies in [L_n, U_n].
             ends, ends_next = tail_set(rho, n), tail_set(rho, n + 1)
             lo, hi = (end - lower(n) for end in ends)
-            c_plus = Fraction(7, 16) + formula("A", rho=rho) / (16 * (2 * n - 1))
+            c_plus = formula("c+_n", n=n, rho=rho)
             assert Fraction(7, 16) <= lo < hi <= c_plus <= 1, n
             # Both ends map inward, so V_{n+1} maps into V_n.
             assert ends[0] < s(n, ends_next[0]), n
@@ -387,11 +387,11 @@ class TestTailIntervalProof:
         # for every n >= 2 rho + 2, a bound that N_0 includes.
         n = 2 * _RHO + 2 + _T
         at = {"N": n, "rho": _RHO}
-        for poly, constant, terms in ((formula("P_4", **at), 5943, 25),
-                                      (formula("Q_4", **at), 3397, 28)):
+        for name in ("P_4", "Q_4"):
+            poly = formula(name, **at)
             assert min(poly.values()) >= 0
-            assert poly[0, 0] == constant
-            assert sum(c != 0 for c in poly.values()) == terms
+            assert poly[0, 0] == figure(f"{name}(0)")
+            assert sum(c != 0 for c in poly.values()) == figure(f"#{name}")
 
     def test_upper_end_polynomials_have_no_negative_coefficient(self):
         # (v'): Q_5 has no negative coefficient at n = 2 rho + 2 + t, where
@@ -400,14 +400,14 @@ class TestTailIntervalProof:
         # w/(1 + w) (rho < 1, where N_0 = 4).  So (v') < 0 from N_0 on.
         at = {"N": 2 * _RHO + 2 + _T, "rho": _RHO}
         q = formula("Q_5", **at)
-        assert min(q.values()) >= 0 and q[0, 0] == 366996
-        assert sum(c < 0 for c in formula("P_5", **at).values()) == 15
+        assert min(q.values()) >= 0 and q[0, 0] == figure("Q_5(0)")
+        assert sum(c < 0 for c in formula("P_5", **at).values()) == figure("#-P_5")
         u = _RHO  # the first variable, now rho - 1
         above = formula("P_5", N=2 * (1 + u) + 2 + _T, rho=1 + u)
-        assert min(above.values()) >= 0 and above[0, 0] == 3069580272
+        assert min(above.values()) >= 0 and above[0, 0] == figure("P^u_5(0)")
         at_four = formula("P_5", N=4 + _T, rho=_RHO)
         below = _cleared(at_four, 8)
-        assert min(below.values()) >= 0 and below[0, 0] == 319152672
+        assert min(below.values()) >= 0 and below[0, 0] == figure("P^w_5(0)")
         assert max(i for i, _ in at_four) == 8
 
     @pytest.mark.parametrize("rho", [Fraction(1, 4), Fraction(1), Fraction(4)])

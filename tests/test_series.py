@@ -1201,6 +1201,124 @@ class TestAsymptotic:
             asymptotic(1e-150, 5)
 
 
+_jump_rng = random.Random(32)
+# Seeded r in [1, 160]: half with full 52-bit mantissas, half short (k/8, and
+# k/1000 with an odd denominator part); past r = 112 the window terms are
+# subnormal and from about 159 on the 500-term cap binds.
+_JUMP_R = (
+    [_jump_rng.uniform(1.0, 160.0) for _ in range(30)]
+    + [_jump_rng.randint(8, 1280) / 8 for _ in range(15)]
+    + [Fraction(_jump_rng.randint(1000, 160_000), 1000) for _ in range(15)]
+    + [112, 117.0, 130.0, 159.0, 161.0, 111.9]
+)
+
+
+def _quotient_count(monkeypatch):
+    """Counts the calls of ``series._scaled_quotient`` from here on."""
+    calls = [0]
+    quotient = series._scaled_quotient
+
+    def counted(*args):
+        calls[0] += 1
+        return quotient(*args)
+
+    monkeypatch.setattr(series, "_scaled_quotient", counted)
+    return calls
+
+
+class TestAsymptoticJump:
+    """``asymptotic`` forms only the terms that can change its result (the
+    ``cf`` docstring, "The asymptotic jump"), and its outputs stay those of
+    the reference that forms every term."""
+
+    @pytest.mark.parametrize("n_terms", ["auto", 1, 5, 50, 300])
+    def test_bit_identical_over_seeded_r(self, n_terms):
+        for r in _JUMP_R:
+            assert _asymptotic_outcome(asymptotic, r, n_terms) == _asymptotic_outcome(
+                _reference_asymptotic, r, n_terms
+            ), r
+
+    def test_forced_repair_stays_bit_identical(self, monkeypatch):
+        # At 2^-20 t_0 the skipped terms' bound dwarfs half a gap of the sum,
+        # so every certificate fails and the skipped terms are formed after
+        # all.
+        verdicts = []
+        settled = series._settled
+
+        def recorded(*args):
+            verdicts.append(settled(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(series, "_RELEVANT", 2.0 ** -20)
+        monkeypatch.setattr(series, "_settled", recorded)
+        for r in (10.0, 33.3, 77.77, 100.0, Fraction(99123, 1000)):
+            for n_terms in ("auto", 50):
+                assert _asymptotic_outcome(asymptotic, r, n_terms) == _asymptotic_outcome(
+                    _reference_asymptotic, r, n_terms
+                ), (r, n_terms)
+        assert verdicts and not any(verdicts)
+
+    def test_window_start_below_the_normal_range_repairs(self, monkeypatch):
+        # Raising the normal threshold to 1e-200 fails the window's first
+        # term from about r = 73 on (every term is still correctly rounded:
+        # below the threshold a quotient is one int division).
+        calls = _quotient_count(monkeypatch)
+        monkeypatch.setattr(series, "_MIN_NORMAL", 1e-200)
+        for r in (80.0, 97.5, 111.0):
+            calls[0] = 0
+            outcome = _asymptotic_outcome(asymptotic, r, "auto")
+            assert calls[0] > outcome[1]  # every kept term formed
+            assert outcome == _asymptotic_outcome(_reference_asymptotic, r, "auto"), r
+
+    @pytest.mark.parametrize("r", [100.0, 97.31274416326945])
+    def test_few_terms_are_formed(self, r, monkeypatch):
+        # The full loop takes about 630 quotients here; the caches reach no
+        # index beyond the one the full loop reads, B_2M at the stop M.
+        monkeypatch.setattr(series, "_BERNOULLI", [])
+        monkeypatch.setattr(series, "_ZIGZAG_ROW", [1])
+        monkeypatch.setattr(series, "_B2M_BRACKETS", [])
+        calls = _quotient_count(monkeypatch)
+        result = asymptotic(r)
+        assert calls[0] <= 48
+        assert result.terms_used > 300
+        assert len(series._BERNOULLI) == 2 * result.terms_used + 1
+        assert len(series._B2M_BRACKETS) == result.terms_used + 1
+
+    def test_four_pi_squared_rounds_down(self):
+        # C <= 4 pi^2 (1 - 2^-48), and C (1 + 2^-53)^4 < 4 pi^2 (1 - 2^-50):
+        # claim (a) of the proof.
+        c = Fraction(series._FOUR_PI_SQUARED)
+        grown = c * (1 + Fraction(1, 2 ** 53)) ** 4
+        with mpmath.workdps(60):
+            four_pi2 = 4 * mpmath.pi ** 2
+            assert mpmath.mpf(c.numerator) / c.denominator <= four_pi2 * (1 - 2 ** -48)
+            assert mpmath.mpf(grown.numerator) / grown.denominator < four_pi2 * (1 - 2 ** -50)
+
+    def test_settled_only_where_every_sum_rounds_alike(self):
+        # Claim (c): where ``_settled`` accepts, fsum(F) is the rounded
+        # value of sum F + K for every K in [-bound (1 + 2^-53), 0] (both
+        # ends suffice, rounding being monotone).  Bounds are drawn around
+        # the edge d + g/2, where the test decides.
+        rng = random.Random(3201)
+        accepted = rejected = 0
+        for _ in range(3000):
+            terms = [rng.uniform(0.5, 2.0) * 2.0 ** rng.randint(-4, 4)]
+            terms += [-rng.uniform(0.5, 2.0) * 2.0 ** -rng.randint(5, 60)
+                      for _ in range(rng.randint(1, 8))]
+            v = math.fsum(terms)
+            d = math.fsum(terms + [-v])
+            half_gap = (v - math.nextafter(v, -math.inf)) / 2
+            bound = max(0.0, (d + half_gap) * (1 + rng.uniform(-2.0 ** -44, 2.0 ** -44)))
+            if series._settled(terms, bound):
+                accepted += 1
+                exact = sum(map(Fraction, terms))
+                for k in (0, -Fraction(bound) * (1 + Fraction(1, 2 ** 53))):
+                    assert float(exact + k) == v, (terms, bound)
+            else:
+                rejected += 1
+        assert accepted > 500 and rejected > 500
+
+
 class TestTelescoping:
     @pytest.mark.parametrize("r,x", [(1.0, 2.0), (5.0, 3.5), (0.3, 1.7)])
     def test_certified_region(self, r, x):
