@@ -308,6 +308,47 @@ Write eps = 2^-53.
     through ``series._truncated``) gives num^(2m+2), so all outputs and
     error texts agree: a skipped term is finite, and the rest are formed in
     the same order.
+
+The direct route's rounding.  ``series.mathieu_direct`` returns the floats
+below fl(P + T-) - E and above fl(P + T+) + E, where P = fsum of the
+computed terms t^_m, m = 1 .. M, T- and T+ are the computed tail formulas
+(its docstring), and E = fl((9 P + 27 q^) 2^-53) + (M + 8) 2^-1074 with
+q^ = fl(1/(M^2 + rho^)), rho^ = fl(r r), rho = r^2.  Claim: the two floats
+enclose S(r) whenever the exact-arithmetic bracket does.  Write eps = 2^-53
+and use the standard model above, plus an absolute error of at most
+2^-1075 where a result is subnormal.
+(a) A sum x + rho^ with exact x >= 1 (an int below 2^53, or m^2 in float
+    with m < 2^26) is x + rho within eps (x + rho): rho^ is rho (1 +- eps),
+    or within 2^-1075 of it where r r is subnormal.  A rounded x, as fl(m m)
+    for larger m or an int above 2^53 converted to float, has the same
+    bound, so the sum is the same weighted mean.
+(b) Each term t_m = 2m/d^2, d = m^2 + rho, is formed as fl(2m/fl(d^ d^))
+    with d^ = fl(m m + rho^): five relative errors of at most eps, d's
+    counted twice, so |t^_m - t_m| <= 6.01 eps t_m, plus 2^-1075 where the
+    quotient is subnormal.  Products replace ``** 2`` because the C
+    library's pow need not round to nearest.  fsum rounds the exact sum of
+    the t^_m once, so |P - sum t_m| <= 7.03 eps P + (M + 2) 2^-1075.
+(c) Every tail term is at most q = 1/(M^2 + rho): R >= M gives 1/(R^2 +
+    rho), 1/((R + 1/2)^2 + rho) <= q and 1/((M + 1)^2 + rho) <= q, and (R +
+    1)/((R + 1)^2 + rho)^2 <= 1/((R + 1)^2 + rho).  Each is formed within
+    7.01 eps of itself: three roundings for a reciprocal, and at most seven
+    for R + 1/2 squared or for (R + 1)/x^2.  T+ = fl(fl(q^ - q^_R) +
+    q^_R'), so |T+ - (q - q_R + q_R')| <= 3 (7.01 eps q) + eps q + 2 eps q
+    < 24.1 eps q; T- = fl(q^_{M+1} + h^) errs by at most 16.1 eps q.  A
+    forced M below r/sqrt(3) takes T- = q^_{M+1} and T+ = q^ alone.
+(d) fl(P + T) adds at most eps (P + 2.01 q), so each end before E is within
+    8.03 eps P + 26.2 eps q + (M + 8) 2^-1075 of its exact value (one
+    2^-1075 for each of at most M + 8 subnormal results).  E is
+    larger: q^ >= q (1 - 3.01 eps), 9 P + 27 q^ is formed in three
+    roundings, times 2^-53 is exact above the subnormal range, the integer
+    M + 8 times 2^-1074 is exact, and their sum's rounding, at most eps E,
+    is less than the margins (0.96 eps P, and half of (M + 8) 2^-1074).
+(e) A result rounded to nearest lies within half a gap of the exact value,
+    so the float one step outward from fl(v - E) is at most v - E, and the
+    one outward from fl(v + E) at least v + E.
+Width: E is about 9 eps S(r) and each step at most 2 eps S(r), so the
+certified bracket is wider than the exact one by about 22 eps S(r), 5.9e-15
+near S(0) = 2 zeta(3); M_conv leaves room for that in tol.
 """
 
 from __future__ import annotations

@@ -196,7 +196,7 @@ def _route(method: str, r: float, cfg: RunConfig) -> Tuple[Row, Any]:
     elif method == "direct":
         enc = result = series.mathieu_direct(r, cfg.tol)
         if enc.width > cfg.tol:
-            # Rounding the bracket ends can cost a few ulp past a tol that close.
+            # The rounding allowance, about 22 eps S(r), can pass a tol that close.
             note = f"tolerance not certified: width {enc.width:.3e} > tol {cfg.tol:.3e}"
     elif method == "trigamma":
         from . import oracles

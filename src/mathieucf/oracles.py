@@ -8,9 +8,12 @@ Two routes, sharing no code with the fraction engine:
   T(r, x) = Im(psi1(x - i r)) / r, evaluated by upward recurrence plus the
   Bernoulli asymptotic expansion.
 * ``mathieu_integral`` — the oscillatory integral
-  S(r) = (1/r) * Integral_0^inf u sin(ru) / (e^u - 1) du, truncated with an
-  explicit exponential tail bound and integrated by an oscillatory-weight
-  quadrature rule.
+  S(r) = (1/r) * Integral_0^inf u sin(ru) / (e^u - 1) du by double-exponential
+  quadrature: for r >= 1/4, Ooura and Mori's rule for Fourier-type integrals
+  (J. Comput. Appl. Math. 112, 1999), whose nodes sit near the zeros of
+  sin(ru); below, the exp-sinh rule.  Both rules run on node and weight
+  tables that do not depend on r, built once in float, and estimate their
+  error from the same rule at a second step size.
 
 ``ZETA3`` pins the r -> 0 limit S(0) = 2 zeta(3), which Apery's fraction
 (``cf.apery_form``, the paper's fraction at r = 0) converges to.
@@ -20,7 +23,9 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Union
+from itertools import repeat
+from operator import mul, truediv
+from typing import List, Tuple, Union
 
 from .series import bernoulli_numbers
 
@@ -101,59 +106,148 @@ def mathieu_trigamma(r: float) -> float:
     return tail_via_trigamma(r, 1.0)
 
 
-def _truncation_point(r: float, tol: float) -> float:
-    # Tail of the integrand past X: 1/(e^u - 1) <= e^-u/(1 - e^-X), and
-    # int_X^inf u e^-u du = (X+1) e^-X, so the tail of S(r) is below
-    # (X+1) e^-X / ((1 - e^-X) r).  Find X putting that under tol/2.
-    X = 30.0
-    while (X + 1) * math.exp(-X) / (1 - math.exp(-X)) > 0.5 * tol * r:
-        X += 5.0
-        if X > 750:  # e^-X underflows long before this
-            raise ValueError(f"no finite truncation point for tol={tol!r}, r={r!r}")
-    return X
+# The integral route's rules, each as (fine, coarse) tables of (nodes,
+# weights) at the two step sizes below, built on the first call.
+_FOURIER_STEPS = (0.1, 0.15)
+_EXP_SINH_STEPS = (0.05, 0.0625)
+# The Fourier rule answers from here up, the exp-sinh rule below.
+_SWITCH = 0.25
+# A node whose contribution to the sum is bounded below this is left out.
+_NEGLIGIBLE = 2.0**-60
+_Table = Tuple[List[float], List[float]]
+_FOURIER: List[_Table] = []
+_EXP_SINH: List[_Table] = []
+
+
+def _fourier_table(h: float) -> _Table:
+    """Ooura and Mori's nodes c_n = M phi(nh) and weights
+    w_n = M h sin(M phi(nh)) phi'(nh) at step h, with M h = pi, for
+    Integral_0^inf g(u) sin(ru) du ~ (1/r) sum_n g(c_n/r) w_n.
+
+    phi(t) = t / (1 - e^-v(t)), v(t) = 2t + alpha (1 - e^-t) + beta (e^t - 1),
+    beta = 1/4, alpha = beta / sqrt(1 + M log(1 + M) / (4 pi)).  phi(0) is
+    the limit 1/v'(0), and phi'(0) = 1/2 - v''(0)/(2 v'(0)^2).  For t > 0,
+    M n h = n pi, so sin(M phi) = (-1)^n sin(M (phi - t)) with
+    phi - t = t e^-v / (1 - e^-v): the direct form would cancel.  Each side
+    stops at the first node whose |w_n| is bounded below ``_NEGLIGIBLE``,
+    through |sin y| <= |y|; 0 < g <= 1, so that bounds its term.
+    """
+    M = math.pi / h
+    beta = 0.25
+    alpha = beta / math.sqrt(1 + M * math.log1p(M) / (4 * math.pi))
+    dv0 = 2 + alpha + beta
+    nodes = [M / dv0]
+    weights = [M * h * math.sin(M / dv0) * (0.5 - (beta - alpha) / (2 * dv0 * dv0))]
+    for side in (1, -1):
+        n = side
+        while True:
+            t = n * h
+            v = 2 * t - alpha * math.expm1(-t) + beta * math.expm1(t)
+            dv = 2 + alpha * math.exp(-t) + beta * math.exp(t)
+            if t > 0:
+                e, d = math.exp(-v), -math.expm1(-v)
+                shift = t * e / d
+                phi = t + shift
+                dphi = (d - t * dv * e) / (d * d)
+                sine = -math.sin(M * shift) if n % 2 else math.sin(M * shift)
+            else:
+                e, d = math.exp(v), math.expm1(v)
+                phi = shift = t * e / d
+                dphi = e * (d - t * dv) / (d * d)
+                sine = math.sin(M * phi)
+            if M * h * abs(dphi) * min(1.0, M * abs(shift)) < _NEGLIGIBLE:
+                break
+            nodes.append(M * phi)
+            weights.append(M * h * sine * dphi)
+            n += side
+    return nodes, weights
+
+
+def _exp_sinh_table(h: float) -> _Table:
+    """Nodes u_n = exp(pi/2 sinh(nh)) and weights g(u_n) u_n pi/2 cosh(nh) h,
+    with g(u) = u/(e^u - 1), for Integral_0^inf g(u) sin(ru) du / r
+    ~ sum_n w_n sin(r u_n) / r.  Each side stops at the first node with
+    w_n u_n below ``_NEGLIGIBLE``, which bounds its term: |sin(ru)/r| <= u.
+    """
+    nodes, weights = [], []
+    for side in (1, -1):
+        n = 0 if side == 1 else -1
+        while True:
+            t = n * h
+            u = math.exp(0.5 * math.pi * math.sinh(t))
+            w = 0.5 * math.pi * math.cosh(t) * u * u / math.expm1(u) * h
+            if w * u < _NEGLIGIBLE:
+                break
+            nodes.append(u)
+            weights.append(w)
+            n += side
+    return nodes, weights
+
+
+def _tables() -> Tuple[List[_Table], List[_Table]]:
+    """The Fourier and the exp-sinh tables, each (fine, coarse), built on
+    the first call."""
+    if not _FOURIER:
+        _FOURIER.extend(map(_fourier_table, _FOURIER_STEPS))
+        _EXP_SINH.extend(map(_exp_sinh_table, _EXP_SINH_STEPS))
+    return _FOURIER, _EXP_SINH
+
+
+def _fourier_sum(r: float, table: _Table) -> float:
+    """S(r) ~ sum_n g(c_n/r) w_n / r^2 on one ``_fourier_table``."""
+    nodes, weights = table
+    x = list(map(truediv, nodes, repeat(r)))
+    g = map(truediv, x, map(math.expm1, x))
+    return math.fsum(map(mul, g, weights)) / r / r
+
+
+def _exp_sinh_sum(r: float, table: _Table) -> float:
+    """S(r) ~ sum_n w_n sin(r u_n) / r on one ``_exp_sinh_table``."""
+    nodes, weights = table
+    sines = map(math.sin, map(mul, nodes, repeat(r)))
+    return math.fsum(map(mul, sines, weights)) / r
 
 
 def mathieu_integral(r: float, tol: float = 1e-10) -> float:
-    """S(r) = (1/r) Integral_0^inf u sin(ru)/(e^u - 1) du.
+    """S(r) = (1/r) Integral_0^inf g(u) sin(ru) du, g(u) = u/(e^u - 1), by a
+    double-exponential rule whose tables do not depend on r.
 
-    The integral is truncated at X chosen so the dropped tail is below
-    tol/2, then evaluated with an oscillatory (sin-weight) quadrature rule
-    with an error budget of tol/2; if the rule cannot certify that budget,
-    the tolerance is refused rather than silently degraded.  Requires
-    tol >= 1e-10: below that the budget is not honest for float64
+    * r >= 1/4: Ooura and Mori's rule for Fourier-type integrals
+      (J. Comput. Appl. Math. 112, 1999; ``_fourier_table``) gives
+      S(r) ~ sum_n g(c_n/r) w_n / r^2.  g is x/expm1(x) at every node: the
+      largest c_n is below 709.78/4, where expm1 would overflow, and the
+      least c_n over the largest float is a nonzero (subnormal) x, where
+      x/expm1(x) = 1.
+    * r < 1/4: there the Fourier rule's nodes are too sparse where g
+      varies (relative error 3e-12 at r = 0.01, 6e-3 at 1e-6), so the
+      exp-sinh rule u = exp(pi/2 sinh t) (``_exp_sinh_table``) answers,
+      S(r) ~ sum_n w_n sin(r u_n) / r.  Its nodes do not depend on r either,
+      and g is in its weights.
+
+    Each rule runs at two step sizes (h = 0.1 and 0.15 for Fourier, 0.05 and
+    0.0625 for exp-sinh; 103 + 67 and 99 + 79 nodes), and the difference of
+    the two sums is the error estimate.  Measured, it stays below 2.3e-13
+    at every r, while the fine sum errs by at most 1.1e-14 relative to
+    40-digit values (9e-15 over [0.1, 100]).  The coarse step has its own
+    M: the nested estimate, every other node at a fixed M, reads 0.46
+    relative at r = 10 and 13 at r = 100, where the fine sum errs by less
+    than 1e-14.  If the estimate
+    exceeds tol/2, the tolerance is refused rather than silently degraded.
+    Requires tol >= 1e-10: below that the budget is not honest for float64
     quadrature.  r must be a normal float, as for ``tail_via_trigamma``.
     """
     _require_normal_r(r)
     if not (tol >= 1e-10):
         raise ValueError(f"tol must be >= 1e-10; got {tol!r}")
-    # Imported here, not at module scope: scipy is most of a cold start, and
-    # no other route needs it.
-    from scipy.integrate import quad
-
-    def integrand(u: float) -> float:
-        if u == 0.0:
-            return 1.0  # limit of u/(e^u - 1)
-        try:
-            return u / math.expm1(u)
-        except OverflowError:  # u > 709.78, where e^u - 1 = e^u to 1e-308
-            return u * math.exp(-u)
-
-    X = _truncation_point(r, tol)
-    budget = 0.5 * tol * r  # error allowance before the 1/r factor
-    value, abserr, *rest = quad(
-        integrand,
-        0.0,
-        X,
-        weight="sin",
-        wvar=r,
-        limit=400,
-        epsabs=0.25 * budget,
-        epsrel=1e-13,
-        full_output=1,
-    )
-    if len(rest) > 1 or abserr > budget:
+    fourier, exp_sinh = _tables()
+    if r < _SWITCH:
+        value, coarse = (_exp_sinh_sum(r, table) for table in exp_sinh)
+    else:
+        value, coarse = (_fourier_sum(r, table) for table in fourier)
+    error = abs(value - coarse)
+    if error > 0.5 * tol:
         raise ValueError(
             f"requested tolerance below quadrature capability: tol={tol!r}, "
-            f"r={r!r}, estimated error {abserr / r!r}"
+            f"r={r!r}, estimated error {error!r}"
         )
-    return value / r
+    return value

@@ -132,6 +132,9 @@ def _rescaled(n: int, scale: float, a_cur, a_prev, b_cur, b_prev):
 
 # Direct summation refuses tolerances needing more terms than this.
 _DIRECT_TERM_CAP = 20_000_000
+# The unit roundoff and the least subnormal: ``mathieu_direct``'s rounding allowance.
+_EPS = 2.0**-53
+_TINY = 2.0**-1074
 _SCALE = _rescale_factor(DEFAULT_RESCALE_AT)
 # ``tail_interval`` once ``tail_enclosure`` has loaded it.
 _tail_interval = None
@@ -280,6 +283,15 @@ def mathieu_direct(
     r/sqrt(3), 1)) (2,715 and 12,600 terms) meets ``tol`` with it.  M is
     min(M_mono, max(M_conv, ceil(r))): either way the width is <= tol, and
     M never exceeds M_mono, whose cap decides which tolerances are refused.
+    M_conv leaves room in tol for the rounding allowance below, about
+    22 eps S(r), with S(r) <= min(2 zeta(3), 1/(r^2 + 1/6)) (Alzer).
+
+    Rounding.  Both ends are widened by a bound on every rounding of the
+    head sum and of the tail formulas, (9 P + 27/(M^2 + r^2)) eps for the
+    head P, plus (M + 8) 2^-1074 for subnormal terms, then stepped one float
+    outward: the bracket contains S(r) in floating point, not only in exact
+    arithmetic (proof in the ``cf`` docstring, "The direct route's
+    rounding").
 
     Accepts r = 0 (giving 2*zeta(3)).  ``m_terms`` forces M, bypassing both
     the width target and the monotonicity threshold: the bracket formula is
@@ -308,29 +320,36 @@ def mathieu_direct(
                 f"tolerance unachievable by direct summation: tol={tol!r} at r={r!r} "
                 f"needs more than {_DIRECT_TERM_CAP} terms"
             )
-        M = min(math.ceil(M), max(math.ceil((0.75 / tol) ** 0.25), math.ceil(r)))
+        # S(r) <= 2 zeta(3) < 2.41, and S(r) < 1/(r^2 + 1/6) (Alzer).
+        room = max(tol - 24 * _EPS * min(2.41, 1 / (r * r + 1 / 6)), 0.125 * tol)
+        M = min(math.ceil(M), max(math.ceil((0.75 / room) ** 0.25), math.ceil(r)))
     rr = r * r
-    if rr == math.inf:
-        raise _overflow(r)
     try:
-        # Float counters give the int counters' bits for M < 2^53: m + m is
-        # exact, float m * m is the rounded m^2 that the int product becomes
-        # on meeting rr, and ``** 2`` stays (y * y rounds differently).
+        last = M * M + rr  # the largest m^2 + r^2 of the sum
+        if last * last == math.inf:
+            raise OverflowError
+        # Products, not ``** 2``: the C library's pow need not round to
+        # nearest, and the allowance below assumes every operation does.
         partial = math.fsum(
-            (m + m) / (m * m + rr) ** 2 for m in map(float, range(1, M + 1))
+            (m + m) / (d * d) for m in map(float, range(1, M + 1)) for d in (m * m + rr,)
         )
+        head = 1 / last
         if M < r / math.sqrt(3):
             # Only a forced M gets here; the split bracket can come out
             # empty below the monotone range, the integral-test one cannot.
-            lower, upper = 1 / ((M + 1) ** 2 + rr), 1 / (M * M + rr)
+            lower, upper = 1 / ((M + 1) ** 2 + rr), head
         else:
             # r - 1/2 is exact below 2^52, far beyond any M that can be summed.
             R = max(M, math.ceil(r - 0.5))
-            lower = 1 / ((M + 1) ** 2 + rr) + (R + 1) / ((R + 1) ** 2 + rr) ** 2
-            upper = 1 / (M * M + rr) - 1 / (R * R + rr) + 1 / ((R + 0.5) ** 2 + rr)
+            x, half = (R + 1) ** 2 + rr, R + 0.5
+            lower = 1 / ((M + 1) ** 2 + rr) + (R + 1) / (x * x)
+            upper = head - 1 / (R * R + rr) + 1 / (half * half + rr)
     except OverflowError:
         raise _overflow(r) from None
-    return Enclosure(partial + lower, partial + upper)
+    # Every tail term is at most ``head``: see the ``cf`` docstring.
+    slack = (9 * partial + 27 * head) * _EPS + (M + 8) * _TINY
+    return Enclosure(math.nextafter(partial + lower - slack, -math.inf),
+                     math.nextafter(partial + upper + slack, math.inf))
 
 
 def _walk(params: MathieuCFParams, width: float, max_terms: int) -> TailBracket:

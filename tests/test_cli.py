@@ -136,13 +136,13 @@ class TestEvalCommand:
         assert cf["lower"] <= S_AT_1 <= cf["upper"]  # still a true enclosure
 
     def test_direct_row_missing_tol_exits_1(self, capsys):
-        # A tol just under two ulp of S(0) = 2 zeta(3): the rounded direct
-        # bracket comes out two ulp wide.
+        # A tol of two ulp of S(0) = 2 zeta(3), under the rounding allowance
+        # (about 22 eps S): the certified direct bracket is 12 ulp wide.
         assert main(["eval", "--r", "0", "--tol", "8.79e-16", "--format", "json"]) == 1
         skipped, direct = strict_json(capsys.readouterr().out)["rows"]
         assert skipped["note"].startswith("skipped")
-        assert direct["width"] == 8.881784197001252e-16
-        assert direct["note"] == "tolerance not certified: width 8.882e-16 > tol 8.790e-16"
+        assert direct["width"] == 5.329070518200751e-15
+        assert direct["note"] == "tolerance not certified: width 5.329e-15 > tol 8.790e-16"
         assert direct["lower"] <= 2 * ZETA3 <= direct["upper"]
         # At a reachable tol the same row carries no note and exits 0.
         assert main(["eval", "--r", "0", "--tol", "1e-12", "--format", "json"]) == 0
@@ -572,14 +572,16 @@ class TestMain:
         assert all(upper is None or upper > 0 for upper in uppers), uppers
 
     def test_compare_overflow_is_a_row_note(self, capsys):
-        # At r = 1e100 the cf head sum overflows and only trigamma survives
-        # among the core routes, so there is no spread.
+        # At r = 1e100 the cf head sum overflows and the direct route refuses;
+        # trigamma and the integral answer, and the spread is theirs.
         assert main(["compare", "--r", "1e100", "--format", "json"]) == 1
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         assert row["note"].startswith("failed: cf: ")
-        assert "; direct: " in row["note"] and "; integral: " in row["note"]
-        assert row["cf"] is row["direct"] is row["integral"] is row["spread"] is None
+        assert "; direct: " in row["note"] and "integral" not in row["note"]
+        assert row["cf"] is row["direct"] is None
         assert row["trigamma"] == pytest.approx(1e-200, rel=1e-9)
+        assert row["integral"] == pytest.approx(1e-200, rel=1e-13)
+        assert row["spread"] == abs(row["trigamma"] - row["integral"])
 
     def test_unset_flags_take_runconfig_defaults(self):
         # compare's k and tol are the only parser-level defaults.

@@ -9,6 +9,8 @@ partial sums with integral-tail brackets.
 """
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +23,7 @@ from conftest import (
     ZETA3,
     brute_tail_bracket,
     fresh_python,
+    mpmath_s,
 )
 
 from mathieucf import (
@@ -33,6 +36,7 @@ from mathieucf import (
     tail_via_trigamma,
     trigamma,
 )
+from mathieucf import oracles
 from mathieucf.oracles import ZETA3 as PACKAGE_ZETA3
 
 
@@ -101,19 +105,71 @@ class TestIntegral:
     def test_frozen_value(self):
         assert mathieu_integral(1.0) == pytest.approx(S_AT_1, abs=1e-10)
 
-    def test_first_call_imports_the_quadrature(self):
-        # scipy is imported inside mathieu_integral, not with the package.
-        out = fresh_python(
-            "-c",
-            "import sys\n"
-            "from mathieucf import mathieu_integral, mathieu_trigamma\n"
-            "print('scipy.integrate' in sys.modules)\n"
-            "print(abs(mathieu_integral(1.0) - mathieu_trigamma(1.0)))\n"
-            "print('scipy.integrate' in sys.modules)\n"
-        )
-        before, diff, after = out.split()
-        assert (before, after) == ("False", "True")
-        assert float(diff) <= 1e-10
+    def test_integral_route_loads_no_scipy_or_numpy(self):
+        # The rule is pure stdlib: a compare and an integral-only eval, each
+        # in a fresh process, answer with no scipy or numpy module loaded.
+        for argv in (["compare", "--r", "1"], ["eval", "--r", "1", "--methods", "integral"]):
+            out = fresh_python(
+                "-c",
+                "import sys\n"
+                "from mathieucf import cli\n"
+                f"code = cli.main({argv + ['--format', 'json']!r})\n"
+                "heavy = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')]\n"
+                "print(code, heavy)\n"
+            )
+            assert out.splitlines()[-1] == "0 []", argv
+
+    # 10^U(-300, 300) from a fixed seed, and fixed r: the least normal
+    # float, tiny r (the exp-sinh rule), both sides of the switch, and r
+    # whose r^2 is subnormal or overflows.
+    DOMAIN = [10 ** random.Random(33).uniform(-300, 300) for _ in range(120)] + [
+        2.2250738585072014e-308, 1e-300, 1e-6, 1e-3, 0.05, 0.1, 1.0, 100.0, 1e8,
+        1e100, 1e154]
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-8, 1e-4])
+    def test_answers_within_tol_over_the_domain(self, tol):
+        # Every r answers: no refusal at all, where the earlier scipy route
+        # refused r >= 1e100 with an estimated error of nan.
+        for r in self.DOMAIN:
+            assert sys.float_info.min <= r
+            value = mathieu_integral(r, tol)
+            assert abs(mpmath.mpf(value) - mpmath_s(r)) <= tol, r
+
+    def test_relative_accuracy_on_the_crosscheck_range(self):
+        rng = random.Random(34)
+        for r in [10 ** rng.uniform(-1, 2) for _ in range(200)]:
+            exact = mpmath_s(r)
+            assert abs(mpmath.mpf(mathieu_integral(r)) - exact) <= 1e-13 * exact, r
+
+    def test_the_two_rules_agree_across_the_switch(self):
+        fourier, exp_sinh = oracles._tables()
+        # The Fourier rule needs r above 0.2214 (see the next test).
+        for i in range(61):
+            r = oracles._SWITCH * (0.9 + i / 100)
+            a = oracles._fourier_sum(r, fourier[0])
+            b = oracles._exp_sinh_sum(r, exp_sinh[0])
+            assert abs(a - b) <= 1e-14 * a, r
+
+    def test_fourier_nodes_stay_where_g_needs_no_special_case(self):
+        # x/expm1(x) overflows past log(max float) and is 0/0 at x = 0: the
+        # rule's x = c_n/r never reaches either for r in [switch, max float].
+        fourier, _ = oracles._tables()
+        nodes = [c for table_nodes, _ in fourier for c in table_nodes]
+        assert max(nodes) / oracles._SWITCH < math.log(sys.float_info.max)
+        assert min(nodes) / sys.float_info.max > 0.0
+        assert mathieu_integral(sys.float_info.max) == 0.0
+
+    def test_refusal_names_the_estimate(self, monkeypatch):
+        # A coarse table that disagrees with the fine one must refuse, with
+        # the estimate (a finite number) in the message.
+        fourier, _ = oracles._tables()
+        (nodes, weights), _ = fourier
+        bad = (nodes, [2 * w for w in weights])
+        monkeypatch.setattr(oracles, "_FOURIER", [fourier[0], bad])
+        with pytest.raises(ValueError, match="below quadrature capability") as info:
+            mathieu_integral(1.0)
+        assert "nan" not in str(info.value)
+        assert float(str(info.value).rsplit(" ", 1)[1]) > 0.5e-10
 
     def test_validation(self):
         with pytest.raises(ValueError, match="r must be"):

@@ -3,7 +3,9 @@ own ``__all__`` lists, so each exported name must appear once and be the
 very object its defining module holds.  The import graph is a stack: every
 module imports cleanly when it is the first one a process imports.  The
 package loads its library modules on first use of a name they export.  No
-module of the package or its tests imports sympy, which is declared nowhere.
+module of the package or its tests imports sympy, which is declared nowhere,
+and the package itself imports only the standard library: it declares no
+runtime dependency.
 """
 
 import ast
@@ -85,14 +87,32 @@ def test_lazy_package_surface(code, printed):
     assert fresh_python("-c", code).splitlines()[-1] == printed
 
 
-def test_nothing_imports_sympy():
-    root = Path(__file__).resolve().parents[1]
-    for path in [*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")]:
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imports(paths):
+    """(path, line, top-level module) of every absolute import in ``paths``."""
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
             else:
                 continue
-            assert "sympy" not in (name.split(".")[0] for name in names), (path, node.lineno)
+            for name in names:
+                yield path, node.lineno, name.split(".")[0]
+
+
+def test_nothing_imports_sympy():
+    paths = [*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")]
+    for path, line, top in _imports(paths):
+        assert top != "sympy", (path, line)
+
+
+def test_the_package_needs_only_the_standard_library():
+    for path, line, top in _imports(ROOT.glob("src/**/*.py")):
+        assert top in sys.stdlib_module_names or top == "mathieucf", (path, line)
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []

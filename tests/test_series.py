@@ -142,10 +142,18 @@ def _mono_terms(r, tol):
     return math.ceil(max((2 / tol) ** (1 / 3), r / math.sqrt(3), 1))
 
 
+def _direct_room(r, tol):
+    """The share of ``tol`` that ``mathieu_direct`` leaves to the convex
+    bracket: tol less the rounding allowance, about 22 eps S(r), with S(r)
+    bounded by min(2 zeta(3), 1/(r^2 + 1/6)); never below tol/8."""
+    return max(tol - 24 * 2.0**-53 * min(2.41, 1 / (r * r + 1 / 6)), 0.125 * tol)
+
+
 def _direct_terms(r, tol):
-    """``mathieu_direct``'s M: the convex bracket's M_conv (width <= 3/(4M^4))
-    once M >= r, never more than the monotone bracket's M."""
-    return min(_mono_terms(r, tol), max(math.ceil((0.75 / tol) ** 0.25), math.ceil(r)))
+    """``mathieu_direct``'s M: the convex bracket's M_conv (width <= 3/(4M^4)
+    within the room) once M >= r, never more than the monotone bracket's M."""
+    return min(_mono_terms(r, tol),
+               max(math.ceil((0.75 / _direct_room(r, tol)) ** 0.25), math.ceil(r)))
 
 
 def _reference_direct(r, tol=1e-10, m_terms=None):
@@ -155,12 +163,17 @@ def _reference_direct(r, tol=1e-10, m_terms=None):
         m_terms = _direct_terms(r, tol)
     M, rr = m_terms, r * r
     R = max(M, math.ceil(r - 0.5))
-    partial = math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, M + 1))
+    partial = math.fsum(2 * m / ((m * m + rr) * (m * m + rr)) for m in range(1, M + 1))
+    head = 1 / (M * M + rr)
     if M < r / math.sqrt(3):  # forced below the monotone range: uncertified
-        return Enclosure(partial + 1 / ((M + 1) ** 2 + rr), partial + 1 / (M * M + rr))
-    lower = 1 / ((M + 1) ** 2 + rr) + (R + 1) / ((R + 1) ** 2 + rr) ** 2
-    upper = 1 / (M * M + rr) - 1 / (R * R + rr) + 1 / ((R + 0.5) ** 2 + rr)
-    return Enclosure(partial + lower, partial + upper)
+        lower, upper = 1 / ((M + 1) ** 2 + rr), head
+    else:
+        x = (R + 1) ** 2 + rr
+        lower = 1 / ((M + 1) ** 2 + rr) + (R + 1) / (x * x)
+        upper = head - 1 / (R * R + rr) + 1 / ((R + 0.5) * (R + 0.5) + rr)
+    slack = (9 * partial + 27 * head) * 2.0**-53 + (M + 8) * 2.0**-1074
+    return Enclosure(math.nextafter(partial + lower - slack, -math.inf),
+                     math.nextafter(partial + upper + slack, math.inf))
 
 
 _direct_rng = random.Random(12)
@@ -180,6 +193,11 @@ _CONTAIN_CASES = (
        for _ in range(24)]
 )
 
+# Before the rounding allowance, 4 of these 120 brackets excluded S(r) at
+# tol 1e-15 and 49 at 1e-16 (none at 1e-10 or 1e-13).
+_census_rng = random.Random(7)
+_DIRECT_CENSUS = [10 ** _census_rng.uniform(-2, 3) for _ in range(120)]
+
 
 class TestDirectEnclosure:
     def test_encloses_reference(self):
@@ -195,13 +213,22 @@ class TestDirectEnclosure:
     def test_forced_term_count(self):
         enc = mathieu_direct(1.0, m_terms=1)
         # 1/2 + [1/5 + f(2)/2, 1/(1.5^2 + 1)]: R = M = 1, convex from x = 1.
-        assert (enc.lower, enc.upper) == (0.78, 0.8076923076923077)
+        # Each end moves out by the rounding allowance, (9 P + 27 q) eps =
+        # 18 eps at P = q = 1/2, and one step of eps.
+        assert (enc.lower, enc.upper) == (0.78 - 19 * 2.0**-53, 0.8076923076923077 + 19 * 2.0**-53)
+        assert enc.lower < Fraction(78, 100) and Fraction(21, 26) < enc.upper
 
     @pytest.mark.parametrize("r,tol", _CONTAIN_CASES)
     def test_contains_mpmath_value(self, r, tol):
         enc = mathieu_direct(r, tol)
         assert enc.width <= tol
         assert mpmath.mpf(enc.lower) <= mpmath_s(r) <= mpmath.mpf(enc.upper)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-15, 1e-16])
+    def test_rounded_outward_contains_mpmath_value(self, tol):
+        for r in _DIRECT_CENSUS:
+            enc = mathieu_direct(r, tol)
+            assert mpmath.mpf(enc.lower) <= mpmath_s(r) <= mpmath.mpf(enc.upper), r
 
     @pytest.mark.parametrize("r,tol", _CONTAIN_CASES[::3] + [(1.0, 1e-6), (2e5, 1e-10)])
     def test_nested_in_monotone_bracket(self, r, tol):
@@ -215,9 +242,15 @@ class TestDirectEnclosure:
 
     @pytest.mark.parametrize("tol,M", [(1e-10, 295), (1e-12, 931)])
     def test_term_count_from_convex_width_bound(self, tol, M):
+        # M is M_conv at tol itself; where S(r) is near 2 zeta(3) the room
+        # for the rounding allowance costs up to two more terms at 1e-12.
         for r in (0.0, 0.3, 1.0, 10.0, 99.5, 100.0):
-            assert mathieu_direct(r, tol) == mathieu_direct(r, m_terms=M)
+            want = _direct_terms(r, tol)
+            assert M <= want <= M + 2 * (tol == 1e-12 and r <= 1.0)
+            assert mathieu_direct(r, tol) == mathieu_direct(r, m_terms=want)
             assert 3 / (4 * M ** 4) <= tol < 3 / (4 * (M - 1) ** 4)
+            room = _direct_room(r, tol)
+            assert 3 / (4 * want ** 4) <= room < 3 / (4 * (want - 1) ** 4)
 
     def test_never_more_terms_than_monotone_bracket(self):
         for r, tol in itertools.product(
