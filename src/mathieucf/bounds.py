@@ -19,7 +19,8 @@ import math
 from typing import Callable, Optional, Tuple
 
 from .oracles import ZETA3
-from .series import _Record, _overflow, _require_positive_r, _set, mathieu_theorem1
+from .series import _Record, _overflow, _require_positive_r, _set
+from .series import mathieu_partial_sum, mathieu_theorem1
 
 __all__ = [
     "BoundResult",
@@ -116,23 +117,16 @@ def closed_form_bounds(r: float, k: int) -> BoundResult:
         k=2:  2/(1+r^2)^2 + 1/(r^2 + 5/2)  <  S(r)  <  2/(1+r^2)^2 + 1/(r^2 + 2)
         k=3:  ... + 4/(4+r^2)^2 + 1/(r^2 + 13/2)  <  S(r)  <  ... + 1/(r^2 + 6)
 
-    (the first approximant of the tail at x = k is 1/(r^2 + k^2 - k), the
-    second adds 1/2 to the denominator).  Their agreement with
-    ``cf_bounds(r, k, 1)`` is pinned by ``test_closed_forms_match_fraction_bounds``
-    in tests/test_bounds.py.
+    (the head is ``mathieu_partial_sum(r, k)``; the first approximant of the
+    tail at x = k is 1/(r^2 + z), z = k^2 - k, and the second adds 1/2 to
+    the denominator).  Their agreement with ``cf_bounds(r, k, 1)`` is pinned
+    by ``test_closed_forms_match_fraction_bounds`` in tests/test_bounds.py.
     """
-    _require_positive_r(r)
+    rr = _squared(r)
     if k not in (2, 3):
         raise ValueError(f"closed forms are available for k in {{2, 3}}; got {k}")
-    rr = _squared(r)
-    try:
-        if k == 2:
-            head = 2 / (1 + rr) ** 2
-            return BoundResult("closed_form(2)", head + 1 / (rr + 2.5), head + 1 / (rr + 2.0))
-        head = 2 / (1 + rr) ** 2 + 4 / (4 + rr) ** 2
-        return BoundResult("closed_form(3)", head + 1 / (rr + 6.5), head + 1 / (rr + 6.0))
-    except OverflowError:
-        raise _overflow(r) from None
+    head, z = mathieu_partial_sum(r, k), k * k - k
+    return BoundResult(f"closed_form({k})", head + 1 / (rr + (z + 0.5)), head + 1 / (rr + z))
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

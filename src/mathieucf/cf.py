@@ -311,7 +311,8 @@ Write eps = 2^-53.
 
 The direct route's rounding.  ``series.mathieu_direct`` returns the floats
 below fl(P + T-) - E and above fl(P + T+) + E, where P = fsum of the
-computed terms t^_m, m = 1 .. M, T- and T+ are the computed tail formulas
+computed terms t^_m, m = 1 .. M (the head ``series.mathieu_partial_sum(r,
+M + 1)``), T- and T+ are the computed tail formulas
 (its docstring), and E = fl((9 P + 27 q^) 2^-53) + (M + 8) 2^-1074 with
 q^ = fl(1/(M^2 + rho^)), rho^ = fl(r r), rho = r^2.  Claim: the two floats
 enclose S(r) whenever the exact-arithmetic bracket does.  Write eps = 2^-53
@@ -334,8 +335,7 @@ and use the standard model above, plus an absolute error of at most
     7.01 eps of itself: three roundings for a reciprocal, and at most seven
     for R + 1/2 squared or for (R + 1)/x^2.  T+ = fl(fl(q^ - q^_R) +
     q^_R'), so |T+ - (q - q_R + q_R')| <= 3 (7.01 eps q) + eps q + 2 eps q
-    < 24.1 eps q; T- = fl(q^_{M+1} + h^) errs by at most 16.1 eps q.  A
-    forced M below r/sqrt(3) takes T- = q^_{M+1} and T+ = q^ alone.
+    < 24.1 eps q; T- = fl(q^_{M+1} + h^) errs by at most 16.1 eps q.
 (d) fl(P + T) adds at most eps (P + 2.01 q), so each end before E is within
     8.03 eps P + 26.2 eps q + (M + 8) 2^-1075 of its exact value (one
     2^-1075 for each of at most M + 8 subnormal results).  E is

@@ -94,10 +94,16 @@ def tail_via_trigamma(r: float, x: float) -> float:
     Termwise, 1/((u - ir)^2) has imaginary part 2ur/((u^2+r^2)^2), so the
     trigamma sum at x - ir carries exactly r times the tail.  A subnormal r
     would lose its bits in that quotient, so r must be a normal float.
+
+    T(r, x) < 1/r^2 + 0.65/r^3 (the summand's integral over u > 0 plus its
+    peak), below 2^-1075 from r = 2^538: 0.0 is returned there, where the
+    recurrence's s*s would overflow to nan from r about 9.99e306.
     """
     _require_normal_r(r)
     if not (x > 0):
         raise ValueError(f"x must be > 0; got {x!r}")
+    if r >= 2.0**538:
+        return 0.0
     return trigamma(complex(x, -r)).imag / r
 
 

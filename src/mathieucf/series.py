@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import accumulate
-from typing import Optional, Union
+from typing import Union
 
 __all__ = [
     "MathieuCFParams",
@@ -237,19 +237,22 @@ def _overflow(r: float, quantity: str = "(m^2 + r^2)^2") -> OverflowError:
 
 
 def mathieu_partial_sum(r: float, k: int) -> float:
-    """Head sum_{m=1}^{k-1} 2m/(m^2+r^2)^2 (0.0 for k = 1)."""
+    """Head sum_{m=1}^{k-1} 2m/(m^2+r^2)^2 (0.0 for k = 1) of every route
+    and bound, squared by products as the ``cf`` docstring's direct-route
+    rounding proof needs.  Raises ``OverflowError`` where the largest
+    (m^2 + r^2)^2 overflows float64, instead of summing its term as 0.
+    """
     rr = r * r
-    try:
-        return math.fsum(2 * m / (m * m + rr) ** 2 for m in range(1, k))
-    except OverflowError:
-        raise _overflow(r) from None
+    if k > 1:
+        last = (k - 1) * (k - 1) + rr
+        if last * last == math.inf:
+            raise _overflow(r)
+    return math.fsum(
+        (m + m) / (d * d) for m in map(float, range(1, k)) for d in (m * m + rr,)
+    )
 
 
-def mathieu_direct(
-    r: float,
-    tol: float = 1e-10,
-    m_terms: Optional[int] = None,
-) -> Enclosure:
+def mathieu_direct(r: float, tol: float = 1e-10) -> Enclosure:
     """Enclose S(r) by partial summation plus a two-part tail bracket.
 
     The summand f(x) = 2x/(x^2+r^2)^2 has the antiderivative -1/(x^2+r^2)
@@ -293,61 +296,38 @@ def mathieu_direct(
     arithmetic (proof in the ``cf`` docstring, "The direct route's
     rounding").
 
-    Accepts r = 0 (giving 2*zeta(3)).  ``m_terms`` forces M, bypassing both
-    the width target and the monotonicity threshold: the bracket formula is
-    returned as-is, certified only when m_terms >= r/sqrt(3); below that the
-    plain integral-test formula [1/((M+1)^2+r^2), 1/(M^2+r^2)] is returned,
-    which unlike the split one is never empty.  Raises
-    ``ValueError`` for a non-finite r, and ``OverflowError`` where
-    (m^2 + r^2)^2 overflows float64 (r above about 1.2e77), also where r^2
-    is inf and the bracket would collapse to [0, 0].
+    Accepts r = 0 (giving 2*zeta(3)).  Raises ``ValueError`` for a negative
+    or non-finite r, a tol <= 0, and a tol that needs more than
+    ``_DIRECT_TERM_CAP`` terms, which every r above about 3.5e7 does: so
+    nothing the route forms can overflow.
     """
     if not (r >= 0):
         raise ValueError(f"r must be >= 0; got {r!r}")
     if r == math.inf:
         raise ValueError(f"r must be finite; got {r!r}")
-    if m_terms is not None:
-        if m_terms < 1:
-            raise ValueError(f"m_terms must be >= 1; got {m_terms}")
-        M = m_terms
-    else:
-        if not (tol > 0):
-            raise ValueError(f"tol must be > 0; got {tol!r}")
-        # Capped before rounding: (2/tol)^(1/3) is inf for tol below ~1e-308.
-        M = max((2 / tol) ** (1 / 3), r / math.sqrt(3), 1)
-        if M > _DIRECT_TERM_CAP:
-            raise ValueError(
-                f"tolerance unachievable by direct summation: tol={tol!r} at r={r!r} "
-                f"needs more than {_DIRECT_TERM_CAP} terms"
-            )
-        # S(r) <= 2 zeta(3) < 2.41, and S(r) < 1/(r^2 + 1/6) (Alzer).
-        room = max(tol - 24 * _EPS * min(2.41, 1 / (r * r + 1 / 6)), 0.125 * tol)
-        M = min(math.ceil(M), max(math.ceil((0.75 / room) ** 0.25), math.ceil(r)))
-    rr = r * r
-    try:
-        last = M * M + rr  # the largest m^2 + r^2 of the sum
-        if last * last == math.inf:
-            raise OverflowError
-        # Products, not ``** 2``: the C library's pow need not round to
-        # nearest, and the allowance below assumes every operation does.
-        partial = math.fsum(
-            (m + m) / (d * d) for m in map(float, range(1, M + 1)) for d in (m * m + rr,)
+    if not (tol > 0):
+        raise ValueError(f"tol must be > 0; got {tol!r}")
+    # Capped before rounding: (2/tol)^(1/3) is inf for tol below ~1e-308.
+    M = max((2 / tol) ** (1 / 3), r / math.sqrt(3), 1)
+    if M > _DIRECT_TERM_CAP:
+        raise ValueError(
+            f"tolerance unachievable by direct summation: tol={tol!r} at r={r!r} "
+            f"needs more than {_DIRECT_TERM_CAP} terms"
         )
-        head = 1 / last
-        if M < r / math.sqrt(3):
-            # Only a forced M gets here; the split bracket can come out
-            # empty below the monotone range, the integral-test one cannot.
-            lower, upper = 1 / ((M + 1) ** 2 + rr), head
-        else:
-            # r - 1/2 is exact below 2^52, far beyond any M that can be summed.
-            R = max(M, math.ceil(r - 0.5))
-            x, half = (R + 1) ** 2 + rr, R + 0.5
-            lower = 1 / ((M + 1) ** 2 + rr) + (R + 1) / (x * x)
-            upper = head - 1 / (R * R + rr) + 1 / (half * half + rr)
-    except OverflowError:
-        raise _overflow(r) from None
-    # Every tail term is at most ``head``: see the ``cf`` docstring.
-    slack = (9 * partial + 27 * head) * _EPS + (M + 8) * _TINY
+    # S(r) <= 2 zeta(3) < 2.41, and S(r) < 1/(r^2 + 1/6) (Alzer).
+    room = max(tol - 24 * _EPS * min(2.41, 1 / (r * r + 1 / 6)), 0.125 * tol)
+    M = min(math.ceil(M), max(math.ceil((0.75 / room) ** 0.25), math.ceil(r)))
+    rr = r * r
+    partial = mathieu_partial_sum(r, M + 1)
+    q = 1 / (M * M + rr)
+    # M >= r/sqrt(3), so the split bracket holds.  r - 1/2 is exact below
+    # 2^52, far beyond any M that can be summed.
+    R = max(M, math.ceil(r - 0.5))
+    x, half = (R + 1) ** 2 + rr, R + 0.5
+    lower = 1 / ((M + 1) ** 2 + rr) + (R + 1) / (x * x)
+    upper = q - 1 / (R * R + rr) + 1 / (half * half + rr)
+    # Every tail term is at most q: see the ``cf`` docstring.
+    slack = (9 * partial + 27 * q) * _EPS + (M + 8) * _TINY
     return Enclosure(math.nextafter(partial + lower - slack, -math.inf),
                      math.nextafter(partial + upper + slack, math.inf))
 

@@ -24,8 +24,10 @@ from mathieucf import (
     closed_form_bounds,
     crossover_analysis,
     makai_bounds,
+    mathieu_partial_sum,
     mp_upper,
 )
+from mathieucf.bounds import _bisect
 from mathieucf.oracles import ZETA3 as PACKAGE_ZETA3
 
 
@@ -106,6 +108,17 @@ class TestFractionBounds:
             assert abs(closed.upper - walked.upper) <= 1e-14 * scale, (r, closed, walked)
 
     @pytest.mark.parametrize("k", [2, 3])
+    def test_closed_forms_are_the_head_plus_the_first_pair(self, k):
+        # The first approximant of the tail at x = k is 1/(r^2 + k^2 - k),
+        # the second adds 1/2 to its denominator.
+        z = {2: 2.0, 3: 6.0}[k]
+        rng = random.Random(34 + k)
+        for r in [10 ** rng.uniform(-2, 3) for _ in range(200)] + [0.01937640156264564]:
+            head, rr = mathieu_partial_sum(r, k), r * r
+            b = closed_form_bounds(r, k)
+            assert (b.lower, b.upper) == (head + 1 / (rr + (z + 0.5)), head + 1 / (rr + z)), r
+
+    @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("r", [1.2e77, 1e100, 1e154])
     def test_closed_form_overflow_names_the_quantity(self, r, k):
         # (1 + r^2)^2 overflows while r^2 is finite.
@@ -121,6 +134,8 @@ class TestFractionBounds:
     def test_validation(self):
         with pytest.raises(ValueError, match="k in"):
             closed_form_bounds(1.0, 4)
+        with pytest.raises(ValueError, match="^r must be > 0; got 0.0$"):
+            closed_form_bounds(0.0, 4)
         with pytest.raises(ValueError, match="k must be"):
             cf_bounds(1.0, 0, 1)
         with pytest.raises(ValueError, match="l must be"):
@@ -160,6 +175,15 @@ class TestCrossovers:
         for bad in (0.0, 0.5):
             with pytest.raises(ValueError, match="tol"):
                 crossover_analysis(bad)
+
+    def test_bisect_edges(self):
+        # An exact zero at either end or at a midpoint is returned as it is.
+        assert _bisect(lambda r: r - 1.0, 1.0, 2.0, 1e-9) == 1.0
+        assert _bisect(lambda r: r - 2.0, 1.0, 2.0, 1e-9) == 2.0
+        assert _bisect(lambda r: r - 1.5, 1.0, 2.0, 1e-9) == 1.5
+        message = r"^no sign change on \[1.0, 2.0\]: f\(lo\)=2.0, f\(hi\)=3.0$"
+        with pytest.raises(RuntimeError, match=message):
+            _bisect(lambda r: r + 1.0, 1.0, 2.0, 1e-9)
 
 
 class TestBoundResult:

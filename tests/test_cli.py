@@ -241,6 +241,16 @@ class TestBenchCommand:
         assert by["cf(k=3)"]["terms_ratio"] > 100
         assert by["direct_sum"]["median_seconds"] > 0
 
+    def test_term_cap_row_exits_1(self, capsys):
+        # A cf row that stops at the term cap is not certified to tol: exit
+        # 1, as eval gives at the same cap.
+        argv = ["--r", "1", "--tol", "1e-12", "--max-terms", "4", "--format", "json"]
+        assert main(["bench", *argv, "--k-values", "1", "--repeats", "1"]) == 1
+        cf, direct = strict_json(capsys.readouterr().out)["rows"]
+        assert cf["method"] == "cf(k=1)" and cf["note"] == "width 1.250e-01 at the term cap"
+        assert direct["note"] is None
+        assert main(["eval", *argv, "--k", "1", "--methods", "cf"]) == 1
+
     def test_direct_term_rule(self):
         assert _direct_terms_for_tol(1.0, 1e-12) == 1_000_000
         assert _direct_terms_for_tol(3.0, 0.2) == 1  # bound already met at M=1
@@ -570,6 +580,13 @@ class TestMain:
         (row,) = strict_json(capsys.readouterr().out)["rows"]
         uppers = [row[f"{m}_upper"] for m in ("makai", "alzer", "mp", "cf", "closed2", "closed3")]
         assert all(upper is None or upper > 0 for upper in uppers), uppers
+
+    def test_trigamma_at_the_largest_float(self, capsys):
+        # S(r) < 2^-1075 there: both oracle rows give the rounded 0.0.
+        argv = ["eval", "--r", "1.7976931348623157e308", "--methods", "trigamma,integral"]
+        assert main([*argv, "--format", "json"]) == 0
+        rows = strict_json(capsys.readouterr().out)["rows"]
+        assert {row["method"]: row["value"] for row in rows} == {"trigamma": 0.0, "integral": 0.0}
 
     def test_compare_overflow_is_a_row_note(self, capsys):
         # At r = 1e100 the cf head sum overflows and the direct route refuses;

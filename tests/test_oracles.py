@@ -94,6 +94,20 @@ class TestTrigammaTail:
             tail_via_trigamma(math.inf, 2.0)
         assert mathieu_trigamma(2.2250738585072014e-308) == pytest.approx(2 * ZETA3, abs=1e-14)
 
+    @pytest.mark.parametrize("r", [9.99e306, 1e307, sys.float_info.max])
+    def test_huge_r_rounds_to_zero(self, r):
+        # T(r, x) < 1/r^2 + 0.65/r^3 < 2^-1075, so its correctly rounded
+        # value is 0.0; the recurrence's s*s overflows here, and gave nan.
+        for value in (mathieu_trigamma(r), tail_via_trigamma(r, 2.5)):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_zero_from_two_to_the_538(self):
+        # Where the guard starts, S(r) already rounds to 0.0, as the
+        # recurrence gives it just below.
+        edge = 2.0**538
+        assert mpmath_s(edge) < mpmath.mpf(2) ** -1075
+        assert mathieu_trigamma(math.nextafter(edge, 0)) == 0.0 == mathieu_trigamma(edge)
+
 
 class TestIntegral:
     @pytest.mark.parametrize("r", [0.5, 1.0, 5.0])

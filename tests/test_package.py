@@ -87,6 +87,13 @@ def test_lazy_package_surface(code, printed):
     assert fresh_python("-c", code).splitlines()[-1] == printed
 
 
+def test_unknown_name_raises_in_process():
+    # The "unknown-name" case above, in this process, where every library
+    # module is already loaded.
+    with pytest.raises(AttributeError, match="^module 'mathieucf' has no attribute 'no_such_name'$"):
+        mathieucf.no_such_name
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -165,12 +165,9 @@ def _reference_direct(r, tol=1e-10, m_terms=None):
     R = max(M, math.ceil(r - 0.5))
     partial = math.fsum(2 * m / ((m * m + rr) * (m * m + rr)) for m in range(1, M + 1))
     head = 1 / (M * M + rr)
-    if M < r / math.sqrt(3):  # forced below the monotone range: uncertified
-        lower, upper = 1 / ((M + 1) ** 2 + rr), head
-    else:
-        x = (R + 1) ** 2 + rr
-        lower = 1 / ((M + 1) ** 2 + rr) + (R + 1) / (x * x)
-        upper = head - 1 / (R * R + rr) + 1 / ((R + 0.5) * (R + 0.5) + rr)
+    x = (R + 1) ** 2 + rr
+    lower = 1 / ((M + 1) ** 2 + rr) + (R + 1) / (x * x)
+    upper = head - 1 / (R * R + rr) + 1 / ((R + 0.5) * (R + 0.5) + rr)
     slack = (9 * partial + 27 * head) * 2.0**-53 + (M + 8) * 2.0**-1074
     return Enclosure(math.nextafter(partial + lower - slack, -math.inf),
                      math.nextafter(partial + upper + slack, math.inf))
@@ -211,7 +208,9 @@ class TestDirectEnclosure:
         assert enc.contains(2 * ZETA3)
 
     def test_forced_term_count(self):
-        enc = mathieu_direct(1.0, m_terms=1)
+        # tol 1 at r = 1 needs a single term.
+        enc = mathieu_direct(1.0, 1.0)
+        assert enc == _reference_direct(1.0, m_terms=1)
         # 1/2 + [1/5 + f(2)/2, 1/(1.5^2 + 1)]: R = M = 1, convex from x = 1.
         # Each end moves out by the rounding allowance, (9 P + 27 q) eps =
         # 18 eps at P = q = 1/2, and one step of eps.
@@ -247,7 +246,7 @@ class TestDirectEnclosure:
         for r in (0.0, 0.3, 1.0, 10.0, 99.5, 100.0):
             want = _direct_terms(r, tol)
             assert M <= want <= M + 2 * (tol == 1e-12 and r <= 1.0)
-            assert mathieu_direct(r, tol) == mathieu_direct(r, m_terms=want)
+            assert mathieu_direct(r, tol) == _reference_direct(r, tol)
             assert 3 / (4 * M ** 4) <= tol < 3 / (4 * (M - 1) ** 4)
             room = _direct_room(r, tol)
             assert 3 / (4 * want ** 4) <= room < 3 / (4 * (want - 1) ** 4)
@@ -258,7 +257,7 @@ class TestDirectEnclosure:
         ):
             M = _direct_terms(r, tol)
             assert M <= _mono_terms(r, tol)
-            assert mathieu_direct(r, tol) == mathieu_direct(r, m_terms=M), (r, tol)
+            assert mathieu_direct(r, tol) == _reference_direct(r, tol), (r, tol)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="r must be"):
@@ -270,20 +269,17 @@ class TestDirectEnclosure:
         # (2/tol)^(1/3) is inf here; it is capped before it is rounded.
         with pytest.raises(ValueError, match="^tolerance unachievable by direct summation"):
             mathieu_direct(1.0, 5e-324)
-        with pytest.raises(ValueError, match="m_terms"):
-            mathieu_direct(1.0, m_terms=0)
-        for kwargs in ({}, {"m_terms": 3}):
-            with pytest.raises(ValueError, match="^r must be finite; got inf$"):
-                mathieu_direct(math.inf, **kwargs)
-        # r^2 is inf: the summands and the tail bracket would all be 0.
-        with pytest.raises(OverflowError, match=r"overflows float64 at r=1e\+160"):
-            mathieu_direct(1e160, m_terms=1)
+        with pytest.raises(ValueError, match="^r must be finite; got inf$"):
+            mathieu_direct(math.inf)
+        # Past r = 3.5e7 every tol needs more terms than the cap, so the
+        # route refuses before anything it forms can overflow.
+        with pytest.raises(ValueError, match="^tolerance unachievable.* at r=1e\\+160 "):
+            mathieu_direct(1e160, 1.0)
 
     @pytest.mark.parametrize("r", _DIRECT_R)
     def test_bit_identical_to_int_counters(self, r):
-        for tol, m_terms in ((1e-10, None), (1e-12, None), (None, 1), (None, 2), (None, 37)):
-            kwargs = {"m_terms": m_terms} if tol is None else {"tol": tol}
-            got, ref = mathieu_direct(r, **kwargs), _reference_direct(r, **kwargs)
+        for tol in (1e-10, 1e-12, 1e-4, 1.0):
+            got, ref = mathieu_direct(r, tol), _reference_direct(r, tol)
             assert (got.lower.hex(), got.upper.hex()) == (ref.lower.hex(), ref.upper.hex())
 
 
@@ -1072,6 +1068,44 @@ class TestEnclosureIdentity:
         # An infinite r used to reach the recurrence: nan, then OverflowError.
         with pytest.raises(ValueError, match="^r must be finite; got inf$"):
             theorem1_to_width(math.inf, 3, 1e-10)
+
+
+def _correctly_rounded_head(r, k):
+    """The head with r*r, each d = m*m + r*r, d*d, 2m/(d*d) and the sum each
+    rounded once from its exact value: what products give, where the C
+    library's pow need not."""
+    rr = float(Fraction(r) ** 2)
+    terms = []
+    for m in range(1, k):
+        d = float(m * m + Fraction(rr))
+        terms.append(float(2 * m / Fraction(float(Fraction(d) ** 2))))
+    return float(sum(map(Fraction, terms)))
+
+
+_head_rng = random.Random(34)
+_HEAD_R = [10 ** _head_rng.uniform(-2, 3) for _ in range(200)]
+
+
+class TestHead:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_every_operation_rounds_to_nearest(self, k):
+        for r in _HEAD_R:
+            assert mathieu_partial_sum(r, k).hex() == _correctly_rounded_head(r, k).hex(), r
+
+    def test_squared_by_products(self):
+        # pow can give (1 + r*r)**2 = 1.0007510308339347 here, one ulp below
+        # the correctly rounded square 1.000751030833935 that d*d gives.
+        r = 0.01937640156264564
+        assert mathieu_partial_sum(r, 2) == _correctly_rounded_head(r, 2) == 1.998499065580159
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_overflow_names_r(self, k):
+        with pytest.raises(OverflowError) as info:
+            mathieu_partial_sum(1e100, k)
+        assert str(info.value) == "(m^2 + r^2)^2 overflows float64 at r=1e+100"
+
+    def test_empty_head_checks_nothing(self):
+        assert mathieu_partial_sum(1e200, 1) == 0.0
 
 
 class TestBernoulli:
