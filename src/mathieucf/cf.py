@@ -268,7 +268,7 @@ of a pass with a ``nextafter`` call after every rounding, as the start is.
 N_0 is computed with every operation rounded up, at the upper end of rho's
 bracket.
 
-The asymptotic jump.  ``series.asymptotic`` forms t_m as the float nearest
+The asymptotic jump.  ``oracles.asymptotic`` forms t_m as the float nearest
 tau_m = (-1)^m B_2m / r^(2m+2), keeps t_0 .. t_{M-1}, where M is the first m
 at which the cap or (with ``auto``) |t_m| >= |t_{m-1}| stops it, and returns
 their fsum, M and |t_M|.  For r < 112 it may form t_0 .. t_h only, for an
@@ -304,8 +304,8 @@ Write eps = 2^-53.
         delta + K > -(g/2)(1 - 2^-48 + 2^-52 + 2^-52 + 2^-51) > -g/2.
 (d) Otherwise the loop restores the brackets saved at the jump and forms
     t_{h+1}, .. in turn, as without the skip.  Each formed term is the float
-    nearest tau_m whatever bracket ``series._power`` (square and multiply
-    through ``series._truncated``) gives num^(2m+2), so all outputs and
+    nearest tau_m whatever bracket ``oracles._power`` (square and multiply
+    through ``oracles._truncated``) gives num^(2m+2), so all outputs and
     error texts agree: a skipped term is finite, and the rest are formed in
     the same order.
 

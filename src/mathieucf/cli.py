@@ -32,20 +32,29 @@ This module is the eval path: the config, ``eval`` itself, the JSON writer,
 the parser and ``main``.  The other subcommands and the csv and table
 writers live in ``commands``, which ``run``, ``render`` and the bench config
 check import inside the function, past the json eval path.
+
+Every command and its flags are declared once, in ``_COMMAND_FLAGS``.  ``main``
+reads a command followed by exact ``--flag value`` pairs from that table
+directly; anything else (help, ``--version``, abbreviations, ``--flag=value``,
+a value starting with "-", an unknown flag or a bad value) goes to the
+argparse parser built from the same table, which is imported only then and
+writes every help and error text.
 """
 
 from __future__ import annotations
 
 import _json  # the C encoder json.encoder wraps, without json's decoder
-import argparse
 import functools
 import math
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, series
 from .series import _Record
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["ConfigError", "RunConfig", "main", "run", "payload_to_json"]
 
@@ -60,7 +69,6 @@ class ConfigError(ValueError):
 
 _METHODS = ("cf", "direct", "trigamma", "integral", "asymptotic")
 _FORMATS = ("table", "json", "csv")
-_COMMANDS = ("eval", "bounds", "compare", "bench", "apery", "selftest")
 
 
 class RunConfig(_Record):
@@ -87,7 +95,7 @@ class RunConfig(_Record):
         format: str = "table",
         output: Optional[str] = None,
     ):
-        if command not in _COMMANDS:
+        if command not in _COMMAND_FLAGS:
             raise ConfigError(f"unknown command {command!r}")
         if not r_values:
             raise ConfigError("--r must give at least one value")
@@ -97,6 +105,9 @@ class RunConfig(_Record):
             raise ConfigError(f"--l must be >= 1; got {l}")
         if not (tol > 0):
             raise ConfigError(f"--tol must be > 0; got {tol!r}")
+        if tol == math.inf:
+            # JSON has no token for it: the config echo would not be standard JSON.
+            raise ConfigError(f"--tol must be finite; got {tol!r}")
         if max_terms < 2:
             raise ConfigError(f"--max-terms must be >= 2; got {max_terms}")
         if not methods:
@@ -321,68 +332,120 @@ def render(cfg: RunConfig, rows: List[Row]) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# Each command's flags in help order, as (flag, kind, help): kind is the
+# converter of the value (str, int or float), a tuple of its choices, or bool
+# for a switch that takes no value.
+_R_FLAGS = (
+    ("--r", str, "r value, comma list, or start:stop:count range"),
+    ("--log", bool, "geometric spacing for start:stop:count ranges"),
+)
+_OUTPUT_FLAGS = (
+    ("--format", _FORMATS, None),
+    ("--output", str, "write output to this file instead of stdout"),
+)
+# command -> (help, flags, defaults that differ from RunConfig's)
+_COMMAND_FLAGS = {
+    "eval": ("certified enclosure of S(r)", _R_FLAGS + _OUTPUT_FLAGS + (
+        ("--k", int, "series split point (k >= 1)"),
+        ("--tol", float, "target enclosure width"),
+        ("--max-terms", int, "term cap for the adaptive fraction"),
+        ("--methods", str, "comma list from cf,direct,trigamma,integral,asymptotic"),
+    ), {}),
+    "bounds": ("bound methods side by side", _R_FLAGS + _OUTPUT_FLAGS + (
+        ("--k", int, "split point for the cf bounds column"),
+        ("--l", int, "bracketing pairs for the cf bounds column"),
+    ), {}),
+    "compare": ("independent routes to S(r)", _R_FLAGS + _OUTPUT_FLAGS + (
+        ("--k", int, "split point for the fraction route"),
+        ("--tol", float, "per-route tolerance"),
+        ("--max-terms", int, None),
+    ), {"k": 3, "tol": 1e-10}),
+    "bench": ("direct summation vs fraction cost", _R_FLAGS + _OUTPUT_FLAGS + (
+        ("--tol", float, None),
+        ("--k-values", str, "comma list of split points to benchmark"),
+        ("--repeats", int, "timing repetitions (median reported)"),
+        ("--max-terms", int, None),
+    ), {}),
+    "apery": ("approximants of the zeta(3) fraction", _OUTPUT_FLAGS + (
+        ("--n-terms", int, None),
+    ), {}),
+    "selftest": ("run the built-in invariant checks", _OUTPUT_FLAGS, {}),
+}
+
+
+def _fast_args(argv: Sequence[str]) -> Optional[Row]:
+    """The flags of ``argv`` as ``vars`` of ``_build_parser().parse_args(argv)``
+    gives them, for a command followed by exact ``--flag value`` pairs and
+    switches alone; None for anything else, which argparse then parses (or
+    answers with its help, version or error text).  A value that starts with
+    "-" is left to argparse too, which reads some as values and some as flags.
+    """
+    if not argv or argv[0] not in _COMMAND_FLAGS:
+        return None
+    _, flags, defaults = _COMMAND_FLAGS[argv[0]]
+    kinds = {flag: kind for flag, kind, _ in flags}
+    given: Row = {"command": argv[0], **defaults}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kind = kinds.get(flag)
+        if kind is None:
+            return None
+        if kind is bool:
+            value = True
+        else:
+            value = next(tokens, "-")  # a missing value, like a flag, is argparse's
+            if value.startswith("-"):
+                return None
+            if isinstance(kind, tuple):
+                if value not in kind:
+                    return None
+            else:
+                try:
+                    value = kind(value)
+                except ValueError:
+                    return None
+        given[flag[2:].replace("-", "_")] = value
+    return given
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, on the same flag table: for what ``_fast_args``
+    refuses, and for every help and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mathieucf",
         description="Certified enclosures and bounds for S(r) = sum 2m/(m^2+r^2)^2.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help: str, takes_r: bool = True) -> argparse.ArgumentParser:
+    for name, (help, flags, defaults) in _COMMAND_FLAGS.items():
         # Unset flags stay out of the namespace: RunConfig holds the defaults.
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        if takes_r:
-            p.add_argument("--r", help="r value, comma list, or start:stop:count range")
-            p.add_argument("--log", action="store_true",
-                           help="geometric spacing for start:stop:count ranges")
-        p.add_argument("--format", choices=_FORMATS)
-        p.add_argument("--output", help="write output to this file instead of stdout")
-        return p
-
-    p = add("eval", "certified enclosure of S(r)")
-    p.add_argument("--k", type=int, help="series split point (k >= 1)")
-    p.add_argument("--tol", type=float, help="target enclosure width")
-    p.add_argument("--max-terms", type=int, help="term cap for the adaptive fraction")
-    p.add_argument("--methods", help="comma list from cf,direct,trigamma,integral,asymptotic")
-
-    p = add("bounds", "bound methods side by side")
-    p.add_argument("--k", type=int, help="split point for the cf bounds column")
-    p.add_argument("--l", type=int, help="bracketing pairs for the cf bounds column")
-
-    p = add("compare", "independent routes to S(r)")
-    p.add_argument("--k", type=int, help="split point for the fraction route")
-    p.add_argument("--tol", type=float, help="per-route tolerance")
-    p.add_argument("--max-terms", type=int)
-    p.set_defaults(k=3, tol=1e-10)
-
-    p = add("bench", "direct summation vs fraction cost")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--k-values", help="comma list of split points to benchmark")
-    p.add_argument("--repeats", type=int, help="timing repetitions (median reported)")
-    p.add_argument("--max-terms", type=int)
-
-    p = add("apery", "approximants of the zeta(3) fraction", takes_r=False)
-    p.add_argument("--n-terms", type=int)
-
-    add("selftest", "run the built-in invariant checks", takes_r=False)
-
+        for flag, kind, flag_help in flags:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=flag_help)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=flag_help)
+            else:
+                p.add_argument(flag, type=kind, help=flag_help)
+        p.set_defaults(**defaults)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(given: Row) -> RunConfig:
     """Parse the string-valued flags; ``RunConfig`` validates the rest."""
-    given = dict(vars(args))
+    given = dict(given)
     if "r" in given:
-        given["r_values"] = parse_r_values(args.r, given.get("log", False))
+        given["r_values"] = parse_r_values(given["r"], given.get("log", False))
     if "methods" in given:
-        given["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+        given["methods"] = tuple(m.strip() for m in given["methods"].split(",") if m.strip())
     if "k_values" in given:
+        text = given["k_values"]
         try:
-            given["k_values"] = tuple(int(tok) for tok in args.k_values.split(",") if tok.strip())
+            given["k_values"] = tuple(int(tok) for tok in text.split(",") if tok.strip())
         except ValueError:
-            raise ConfigError(f"invalid --k-values {args.k_values!r}") from None
+            raise ConfigError(f"invalid --k-values {text!r}") from None
     return RunConfig(**{name: value for name, value in given.items()
                         if name in RunConfig._fields})
 
@@ -399,10 +462,13 @@ def run(cfg: RunConfig) -> Tuple[List[Row], int, str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    given = _fast_args(argv)
+    if given is None:
+        given = vars(_build_parser().parse_args(argv))
     try:
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(given)
         rows, exit_code, text = run(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Independent numerical routes to S(r), used to cross-check the
 continued-fraction machinery (and each other), and the constant zeta(3).
 
-Two routes, sharing no code with the fraction engine:
+Three routes, sharing no code with the fraction engine:
 
 * ``mathieu_trigamma``/``tail_via_trigamma`` — the series tail is the
   imaginary part of the trigamma function at a complex argument,
@@ -14,6 +14,12 @@ Two routes, sharing no code with the fraction engine:
   sin(ru); below, the exp-sinh rule.  Both rules run on node and weight
   tables that do not depend on r, built once in float, and estimate their
   error from the same rule at a second step size.
+* ``asymptotic`` — the large-r expansion
+  S(r) ~ sum_{m>=0} (-1)^m B_2m / r^(2m+2), optimally truncated, each term
+  correctly rounded from exact Bernoulli numbers (``bernoulli_numbers``,
+  which ``trigamma`` reads too).  It is kept here, off the eval path, so a
+  default eval does not compile it; ``series`` re-exports its three names
+  on first use.
 
 ``ZETA3`` pins the r -> 0 limit S(0) = 2 zeta(3), which Apery's fraction
 (``cf.apery_form``, the paper's fraction at r = 0) converges to.
@@ -23,17 +29,20 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import mul, truediv
 from typing import List, Tuple, Union
 
-from .series import bernoulli_numbers
+from .series import _Record, _set
 
 __all__ = [
     "trigamma",
     "tail_via_trigamma",
     "mathieu_trigamma",
     "mathieu_integral",
+    "AsymptoticResult",
+    "bernoulli_numbers",
+    "asymptotic",
 ]
 
 # zeta(3) = 1.20205690315959428540..., correctly rounded (4.9e-17 below).
@@ -257,3 +266,221 @@ def mathieu_integral(r: float, tol: float = 1e-10) -> float:
             f"r={r!r}, estimated error {error!r}"
         )
     return value
+
+
+class AsymptoticResult(_Record):
+    """Truncated large-r expansion: value, terms kept, first omitted magnitude."""
+
+    __slots__ = _fields = ("value", "terms_used", "first_omitted_term")
+
+    def __init__(self, value: float, terms_used: int, first_omitted_term: float):
+        _set(self, "value", value)
+        _set(self, "terms_used", terms_used)
+        _set(self, "first_omitted_term", first_omitted_term)
+
+
+# B_0, B_1, ... as exact Fractions; seeded on first use, so that importing
+# the module loads neither fractions nor decimal.
+_BERNOULLI: list[Fraction] = []
+# The latest row of Seidel's boustrophedon; row n ends in the zigzag number E_n.
+_ZIGZAG_ROW: list[int] = [1]
+
+
+def _bernoulli(n: int) -> Fraction:
+    """B_n, extending the cached table through index n."""
+    global _ZIGZAG_ROW
+    if n < len(_BERNOULLI):
+        return _BERNOULLI[n]
+    from fractions import Fraction
+
+    if not _BERNOULLI:
+        _BERNOULLI.extend((Fraction(1), Fraction(-1, 2)))
+    while len(_BERNOULLI) <= n:
+        m = len(_BERNOULLI)
+        if m % 2:  # B_1 is seeded; every odd index >= 3 vanishes
+            _BERNOULLI.append(Fraction(0))
+            continue
+        while len(_ZIGZAG_ROW) < m:  # row m - 1 has m entries
+            _ZIGZAG_ROW = list(accumulate(reversed(_ZIGZAG_ROW), initial=0))
+        four = 4 ** (m // 2)
+        b = Fraction(m * _ZIGZAG_ROW[-1], four * (four - 1))
+        _BERNOULLI.append(b if m % 4 == 2 else -b)
+    return _BERNOULLI[n]
+
+
+def bernoulli_numbers(n_max: int) -> list[Fraction]:
+    """Bernoulli numbers B_0 .. B_{n_max} as exact fractions (B_1 = -1/2).
+
+    For even m >= 2, B_m = (-1)^(m/2-1) m E_{m-1} / (4^(m/2) (4^(m/2) - 1)),
+    where the zigzag (tangent) number E_{m-1} ends row m - 1 of Seidel's
+    boustrophedon: row 0 is [1], and row n is the running sums, from 0, of
+    row n - 1 reversed (Knuth & Buckholtz, "Computation of tangent, Euler,
+    and Bernoulli numbers", Math. Comp. 21, 1967).  The rows take integer
+    additions only, so every index is exact; results are cached across calls.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0; got {n_max}")
+    _bernoulli(n_max)
+    return _BERNOULLI[: n_max + 1]
+
+
+_ASYMPTOTIC_TERM_CAP = 500
+# Bits kept at each end of the bracketed factors of an asymptotic term.
+_G = 128
+_MIN_NORMAL = sys.float_info.min
+# The thresholds of the jump: the ``cf`` docstring, "The asymptotic jump".
+_RELEVANT = 2.0 ** -70
+_FOUR_PI_SQUARED = 39.47841760435729
+# Entry m is |B_2m numerator| as the bracket (lo, hi, e) that ``_truncated``
+# gives it, then B_2m's denominator and whether B_2m < 0: the numerators run
+# to thousands of bits, and every call reuses them.
+_B2M_BRACKETS: list[tuple[int, int, int, int, bool]] = []
+
+
+def _truncated(lo: int, hi: int, e: int) -> tuple[int, int, int]:
+    """Shorten the bracket lo * 2^e <= x <= hi * 2^e to ends of about _G
+    bits: lo is truncated down and hi up (the + 1 covers the dropped bits),
+    so the bracket still holds x.  A bracket with lo == hi is exact."""
+    k = hi.bit_length() - _G
+    if k <= 0:
+        return lo, hi, e
+    return lo >> k, (hi >> k) + 1, e + k
+
+
+def _scaled_quotient(a: int, b: int, e: int) -> float:
+    """a * 2^e / b, correctly rounded, for a and b of about _G bits: the
+    quotient rounded once and scaled exactly, unless the result leaves the
+    normal range (``OverflowError`` above it; rounded once on the subnormal
+    grid below it)."""
+    t = math.ldexp(a / b, e)
+    if t < _MIN_NORMAL:
+        t = a / (b << -e)
+    return t
+
+
+def _power(x: int, p: int) -> tuple[int, int, int]:
+    """x^p as a ``_truncated`` bracket, by square and multiply."""
+    lo, hi, e = 1, 1, 0
+    for bit in bin(p)[2:]:
+        y = x if bit == "1" else 1
+        lo, hi, e = _truncated(lo * lo * y, hi * hi * y, 2 * e)
+    return lo, hi, e
+
+
+def _settled(terms: list[float], bound: float) -> bool:
+    """Whether fsum(terms) stays the fsum with any reals in [-bound, 0] added."""
+    v = math.fsum(terms)
+    half_gap = (v - math.nextafter(v, -math.inf)) / 2
+    return v > 2**-960 and bound - math.fsum(terms + [-v]) < half_gap * (1 - 2**-48)
+
+
+def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
+    """Large-r expansion S(r) ~ sum_{m>=0} (-1)^m B_{2m} / r^{2m+2}.
+
+    The expansion is divergent; ``n_terms="auto"`` stops right before the
+    first term whose magnitude fails to decrease (the standard optimal
+    truncation), capped at 500 terms.  Past the leading 1/r^2 every term is
+    negative, and magnitudes shrink roughly until m ~ pi r: at small r
+    ``auto`` keeps one term and ``first_omitted_term`` (the magnitude of the
+    first term dropped) exceeds it, the sign of nothing to offer there.
+
+    Every term is the correctly rounded float of its exact rational value,
+    so huge Bernoulli numerators cannot overflow.  With r = num/(odd * 2^s),
+    term m is (-1)^m B_2m * odd^(2m+2) * 2^(s(2m+2)) / num^(2m+2).  The
+    factors |B_2m numerator|, odd^(2m+2) and num^(2m+2) are carried as
+    brackets of about _G bits (the first built once per m and kept across
+    calls), so the term lies between two small quotients; rounding is
+    monotone, so when both round to the same float, that float is the term
+    (while all three factors fit in _G bits the bracket is exact and one
+    quotient is enough).  Otherwise (a near tie, or an overflow) the term is
+    one correctly rounded ``int / int`` of the exact integers.  A term
+    beyond float64 (B_2/r^4 for r below about 1.7e-78) is outside the
+    route's domain and raises ``ValueError``, as does a non-finite r.
+
+    Only terms that can change the result are formed: the head, until one
+    falls below 2^-70 t_0, then those from the last m where |t_m| < |t_m-1|
+    is proven (near pi r) to the stop.  ``terms_used`` counts the skipped
+    ones, which are formed after all where their bound cannot settle the
+    sum; so every output is as with all terms formed (``cf`` docstring,
+    "The asymptotic jump").
+    """
+    if not (0 < r < math.inf):
+        raise ValueError(f"r must be finite and > 0; got {r!r}")
+    auto = n_terms == "auto"
+    if not auto:
+        if not isinstance(n_terms, int) or n_terms < 1:
+            raise ValueError(f'n_terms must be a positive integer or "auto"; got {n_terms!r}')
+    cap = _ASYMPTOTIC_TERM_CAP if auto else n_terms
+
+    from fractions import Fraction
+
+    r_exact = Fraction(r)
+    num2 = r_exact.numerator ** 2
+    # den = odd * 2^s, and odd = 1 for every float r: the power of two in
+    # den^(2m+2) is applied as an exponent instead of a big-integer product.
+    den = r_exact.denominator
+    s = (den & -den).bit_length() - 1
+    odd2 = (den >> s) ** 2
+    # num2^(m+1) in [nl, nh] * 2^ne and odd2^(m+1) in [ol, oh] * 2^oe.
+    nl = nh = ol = oh = 1
+    ne = oe = 0
+    brackets = _B2M_BRACKETS
+    terms: list[float] = []
+    resume, skipped = (), 0  # the state before the jump; None once undone
+    first_omitted = None
+    m = 0
+    while True:
+        nl, nh, ne = _truncated(nl * num2, nh * num2, ne)
+        if odd2 != 1:
+            ol, oh, oe = _truncated(ol * odd2, oh * odd2, oe)
+        while m >= len(brackets):
+            b2m = _bernoulli(2 * len(brackets))
+            bl = abs(b2m.numerator)
+            brackets.append((*_truncated(bl, bl, 0), b2m.denominator, b2m < 0))
+        bl, bh, be, bd, negative = brackets[m]
+        e = be + oe + 2 * s * (m + 1) - ne
+        try:
+            t = _scaled_quotient(bl * ol, bd * nh, e)
+            if not (bl == bh and ol == oh and nl == nh):  # else the bracket is exact
+                if t != _scaled_quotient(bh * oh, bd * nl, e):
+                    t = None
+        except OverflowError:
+            t = None
+        if t is None:
+            p = m + 1
+            bn = _BERNOULLI[2 * m].numerator
+            try:
+                t = ((bn * odd2 ** p) << (2 * s * p)) / (bd * num2 ** p)
+            except OverflowError:
+                raise ValueError(
+                    f"asymptotic term B_{2 * m}/r^{2 * m + 2} overflows float64 at r={r!r}"
+                ) from None
+        elif negative:
+            t = -t
+        if m % 2:
+            t = -t
+        stop = auto and terms and abs(t) >= abs(terms[-1]) or m == cap
+        if resume and (len(terms) == resume[0] and not abs(t) > _MIN_NORMAL
+                       or stop and not _settled(terms, skipped * abs(terms[resume[0] - 1]))):
+            m, nl, nh, ne, ol, oh, oe = resume  # form the skipped terms after all
+            del terms[m:]
+            resume, skipped = None, 0
+            continue
+        if stop:
+            first_omitted = abs(t)
+            break
+        terms.append(t)
+        m += 1
+        if resume == () and r < 112 and abs(t) < terms[0] * _RELEVANT:
+            # Jump to the last m with |t_m| < |t_m-1| proven; past r = 112 t_m is subnormal there.
+            rf = float(r)
+            x = _FOUR_PI_SQUARED * rf * rf
+            w = min(cap, int((1 + math.sqrt(1 + 4 * x)) / 4))
+            while w > m and 2 * w * (2 * w - 1) > x:
+                w -= 1
+            if w > m + 1:
+                resume, skipped = (m, nl, nh, ne, ol, oh, oe), w - m
+                nl, nh, ne = _power(num2, w)
+                ol, oh, oe = _power(odd2, w) if odd2 != 1 else (1, 1, 0)
+                m = w
+    return AsymptoticResult(math.fsum(terms), len(terms) + skipped, first_omitted)

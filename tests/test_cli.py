@@ -6,6 +6,9 @@ Exit-code contract: 0 success, 1 partial results or failed invariants,
 """
 
 import json
+import pathlib
+import re
+import shlex
 import textwrap
 
 import mpmath
@@ -26,7 +29,8 @@ from mathieucf.cli import (
     payload_to_json,
     run,
 )
-from mathieucf.cli import _COMMANDS, _METHODS, _build_parser, _config_from_args
+from mathieucf.cli import (_COMMAND_FLAGS, _METHODS, _build_parser, _config_from_args,
+                           _fast_args)
 from mathieucf.commands import _direct_terms_for_tol, rows_to_csv, rows_to_table
 from mathieucf.selftest import CHECKS, run_selftest
 
@@ -96,6 +100,8 @@ class TestRunConfigValidation:
             {"command": "apery", "n_terms": 0},
             {"command": "eval", "r_values": ()},
             {"command": "eval", "format": "xml"},
+            {"command": "eval", "tol": float("inf")},
+            {"command": "bench", "tol": float("inf")},
         ],
     )
     def test_invalid_field_raises_on_construction(self, fields):
@@ -394,7 +400,7 @@ class TestJsonWriter:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES) + sorted(_NOTE_CASES))
     def test_golden_configs_match_json_dumps(self, name):
         argv = _NOTE_CASES[name] if name in _NOTE_CASES else GOLDEN_CASES[name][0]
-        cfg = _config_from_args(_build_parser().parse_args(argv + ["--format", "json"]))
+        cfg = _config_from_args(vars(_build_parser().parse_args(argv + ["--format", "json"])))
         rows, _, text = run(cfg)
         payload = {"version": {"schema": SCHEMA_VERSION, "package": __version__},
                    "config": vars(cfg), "rows": rows}
@@ -417,23 +423,25 @@ class TestMain:
         parsed = csv_to_rows(out.read_text())
         assert {r["method"] for r in parsed} == {"cf", "direct"}
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["eval", "--r", "abc"],
-            ["eval", "--r", "-1"],
-            ["eval", "--tol", "0"],
-            ["eval", "--max-terms", "1"],
-            ["eval", "--methods", "bogus"],
-            ["bounds", "--r", "0"],
-            ["bench", "--k-values", "0"],
-            ["bench", "--repeats", "0"],
-            ["apery", "--n-terms", "0"],
-            ["bench", "--tol", "1e-300"],
-            ["eval", "--r", ","],
-            ["bench", "--k-values", "abc"],
-        ],
-    )
+    CONFIG_ERRORS = [
+        ["eval", "--r", "abc"],
+        ["eval", "--r", "-1"],
+        ["eval", "--tol", "0"],
+        ["eval", "--max-terms", "1"],
+        ["eval", "--methods", "bogus"],
+        ["bounds", "--r", "0"],
+        ["bench", "--k-values", "0"],
+        ["bench", "--repeats", "0"],
+        ["apery", "--n-terms", "0"],
+        ["bench", "--tol", "1e-300"],
+        ["eval", "--r", ","],
+        ["bench", "--k-values", "abc"],
+        ["eval", "--r", "1", "--tol", "inf", "--format", "json"],
+        ["eval", "--r", "1", "--tol", "1e400", "--format", "json"],
+        ["bench", "--r", "1", "--tol", "inf", "--repeats", "1", "--format", "json"],
+    ]
+
+    @pytest.mark.parametrize("argv", CONFIG_ERRORS)
     def test_config_errors_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -602,20 +610,22 @@ class TestMain:
 
     def test_unset_flags_take_runconfig_defaults(self):
         # compare's k and tol are the only parser-level defaults.
-        for command in _COMMANDS:
-            got = _config_from_args(_build_parser().parse_args([command]))
+        for command in _COMMAND_FLAGS:
             want = RunConfig(command=command)
             if command == "compare":
                 want = RunConfig(**{**vars(want), "k": 3, "tol": 1e-10})
-            assert got == want
+            assert _config_from_args(vars(_build_parser().parse_args([command]))) == want
+            assert _config_from_args(_fast_args([command])) == want
 
     # Modules a json eval never runs: the library beyond series (the cf
-    # theory layer included), the other commands and output formats, and
-    # dataclasses/fractions with what they import.
+    # theory layer included, and the asymptotic route in oracles), the other
+    # commands and output formats, dataclasses/fractions with what they
+    # import, and argparse with its gettext and locale: the flag table reads
+    # a plain argv without it.
     EVAL_UNUSED = ("mathieucf.selftest", "mathieucf.bounds", "mathieucf.oracles",
                    "mathieucf.cf", "mathieucf.commands", "mathieucf.tail_interval",
                    "statistics", "csv", "dataclasses", "inspect", "fractions", "decimal",
-                   "json")
+                   "json", "argparse", "gettext", "locale")
     REPORT = (
         "heavy = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')]\n"
         f"unused = [m for m in {EVAL_UNUSED!r} if m in sys.modules]\n"
@@ -644,6 +654,18 @@ class TestMain:
             "    code = exc.code\n" + self.REPORT
         )
         assert out.splitlines()[-1] == "0 [] []"
+
+    def test_json_compare_loads_no_argparse(self):
+        # Past the eval path too, a command the flag table parses builds no
+        # argparse parser.
+        out = fresh_python(
+            "-c",
+            "import sys\n"
+            "from mathieucf import cli\n"
+            "code = cli.main(['compare', '--r', '1', '--format', 'json'])\n"
+            "print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
+        )
+        assert out.splitlines()[-1] == "0 []"
 
     # Two tracers one after the other, each swapping a counting wrapper into
     # every loaded package module that holds the original, as perfbench's
@@ -694,3 +716,66 @@ class TestMain:
                                           "--format", "json"))
         cf = next(r for r in payload["rows"] if r["method"] == "cf")
         assert cf["lower"] <= S_AT_1 <= cf["upper"]
+
+
+def _argparse_args(argv):
+    """``vars`` of the argparse namespace for ``argv``, or None where argparse
+    exits (an error, help or the version)."""
+    try:
+        return vars(_build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+README_ARGV = [shlex.split(line) for line in
+               re.findall(r"^mathieucf ([a-z].*)$", README.read_text(), re.M)]
+_FLAG_TOKENS = sorted({flag for _, flags, _ in _COMMAND_FLAGS.values() for flag, _, _ in flags})
+_VALUE_TOKENS = ["1", "0.5,2", "1:10:3", "3", "1e-8", "inf", "nan", "x", "", " 2 ", "json",
+                 "csv", "table", "xml", "cf,direct", "1,3", "+3", "1_0", "1.5", "\u0663",
+                 "-1", "-1e5", "-", "--"]
+_JUNK = ["-h", "--help", "--version", "--fo", "--r=1", "--format=json", "--bogus", "--k-val",
+         "-k", "Eval", "evaluate"]
+
+
+class TestFastParser:
+    """``main`` reads the common argv from the flag table without argparse;
+    whatever that reading accepts, argparse reads the same way."""
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_accepted_argv_parse_as_argparse_does(self, data):
+        argv = data.draw(st.lists(st.sampled_from(list(_COMMAND_FLAGS) + _JUNK), max_size=1))
+        # Mostly the command's own flags, so that many draws are accepted.
+        own = [flag for flag, _, _ in _COMMAND_FLAGS[argv[0]][1]] if argv[:1] and (
+            argv[0] in _COMMAND_FLAGS) else _FLAG_TOKENS
+        tail = data.draw(st.lists(st.one_of(
+            st.tuples(st.sampled_from(own), st.sampled_from(_VALUE_TOKENS)),
+            st.tuples(st.sampled_from(_FLAG_TOKENS + _VALUE_TOKENS + _JUNK))), max_size=6))
+        argv += [token for tokens in tail for token in tokens]
+        fast = _fast_args(argv)
+        if fast is not None:
+            assert fast == _argparse_args(argv)
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in GOLDEN_CASES.values()] + README_ARGV)
+    def test_golden_and_readme_argv_take_the_fast_path(self, argv):
+        assert len(README_ARGV) == 4
+        for full in (argv, argv + ["--format", "json"]):
+            assert _fast_args(full) is not None
+            assert _fast_args(full) == _argparse_args(full)
+
+    @pytest.mark.parametrize("argv", TestMain.CONFIG_ERRORS)
+    def test_config_error_argv_parse_as_argparse_does(self, argv):
+        fast = _fast_args(argv)
+        assert fast is None or fast == _argparse_args(argv)
+        with pytest.raises(ConfigError):
+            _config_from_args(_argparse_args(argv))
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["eval", "--help"],
+                                      ["eval", "--fo", "json"], ["eval", "--r=1"],
+                                      ["eval", "--r", "-1"], ["eval", "--bogus", "1"],
+                                      ["eval", "--k", "x"], ["eval", "--r"],
+                                      ["eval", "--format", "xml"], ["apery", "--r", "1"],
+                                      ["eval", "--r", "1", "--log", "x"]])
+    def test_the_rest_is_left_to_argparse(self, argv):
+        assert _fast_args(argv) is None

@@ -81,8 +81,16 @@ def test_module_imports_first(name):
      "import mathieucf.tail_interval\n"
      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mathieucf'))",
      "['mathieucf', 'mathieucf.tail_interval']"),
+    # The large-r expansion lives in ``oracles``; ``series`` re-exports its
+    # three names, each kept in its globals from the first lookup on.
+    ("from mathieucf import oracles, series\n"
+     "names = ('asymptotic', 'bernoulli_numbers', 'AsymptoticResult')\n"
+     "print([name in vars(series) for name in names],\n"
+     "      all(getattr(series, name) is getattr(oracles, name) for name in names),\n"
+     "      all(name in vars(series) for name in names))",
+     "[False, False, False] True True"),
 ], ids=["cli-alone", "name-is-module-object", "star-import", "unknown-name", "csv-eval",
-        "bounds-without-cf", "tail-interval-leaf"])
+        "bounds-without-cf", "tail-interval-leaf", "series-re-exports-the-expansion"])
 def test_lazy_package_surface(code, printed):
     assert fresh_python("-c", code).splitlines()[-1] == printed
 

@@ -13,8 +13,8 @@ import pytest
 from mathieucf.bounds import BoundResult, CrossoverReport
 from mathieucf.cf import ContinuedFraction, Convergent, EvalReport
 from mathieucf.cli import RunConfig
-from mathieucf.series import (AsymptoticResult, Enclosure, MathieuCFParams, TailBracket,
-                              tail_enclosure)
+from mathieucf.oracles import AsymptoticResult
+from mathieucf.series import Enclosure, MathieuCFParams, TailBracket, tail_enclosure
 
 
 def unit_terms(n):

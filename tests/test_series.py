@@ -44,7 +44,7 @@ from mathieucf import (
     telescoping_residual,
     theorem1_to_width,
 )
-from mathieucf import series, tail_interval
+from mathieucf import oracles, series, tail_interval
 from mathieucf.cf import _recurrence
 from mathieucf.series import DEFAULT_RESCALE_AT
 
@@ -1236,8 +1236,8 @@ class TestAsymptotic:
         # 56 bits are too few to settle most terms from their brackets, so
         # the exact route runs often, and the bracket's own rounding is
         # exercised where 128 bits almost never reach it.
-        monkeypatch.setattr(series, "_G", 56)
-        monkeypatch.setattr(series, "_B2M_BRACKETS", [])
+        monkeypatch.setattr(oracles, "_G", 56)
+        monkeypatch.setattr(oracles, "_B2M_BRACKETS", [])
         self.test_bit_identical_to_fraction_terms(r, n_terms)
 
     def test_bernoulli_brackets_follow_g(self, monkeypatch):
@@ -1245,11 +1245,11 @@ class TestAsymptotic:
         # so the 56-bit test above, with a fresh list, runs on 56-bit
         # Bernoulli brackets.
         asymptotic(117.0)
-        default = series._B2M_BRACKETS
-        monkeypatch.setattr(series, "_G", 56)
-        monkeypatch.setattr(series, "_B2M_BRACKETS", [])
+        default = oracles._B2M_BRACKETS
+        monkeypatch.setattr(oracles, "_G", 56)
+        monkeypatch.setattr(oracles, "_B2M_BRACKETS", [])
         asymptotic(117.0)
-        for g, brackets in ((128, default), (56, series._B2M_BRACKETS)):
+        for g, brackets in ((128, default), (56, oracles._B2M_BRACKETS)):
             assert len(brackets) > 300
             assert g <= max(hi.bit_length() for _, hi, _, _, _ in brackets) <= g + 1
 
@@ -1281,15 +1281,15 @@ _JUMP_R = (
 
 
 def _quotient_count(monkeypatch):
-    """Counts the calls of ``series._scaled_quotient`` from here on."""
+    """Counts the calls of ``oracles._scaled_quotient`` from here on."""
     calls = [0]
-    quotient = series._scaled_quotient
+    quotient = oracles._scaled_quotient
 
     def counted(*args):
         calls[0] += 1
         return quotient(*args)
 
-    monkeypatch.setattr(series, "_scaled_quotient", counted)
+    monkeypatch.setattr(oracles, "_scaled_quotient", counted)
     return calls
 
 
@@ -1310,14 +1310,14 @@ class TestAsymptoticJump:
         # so every certificate fails and the skipped terms are formed after
         # all.
         verdicts = []
-        settled = series._settled
+        settled = oracles._settled
 
         def recorded(*args):
             verdicts.append(settled(*args))
             return verdicts[-1]
 
-        monkeypatch.setattr(series, "_RELEVANT", 2.0 ** -20)
-        monkeypatch.setattr(series, "_settled", recorded)
+        monkeypatch.setattr(oracles, "_RELEVANT", 2.0 ** -20)
+        monkeypatch.setattr(oracles, "_settled", recorded)
         for r in (10.0, 33.3, 77.77, 100.0, Fraction(99123, 1000)):
             for n_terms in ("auto", 50):
                 assert _asymptotic_outcome(asymptotic, r, n_terms) == _asymptotic_outcome(
@@ -1330,7 +1330,7 @@ class TestAsymptoticJump:
         # term from about r = 73 on (every term is still correctly rounded:
         # below the threshold a quotient is one int division).
         calls = _quotient_count(monkeypatch)
-        monkeypatch.setattr(series, "_MIN_NORMAL", 1e-200)
+        monkeypatch.setattr(oracles, "_MIN_NORMAL", 1e-200)
         for r in (80.0, 97.5, 111.0):
             calls[0] = 0
             outcome = _asymptotic_outcome(asymptotic, r, "auto")
@@ -1341,20 +1341,20 @@ class TestAsymptoticJump:
     def test_few_terms_are_formed(self, r, monkeypatch):
         # The full loop takes about 630 quotients here; the caches reach no
         # index beyond the one the full loop reads, B_2M at the stop M.
-        monkeypatch.setattr(series, "_BERNOULLI", [])
-        monkeypatch.setattr(series, "_ZIGZAG_ROW", [1])
-        monkeypatch.setattr(series, "_B2M_BRACKETS", [])
+        monkeypatch.setattr(oracles, "_BERNOULLI", [])
+        monkeypatch.setattr(oracles, "_ZIGZAG_ROW", [1])
+        monkeypatch.setattr(oracles, "_B2M_BRACKETS", [])
         calls = _quotient_count(monkeypatch)
         result = asymptotic(r)
         assert calls[0] <= 48
         assert result.terms_used > 300
-        assert len(series._BERNOULLI) == 2 * result.terms_used + 1
-        assert len(series._B2M_BRACKETS) == result.terms_used + 1
+        assert len(oracles._BERNOULLI) == 2 * result.terms_used + 1
+        assert len(oracles._B2M_BRACKETS) == result.terms_used + 1
 
     def test_four_pi_squared_rounds_down(self):
         # C <= 4 pi^2 (1 - 2^-48), and C (1 + 2^-53)^4 < 4 pi^2 (1 - 2^-50):
         # claim (a) of the proof.
-        c = Fraction(series._FOUR_PI_SQUARED)
+        c = Fraction(oracles._FOUR_PI_SQUARED)
         grown = c * (1 + Fraction(1, 2 ** 53)) ** 4
         with mpmath.workdps(60):
             four_pi2 = 4 * mpmath.pi ** 2
@@ -1376,7 +1376,7 @@ class TestAsymptoticJump:
             d = math.fsum(terms + [-v])
             half_gap = (v - math.nextafter(v, -math.inf)) / 2
             bound = max(0.0, (d + half_gap) * (1 + rng.uniform(-2.0 ** -44, 2.0 ** -44)))
-            if series._settled(terms, bound):
+            if oracles._settled(terms, bound):
                 accepted += 1
                 exact = sum(map(Fraction, terms))
                 for k in (0, -Fraction(bound) * (1 + Fraction(1, 2 ** 53))):
