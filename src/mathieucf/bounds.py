@@ -16,7 +16,7 @@ that range by bisection.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from .oracles import ZETA3
 from .series import _Record, _overflow, _require_positive_r, _set
@@ -167,13 +167,6 @@ class CrossoverReport(_Record):
     __slots__ = _fields = (
         "upper_crossover", "lower_interval", "alzer_upper_crossover", "bisection_tol"
     )
-
-    def __init__(self, upper_crossover: float, lower_interval: Tuple[float, float],
-                 alzer_upper_crossover: float, bisection_tol: float):
-        _set(self, "upper_crossover", upper_crossover)
-        _set(self, "lower_interval", lower_interval)
-        _set(self, "alzer_upper_crossover", alzer_upper_crossover)
-        _set(self, "bisection_tol", bisection_tol)
 
 
 def crossover_analysis(tol: float = 1e-9) -> CrossoverReport:

@@ -365,7 +365,6 @@ from .series import (
     _require_positive_r,
     _rescale_factor,
     _rescaled,
-    _set,
 )
 
 __all__ = [
@@ -396,10 +395,6 @@ class ContinuedFraction(_Record):
 
     __slots__ = _fields = ("b0", "terms")
 
-    def __init__(self, b0: float, terms: Callable[[int], Tuple[float, float]]):
-        _set(self, "b0", b0)
-        _set(self, "terms", terms)
-
     def term(self, n: int) -> Tuple[float, float]:
         if n < 1:
             raise ValueError(f"partial terms are 1-indexed; got n={n}")
@@ -421,25 +416,11 @@ class Convergent(_Record):
 
     __slots__ = _fields = ("n", "numerator", "denominator", "value", "rescales")
 
-    def __init__(self, n: int, numerator: float, denominator: float, value: float,
-                 rescales: int):
-        _set(self, "n", n)
-        _set(self, "numerator", numerator)
-        _set(self, "denominator", denominator)
-        _set(self, "value", value)
-        _set(self, "rescales", rescales)
-
 
 class EvalReport(_Record):
     """Result of adaptive evaluation: last approximant and stopping data."""
 
     __slots__ = _fields = ("value", "terms_used", "converged", "last_delta")
-
-    def __init__(self, value: float, terms_used: int, converged: bool, last_delta: float):
-        _set(self, "value", value)
-        _set(self, "terms_used", terms_used)
-        _set(self, "converged", converged)
-        _set(self, "last_delta", last_delta)
 
 
 def _recurrence(

@@ -51,7 +51,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, series
-from .series import _Record
+from .series import DEFAULT_MAX_TERMS, _Record
 
 if TYPE_CHECKING:
     import argparse
@@ -87,7 +87,7 @@ class RunConfig(_Record):
         k: int = 2,
         l: int = 1,
         tol: float = 1e-12,
-        max_terms: int = 200_000,
+        max_terms: int = DEFAULT_MAX_TERMS,
         methods: Tuple[str, ...] = ("cf", "direct"),
         n_terms: int = 60,
         k_values: Tuple[int, ...] = (1, 2, 3, 5),
@@ -216,9 +216,9 @@ def _route(method: str, r: float, cfg: RunConfig) -> Tuple[Row, Any]:
     elif method == "integral":
         from . import oracles
 
-        tol = max(cfg.tol, 1e-10)
+        tol = max(cfg.tol, oracles._TOL_FLOOR)
         if tol != cfg.tol:
-            note = "tolerance floored at 1e-10"
+            note = f"tolerance floored at {oracles._TOL_FLOOR}"
         value = result = oracles.mathieu_integral(r, tol)
     else:
         result = series.asymptotic(r)
@@ -349,7 +349,7 @@ _COMMAND_FLAGS = {
         ("--k", int, "series split point (k >= 1)"),
         ("--tol", float, "target enclosure width"),
         ("--max-terms", int, "term cap for the adaptive fraction"),
-        ("--methods", str, "comma list from cf,direct,trigamma,integral,asymptotic"),
+        ("--methods", str, "comma list from " + ",".join(_METHODS)),
     ), {}),
     "bounds": ("bound methods side by side", _R_FLAGS + _OUTPUT_FLAGS + (
         ("--k", int, "split point for the cf bounds column"),

@@ -33,7 +33,7 @@ from itertools import accumulate, repeat
 from operator import mul, truediv
 from typing import List, Tuple, Union
 
-from .series import _Record, _set
+from .series import _Record
 
 __all__ = [
     "trigamma",
@@ -127,6 +127,8 @@ _FOURIER_STEPS = (0.1, 0.15)
 _EXP_SINH_STEPS = (0.05, 0.0625)
 # The Fourier rule answers from here up, the exp-sinh rule below.
 _SWITCH = 0.25
+# The least tol the integral route takes, and the CLI's floor for it.
+_TOL_FLOOR = 1e-10
 # A node whose contribution to the sum is bounded below this is left out.
 _NEGLIGIBLE = 2.0**-60
 _Table = Tuple[List[float], List[float]]
@@ -223,7 +225,7 @@ def _exp_sinh_sum(r: float, table: _Table) -> float:
     return math.fsum(map(mul, sines, weights)) / r
 
 
-def mathieu_integral(r: float, tol: float = 1e-10) -> float:
+def mathieu_integral(r: float, tol: float = _TOL_FLOOR) -> float:
     """S(r) = (1/r) Integral_0^inf g(u) sin(ru) du, g(u) = u/(e^u - 1), by a
     double-exponential rule whose tables do not depend on r.
 
@@ -252,8 +254,8 @@ def mathieu_integral(r: float, tol: float = 1e-10) -> float:
     quadrature.  r must be a normal float, as for ``tail_via_trigamma``.
     """
     _require_normal_r(r)
-    if not (tol >= 1e-10):
-        raise ValueError(f"tol must be >= 1e-10; got {tol!r}")
+    if not (tol >= _TOL_FLOOR):
+        raise ValueError(f"tol must be >= {_TOL_FLOOR}; got {tol!r}")
     fourier, exp_sinh = _tables()
     if r < _SWITCH:
         value, coarse = (_exp_sinh_sum(r, table) for table in exp_sinh)
@@ -272,11 +274,6 @@ class AsymptoticResult(_Record):
     """Truncated large-r expansion: value, terms kept, first omitted magnitude."""
 
     __slots__ = _fields = ("value", "terms_used", "first_omitted_term")
-
-    def __init__(self, value: float, terms_used: int, first_omitted_term: float):
-        _set(self, "value", value)
-        _set(self, "terms_used", terms_used)
-        _set(self, "first_omitted_term", first_omitted_term)
 
 
 # B_0, B_1, ... as exact Fractions; seeded on first use, so that importing

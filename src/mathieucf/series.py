@@ -56,6 +56,8 @@ __all__ = [
 
 # Recurrence state above this is rescaled by an exact power of two.
 DEFAULT_RESCALE_AT = 1e150
+# The default term cap of a walk, and of the CLI's --max-terms.
+DEFAULT_MAX_TERMS = 200_000
 
 
 _set = object.__setattr__
@@ -69,13 +71,26 @@ class _Record:
     """Immutable value record, compared, hashed and printed field by field.
 
     A subclass names its fields, in order, in ``_fields`` (its ``__slots__``
-    too, unless it keeps a ``__dict__``) and sets each one in its own
-    ``__init__`` through ``object.__setattr__``.  Equality, hashing and repr
-    match what a frozen dataclass with the same fields gives.
+    too, unless it keeps a ``__dict__``).  One that only stores them gets its
+    ``__init__`` from this base; one that validates them sets each in its own
+    through ``object.__setattr__``.  Equality, hashing and repr match what a
+    frozen dataclass with the same fields gives.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # ``__init__(self, <each field>)``, a real def compiled once, as
+        # dataclasses and namedtuple write theirs: arguments bind, and fail
+        # with the same TypeError texts, as in a hand-written one.
+        if "__init__" not in vars(cls):
+            namespace = {"_set": _set, "__name__": cls.__module__}
+            args = "".join(f", {name}" for name in cls._fields)
+            body = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
+            exec(f"def __init__(self{args}):{body}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -200,11 +215,6 @@ class TailBracket(_Record):
 
     __slots__ = _fields = ("enclosure", "terms_used", "achieved")
 
-    def __init__(self, enclosure: Enclosure, terms_used: int, achieved: bool):
-        _set(self, "enclosure", enclosure)
-        _set(self, "terms_used", terms_used)
-        _set(self, "achieved", achieved)
-
 
 def _one(params: MathieuCFParams):
     # Multiplicative unit in the parameter's arithmetic (1.0 or Fraction(1)),
@@ -225,13 +235,16 @@ def mathieu_partial_sum(r: float, k: int) -> float:
     """Head sum_{m=1}^{k-1} 2m/(m^2+r^2)^2 (0.0 for k = 1) of every route
     and bound, squared by products as the ``cf`` docstring's direct-route
     rounding proof needs.  Raises ``OverflowError`` where the largest
-    (m^2 + r^2)^2 overflows float64, instead of summing its term as 0.
+    (m^2 + r^2)^2 overflows float64, instead of summing its term as 0, and
+    ``ValueError`` where the head has more than ``_DIRECT_TERM_CAP`` terms.
     """
     rr = r * r
     if k > 1:
         last = (k - 1) * (k - 1) + rr
         if last * last == math.inf:
             raise _overflow(r)
+        if k - 1 > _DIRECT_TERM_CAP:
+            raise ValueError(f"head sum at k={k} needs more than {_DIRECT_TERM_CAP} terms")
     return math.fsum(
         (m + m) / (d * d) for m in map(float, range(1, k)) for d in (m * m + rr,)
     )
@@ -410,7 +423,9 @@ def _walk(params: MathieuCFParams, width: float, max_terms: int) -> TailBracket:
     return TailBracket(enclosure, n, enclosure.width <= width)
 
 
-def tail_enclosure(r: float, x: float, width: float, max_terms: int = 200_000) -> TailBracket:
+def tail_enclosure(
+    r: float, x: float, width: float, max_terms: int = DEFAULT_MAX_TERMS
+) -> TailBracket:
     """Certified enclosure of the tail T(r, x), for z = x^2 - x >= 0.
 
     Grows the approximant index until the even/odd bracket's width drops to
@@ -479,7 +494,7 @@ def mathieu_theorem1(r: float, k: int = 1, n_terms: int = 80) -> Enclosure:
 
 
 def theorem1_to_width(
-    r: float, k: int, width: float, max_terms: int = 200_000
+    r: float, k: int, width: float, max_terms: int = DEFAULT_MAX_TERMS
 ) -> tuple[Enclosure, int, bool]:
     """Adaptive form of ``mathieu_theorem1``: grow terms until the S(r)
     enclosure is narrower than ``width`` (or the cap binds).

@@ -5,7 +5,7 @@ module imports cleanly when it is the first one a process imports.  The
 package loads its library modules on first use of a name they export.  No
 module of the package or its tests imports sympy, which is declared nowhere,
 and the package itself imports only the standard library: it declares no
-runtime dependency.
+runtime dependency.  No module imports a name it never uses.
 """
 
 import ast
@@ -131,3 +131,41 @@ def test_the_package_needs_only_the_standard_library():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
+
+
+def _unused_imports(tree):
+    """Names ``tree`` imports and never reads.  A name in ``__all__`` or in an
+    annotation counts as used, and ``__future__`` and ``TYPE_CHECKING``
+    imports are not counted."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            skipped.update(map(id, ast.walk(node)))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used.update(ast.literal_eval(node.value))
+        elif (isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in skipped
+              and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_the_unused_import_check_sees_one():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path, sys\n"
+                     "from typing import TYPE_CHECKING, List, Tuple\n"
+                     "if TYPE_CHECKING:\n"
+                     "    import argparse\n"
+                     "__all__ = ['Tuple']\n"
+                     "def f(x: List) -> None:\n"
+                     "    return os.sep\n")
+    assert _unused_imports(tree) == [(2, "sys")]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/mathieucf/*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(ast.parse(path.read_text(), str(path))) == []

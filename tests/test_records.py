@@ -2,11 +2,16 @@
 compared and hashed field by field, printed as ``Name(field=value, ...)``,
 and rebuilt equal by ``copy`` and ``pickle``.  These are the semantics of a
 frozen dataclass with the same fields, kept without importing ``dataclasses``.
+A record that only stores its fields gets its constructor from the base, as
+a dataclass does; one that validates them writes its own.  Either binds
+arguments, and refuses them with ``TypeError``, as a hand-written ``def``.
 """
 
 import copy
+import inspect
 import math
 import pickle
+import re
 
 import pytest
 
@@ -87,6 +92,49 @@ class TestRecord:
         for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(clone) is cls
             assert clone == obj
+
+
+def _arguments(cls, fields):
+    """The positional arguments ``cls`` takes, in order, and the keyword-only rest."""
+    params = inspect.signature(cls).parameters.values()
+    n = sum(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    values = list(fields.values())
+    return values[:n], dict(list(fields.items())[n:])
+
+
+@pytest.mark.parametrize("cls, fields, change, text", CASES, ids=IDS)
+class TestConstructor:
+    def test_positional_and_keyword_build_equal_records(self, cls, fields, change, text):
+        args, keywords = _arguments(cls, fields)
+        assert args and (cls is RunConfig or not keywords)
+        assert cls(*args, **keywords) == cls(**fields)
+        assert repr(cls(*args, **keywords)) == text
+
+    def test_a_missing_field_names_the_class(self, cls, fields, change, text):
+        args, keywords = _arguments(cls, fields)
+        last = list(fields)[len(args) - 1]
+        message = f"{cls.__name__}.__init__() missing 1 required positional argument: '{last}'"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            cls(*args[:-1], **keywords)
+
+    def test_an_extra_argument_names_the_class(self, cls, fields, change, text):
+        # RunConfig's text goes on to count its keyword-only arguments.
+        args, keywords = _arguments(cls, fields)
+        message = (f"{cls.__name__}.__init__() takes {len(args) + 1} positional arguments "
+                   f"but {len(args) + 2} ")
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}"):
+            cls(*args, None, **keywords)
+
+    def test_an_unknown_keyword_names_the_class(self, cls, fields, change, text):
+        message = f"{cls.__name__}.__init__() got an unexpected keyword argument 'not_a_field'"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            cls(**fields, not_a_field=1)
+
+    def test_slots_are_the_fields(self, cls, fields, change, text):
+        # RunConfig keeps a ``__dict__``: ``vars(cfg)`` is the JSON config.
+        if cls is not RunConfig:
+            assert cls.__slots__ == cls._fields
+        assert cls._fields == tuple(fields)
 
 
 def test_runconfig_vars_are_the_fields_in_order():

@@ -1107,6 +1107,16 @@ class TestHead:
     def test_empty_head_checks_nothing(self):
         assert mathieu_partial_sum(1e200, 1) == 0.0
 
+    def test_head_over_the_term_cap_is_refused(self):
+        # One term over ``_DIRECT_TERM_CAP``: refused before a term is summed,
+        # and where the last term overflows that is still the error.
+        k = series._DIRECT_TERM_CAP + 2
+        with pytest.raises(ValueError) as info:
+            mathieu_partial_sum(1.0, k)
+        assert str(info.value) == "head sum at k=20000002 needs more than 20000000 terms"
+        with pytest.raises(OverflowError, match="r=1e\\+100$"):
+            mathieu_partial_sum(1e100, k)
+
 
 class TestBernoulli:
     def test_exact_values(self):
