@@ -5,10 +5,10 @@ fraction whose even/odd approximants bracket the value whenever the partial
 coefficients are positive; splitting the series and bracketing the tail
 turns a slowly decaying sum into certified enclosures at a tiny term count.
 At r = 0 the same fraction is Apery's fraction for zeta(3) = S(0)/2.
-The package bundles the fraction engine, the series representations,
-classical bounds with their crossover analysis, independent numerical
-oracles (trigamma, oscillatory integral) with the constant zeta(3), a
-built-in invariant suite, and a CLI.
+The package bundles the fraction engine, the series representations with
+the constant zeta(3), classical bounds with their crossover analysis,
+independent numerical oracles (trigamma, oscillatory integral), a built-in
+invariant suite, and a CLI.
 """
 
 __version__ = "0.1.0"
@@ -35,7 +35,8 @@ def __getattr__(name: str):
     # library to learn that.
     if (name.startswith("_") and name != "__all__") or name in _OTHER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    modules = [_submodule(module) for module in _LIBRARY]
+    # Lazily: a name loads the library modules up to its home, in order.
+    modules = map(_submodule, _LIBRARY)
     if name == "__all__":
         value = ["__version__", *(export for module in modules for export in module.__all__)]
     else:

@@ -4,7 +4,8 @@ and the crossover radii where the refinements overtake the classical forms.
 All bounds share the shape 1/(r^2 + c): larger c, smaller bound.  The
 classical constants are c = 1/2 (lower) and c = 1/6 (upper, sharp as
 r -> infinity); the sharp lower constant is c = 1/(2*zeta(3)), attained as
-r -> 0.  A separate upper bound from term-by-term monotonicity is
+r -> 0, with zeta(3) read from ``series``, the one module this one
+imports.  A separate upper bound from term-by-term monotonicity is
 1/(r^2 + 1/4) for r <= sqrt(3)/2 and 1/(sqrt(1+4r^2) - 1) beyond.
 
 Truncating the continued-fraction representation after finitely many terms
@@ -18,8 +19,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from .oracles import ZETA3
-from .series import _Record, _overflow, _require_positive_r, _set
+from .series import ZETA3, _Record, _overflow, _require_positive_r, _set
 from .series import mathieu_partial_sum, mathieu_theorem1
 
 __all__ = [

@@ -25,7 +25,7 @@ JSON is written byte for byte as ``json.dumps(payload, indent=2)`` would,
 for the one payload shape the commands write: ``version`` and ``config``
 dicts of scalars and flat tuples, then a list of flat dict rows.  CPython's
 C encoder (``_json``, which ``json.encoder`` wraps) is called directly: one
-encoder per indent depth, built once, writes all the rows in a single call.
+encoder per indent depth, built at import, writes all the rows in one call.
 Importing ``json`` would also load its decoder, which writing never uses.
 
 This module is the eval path: the config, ``eval`` itself, the JSON writer,
@@ -44,11 +44,10 @@ writes every help and error text.
 from __future__ import annotations
 
 import _json  # the C encoder json.encoder wraps, without json's decoder
-import functools
 import math
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, series
 from .series import DEFAULT_MAX_TERMS, _Record
@@ -263,20 +262,19 @@ def _unserializable(obj: Any):
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
-@functools.lru_cache(maxsize=None)
-def _encoder(depth: int) -> Callable:
-    """The C encoder ``json.dumps`` uses, with each item separator ending in
-    ``depth``'s indent, built once per depth (``JSONEncoder.encode`` builds
-    one per call).  It gets no markers dict: a shared one keeps the ids of a
-    call that raised and would report a false circular reference on the
-    next.  What it is given holds no non-empty container below the row
-    level, so it cannot hold a cycle."""
-    return _json.make_encoder(None, _unserializable, _json.encode_basestring_ascii, None,
-                              ": ", ",\n" + "  " * depth, False, False, True)
+# The C encoder ``json.dumps`` uses, one for each indent depth the writer
+# encodes at (2 and 3), each item separator ending in that depth's indent
+# (``JSONEncoder.encode`` builds one per call).  None gets a markers dict: a
+# shared one keeps the ids of a call that raised and would report a false
+# circular reference on the next.  What they are given holds no non-empty
+# container below the row level, so it cannot hold a cycle.
+_ENCODERS = {depth: _json.make_encoder(None, _unserializable, _json.encode_basestring_ascii,
+                                       None, ": ", ",\n" + "  " * depth, False, False, True)
+             for depth in (2, 3)}
 
 
 def _encode(obj: Any, depth: int) -> str:
-    return "".join(_encoder(depth)(obj, 0))
+    return "".join(_ENCODERS[depth](obj, 0))
 
 
 def _value(obj: Any, depth: int) -> str:

@@ -4,8 +4,9 @@ selftest), the bench config check, and the csv and table writers.
 ``cli`` imports this module inside the functions that need it: ``run`` for
 a non-eval command, ``render`` for a csv or table format, and ``RunConfig``
 for a bench config.  A ``mathieucf eval --format json`` process never
-compiles it.  Traced functions are looked up
-on their modules at each call (``series.theorem1_to_width``,
+compiles it, and the ``bounds`` and ``apery`` commands, which read zeta(3)
+from ``series``, load no ``oracles``.  Traced functions are looked up on
+their modules at each call (``series.theorem1_to_width``,
 ``bounds.cf_bounds``): a name bound when this module loads would keep
 whatever wrapper a tracer had swapped in then, after that tracer is gone.
 """
@@ -180,7 +181,6 @@ def cmd_bench(cfg: RunConfig) -> Tuple[List[Row], int]:
 
 def cmd_apery(cfg: RunConfig) -> Tuple[List[Row], int]:
     from .cf import apery_form, iter_convergents
-    from .oracles import ZETA3 as z3
 
     # One pass over the recurrence: row n is the n-th approximant.
     approximants = iter_convergents(apery_form(), cfg.n_terms)
@@ -189,8 +189,8 @@ def cmd_apery(cfg: RunConfig) -> Tuple[List[Row], int]:
         {
             "n": c.n,
             "value": c.value,
-            "abs_error": abs(c.value - z3),
-            "side": "above" if c.value > z3 else "below",
+            "abs_error": abs(c.value - series.ZETA3),
+            "side": "above" if c.value > series.ZETA3 else "below",
         }
         for c in approximants
     ]

@@ -1,5 +1,5 @@
 """Independent numerical routes to S(r), used to cross-check the
-continued-fraction machinery (and each other), and the constant zeta(3).
+continued-fraction machinery and each other.
 
 Three routes, sharing no code with the fraction engine:
 
@@ -12,17 +12,13 @@ Three routes, sharing no code with the fraction engine:
   quadrature: for r >= 1/4, Ooura and Mori's rule for Fourier-type integrals
   (J. Comput. Appl. Math. 112, 1999), whose nodes sit near the zeros of
   sin(ru); below, the exp-sinh rule.  Both rules run on node and weight
-  tables that do not depend on r, built once in float, and estimate their
-  error from the same rule at a second step size.
+  tables that do not depend on r, built in float at import, and estimate
+  their error from the same rule at a second step size.
 * ``asymptotic`` — the large-r expansion
   S(r) ~ sum_{m>=0} (-1)^m B_2m / r^(2m+2), optimally truncated, each term
-  correctly rounded from exact Bernoulli numbers (``bernoulli_numbers``,
-  which ``trigamma`` reads too).  It is kept here, off the eval path, so a
-  default eval does not compile it; ``series`` re-exports its three names
-  on first use.
-
-``ZETA3`` pins the r -> 0 limit S(0) = 2 zeta(3), which Apery's fraction
-(``cf.apery_form``, the paper's fraction at r = 0) converges to.
+  correctly rounded from exact Bernoulli numbers (``bernoulli_numbers``).
+  It is kept here, off the eval path, so a default eval does not compile
+  it; ``series`` re-exports its three names on first use.
 """
 
 from __future__ import annotations
@@ -45,17 +41,13 @@ __all__ = [
     "asymptotic",
 ]
 
-# zeta(3) = 1.20205690315959428540..., correctly rounded (4.9e-17 below).
-# Not in ``__all__``: the package exports functions and records only.
-ZETA3 = 1.2020569031595942
-
 # Push the argument to Re >= 10 before using the asymptotic series; with
 # Bernoulli terms through B_20 the truncation error is ~|B_22|/|s|^23,
 # below 1e-19 there.
 _TRIGAMMA_SHIFT = 10.0
-_TRIGAMMA_BERNOULLI_TERMS = 10
-# B_2, B_4, .., B_20 as floats, built on first use.
-_TRIGAMMA_B2K: list[float] = []
+# B_2, B_4, .., B_20, each a quotient of ints below 2^53, so correctly rounded.
+_TRIGAMMA_B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                 -3617 / 510, 43867 / 798, -174611 / 330)
 
 
 def trigamma(s: Union[float, complex]) -> complex:
@@ -79,9 +71,6 @@ def trigamma(s: Union[float, complex]) -> complex:
     inv2 = inv * inv
     total = inv + 0.5 * inv2
     power = inv2 * inv
-    if not _TRIGAMMA_B2K:
-        bern = bernoulli_numbers(2 * _TRIGAMMA_BERNOULLI_TERMS)
-        _TRIGAMMA_B2K.extend(float(b) for b in bern[2::2])
     for b2k in _TRIGAMMA_B2K:
         total += b2k * power
         power *= inv2
@@ -122,7 +111,7 @@ def mathieu_trigamma(r: float) -> float:
 
 
 # The integral route's rules, each as (fine, coarse) tables of (nodes,
-# weights) at the two step sizes below, built on the first call.
+# weights) at the two step sizes below, built at import.
 _FOURIER_STEPS = (0.1, 0.15)
 _EXP_SINH_STEPS = (0.05, 0.0625)
 # The Fourier rule answers from here up, the exp-sinh rule below.
@@ -132,8 +121,6 @@ _TOL_FLOOR = 1e-10
 # A node whose contribution to the sum is bounded below this is left out.
 _NEGLIGIBLE = 2.0**-60
 _Table = Tuple[List[float], List[float]]
-_FOURIER: List[_Table] = []
-_EXP_SINH: List[_Table] = []
 
 
 def _fourier_table(h: float) -> _Table:
@@ -201,13 +188,8 @@ def _exp_sinh_table(h: float) -> _Table:
     return nodes, weights
 
 
-def _tables() -> Tuple[List[_Table], List[_Table]]:
-    """The Fourier and the exp-sinh tables, each (fine, coarse), built on
-    the first call."""
-    if not _FOURIER:
-        _FOURIER.extend(map(_fourier_table, _FOURIER_STEPS))
-        _EXP_SINH.extend(map(_exp_sinh_table, _EXP_SINH_STEPS))
-    return _FOURIER, _EXP_SINH
+_FOURIER = tuple(map(_fourier_table, _FOURIER_STEPS))
+_EXP_SINH = tuple(map(_exp_sinh_table, _EXP_SINH_STEPS))
 
 
 def _fourier_sum(r: float, table: _Table) -> float:
@@ -256,11 +238,10 @@ def mathieu_integral(r: float, tol: float = _TOL_FLOOR) -> float:
     _require_normal_r(r)
     if not (tol >= _TOL_FLOOR):
         raise ValueError(f"tol must be >= {_TOL_FLOOR}; got {tol!r}")
-    fourier, exp_sinh = _tables()
     if r < _SWITCH:
-        value, coarse = (_exp_sinh_sum(r, table) for table in exp_sinh)
+        value, coarse = (_exp_sinh_sum(r, table) for table in _EXP_SINH)
     else:
-        value, coarse = (_fourier_sum(r, table) for table in fourier)
+        value, coarse = (_fourier_sum(r, table) for table in _FOURIER)
     error = abs(value - coarse)
     if error > 0.5 * tol:
         raise ValueError(

@@ -317,7 +317,7 @@ def _check_apery() -> str:
     vals = [c.value for c in iter_convergents(apery_form(), 60)]
     assert vals[1] == 1.25, f"first approximant {vals[1]!r}"
     assert vals[2] == 1.2, f"second approximant {vals[2]!r}"
-    z3 = oracles.ZETA3
+    z3 = series.ZETA3
     err = abs(vals[60] - z3)
     assert err < 1e-10, f"60-term approximant off by {err:.3e}"
     for n, v in enumerate(vals[1:13], 1):

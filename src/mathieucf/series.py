@@ -36,7 +36,8 @@ The module imports nothing from the package but ``tail_interval``, on the
 first z = 0 call that needs it, and ``oracles`` for those three names: it
 also holds the record base ``_Record`` and the exact power-of-two rescale
 that the ``cf`` engine, ``bounds``, ``oracles`` and ``cli`` build on, so a
-``mathieucf eval`` process compiles no theory-layer code.
+``mathieucf eval`` process compiles no theory-layer code.  ``ZETA3`` lives
+here beside S, so ``bounds`` and the ``apery`` command load no ``oracles``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ __all__ = [
 DEFAULT_RESCALE_AT = 1e150
 # The default term cap of a walk, and of the CLI's --max-terms.
 DEFAULT_MAX_TERMS = 200_000
+# zeta(3) = 1.20205690315959428540..., correctly rounded (4.9e-17 below):
+# S(0) = 2 zeta(3).  Not in ``__all__``, which holds functions and records.
+ZETA3 = 1.2020569031595942
 
 
 _set = object.__setattr__
@@ -231,6 +235,11 @@ def _overflow(r: float, quantity: str = "(m^2 + r^2)^2") -> OverflowError:
     return OverflowError(f"{quantity} overflows float64 at r={r!r}")
 
 
+def _require_head_within_cap(k: int) -> None:
+    if k - 1 > _DIRECT_TERM_CAP:
+        raise ValueError(f"head sum at k={k} needs more than {_DIRECT_TERM_CAP} terms")
+
+
 def mathieu_partial_sum(r: float, k: int) -> float:
     """Head sum_{m=1}^{k-1} 2m/(m^2+r^2)^2 (0.0 for k = 1) of every route
     and bound, squared by products as the ``cf`` docstring's direct-route
@@ -243,8 +252,7 @@ def mathieu_partial_sum(r: float, k: int) -> float:
         last = (k - 1) * (k - 1) + rr
         if last * last == math.inf:
             raise _overflow(r)
-        if k - 1 > _DIRECT_TERM_CAP:
-            raise ValueError(f"head sum at k={k} needs more than {_DIRECT_TERM_CAP} terms")
+        _require_head_within_cap(k)
     return math.fsum(
         (m + m) / (d * d) for m in map(float, range(1, k)) for d in (m * m + rr,)
     )
@@ -480,12 +488,16 @@ def tail_enclosure(
 
 
 def mathieu_theorem1(r: float, k: int = 1, n_terms: int = 80) -> Enclosure:
-    """Certified enclosure of S(r) = head(k) + T(r, k) with a fixed term budget.
+    """Enclosure of S(r) = head(k) + T(r, k) with a fixed term budget:
+    ``theorem1_to_width`` at width 0 with a cap of 2*(n_terms//2) terms.
 
-    Uses the even approximant at 2*(n_terms//2) as lower bound and the odd
-    approximant just before it as upper bound, shifted by the exact head sum.
-    The identity holds for every integer k >= 1; larger k means z = k^2 - k
-    grows and the bracket tightens faster per term.
+    The walk stops at the cap, on the even approximant there (lower) and the
+    odd one before it (upper), unless the float ends of an earlier pass
+    cross: it stops there, on the pair swapped, and adding the head can
+    leave no width at all.  ``mathieu_theorem1(1.0, 3, 4000)`` stops after
+    106 terms with width 0.0.  ROADMAP item 18 replaces that stop with a
+    certified floor.  The identity holds for every integer k >= 1; larger k
+    means z = k^2 - k grows and the bracket tightens faster per term.
     """
     pairs = n_terms // 2
     if pairs < 1:
@@ -499,10 +511,13 @@ def theorem1_to_width(
     """Adaptive form of ``mathieu_theorem1``: grow terms until the S(r)
     enclosure is narrower than ``width`` (or the cap binds).
 
-    Returns (enclosure, terms_used, achieved).
+    Returns (enclosure, terms_used, achieved).  A head of more than
+    ``_DIRECT_TERM_CAP`` terms is refused, as by ``mathieu_partial_sum``,
+    before the tail is walked: so is a k too large for a float.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer; got {k}")
+    _require_head_within_cap(k)
     bracket = tail_enclosure(r, float(k), width, max_terms=max_terms)
     head = mathieu_partial_sum(r, k)
     enclosure = Enclosure(head + bracket.enclosure.lower, head + bracket.enclosure.upper)

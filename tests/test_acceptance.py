@@ -39,7 +39,7 @@ from mathieucf import (
     theorem1_to_width,
 )
 from mathieucf import series
-from mathieucf.oracles import ZETA3 as zeta3
+from mathieucf.series import ZETA3 as zeta3
 from mathieucf.cli import RunConfig, run
 
 R_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)

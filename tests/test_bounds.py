@@ -28,7 +28,7 @@ from mathieucf import (
     mp_upper,
 )
 from mathieucf.bounds import _bisect
-from mathieucf.oracles import ZETA3 as PACKAGE_ZETA3
+from mathieucf.series import ZETA3 as PACKAGE_ZETA3
 
 
 class TestClassicalBounds:

@@ -752,6 +752,21 @@ class TestMain:
                    "head sum at k=20000002 needs more than 20000000 terms" in note
                    for note in notes), notes
 
+    @pytest.mark.parametrize("k", [10**200, 10**400], ids=["z-overflows", "k-past-float"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--methods", "cf", "--k"],
+        ["compare", "--k"],
+        ["bounds", "--k"],
+        ["bench", "--tol", "1e-4", "--repeats", "1", "--k-values"],
+    ], ids=["eval", "compare", "bounds", "bench"])
+    def test_k_too_large_for_a_float_is_a_failed_note(self, argv, k, capsys):
+        # Once a traceback: float(k) raised, or z = k^2 - k overflowed the walk.
+        assert main([*argv, str(k), "--r", "1", "--format", "json"]) == 1
+        notes = [row["note"] for row in strict_json(capsys.readouterr().out)["rows"]]
+        assert any(note and note.startswith("failed: ") and
+                   f"head sum at k={k} needs more than 20000000 terms" in note
+                   for note in notes), notes
+
     @pytest.mark.parametrize("r", ["1e154", "1e160", "1e300"])
     def test_no_upper_bound_is_zero_at_large_r(self, r, capsys):
         # S(r) > 0 at every r, so an upper column of 0.0 would sit below it:
@@ -836,6 +851,42 @@ class TestMain:
             "from mathieucf import cli\n"
             "code = cli.main(['compare', '--r', '1', '--format', 'json'])\n"
             "print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
+        )
+        assert out.splitlines()[-1] == "0 []"
+
+    # Each command's cold path, as ``python -m mathieucf <argv>`` runs it in
+    # a fresh process, with the modules it must leave unloaded ("." for the
+    # package's own).  Every eval row is at k = 2.
+    COLD_PATHS = {
+        "eval-json": ("eval --r 1 --format json",
+                      ".oracles .bounds .cf .tail_interval .commands argparse json fractions csv"),
+        "eval-csv": ("eval --r 1 --format csv",
+                     ".oracles .bounds .cf .tail_interval argparse json fractions"),
+        "eval-table": ("eval --r 1 --format table",
+                       ".oracles .bounds .cf .tail_interval argparse json fractions csv"),
+        "eval-trigamma": ("eval --r 1 --methods trigamma --format json",
+                          ".bounds .cf .tail_interval .commands argparse json fractions csv"),
+        "bounds": ("bounds --r 1 --format json",
+                   ".oracles .cf .tail_interval argparse json fractions csv"),
+        "compare": ("compare --r 1 --format json", ".bounds .cf .tail_interval argparse json csv"),
+        "bench": ("bench --r 1 --repeats 1 --format json",
+                  ".oracles .bounds .cf argparse json csv"),
+        "apery": ("apery --format json",
+                  ".oracles .bounds .tail_interval argparse json fractions csv"),
+    }
+
+    @pytest.mark.parametrize("argv, unloaded", COLD_PATHS.values(), ids=COLD_PATHS)
+    def test_cold_path_leaves_its_unused_modules_unloaded(self, argv, unloaded):
+        unloaded = [f"mathieucf{name}" if name[0] == "." else name for name in unloaded.split()]
+        out = fresh_python(
+            "-c",
+            "import runpy, sys\n"
+            f"sys.argv = ['mathieucf', *{argv.split()!r}]\n"
+            "try:\n"
+            "    runpy.run_module('mathieucf', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            f"print(code, [m for m in {unloaded!r} if m in sys.modules])\n"
         )
         assert out.splitlines()[-1] == "0 []"
 

@@ -37,7 +37,7 @@ from mathieucf import (
     trigamma,
 )
 from mathieucf import oracles
-from mathieucf.oracles import ZETA3 as PACKAGE_ZETA3
+from mathieucf.series import ZETA3 as PACKAGE_ZETA3
 
 
 def apery(n):
@@ -66,6 +66,9 @@ class TestTrigamma:
     def test_poles(self, s):
         with pytest.raises(ValueError, match="pole"):
             trigamma(s)
+
+    def test_bernoulli_constants_are_the_exact_numbers_rounded(self):
+        assert oracles._TRIGAMMA_B2K == tuple(map(float, oracles.bernoulli_numbers(20)[2::2]))
 
 
 class TestTrigammaTail:
@@ -156,7 +159,7 @@ class TestIntegral:
             assert abs(mpmath.mpf(mathieu_integral(r)) - exact) <= 1e-13 * exact, r
 
     def test_the_two_rules_agree_across_the_switch(self):
-        fourier, exp_sinh = oracles._tables()
+        fourier, exp_sinh = oracles._FOURIER, oracles._EXP_SINH
         # The Fourier rule needs r above 0.2214 (see the next test).
         for i in range(61):
             r = oracles._SWITCH * (0.9 + i / 100)
@@ -167,7 +170,7 @@ class TestIntegral:
     def test_fourier_nodes_stay_where_g_needs_no_special_case(self):
         # x/expm1(x) overflows past log(max float) and is 0/0 at x = 0: the
         # rule's x = c_n/r never reaches either for r in [switch, max float].
-        fourier, _ = oracles._tables()
+        fourier = oracles._FOURIER
         nodes = [c for table_nodes, _ in fourier for c in table_nodes]
         assert max(nodes) / oracles._SWITCH < math.log(sys.float_info.max)
         assert min(nodes) / sys.float_info.max > 0.0
@@ -176,7 +179,7 @@ class TestIntegral:
     def test_refusal_names_the_estimate(self, monkeypatch):
         # A coarse table that disagrees with the fine one must refuse, with
         # the estimate (a finite number) in the message.
-        fourier, _ = oracles._tables()
+        fourier = oracles._FOURIER
         (nodes, weights), _ = fourier
         bad = (nodes, [2 * w for w in weights])
         monkeypatch.setattr(oracles, "_FOURIER", [fourier[0], bad])

@@ -63,6 +63,17 @@ def test_module_imports_first(name):
      "except AttributeError as exc:\n"
      "    print(exc)",
      "module 'mathieucf' has no attribute 'no_such_name'"),
+    # A name loads the library modules up to its home, in ``_LIBRARY`` order;
+    # an unknown one loads all four to learn that.
+    ("import sys\n"
+     "from mathieucf import theorem1_to_width\n"
+     "print(sorted(m for m in sys.modules if m.startswith('mathieucf.')))",
+     "['mathieucf.cf', 'mathieucf.series']"),
+    ("import sys\n"
+     "import mathieucf\n"
+     "hasattr(mathieucf, 'no_such_name')\n"
+     "print(sorted(m for m in sys.modules if m.startswith('mathieucf.')))",
+     "['mathieucf.bounds', 'mathieucf.cf', 'mathieucf.oracles', 'mathieucf.series']"),
     # ``from . import commands`` in a csv eval asks the package for the name
     # first, and must not load the library to learn it is a submodule.
     ("import sys\n"
@@ -76,6 +87,11 @@ def test_module_imports_first(name):
      "import mathieucf.bounds\n"
      "print('mathieucf.cf' in sys.modules)",
      "False"),
+    # ``bounds`` reads zeta(3) from ``series``, beside S, and loads no oracle.
+    ("import sys\n"
+     "import mathieucf.bounds\n"
+     "print(sorted(m for m in sys.modules if m.startswith('mathieucf.')))",
+     "['mathieucf.bounds', 'mathieucf.series']"),
     # The tail interval's float kernel is a leaf: it imports nothing from the package.
     ("import sys\n"
      "import mathieucf.tail_interval\n"
@@ -89,8 +105,10 @@ def test_module_imports_first(name):
      "      all(getattr(series, name) is getattr(oracles, name) for name in names),\n"
      "      all(name in vars(series) for name in names))",
      "[False, False, False] True True"),
-], ids=["cli-alone", "name-is-module-object", "star-import", "unknown-name", "csv-eval",
-        "bounds-without-cf", "tail-interval-leaf", "series-re-exports-the-expansion"])
+], ids=["cli-alone", "name-is-module-object", "star-import", "unknown-name",
+        "name-loads-up-to-its-home", "unknown-name-loads-the-library", "csv-eval",
+        "bounds-without-cf", "bounds-without-oracles", "tail-interval-leaf",
+        "series-re-exports-the-expansion"])
 def test_lazy_package_surface(code, printed):
     assert fresh_python("-c", code).splitlines()[-1] == printed
 

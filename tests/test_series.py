@@ -330,6 +330,23 @@ class TestTailEnclosure:
         assert str(info.value) == (
             f"approximant denominator underflowed to 0 at r={r!r}: r^2 underflows")
 
+    @pytest.mark.parametrize("r", [3.0, 5.0])
+    def test_a_refused_warm_walk_leaves_the_answer_to_the_pass(self, r, monkeypatch):
+        # Only a crossed pair past its drift can raise in the warm walk (at
+        # z = 0 it never does); the pass then answers as if no walk had run.
+        rho, n0, n_max, walk_terms = tail_interval.start(r, 1.0, 1e-12, series.DEFAULT_MAX_TERMS)
+        lower, upper, level = tail_interval._search(rho, 1e-12, n0, n_max)
+        walks = []
+
+        def refused(params, width, max_terms):
+            walks.append(max_terms)
+            raise ValueError("approximants not bracketing")
+
+        monkeypatch.setattr(series, "_walk", refused)
+        bracket = tail_enclosure(r, 1.0, 1e-12)
+        assert walks == [walk_terms] and walk_terms > 0
+        assert bracket == TailBracket(Enclosure(lower, upper), 2 * level, upper - lower <= 1e-12)
+
 
 def _reference_bracket_walk(form, width, max_terms):
     """The generic bracket walk: the engine's ``_recurrence`` over
@@ -513,6 +530,16 @@ class TestFlatWalk:
         assert flat == reference
         assert flat[0] == "OverflowError"
         assert flat[1].startswith(f"numerical overflow despite rescaling at n={n} ")
+
+    def test_drift_refusal_on_negative_z(self):
+        # ``tail_enclosure`` refuses z < 0 before any walk; walked directly,
+        # x = 0.6 gives a crossed pair far past the rounding drift.
+        params = MathieuCFParams(1.0, 0.6)
+        flat = _outcome(lambda: series._walk(params, 0.0, 2000))
+        reference = _outcome(lambda: _reference_bracket_walk(ab_form(params), 0.0, 2000))
+        assert flat == reference == ("ValueError", (
+            "approximants not bracketing at n=12: even=1.023415928693027 > "
+            "odd=-6.802312929138706; positive-coefficient hypothesis violated?"))
 
 
 # r^2 underflows to 0 at 1e-170 and to a subnormal at the others.
@@ -1116,6 +1143,15 @@ class TestHead:
         assert str(info.value) == "head sum at k=20000002 needs more than 20000000 terms"
         with pytest.raises(OverflowError, match="r=1e\\+100$"):
             mathieu_partial_sum(1e100, k)
+
+    @pytest.mark.parametrize("k", [20_000_002, 10**200, 10**400],
+                             ids=["one-over-the-cap", "z-overflows", "k-past-float"])
+    def test_theorem1_refuses_the_head_before_the_tail(self, k):
+        # Refused before the walk: z = k^2 - k overflows at 10**200, and
+        # 10**400 is too large for a float at all.
+        with pytest.raises(ValueError) as info:
+            theorem1_to_width(1.0, k, 1e-12)
+        assert str(info.value) == f"head sum at k={k} needs more than 20000000 terms"
 
 
 class TestBernoulli:
