@@ -6,7 +6,9 @@ classical constants are c = 1/2 (lower) and c = 1/6 (upper, sharp as
 r -> infinity); the sharp lower constant is c = 1/(2*zeta(3)), attained as
 r -> 0, with zeta(3) read from ``series``, the one module this one
 imports.  A separate upper bound from term-by-term monotonicity is
-1/(r^2 + 1/4) for r <= sqrt(3)/2 and 1/(sqrt(1+4r^2) - 1) beyond.
+1/(r^2 + 1/4) for r <= sqrt(3)/2 and 1/(sqrt(1+4r^2) - 1) beyond.  The
+classical pairs are rounded outward, as their ends are sharp: rounded to
+nearest, the upper one falls below S(r) from r of about 5.5e3.
 
 Truncating the continued-fraction representation after finitely many terms
 gives closed-form rational bounds in r^2 that beat the classical constants
@@ -19,8 +21,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from .series import ZETA3, _Record, _overflow, _require_positive_r, _set
-from .series import mathieu_partial_sum, mathieu_theorem1
+from . import series
+from .series import ZETA3, _Record, _overflow, _require_positive_r, _set, mathieu_partial_sum
 
 __all__ = [
     "BoundResult",
@@ -63,10 +65,22 @@ def _squared(r: float) -> float:
     return rr
 
 
+def _classical(method: str, r: float, c: float) -> BoundResult:
+    """1/(r^2 + c) < S(r) < 1/(r^2 + 1/6), rounded outward: r*r, c, 1/6 and
+    every rounded operation are stepped one float so that each end moves
+    away from S(r) (the standard model in the ``cf`` docstring).  The float
+    1/(2 ZETA3) is 4.1e-18 below 1/(2 zeta(3)), within one step."""
+    rr = _squared(r)
+    ends = []
+    for const, away in ((c, math.inf), (1 / 6, -math.inf)):
+        d = math.nextafter(math.nextafter(rr, away) + math.nextafter(const, away), away)
+        ends.append(math.nextafter(1 / d, -away))
+    return BoundResult(method, *ends)
+
+
 def makai_bounds(r: float) -> BoundResult:
     """1/(r^2 + 1/2) < S(r) < 1/(r^2 + 1/6)."""
-    rr = _squared(r)
-    return BoundResult("makai", 1 / (rr + 0.5), 1 / (rr + 1 / 6))
+    return _classical("makai", r, 0.5)
 
 
 def alzer_bounds(r: float) -> BoundResult:
@@ -75,8 +89,7 @@ def alzer_bounds(r: float) -> BoundResult:
     Both constants are sharp: the lower as r -> 0 (where S(0) = 2 zeta(3)),
     the upper as r -> infinity.
     """
-    rr = _squared(r)
-    return BoundResult("alzer", 1 / (rr + 1 / (2 * ZETA3)), 1 / (rr + 1 / 6))
+    return _classical("alzer", r, 1 / (2 * ZETA3))
 
 
 def mp_upper(r: float) -> BoundResult:
@@ -102,12 +115,12 @@ def cf_bounds(r: float, k: int, l: int) -> BoundResult:
         head(k) + f_{2l}  <  S(r)  <  head(k) + f_{2l-1},
 
     where f_n is the n-th approximant of the tail fraction (even index
-    below, odd above; valid since z = k^2 - k >= 0): ``mathieu_theorem1``
-    with 2l terms.
+    below, odd above; valid since z = k^2 - k >= 0): ``theorem1_to_width``
+    at width 0 and 2l terms, read from ``series`` at each call for tracers.
     """
     if l < 1:
         raise ValueError(f"l must be a positive integer; got {l}")
-    enclosure = mathieu_theorem1(r, k, 2 * l)
+    enclosure = series.theorem1_to_width(r, k, 0.0, 2 * l)[0]
     return BoundResult(f"cf(k={k},l={l})", enclosure.lower, enclosure.upper)
 
 

@@ -168,7 +168,7 @@ def _check_theorem1_consistency() -> str:
     """enclosures from different split points all overlap the direct bracket"""
     for r in (0.5, 1.0, 5.0):
         direct = series.mathieu_direct(r, 1e-8)
-        enclosures = [series.mathieu_theorem1(r, k, 4000) for k in (1, 2, 3)]
+        enclosures = [series.theorem1_to_width(r, k, 0.0, 4000)[0] for k in (1, 2, 3)]
         lo = max(e.lower for e in enclosures)
         hi = min(e.upper for e in enclosures)
         # Saturated brackets carry a few ulps of recurrence rounding on each

@@ -15,8 +15,9 @@ and approximating T by continued-fraction approximants yields certified
 enclosures: for z >= 0 every partial coefficient is positive, so even-index
 approximants increase to the value and odd-index approximants decrease to
 it.  ``tail_enclosure`` walks the ``ab_form`` recurrence inline to bracket
-T, ``mathieu_theorem1`` packages that bracketing, and ``mathieu_direct`` is
-the independent partial-sum route with an integral-test and convexity
+T, ``theorem1_to_width`` adds the head to that bracket (Theorem 1, whose
+fixed-budget form is ``bounds.cf_bounds``), and ``mathieu_direct`` is the
+independent partial-sum route with an integral-test and convexity
 tail bracket.  The large-r expansion ``asymptotic``, its result record and
 its Bernoulli numbers live in ``oracles``, which a default eval never
 loads; ``series.asymptotic`` and the other two names still resolve here,
@@ -51,7 +52,6 @@ __all__ = [
     "mathieu_partial_sum",
     "mathieu_direct",
     "tail_enclosure",
-    "mathieu_theorem1",
     "theorem1_to_width",
 ]
 
@@ -235,7 +235,9 @@ def _overflow(r: float, quantity: str = "(m^2 + r^2)^2") -> OverflowError:
     return OverflowError(f"{quantity} overflows float64 at r={r!r}")
 
 
-def _require_head_within_cap(k: int) -> None:
+def _require_head(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be a positive integer; got {k}")
     if k - 1 > _DIRECT_TERM_CAP:
         raise ValueError(f"head sum at k={k} needs more than {_DIRECT_TERM_CAP} terms")
 
@@ -245,14 +247,15 @@ def mathieu_partial_sum(r: float, k: int) -> float:
     and bound, squared by products as the ``cf`` docstring's direct-route
     rounding proof needs.  Raises ``OverflowError`` where the largest
     (m^2 + r^2)^2 overflows float64, instead of summing its term as 0, and
-    ``ValueError`` where the head has more than ``_DIRECT_TERM_CAP`` terms.
+    ``ValueError`` for a k < 1 or a head of more than ``_DIRECT_TERM_CAP``
+    terms.
     """
     rr = r * r
-    if k > 1:
-        last = (k - 1) * (k - 1) + rr
-        if last * last == math.inf:
-            raise _overflow(r)
-        _require_head_within_cap(k)
+    # A head within the cap has m^2 < 4.1e14, below an ulp of any r^2 whose
+    # square overflows: (m^2 + r^2)^2 overflows exactly where r^4 does.
+    if k > 1 and rr * rr == math.inf:
+        raise _overflow(r)
+    _require_head(k)
     return math.fsum(
         (m + m) / (d * d) for m in map(float, range(1, k)) for d in (m * m + rr,)
     )
@@ -487,37 +490,20 @@ def tail_enclosure(
     return _walk(params, width, max_terms)
 
 
-def mathieu_theorem1(r: float, k: int = 1, n_terms: int = 80) -> Enclosure:
-    """Enclosure of S(r) = head(k) + T(r, k) with a fixed term budget:
-    ``theorem1_to_width`` at width 0 with a cap of 2*(n_terms//2) terms.
-
-    The walk stops at the cap, on the even approximant there (lower) and the
-    odd one before it (upper), unless the float ends of an earlier pass
-    cross: it stops there, on the pair swapped, and adding the head can
-    leave no width at all.  ``mathieu_theorem1(1.0, 3, 4000)`` stops after
-    106 terms with width 0.0.  ROADMAP item 18 replaces that stop with a
-    certified floor.  The identity holds for every integer k >= 1; larger k
-    means z = k^2 - k grows and the bracket tightens faster per term.
-    """
-    pairs = n_terms // 2
-    if pairs < 1:
-        raise ValueError(f"n_terms must be >= 2; got {n_terms}")
-    return theorem1_to_width(r, k, 0.0, 2 * pairs)[0]
-
-
 def theorem1_to_width(
     r: float, k: int, width: float, max_terms: int = DEFAULT_MAX_TERMS
 ) -> tuple[Enclosure, int, bool]:
-    """Adaptive form of ``mathieu_theorem1``: grow terms until the S(r)
-    enclosure is narrower than ``width`` (or the cap binds).
+    """Enclosure of S(r) = head(k) + T(r, k), Theorem 1, for an integer
+    k >= 1 (larger k, faster per term): grow terms until it is narrower than
+    ``width``, or the cap binds.  Returns (enclosure, terms_used, achieved).
+    A head that ``mathieu_partial_sum`` refuses is refused before the walk.
 
-    Returns (enclosure, terms_used, achieved).  A head of more than
-    ``_DIRECT_TERM_CAP`` terms is refused, as by ``mathieu_partial_sum``,
-    before the tail is walked: so is a k too large for a float.
+    Width 0 runs to the cap, on the even approximant there and the odd one
+    before it, unless the float ends of a pass meet or cross first: then it
+    stops there.  ``theorem1_to_width(1.0, 3, 0.0, 4000)`` stops after 106
+    terms with width 0.0; ROADMAP item 18 replaces that stop.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer; got {k}")
-    _require_head_within_cap(k)
+    _require_head(k)
     bracket = tail_enclosure(r, float(k), width, max_terms=max_terms)
     head = mathieu_partial_sum(r, k)
     enclosure = Enclosure(head + bracket.enclosure.lower, head + bracket.enclosure.upper)

@@ -382,10 +382,12 @@ DIAGNOSTICS = [
      [(selftest, "evaluate", lambda real: lambda form, tol, n: real(form, tol, 2))],
      "cd form strays from ab form at r=0.5, x=1.0: diff "),
     ("mathieu.split_consistency",
-     [(series, "mathieu_theorem1", lambda real: lambda r, k, n: Enclosure(k, k))],
+     [(series, "theorem1_to_width",
+       lambda real: lambda r, k, width, n: (Enclosure(k, k), n, False))],
      "split-point enclosures disjoint at r=0.5: [3, 1]"),
     ("mathieu.split_consistency",
-     [(series, "mathieu_theorem1", lambda real: lambda r, k, n: Enclosure(10.0, 10.0))],
+     [(series, "theorem1_to_width",
+       lambda real: lambda r, k, width, n: (Enclosure(10.0, 10.0), n, False))],
      "enclosure k=1 at r=0.5 disjoint from the direct bracket: [10.0, 10.0] vs ["),
     ("mathieu.bracketing_exact", [(selftest, "iter_convergents", _values(lambda c: 0))],
      "even approximants not increasing at n=2"),

@@ -1,6 +1,7 @@
 """Package surface: ``mathieucf.__all__`` is assembled from the modules'
 own ``__all__`` lists, so each exported name must appear once and be the
-very object its defining module holds.  The import graph is a stack: every
+very object its defining module holds; the sorted list is pinned.  The
+import graph is a stack: every
 module imports cleanly when it is the first one a process imports.  The
 package loads its library modules on first use of a name they export.  No
 module of the package or its tests imports sympy, which is declared nowhere,
@@ -35,6 +36,24 @@ def test_all_is_the_version_and_the_four_library_modules_lists():
     assert mathieucf.__all__ == [
         "__version__", *cf.__all__, *series.__all__, *bounds.__all__, *oracles.__all__
     ]
+
+
+# The public surface, pinned: adding or removing an export edits this list.
+PUBLIC_NAMES = [
+    "AsymptoticResult", "BoundResult", "ContinuedFraction", "Convergent", "CrossoverReport",
+    "Enclosure", "EvalReport", "MathieuCFParams", "TailBracket", "__version__", "ab_form",
+    "ab_to_cd_witness", "alzer_bounds", "apery_form", "asymptotic", "bernoulli_numbers",
+    "cd_form", "cf_bounds", "closed_form_bounds", "coefficients_positive", "convergent",
+    "crossover_analysis", "equivalence_transform", "evaluate", "even_contraction",
+    "iter_convergents", "kappa_lambda_form", "makai_bounds", "mathieu_direct",
+    "mathieu_integral", "mathieu_partial_sum", "mathieu_trigamma", "mp_upper",
+    "tail_enclosure", "tail_via_trigamma", "telescoping_residual", "theorem1_to_width",
+    "trigamma",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(mathieucf.__all__) == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("name", ["cf", "series", "oracles", "bounds", "selftest", "cli",

@@ -31,6 +31,7 @@ from mathieucf import (
     asymptotic,
     bernoulli_numbers,
     cd_form,
+    cf_bounds,
     coefficients_positive,
     convergent,
     equivalence_transform,
@@ -39,7 +40,6 @@ from mathieucf import (
     kappa_lambda_form,
     mathieu_direct,
     mathieu_partial_sum,
-    mathieu_theorem1,
     tail_enclosure,
     telescoping_residual,
     theorem1_to_width,
@@ -64,10 +64,10 @@ class TestParams:
     @pytest.mark.parametrize("call", [
         lambda: tail_enclosure(0.0, 2.0, 1e-12),
         lambda: theorem1_to_width(0.0, 3, 1e-12),
-        lambda: mathieu_theorem1(0.0, 3),
+        lambda: cf_bounds(0.0, 3, 1),
         lambda: telescoping_residual(0.0, 2.0),
         lambda: telescoping_residual(0.0, 0.75),
-    ], ids=["tail_enclosure", "theorem1_to_width", "mathieu_theorem1", "residual-x2",
+    ], ids=["tail_enclosure", "theorem1_to_width", "cf_bounds", "residual-x2",
             "residual-x0.75"])
     def test_enclosures_refuse_r0(self, call):
         with pytest.raises(ValueError, match=r"^r must be > 0; got 0.0$"):
@@ -1053,15 +1053,13 @@ def _search_to_n_max(rho, width, n0, n_max):
 
 class TestEnclosureIdentity:
     def test_fixed_budget(self):
-        enc = mathieu_theorem1(1.0, 2, 80)
+        enc = theorem1_to_width(1.0, 2, 0.0, 80)[0]
         assert enc.contains(S_AT_1)
         assert enc.width < 1e-9
-        # an odd budget rounds down to the same even/odd pair
-        assert mathieu_theorem1(1.0, 2, 81) == enc
 
     def test_split_at_one(self):
         # x = 1 makes z = 0: coefficients stay positive, bracketing holds.
-        assert mathieu_theorem1(1.0, 1, 80).contains(S_AT_1)
+        assert theorem1_to_width(1.0, 1, 0.0, 80)[0].contains(S_AT_1)
 
     def test_adaptive(self):
         enc, terms, achieved = theorem1_to_width(1.0, 3, 1e-12)
@@ -1083,15 +1081,13 @@ class TestEnclosureIdentity:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="k must be"):
-            mathieu_theorem1(1.0, 0)
-        with pytest.raises(ValueError, match="n_terms"):
-            mathieu_theorem1(1.0, 2, 1)
+            theorem1_to_width(1.0, 0, 0.0, 80)
         # r^2 underflows: the k = 1 walk cannot start, the tail interval can.
         enc, terms, achieved = theorem1_to_width(1e-160, 1, 1e-12)
         assert achieved and enc.width <= 1e-12 and terms <= 200_000
         assert mpmath.mpf(enc.lower) <= mpmath_s(1e-160) <= mpmath.mpf(enc.upper)
         with pytest.raises(ValueError, match="underflowed to 0 at r=1e-160"):
-            mathieu_theorem1(1e-160, 1)
+            theorem1_to_width(1e-160, 1, 0.0, 80)
         # An infinite r used to reach the recurrence: nan, then OverflowError.
         with pytest.raises(ValueError, match="^r must be finite; got inf$"):
             theorem1_to_width(math.inf, 3, 1e-10)
@@ -1143,6 +1139,40 @@ class TestHead:
         assert str(info.value) == "head sum at k=20000002 needs more than 20000000 terms"
         with pytest.raises(OverflowError, match="r=1e\\+100$"):
             mathieu_partial_sum(1e100, k)
+
+    def test_head_past_any_float_keeps_each_refusal(self):
+        # (k - 1)^2 = 10**400 is past any float: the overflow test reads r
+        # alone, so each refusal keeps its own text.
+        with pytest.raises(ValueError) as info:
+            mathieu_partial_sum(1.0, 10**200)
+        assert str(info.value) == f"head sum at k={10**200} needs more than 20000000 terms"
+        with pytest.raises(OverflowError) as info:
+            mathieu_partial_sum(1e100, 10**200)
+        assert str(info.value) == "(m^2 + r^2)^2 overflows float64 at r=1e+100"
+
+    def test_overflow_is_refused_exactly_where_the_last_square_overflows(self):
+        # The test reads r^4 for (m^2 + r^2)^2, m = k - 1: the two agree on
+        # the 64 floats around 2^256, where r^4 leaves float range.
+        r = 2.0**256
+        for _ in range(32):
+            r = math.nextafter(r, 0)
+        overflows = []
+        for _ in range(64):
+            last = 2 * 2 + r * r
+            overflows.append(last * last == math.inf)
+            if overflows[-1]:
+                with pytest.raises(OverflowError):
+                    mathieu_partial_sum(r, 3)
+            else:
+                assert mathieu_partial_sum(r, 3) >= 0
+            r = math.nextafter(r, math.inf)
+        assert overflows == [False] * 32 + [True] * 32
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_head_refuses_k_below_one(self, k):
+        with pytest.raises(ValueError) as info:
+            mathieu_partial_sum(1.0, k)
+        assert str(info.value) == f"k must be a positive integer; got {k}"
 
     @pytest.mark.parametrize("k", [20_000_002, 10**200, 10**400],
                              ids=["one-over-the-cap", "z-overflows", "k-past-float"])
