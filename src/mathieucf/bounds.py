@@ -7,8 +7,8 @@ r -> infinity); the sharp lower constant is c = 1/(2*zeta(3)), attained as
 r -> 0, with zeta(3) read from ``series``, the one module this one
 imports.  A separate upper bound from term-by-term monotonicity is
 1/(r^2 + 1/4) for r <= sqrt(3)/2 and 1/(sqrt(1+4r^2) - 1) beyond.  The
-classical pairs are rounded outward, as their ends are sharp: rounded to
-nearest, the upper one falls below S(r) from r of about 5.5e3.
+classical pairs and closed forms are rounded outward, as their ends are
+sharp: to nearest, the classical upper misses S(r) from r of about 5.5e3.
 
 Truncating the continued-fraction representation after finitely many terms
 gives closed-form rational bounds in r^2 that beat the classical constants
@@ -22,7 +22,8 @@ import math
 from typing import Callable, Optional
 
 from . import series
-from .series import ZETA3, _Record, _overflow, _require_positive_r, _set, mathieu_partial_sum
+from .series import (_EPS, _TINY, ZETA3, _Record, _overflow, _require_positive_r, _set,
+                     mathieu_partial_sum)
 
 __all__ = [
     "BoundResult",
@@ -65,17 +66,18 @@ def _squared(r: float) -> float:
     return rr
 
 
+def _reciprocal(rr: float, c: float, away: float) -> float:
+    """1/(r^2 + c) from rr = r*r, rounded toward -away: rr, c and each rounded
+    operation step one float that way (the standard model, ``cf`` docstring)."""
+    d = math.nextafter(math.nextafter(rr, away) + math.nextafter(c, away), away)
+    return math.nextafter(1 / d, -away)
+
+
 def _classical(method: str, r: float, c: float) -> BoundResult:
-    """1/(r^2 + c) < S(r) < 1/(r^2 + 1/6), rounded outward: r*r, c, 1/6 and
-    every rounded operation are stepped one float so that each end moves
-    away from S(r) (the standard model in the ``cf`` docstring).  The float
-    1/(2 ZETA3) is 4.1e-18 below 1/(2 zeta(3)), within one step."""
+    """1/(r^2 + c) < S(r) < 1/(r^2 + 1/6), each end rounded away from S(r).
+    The float 1/(2 ZETA3) is 4.1e-18 below 1/(2 zeta(3)), within one step."""
     rr = _squared(r)
-    ends = []
-    for const, away in ((c, math.inf), (1 / 6, -math.inf)):
-        d = math.nextafter(math.nextafter(rr, away) + math.nextafter(const, away), away)
-        ends.append(math.nextafter(1 / d, -away))
-    return BoundResult(method, *ends)
+    return BoundResult(method, _reciprocal(rr, c, math.inf), _reciprocal(rr, 1 / 6, -math.inf))
 
 
 def makai_bounds(r: float) -> BoundResult:
@@ -132,14 +134,21 @@ def closed_form_bounds(r: float, k: int) -> BoundResult:
 
     (the head is ``mathieu_partial_sum(r, k)``; the first approximant of the
     tail at x = k is 1/(r^2 + z), z = k^2 - k, and the second adds 1/2 to
-    the denominator).  Their agreement with ``cf_bounds(r, k, 1)`` is pinned
-    by ``test_closed_forms_match_fraction_bounds`` in tests/test_bounds.py.
+    the denominator), each end rounded away from S(r).  Their agreement with
+    ``cf_bounds(r, k, 1)`` is pinned in tests/test_bounds.py.
     """
     rr = _squared(r)
     if k not in (2, 3):
         raise ValueError(f"closed forms are available for k in {{2, 3}}; got {k}")
     head, z = mathieu_partial_sum(r, k), k * k - k
-    return BoundResult(f"closed_form({k})", head + 1 / (rr + (z + 0.5)), head + 1 / (rr + z))
+    # A head of at most two terms is within 7.03 eps head + 2^-1073 of its exact
+    # sum (``cf`` docstring, "The direct route's rounding", (b)): slack covers
+    # that and the rounding of head -+ slack; each sum then steps one float out.
+    slack = 9 * head * _EPS + 3 * _TINY
+    lower = head - slack + _reciprocal(rr, z + 0.5, math.inf)
+    upper = head + slack + _reciprocal(rr, z, -math.inf)
+    return BoundResult(f"closed_form({k})", math.nextafter(lower, -math.inf),
+                       math.nextafter(upper, math.inf))
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

@@ -361,7 +361,6 @@ from .series import (
     DEFAULT_RESCALE_AT,
     MathieuCFParams,
     _Record,
-    _one,
     _require_positive_r,
     _rescale_factor,
     _rescaled,
@@ -443,8 +442,9 @@ def _recurrence(
         a_cur, a_prev = bn * a_cur + an * a_prev, a_cur
         b_cur, b_prev = bn * b_cur + an * b_prev, b_cur
         if not (abs(a_cur) <= rescale_at and abs(b_cur) <= rescale_at):
-            a_cur, a_prev, b_cur, b_prev = _rescaled(n, scale, a_cur, a_prev, b_cur, b_prev)
-            rescales += isinstance(a_cur, float)  # exact state stays unscaled
+            if isinstance(a_cur, float):  # exact state stays unscaled
+                a_cur, a_prev, b_cur, b_prev = _rescaled(n, scale, a_cur, a_prev, b_cur, b_prev)
+                rescales += 1
         yield n, a_cur, b_cur, rescales
 
 
@@ -590,6 +590,12 @@ def equivalence_transform(
         return r_prev * r_n * a, r_n * b
 
     return ContinuedFraction(cf.b0, terms)
+
+
+def _one(params: MathieuCFParams):
+    # Multiplicative unit in the parameter's arithmetic (1.0 or Fraction(1)),
+    # so integer coefficient ratios stay exact on exact inputs.
+    return (params.r - params.r) + 1
 
 
 def ab_form(params: MathieuCFParams) -> ContinuedFraction:

@@ -135,10 +135,7 @@ def _direct_terms_for_tol(r: float, tol: float) -> int:
     if target <= 0:
         return 1
     if math.sqrt(target) > series._DIRECT_TERM_CAP:
-        raise ConfigError(
-            f"tolerance unachievable by direct summation: tol={tol!r} at r={r!r} "
-            f"needs more than {series._DIRECT_TERM_CAP} terms"
-        )
+        raise ConfigError(series._unachievable(r, tol))
     M = max(1, math.isqrt(int(target)))
     while 1 / (M * M + r * r) > tol:
         M += 1

@@ -114,9 +114,7 @@ def start(r: float, x: float, width: float, max_terms: int):
     width, max_terms)``, else None, as the plan there sets out: the level
     cap min(max_terms // 2, ``MAX_LEVEL``) is at least N_0, and the walk has
     N_0 // 2 terms where N_0 > ``PROBE_LEVEL``, and 0 below."""
-    # An int runs as a float does; an exact (Fraction) run is left to the walk.
-    if not (0 < width and x == 1 and isinstance(r, (int, float))
-            and isinstance(x, (int, float))):
+    if not (0 < width and x == 1):
         return None
     rr = r * r  # an int past float range raises OverflowError, as the walk would
     rho = max(nextafter(rr, -inf), 0.0), nextafter(rr, inf)

@@ -206,3 +206,19 @@ def test_the_unused_import_check_sees_one():
 @pytest.mark.parametrize("path", sorted(ROOT.glob("src/mathieucf/*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize("name", ["series.py", "tail_interval.py"])
+def test_the_eval_path_runs_in_one_arithmetic(name):
+    # The walk and the tail interval run in float64 for any real input: no
+    # type test and no exact type (docstrings are strings, not names).
+    names = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "mathieucf" / name).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+            names.add(getattr(node, "module", None))
+    assert not names & {"isinstance", "Fraction", "fractions"}

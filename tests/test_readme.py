@@ -34,8 +34,9 @@ def test_certified_enclosure(ns):
 
 def test_closed_form_pair(ns):
     b = ns["b"]
-    # Floats of (11/14, 5/6): the upper end is one ulp below float(5/6).
+    # (11/14, 5/6), each end rounded outward.
     assert (b.lower, b.upper) == pytest.approx((11 / 14, 5 / 6), rel=1e-15)
+    assert Fraction(b.lower) < Fraction(11, 14) and Fraction(5, 6) < Fraction(b.upper)
 
 
 def test_crossovers(ns):
