@@ -274,7 +274,7 @@ at which the cap or (with ``auto``) |t_m| >= |t_{m-1}| stops it, and returns
 their fsum, M and |t_M|.  For r < 112 it may form t_0 .. t_h only, for an
 h with |t_h| < 2^-70 t_0 (``_RELEVANT``; so h >= 1), and then t_w, t_{w+1},
 .. to the stop, where w <= cap is the largest m with (2m)(2m - 1) <= x =
-fl(fl(C rf) rf), rf = float(r) and C = ``_FOUR_PI_SQUARED``, 4 pi^2 (1 -
+fl(fl(C r) r) for the float r, and C = ``_FOUR_PI_SQUARED``, 4 pi^2 (1 -
 2^-48) rounded down, if w >= h + 3.  (The terms near m = pi r fall like
 e^(-2 pi r) and reach 2^-1022 near r = 112, past which the test of (b)
 would fail.)  Claim: the outputs are those of the loop without the skip.
@@ -282,9 +282,9 @@ Write eps = 2^-53.
 (a) By Euler's formula, |B_2k| = 2 (2k)! zeta(2k)/(2 pi)^(2k) for k >= 1,
     and zeta decreases on (1, inf), so for k >= 2
         |tau_k/tau_{k-1}| < (2k)(2k - 1)/(4 pi^2 r^2).
-    rf <= r (1 + eps), so x <= C r^2 (1 + eps)^4 < 4 pi^2 (1 - 2^-50) r^2,
-    and (2k)(2k - 1) grows with k, so |tau_k| < (1 - 2^-50) |tau_{k-1}|
-    for h < k <= w.  Every tau_k with k >= 1 is negative.
+    x <= C r^2 (1 + eps)^2 < 4 pi^2 (1 - 2^-50) r^2, as (1 - 2^-48)(1 +
+    2^-52) < 1 - 2^-50, and (2k)(2k - 1) grows with k, so |tau_k| < (1 -
+    2^-50) |tau_{k-1}| for h < k <= w.  Every tau_k with k >= 1 is negative.
 (b) The loop goes back (d) unless |t_w| > 2^-1022, and then |tau_w| >
     2^-1022 (rounding is monotone): by (a), tau_h .. tau_w are normal.  For
     normal y < (1 - 2^-50) z, fl(y) < fl(z), as z 2^-50 is at least four

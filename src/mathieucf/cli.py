@@ -200,9 +200,10 @@ def _route(method: str, r: float, cfg: RunConfig) -> Tuple[Row, Any]:
     if method == "cf":
         result = series.theorem1_to_width(r, cfg.k, cfg.tol, cfg.max_terms)
         enc, terms, achieved = result
-        if not achieved:
-            note = (f"tolerance not certified: width {enc.width:.3e} "
-                    f"at the {cfg.max_terms}-term cap")
+        if not achieved:  # at the cap, or at the rounding floor before it
+            where = (f"at the {cfg.max_terms}-term cap" if terms >= cfg.max_terms
+                     else f"after {terms} terms")
+            note = f"tolerance not certified: width {enc.width:.3e} {where}"
     elif method == "direct":
         enc = result = series.mathieu_direct(r, cfg.tol)
         if enc.width > cfg.tol:

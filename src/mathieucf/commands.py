@@ -168,7 +168,9 @@ def cmd_bench(cfg: RunConfig) -> Tuple[List[Row], int]:
                 if k is not None:
                     enc, terms, achieved = result
                     if not achieved:
-                        row["note"] = f"width {enc.width:.3e} at the term cap"
+                        where = ("at the term cap" if terms >= cfg.max_terms
+                                 else f"after {terms} terms")
+                        row["note"] = f"width {enc.width:.3e} {where}"
                         exit_code = 1
                 row.update(terms=terms, median_seconds=seconds, terms_ratio=M / terms)
             rows.append(row)

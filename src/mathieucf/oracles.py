@@ -362,18 +362,19 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     ``auto`` keeps one term and ``first_omitted_term`` (the magnitude of the
     first term dropped) exceeds it, the sign of nothing to offer there.
 
-    Every term is the correctly rounded float of its exact rational value,
-    so huge Bernoulli numerators cannot overflow.  With r = num/(odd * 2^s),
-    term m is (-1)^m B_2m * odd^(2m+2) * 2^(s(2m+2)) / num^(2m+2).  The
-    factors |B_2m numerator|, odd^(2m+2) and num^(2m+2) are carried as
-    brackets of about _G bits (the first built once per m and kept across
-    calls), so the term lies between two small quotients; rounding is
-    monotone, so when both round to the same float, that float is the term
-    (while all three factors fit in _G bits the bracket is exact and one
-    quotient is enough).  Otherwise (a near tie, or an overflow) the term is
-    one correctly rounded ``int / int`` of the exact integers.  A term
-    beyond float64 (B_2/r^4 for r below about 1.7e-78) is outside the
-    route's domain and raises ``ValueError``, as does a non-finite r.
+    r is read once as a float64 (a ``Fraction`` r gives exactly what
+    ``float(r)`` gives), and every term is the correctly rounded float of its
+    exact rational value, so huge Bernoulli numerators cannot overflow.  With
+    r = num/2^s, term m is (-1)^m B_2m * 2^(s(2m+2)) / num^(2m+2).  The
+    factors |B_2m numerator| and num^(2m+2) are carried as brackets of about
+    _G bits (the first built once per m and kept across calls), so the term
+    lies between two small quotients; rounding is monotone, so when both
+    round to the same float, that float is the term (while both factors fit
+    in _G bits the bracket is exact and one quotient is enough).  Otherwise
+    (a near tie, or an overflow) the term is one correctly rounded
+    ``int / int`` of the exact integers.  A term beyond float64 (B_2/r^4 for
+    r below about 1.7e-78) is outside the route's domain and raises
+    ``ValueError``, as does a non-finite r.
 
     Only terms that can change the result are formed: the head, until one
     falls below 2^-70 t_0, then those from the last m where |t_m| < |t_m-1|
@@ -382,6 +383,7 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     sum; so every output is as with all terms formed (``cf`` docstring,
     "The asymptotic jump").
     """
+    r = float(r)
     if not (0 < r < math.inf):
         raise ValueError(f"r must be finite and > 0; got {r!r}")
     auto = n_terms == "auto"
@@ -390,18 +392,11 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
             raise ValueError(f'n_terms must be a positive integer or "auto"; got {n_terms!r}')
     cap = _ASYMPTOTIC_TERM_CAP if auto else n_terms
 
-    from fractions import Fraction
-
-    r_exact = Fraction(r)
-    num2 = r_exact.numerator ** 2
-    # den = odd * 2^s, and odd = 1 for every float r: the power of two in
-    # den^(2m+2) is applied as an exponent instead of a big-integer product.
-    den = r_exact.denominator
-    s = (den & -den).bit_length() - 1
-    odd2 = (den >> s) ** 2
-    # num2^(m+1) in [nl, nh] * 2^ne and odd2^(m+1) in [ol, oh] * 2^oe.
-    nl = nh = ol = oh = 1
-    ne = oe = 0
+    num, den = r.as_integer_ratio()
+    num2 = num * num
+    # den = 2^s is applied as an exponent instead of a big-integer product.
+    s = den.bit_length() - 1
+    nl, nh, ne = 1, 1, 0  # num2^(m+1) in [nl, nh] * 2^ne
     brackets = _B2M_BRACKETS
     terms: list[float] = []
     resume, skipped = (), 0  # the state before the jump; None once undone
@@ -409,18 +404,16 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
     m = 0
     while True:
         nl, nh, ne = _truncated(nl * num2, nh * num2, ne)
-        if odd2 != 1:
-            ol, oh, oe = _truncated(ol * odd2, oh * odd2, oe)
         while m >= len(brackets):
             b2m = _bernoulli(2 * len(brackets))
             bl = abs(b2m.numerator)
             brackets.append((*_truncated(bl, bl, 0), b2m.denominator, b2m < 0))
         bl, bh, be, bd, negative = brackets[m]
-        e = be + oe + 2 * s * (m + 1) - ne
+        e = be + 2 * s * (m + 1) - ne
         try:
-            t = _scaled_quotient(bl * ol, bd * nh, e)
-            if not (bl == bh and ol == oh and nl == nh):  # else the bracket is exact
-                if t != _scaled_quotient(bh * oh, bd * nl, e):
+            t = _scaled_quotient(bl, bd * nh, e)
+            if not (bl == bh and nl == nh):  # else the bracket is exact
+                if t != _scaled_quotient(bh, bd * nl, e):
                     t = None
         except OverflowError:
             t = None
@@ -428,7 +421,7 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
             p = m + 1
             bn = _BERNOULLI[2 * m].numerator
             try:
-                t = ((bn * odd2 ** p) << (2 * s * p)) / (bd * num2 ** p)
+                t = (bn << (2 * s * p)) / (bd * num2 ** p)
             except OverflowError:
                 raise ValueError(
                     f"asymptotic term B_{2 * m}/r^{2 * m + 2} overflows float64 at r={r!r}"
@@ -440,7 +433,7 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
         stop = auto and terms and abs(t) >= abs(terms[-1]) or m == cap
         if resume and (len(terms) == resume[0] and not abs(t) > _MIN_NORMAL
                        or stop and not _settled(terms, skipped * abs(terms[resume[0] - 1]))):
-            m, nl, nh, ne, ol, oh, oe = resume  # form the skipped terms after all
+            m, nl, nh, ne = resume  # form the skipped terms after all
             del terms[m:]
             resume, skipped = None, 0
             continue
@@ -451,14 +444,12 @@ def asymptotic(r: float, n_terms: Union[int, str] = "auto") -> AsymptoticResult:
         m += 1
         if resume == () and r < 112 and abs(t) < terms[0] * _RELEVANT:
             # Jump to the last m with |t_m| < |t_m-1| proven; past r = 112 t_m is subnormal there.
-            rf = float(r)
-            x = _FOUR_PI_SQUARED * rf * rf
+            x = _FOUR_PI_SQUARED * r * r
             w = min(cap, int((1 + math.sqrt(1 + 4 * x)) / 4))
             while w > m and 2 * w * (2 * w - 1) > x:
                 w -= 1
             if w > m + 1:
-                resume, skipped = (m, nl, nh, ne, ol, oh, oe), w - m
+                resume, skipped = (m, nl, nh, ne), w - m
                 nl, nh, ne = _power(num2, w)
-                ol, oh, oe = _power(odd2, w) if odd2 != 1 else (1, 1, 0)
                 m = w
     return AsymptoticResult(math.fsum(terms), len(terms) + skipped, first_omitted)

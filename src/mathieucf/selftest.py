@@ -150,12 +150,14 @@ def _check_three_forms() -> str:
     worst = 0.0
     for r, x in [(0.5, 1.0), (2.0, 3.0)]:
         params = series.MathieuCFParams(r, x)
-        ab = series.tail_enclosure(r, x, 0.0, 600)
+        # The ab pair at the matched budget: approximants 599 and 600.
+        *_, odd, even = iter_convergents(ab_form(params), 600)
+        ab = series.Enclosure(*sorted((odd.value, even.value)))
         cd = evaluate(cd_form(params), 0.0, 600)
         kl = evaluate(kappa_lambda_form(params), 0.0, 300)
-        budget = 4 * ab.enclosure.width + 1e-13
+        budget = 4 * ab.width + 1e-13
         for name, value in [("cd", cd.value), ("kappa_lambda", kl.value)]:
-            err = abs(value - ab.enclosure.midpoint)
+            err = abs(value - ab.midpoint)
             worst = max(worst, err)
             assert err <= budget, (
                 f"{name} form strays from ab form at r={r}, x={x}: "

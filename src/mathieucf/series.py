@@ -35,10 +35,11 @@ to an uncertified evaluation there.
 
 The module imports nothing from the package but ``tail_interval``, on the
 first z = 0 call that needs it, and ``oracles`` for those three names: it
-also holds the record base ``_Record`` and the exact power-of-two rescale
-that the ``cf`` engine, ``bounds``, ``oracles`` and ``cli`` build on, so a
-``mathieucf eval`` process compiles no theory-layer code.  ``ZETA3`` lives
-here beside S, so ``bounds`` and the ``apery`` command load no ``oracles``.
+also holds the record base ``_Record`` of the records in ``cf``, ``bounds``,
+``oracles`` and ``cli``, and the exact power-of-two rescale that the ``cf``
+engine and ``selftest`` share, so a ``mathieucf eval`` process compiles no
+theory-layer code.  ``ZETA3`` lives here beside S, so ``bounds`` and the
+``apery`` command load no ``oracles``.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ class MathieuCFParams(_Record):
     ``r`` is the series parameter (finite and >= 0; at r = 0 the shapes in
     ``cf`` give Apery's fraction for zeta(3) = S(0)/2, while the
     enclosures, from ``tail_enclosure`` on, need r > 0), ``x`` the tail
-    offset (x > 1/2, where the representation is valid), and
+    offset (finite and > 1/2, where the representation is valid), and
     ``z = x^2 - x`` the variable the partial denominators live in.  Fields
     accept `fractions.Fraction` for the ``cf`` engine's exact runs; the
     enclosures read r and x through float arithmetic.
@@ -172,6 +173,8 @@ class MathieuCFParams(_Record):
             raise ValueError(f"r must be finite; got {r!r}")
         if not (x > 0.5):
             raise ValueError(f"x must be > 1/2; got {x!r}")
+        if x == math.inf:
+            raise ValueError(f"x must be finite; got {x!r}")
         _set(self, "r", r)
         _set(self, "x", x)
 
@@ -480,8 +483,8 @@ def theorem1_to_width(
     A head that ``mathieu_partial_sum`` refuses is refused before the walk.
 
     Width 0 runs to the cap, on the even approximant there and the odd one
-    before it, unless the float ends of a pass meet or cross first: then it
-    stops there.  ``theorem1_to_width(1.0, 3, 0.0, 4000)`` stops after 106
+    before it, unless the float ends of a pass cross first: then it stops
+    there.  ``theorem1_to_width(1.0, 3, 0.0, 4000)`` stops after 106
     terms with width 0.0; ROADMAP item 18 replaces that stop.
     """
     _require_head(k)

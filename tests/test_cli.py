@@ -145,6 +145,19 @@ class TestEvalCommand:
         assert "not certified" in cf["note"]
         assert cf["lower"] <= S_AT_1 <= cf["upper"]  # still a true enclosure
 
+    @pytest.mark.parametrize("r,methods,width,terms", [
+        ("1", "cf", "1.887e-15", 298),
+        ("1e-200", "cf,direct", "6.217e-15", 204),
+    ])
+    def test_rounding_floor_note_names_the_terms(self, capsys, r, methods, width, terms):
+        # The walk stops at its rounding floor long before the 200000-term
+        # cap, and the note says where it stopped instead of naming the cap.
+        argv = ["eval", "--r", r, "--k", "1", "--tol", "1e-300", "--methods", methods]
+        assert main([*argv, "--format", "json"]) == 1
+        cf = strict_json(capsys.readouterr().out)["rows"][0]
+        assert cf["method"] == "cf" and cf["terms_used"] == terms
+        assert cf["note"] == f"tolerance not certified: width {width} after {terms} terms"
+
     def test_direct_row_missing_tol_exits_1(self, capsys):
         # A tol of two ulp of S(0) = 2 zeta(3), under the rounding allowance
         # (about 22 eps S): the certified direct bracket is 12 ulp wide.
@@ -260,6 +273,16 @@ class TestBenchCommand:
         assert cf["method"] == "cf(k=1)" and cf["note"] == "width 1.250e-01 at the term cap"
         assert direct["note"] is None
         assert main(["eval", *argv, "--k", "1", "--methods", "cf"]) == 1
+
+    def test_rounding_floor_row_names_the_terms(self, capsys):
+        # The k = 1 walk stops at its rounding floor after 148 terms, far
+        # below the cap: the note says so, and the row still exits 1.
+        argv = ["--r", "0.05", "--k-values", "1", "--tol", "3e-15", "--repeats", "1"]
+        assert main(["bench", *argv, "--format", "json"]) == 1
+        cf, direct = strict_json(capsys.readouterr().out)["rows"]
+        assert cf["method"] == "cf(k=1)" and cf["terms"] == 148
+        assert cf["note"] == "width 6.661e-15 after 148 terms"
+        assert direct["note"] is None
 
     def test_direct_term_rule(self):
         assert _direct_terms_for_tol(1.0, 1e-12) == 1_000_000

@@ -150,6 +150,7 @@ def test_runconfig_vars_are_the_fields_in_order():
     (lambda: tail_enclosure(0.0, 2.0, 1e-12), "r must be > 0; got 0.0"),
     (lambda: MathieuCFParams(math.inf, 2.0), "r must be finite; got inf"),
     (lambda: MathieuCFParams(1.0, 0.5), "x must be > 1/2; got 0.5"),
+    (lambda: MathieuCFParams(1.0, math.inf), "x must be finite; got inf"),
 ])
 def test_validation_messages(build, message):
     with pytest.raises(ValueError) as info:

@@ -302,6 +302,9 @@ class TestTailEnclosure:
             tail_enclosure(1.0, 0.75, 1e-8)
         with pytest.raises(ValueError, match="width"):
             tail_enclosure(1.0, 2.0, -1e-8)
+        # x = inf is refused as r = inf is, not left to overflow to nan.
+        with pytest.raises(ValueError, match="^x must be finite; got inf$"):
+            tail_enclosure(1.0, math.inf, 1e-12)
 
     @pytest.mark.parametrize("r", [1e-170, 1e-157, 1e-156])
     def test_underflowing_r_at_z0(self, r):
@@ -1213,6 +1216,14 @@ def _asymptotic_outcome(fn, r, n_terms):
     return result.value.hex(), result.terms_used, result.first_omitted_term.hex()
 
 
+def _as_read(r):
+    """r as ``asymptotic`` reads it: a non-dyadic ``Fraction`` becomes its
+    float64, and every other r is that float already."""
+    if isinstance(r, Fraction) and r.denominator & (r.denominator - 1):
+        return float(r)
+    return r
+
+
 _rng = random.Random(20)
 _SEEDED_R = [_rng.uniform(0.1, 100.0) for _ in range(12)]
 _ASYMPTOTIC_R = (
@@ -1262,10 +1273,11 @@ class TestAsymptotic:
         # first term overflows, at 1e-150 the second; at 117 auto truncation
         # keeps 368 terms, reads B_736 and ends on subnormal terms.  At
         # 99.123 the power of two in r's denominator grows to a shift of
-        # about 28,000 bits; the fractions with denominators 3, 12 and 1000
-        # have an odd part.  Both versions agree.
+        # about 28,000 bits.  The fractions with denominators 3, 12 and 1000
+        # are read as their floats, so the reference gets those floats.
+        # Both versions agree.
         assert _asymptotic_outcome(asymptotic, r, n_terms) == _asymptotic_outcome(
-            _reference_asymptotic, r, n_terms
+            _reference_asymptotic, _as_read(r), n_terms
         )
 
     @pytest.mark.parametrize("r", _ASYMPTOTIC_R)
@@ -1304,11 +1316,23 @@ class TestAsymptotic:
             asymptotic(1e-200)
         with pytest.raises(ValueError, match="overflows"):
             asymptotic(1e-150, 5)
+        # r is read as a float64, so an int past float range is refused there.
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            asymptotic(10**400)
+
+    @pytest.mark.parametrize("n_terms", ["auto", 1, 5, 50])
+    def test_fraction_r_is_read_as_its_float(self, n_terms):
+        fractions = [r for r in [*_ASYMPTOTIC_R, *_JUMP_R] if _as_read(r) is not r]
+        assert len(fractions) == 18
+        for q in fractions:
+            assert _asymptotic_outcome(asymptotic, q, n_terms) == _asymptotic_outcome(
+                asymptotic, float(q), n_terms
+            ), q
 
 
 _jump_rng = random.Random(32)
-# Seeded r in [1, 160]: half with full 52-bit mantissas, half short (k/8, and
-# k/1000 with an odd denominator part); past r = 112 the window terms are
+# Seeded r in [1, 160]: half with full 52-bit mantissas, half short (k/8), and
+# k/1000, which is read as its float; past r = 112 the window terms are
 # subnormal and from about 159 on the 500-term cap binds.
 _JUMP_R = (
     [_jump_rng.uniform(1.0, 160.0) for _ in range(30)]
@@ -1340,7 +1364,7 @@ class TestAsymptoticJump:
     def test_bit_identical_over_seeded_r(self, n_terms):
         for r in _JUMP_R:
             assert _asymptotic_outcome(asymptotic, r, n_terms) == _asymptotic_outcome(
-                _reference_asymptotic, r, n_terms
+                _reference_asymptotic, _as_read(r), n_terms
             ), r
 
     def test_forced_repair_stays_bit_identical(self, monkeypatch):
@@ -1359,7 +1383,7 @@ class TestAsymptoticJump:
         for r in (10.0, 33.3, 77.77, 100.0, Fraction(99123, 1000)):
             for n_terms in ("auto", 50):
                 assert _asymptotic_outcome(asymptotic, r, n_terms) == _asymptotic_outcome(
-                    _reference_asymptotic, r, n_terms
+                    _reference_asymptotic, _as_read(r), n_terms
                 ), (r, n_terms)
         assert verdicts and not any(verdicts)
 
@@ -1391,7 +1415,7 @@ class TestAsymptoticJump:
 
     def test_four_pi_squared_rounds_down(self):
         # C <= 4 pi^2 (1 - 2^-48), and C (1 + 2^-53)^4 < 4 pi^2 (1 - 2^-50):
-        # claim (a) of the proof.
+        # claim (a) of the proof, which needs only the square.
         c = Fraction(oracles._FOUR_PI_SQUARED)
         grown = c * (1 + Fraction(1, 2 ** 53)) ** 4
         with mpmath.workdps(60):
