@@ -7,8 +7,7 @@ turns a slowly decaying sum into certified enclosures at a tiny term count.
 At r = 0 the same fraction is Apery's fraction for zeta(3) = S(0)/2.
 The package bundles the fraction engine, the series representations with
 the constant zeta(3), classical bounds with their crossover analysis,
-independent numerical oracles (trigamma, oscillatory integral), a built-in
-invariant suite, and a CLI.
+independent numerical oracles (trigamma, oscillatory integral), and a CLI.
 """
 
 __version__ = "0.1.0"
@@ -16,7 +15,7 @@ __version__ = "0.1.0"
 # Loaded on first use (PEP 562), so ``python -m mathieucf eval`` imports only
 # the modules it runs.
 _LIBRARY = ("cf", "series", "bounds", "oracles")
-_OTHER = ("cli", "commands", "selftest", "tail_interval")
+_OTHER = ("cli", "commands", "tail_interval")
 
 
 def _submodule(name: str):

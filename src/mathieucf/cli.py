@@ -1,5 +1,5 @@
 """Command-line interface: evaluate enclosures, tabulate bounds, compare
-independent routes, benchmark, and run the invariant suite.
+independent routes, benchmark, and list Apery's approximants.
 
 Subcommands
     eval      certified enclosure of S(r) (plus optional extra methods)
@@ -7,15 +7,14 @@ Subcommands
     compare   cross-check the independent routes at each r
     bench     term counts and wall time, direct summation vs fraction
     apery     approximants of the zeta(3) fraction
-    selftest  run the built-in invariant checks
 
 Common flags: ``--r`` takes a single value, a comma list, or
 ``start:stop:count`` (with ``--log`` for geometric spacing); ``--format``
 selects table/json/csv; ``--output`` writes to a file instead of stdout.
 
-Exit codes: 0 success; 1 when a result is only partial (an invariant
-failed, a requested tolerance was not certified within the term cap, or a
-route or bound column failed and left a ``failed:`` row note); 2 for
+Exit codes: 0 success; 1 when a result is only partial (a requested
+tolerance was not certified within the term cap, or a route or bound
+column failed and left a ``failed:`` row note); 2 for
 configuration errors, in which case nothing is written to --output.
 
 JSON and CSV outputs serialize floats via ``repr``, which round-trips
@@ -189,6 +188,13 @@ def _eval_row(r, method, enc=None, value=None, terms=None, t_ns=None, note=None)
             "terms_used": terms, "time_ns": t_ns, "note": note}
 
 
+def _uncertified(width: float, terms: int, max_terms: int) -> str:
+    """The note of a fraction row that missed its tolerance: at the term
+    cap, or at the rounding floor before it."""
+    where = f"at the {max_terms}-term cap" if terms >= max_terms else f"after {terms} terms"
+    return f"tolerance not certified: width {width:.3e} {where}"
+
+
 def _route(method: str, r: float, cfg: RunConfig) -> Tuple[Row, Any]:
     """Run one route to S(r) at ``r``: its eval row and the route's own result.
 
@@ -200,10 +206,8 @@ def _route(method: str, r: float, cfg: RunConfig) -> Tuple[Row, Any]:
     if method == "cf":
         result = series.theorem1_to_width(r, cfg.k, cfg.tol, cfg.max_terms)
         enc, terms, achieved = result
-        if not achieved:  # at the cap, or at the rounding floor before it
-            where = (f"at the {cfg.max_terms}-term cap" if terms >= cfg.max_terms
-                     else f"after {terms} terms")
-            note = f"tolerance not certified: width {enc.width:.3e} {where}"
+        if not achieved:
+            note = _uncertified(enc.width, terms, cfg.max_terms)
     elif method == "direct":
         enc = result = series.mathieu_direct(r, cfg.tol)
         if enc.width > cfg.tol:
@@ -368,7 +372,6 @@ _COMMAND_FLAGS = {
     "apery": ("approximants of the zeta(3) fraction", _OUTPUT_FLAGS + (
         ("--n-terms", int, None),
     ), {}),
-    "selftest": ("run the built-in invariant checks", _OUTPUT_FLAGS, {}),
 }
 
 

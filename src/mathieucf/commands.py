@@ -1,5 +1,5 @@
-"""The subcommands other than ``eval`` (bounds, compare, bench, apery,
-selftest), the bench config check, and the csv and table writers.
+"""The subcommands other than ``eval`` (bounds, compare, bench and apery),
+the bench config check, and the csv and table writers.
 
 ``cli`` imports this module inside the functions that need it: ``run`` for
 a non-eval command, ``render`` for a csv or table format, and ``RunConfig``
@@ -19,7 +19,7 @@ import time
 from typing import Any, Callable, List, Tuple
 
 from . import series
-from .cli import _METHODS, ConfigError, Row, RunConfig, _route
+from .cli import _METHODS, ConfigError, Row, RunConfig, _route, _uncertified
 
 __all__ = ["rows_to_csv", "rows_to_table"]
 
@@ -168,9 +168,7 @@ def cmd_bench(cfg: RunConfig) -> Tuple[List[Row], int]:
                 if k is not None:
                     enc, terms, achieved = result
                     if not achieved:
-                        where = ("at the term cap" if terms >= cfg.max_terms
-                                 else f"after {terms} terms")
-                        row["note"] = f"width {enc.width:.3e} {where}"
+                        row["note"] = _uncertified(enc.width, terms, cfg.max_terms)
                         exit_code = 1
                 row.update(terms=terms, median_seconds=seconds, terms_ratio=M / terms)
             rows.append(row)
@@ -194,13 +192,6 @@ def cmd_apery(cfg: RunConfig) -> Tuple[List[Row], int]:
         for c in approximants
     ]
     return rows, 0
-
-
-def cmd_selftest(cfg: RunConfig) -> Tuple[List[Row], int]:
-    from .selftest import run_selftest  # only this command loads the suite
-
-    rows = run_selftest()
-    return rows, 1 if any(row["status"] != "pass" for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------

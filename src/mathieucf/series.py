@@ -36,8 +36,8 @@ to an uncertified evaluation there.
 The module imports nothing from the package but ``tail_interval``, on the
 first z = 0 call that needs it, and ``oracles`` for those three names: it
 also holds the record base ``_Record`` of the records in ``cf``, ``bounds``,
-``oracles`` and ``cli``, and the exact power-of-two rescale that the ``cf``
-engine and ``selftest`` share, so a ``mathieucf eval`` process compiles no
+``oracles`` and ``cli``, and the exact power-of-two rescale that its walk
+and the ``cf`` engine share, so a ``mathieucf eval`` process compiles no
 theory-layer code.  ``ZETA3`` lives here beside S, so ``bounds`` and the
 ``apery`` command load no ``oracles``.
 """

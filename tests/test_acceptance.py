@@ -246,14 +246,16 @@ def test_c08_zeta3_fraction_convergence():
 
 
 def test_c09_independent_routes_triangle():
-    """Direct summation, the trigamma route, and the oscillatory integral
-    agree pairwise within 2e-9 at r in {0.5, 1, 2, 5}, in under 2 s."""
+    """Direct summation, the trigamma route, the oscillatory integral and
+    the fraction (k = 3) agree pairwise within 2e-9 at r in {0.5, 1, 2, 5},
+    in under 2 s."""
     start = time.perf_counter()
     for r in (0.5, 1.0, 2.0, 5.0):
         routes = {
             "direct": mathieu_direct(r, 1e-11).midpoint,
             "trigamma": mathieu_trigamma(r),
             "integral": mathieu_integral(r, 1e-10),
+            "cf": theorem1_to_width(r, 3, 1e-11)[0].midpoint,
         }
         for a in routes:
             for b in routes:

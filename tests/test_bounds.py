@@ -44,6 +44,8 @@ class TestClassicalBounds:
         assert b.lower == pytest.approx(1 / (1 + INV_TWO_ZETA3), rel=1e-14)
         assert b.upper == makai_bounds(1.0).upper
         assert makai_bounds(1.0).lower < b.lower < S_AT_1
+        for r in (0.2, 5.0):
+            assert makai_bounds(r).lower < alzer_bounds(r).lower < mpmath_s(r), r
 
     def test_lower_constant_value(self):
         assert 1 / (2 * PACKAGE_ZETA3) == pytest.approx(INV_TWO_ZETA3, abs=1e-15)
@@ -96,6 +98,10 @@ class TestFractionBounds:
     def test_more_pairs_nest(self):
         outer, inner = cf_bounds(1.0, 2, 1), cf_bounds(1.0, 2, 2)
         assert outer.lower < inner.lower < S_AT_1 < inner.upper < outer.upper
+        for r in (0.2, 5.0):
+            outer, inner = cf_bounds(r, 2, 1), cf_bounds(r, 2, 2)
+            s = mpmath_s(r)
+            assert outer.lower < inner.lower < s < inner.upper < outer.upper, r
 
     def test_split_at_one(self):
         b = cf_bounds(1.0, 1, 1)

@@ -88,19 +88,26 @@ class TestDeterminantIdentity:
 
     def test_float_normalized(self):
         # In float64 the determinant is a difference of nearly equal
-        # products, so compare on the products' rounding scale.
-        cf = ContinuedFraction(0.0, lambda n: (1.0, 2.5))
-        prev = None
-        for c in iter_convergents(cf, 300, rescale_at=1e10):
-            if prev is not None:
-                scale = 2.0 ** -math.floor(math.log2(1e10))
-                det = c.numerator * prev.denominator - prev.numerator * c.denominator
-                expected = (1 if c.n % 2 else -1) * scale ** (c.rescales + prev.rescales)
-                norm = abs(c.numerator * prev.denominator) + abs(
-                    prev.numerator * c.denominator
-                )
-                assert abs(det - expected) <= 1e-12 * max(norm, 1e-300)
-            prev = c
+        # products, so compare on the products' rounding scale.  The tail
+        # fraction's partial numerators vary: there it is their running
+        # product, times the scales both states carry.
+        scale = 2.0 ** -math.floor(math.log2(1e10))
+        for cf, n_max in ((ContinuedFraction(0.0, lambda n: (1.0, 2.5)), 300),
+                          (ab_form(MathieuCFParams(1.0, 2.0)), 60)):
+            prev = None
+            prod = 1.0
+            for c in iter_convergents(cf, n_max, rescale_at=1e10):
+                if prev is not None:
+                    prod *= cf.term(c.n)[0]
+                    det = c.numerator * prev.denominator - prev.numerator * c.denominator
+                    expected = ((1 if c.n % 2 else -1) * prod
+                                * scale ** (c.rescales + prev.rescales))
+                    norm = abs(c.numerator * prev.denominator) + abs(
+                        prev.numerator * c.denominator
+                    )
+                    assert abs(det - expected) <= 1e-12 * max(norm, 1e-300), c.n
+                prev = c
+            assert prev.rescales > 0
 
 
 class TestRescaling:

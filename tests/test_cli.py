@@ -1,7 +1,7 @@
 """Command-line layer tests: argument parsing, per-command row shapes and
 exit codes, serialization round-trips, and file-output behavior.
 
-Exit-code contract: 0 success, 1 partial results or failed invariants,
+Exit-code contract: 0 success, 1 partial results,
 2 configuration error (in which case nothing is written to --output).
 """
 
@@ -19,9 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import CASES as GOLDEN_CASES
 
-from mathieucf import __version__, bounds, cli, oracles, selftest, series
-from mathieucf.bounds import BoundResult, CrossoverReport
-from mathieucf.cf import ContinuedFraction, Convergent
+from mathieucf import __version__, oracles, series
 from mathieucf.cli import (
     SCHEMA_VERSION,
     ConfigError,
@@ -34,9 +32,6 @@ from mathieucf.cli import (
 from mathieucf.cli import (_COMMAND_FLAGS, _METHODS, _build_parser, _config_from_args,
                            _fast_args)
 from mathieucf.commands import _direct_terms_for_tol, rows_to_csv, rows_to_table
-from mathieucf.oracles import AsymptoticResult
-from mathieucf.selftest import CHECKS, run_selftest
-from mathieucf.series import Enclosure
 
 
 def _reject_constant(name):
@@ -270,9 +265,12 @@ class TestBenchCommand:
         argv = ["--r", "1", "--tol", "1e-12", "--max-terms", "4", "--format", "json"]
         assert main(["bench", *argv, "--k-values", "1", "--repeats", "1"]) == 1
         cf, direct = strict_json(capsys.readouterr().out)["rows"]
-        assert cf["method"] == "cf(k=1)" and cf["note"] == "width 1.250e-01 at the term cap"
+        assert cf["method"] == "cf(k=1)"
+        assert cf["note"] == "tolerance not certified: width 1.250e-01 at the 4-term cap"
         assert direct["note"] is None
         assert main(["eval", *argv, "--k", "1", "--methods", "cf"]) == 1
+        (row,) = strict_json(capsys.readouterr().out)["rows"]
+        assert row["note"] == cf["note"]
 
     def test_rounding_floor_row_names_the_terms(self, capsys):
         # The k = 1 walk stops at its rounding floor after 148 terms, far
@@ -281,7 +279,7 @@ class TestBenchCommand:
         assert main(["bench", *argv, "--format", "json"]) == 1
         cf, direct = strict_json(capsys.readouterr().out)["rows"]
         assert cf["method"] == "cf(k=1)" and cf["terms"] == 148
-        assert cf["note"] == "width 6.661e-15 after 148 terms"
+        assert cf["note"] == "tolerance not certified: width 6.661e-15 after 148 terms"
         assert direct["note"] is None
 
     def test_direct_term_rule(self):
@@ -304,208 +302,17 @@ class TestAperyCommand:
 
 
 class TestSelftestCommand:
-    def test_all_checks_pass(self):
-        rows, code, _ = run(RunConfig(command="selftest"))
-        assert code == 0
-        assert all(r["status"] == "pass" for r in rows)
-        assert len(rows) == 16
-
-    def test_failing_check_exits_1(self, monkeypatch):
-        def forced():
-            raise AssertionError("forced")
-
-        monkeypatch.setattr(selftest, "CHECKS", CHECKS + [("forced", forced)])
-        rows, code, _ = run(RunConfig(command="selftest"))
-        assert code == 1
-        assert len(rows) == 17
-        assert rows[-1]["check"] == "forced"
-        assert rows[-1]["status"] == "FAIL" and rows[-1]["detail"] == "forced"
-        assert all(row["status"] == "pass" for row in rows[:-1])
+    """The command is retired: its invariants are tests of their own modules."""
 
     def test_no_hidden_failure_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["selftest", "--force-fail"])
+            main(["selftest"])
         assert info.value.code == 2
-        assert "unrecognized arguments: --force-fail" in capsys.readouterr().err
-
-    def test_runner_returns_the_command_rows(self):
-        rows = run_selftest()
-        assert len(rows) == 16
-        assert [row["check"] for row in rows] == [name for name, _ in CHECKS]
-        for row in rows:
-            assert list(row) == ["check", "status", "seconds", "detail"]
-            assert row["status"] == "pass"
-        command_rows, code, _ = run(RunConfig(command="selftest"))
-        assert code == 0
-
-        def untimed(rows):
-            return [{**row, "seconds": None} for row in rows]
-
-        assert untimed(command_rows) == untimed(rows)
-
-    def test_round_trip_check_catches_a_lossy_csv_writer(self, monkeypatch):
-        from mathieucf import commands
-
-        cell = commands._csv_cell
-        monkeypatch.setattr(commands, "_csv_cell",
-                            lambda v: f"{v:.12g}" if isinstance(v, float) else cell(v))
-        row = {row["check"]: row for row in run_selftest()}["cli.serialization_round_trip"]
-        assert (row["status"], row["detail"]) == ("FAIL", "CSV round-trip changed the rows")
-
-
-def _values(value):
-    """A patch of ``iter_convergents`` whose approximants read ``value(c)``."""
-    def make(real):
-        return lambda form, n: (Convergent(c.n, c.numerator, c.denominator, value(c), c.rescales)
-                                for c in real(form, n))
-    return make
-
-
-def _changed(r_at, **fields):
-    """A patch of ``asymptotic`` that changes ``fields`` of its result at ``r_at``."""
-    def make(real):
-        def asymptotic(r):
-            result = real(r)
-            if r != r_at:
-                return result
-            return AsymptoticResult(**{**{name: getattr(result, name) for name in result._fields},
-                                       **fields})
-        return asymptotic
-    return make
-
-
-def _report(upper, interval):
-    return lambda real: lambda tol: CrossoverReport(upper, interval, 1.1, tol)
-
-
-# (check, [(owner, name, patch of the real object)], the FAIL row's detail starts with)
-DIAGNOSTICS = [
-    ("cf_engine.determinant_identity",
-     [(selftest, "iter_convergents", lambda real: lambda form, n, rescale_at: (
-         Convergent(c.n, -c.numerator, c.denominator, c.value, c.rescales)
-         for c in real(form, n, rescale_at=rescale_at)))],
-     "determinant mismatch at n=1: det=-1.0, expected=1.0, normalized error 2.000e+00"),
-    ("cf_engine.contraction", [(selftest, "even_contraction", lambda real: lambda form: form)],
-     "contraction approximant 1 = 1.0 differs from even approximant 2 = 0.5"),
-    ("cf_engine.equivalence",
-     [(selftest, "equivalence_transform",
-       lambda real: lambda form, mult: ContinuedFraction(form.b0 + 1.0, form.terms))],
-     "approximant 1 moved under equivalence at r=0.7, x=1.0: "),
-    ("cf_engine.equivalence",
-     [(selftest, "equivalence_transform", lambda real: lambda form, mult: form)],
-     "equivalence transform accepted r_0 != 1"),
-    ("cf_engine.rescaling_invariance",
-     [(selftest, "convergent", lambda real: lambda form, n, rescale_at:
-       real(form, 2 if rescale_at == 1e50 else n, rescale_at=rescale_at))],
-     "rescale threshold changed the approximant: "),
-    ("cf_engine.rescaling_invariance",
-     [(selftest, "convergent", lambda real: lambda form, n, rescale_at: real(form, n))],
-     "aggressive threshold should rescale more often"),
-    ("mathieu.three_forms",
-     [(selftest, "evaluate", lambda real: lambda form, tol, n: real(form, tol, 2))],
-     "cd form strays from ab form at r=0.5, x=1.0: diff "),
-    ("mathieu.split_consistency",
-     [(series, "theorem1_to_width",
-       lambda real: lambda r, k, width, n: (Enclosure(k, k), n, False))],
-     "split-point enclosures disjoint at r=0.5: [3, 1]"),
-    ("mathieu.split_consistency",
-     [(series, "theorem1_to_width",
-       lambda real: lambda r, k, width, n: (Enclosure(10.0, 10.0), n, False))],
-     "enclosure k=1 at r=0.5 disjoint from the direct bracket: [10.0, 10.0] vs ["),
-    ("mathieu.bracketing_exact", [(selftest, "iter_convergents", _values(lambda c: 0))],
-     "even approximants not increasing at n=2"),
-    ("mathieu.bracketing_exact", [(selftest, "iter_convergents", _values(lambda c: c.n))],
-     "bracket inverted at n=2"),
-    ("mathieu.bracketing_exact",
-     [(selftest, "iter_convergents", _values(lambda c: c.n + 100 * (c.n % 2)))],
-     "odd approximants not decreasing at n=2"),
-    ("mathieu.positivity",
-     [(selftest, "coefficients_positive", lambda real: lambda params, n: 7)],
-     "coefficient <= 0 at n=7 for r=0.1, x=1.0"),
-    ("mathieu.positivity",
-     [(selftest, "coefficients_positive",
-       lambda real: lambda params, n: real(params, n) if params.x >= 1 else None)],
-     "expected first violation at n=1 for r=0.1, x=0.6; got None"),
-    ("mathieu.positivity",
-     [(selftest, "coefficients_positive",
-       lambda real: lambda params, n: 4 if params.r == 1 and params.x < 1 else real(params, n))],
-     "expected first violation at n=5 for r=1, x=0.6; got 4"),
-    ("mathieu.telescoping",
-     [(selftest, "telescoping_residual", lambda real: lambda r, x, tol: 1.0)],
-     "residual 1.000e+00 at r=1.0, x=2.0"),
-    ("mathieu.asymptotic", [(oracles, "asymptotic", _changed(10.0, terms_used=1))],
-     "auto kept 1 terms at r=10"),
-    ("mathieu.asymptotic",
-     [(oracles, "asymptotic", _changed(10.0, value=1.01, first_omitted_term=0.0))],
-     "asymptotic error 1.000e+00 exceeds first omitted 0.000e+00 and float floor "),
-    ("mathieu.asymptotic", [(oracles, "asymptotic", _changed(0.2, terms_used=2))],
-     "auto kept 2 terms at r=0.2"),
-    ("mathieu.asymptotic", [(oracles, "asymptotic", _changed(0.2, first_omitted_term=0.0))],
-     "small-r divergence not flagged: first omitted 0.000e+00 < kept "),
-    ("bounds.ordering",
-     [(bounds, "makai_bounds", lambda real: lambda r: BoundResult("makai", 10.0, 20.0))],
-     "makai fails to bracket S(0.2) = "),
-    ("bounds.ordering",
-     [(bounds, "mp_upper", lambda real: lambda r: BoundResult("mp", None, 0.0))],
-     "mp upper fails at r=0.2"),
-    ("bounds.ordering", [(bounds, "alzer_bounds", lambda real: bounds.makai_bounds)],
-     "sharp lower constant not tighter at r=0.2"),
-    ("bounds.ordering",
-     [(bounds, "closed_form_bounds", lambda real: lambda r, k: real(r, 2))],
-     "k=3 not inside k=2 at r=0.2"),
-    ("bounds.ordering", [(bounds, "cf_bounds", lambda real: lambda r, k, l: real(r, k, 1))],
-     "l=2 not inside l=1 at r=0.2"),
-    ("bounds.crossovers", [(bounds, "crossover_analysis", _report(0.5, (0.05, 4.4)))],
-     "upper crossover 0.5 far from expected"),
-    ("bounds.crossovers", [(bounds, "crossover_analysis", _report(0.8035865, (2.0, 4.4)))],
-     "lower-crossover interval (2.0, 4.4) misses r=1"),
-    ("bounds.crossovers",
-     [(bounds, "crossover_analysis", _report(0.8035865, (0.05, 4.4))),
-      (bounds, "alzer_bounds", lambda real: lambda r: BoundResult("alzer", 0.0, 1.0))],
-     "closed-form lower does not change sides as predicted"),
-    ("oracle.triangle", [(oracles, "mathieu_trigamma", lambda real: lambda r: 0.0)],
-     "integral vs trigamma differ by "),
-    ("oracle.apery", [(selftest, "iter_convergents", _values(lambda c: c.value * (c.n != 1)))],
-     "first approximant 0.0"),
-    ("oracle.apery", [(selftest, "iter_convergents", _values(lambda c: c.value * (c.n != 2)))],
-     "second approximant 0.0"),
-    ("oracle.apery", [(selftest, "iter_convergents", _values(lambda c: c.value * (c.n != 60)))],
-     "60-term approximant off by 1.202e+00"),
-    ("oracle.apery", [(selftest, "iter_convergents", _values(lambda c: c.value - (c.n == 3)))],
-     "odd approximant 3 not above zeta(3)"),
-    ("oracle.apery", [(selftest, "iter_convergents", _values(lambda c: c.value + (c.n == 4)))],
-     "even approximant 4 not below zeta(3)"),
-    ("oracle.cf_trigamma_alignment",
-     [(oracles, "tail_via_trigamma", lambda real: lambda r, x: 1.0)],
-     "fraction tail vs trigamma tail at r=1.3, x=1.7: diff "),
-    ("oracle.cf_trigamma_alignment",
-     [(oracles, "tail_via_trigamma", lambda real: lambda r, x:
-       series.tail_enclosure(r, x, 1e-12, max_terms=20_000).enclosure.upper + 1e-13)],
-     "trigamma tail outside certified bracket at r=1.3, x=1.7"),
-    ("cli.serialization_round_trip",
-     [(cli, "payload_to_json", lambda real: lambda payload: real({**payload, "rows": []}))],
-     "JSON round-trip changed the rows"),
-    ("cli.serialization_round_trip",
-     [(cli, "payload_to_json",
-       lambda real: lambda payload: real({**payload, "config": {"tol": 0.0}}))],
-     "JSON round-trip changed the config"),
-]
-
-
-@pytest.mark.parametrize("check, patches, detail", DIAGNOSTICS,
-                         ids=[f"{case[0]}-{case[2][:24]}" for case in DIAGNOSTICS])
-def test_each_selftest_diagnostic_is_a_fail_row(check, patches, detail, monkeypatch, capsys):
-    # Each check's failure messages are formatted only when it fails: a
-    # broken one would turn its FAIL row into a traceback.  Only the check
-    # under test runs, since a patch made to fail it may make another raise.
-    monkeypatch.setattr(selftest, "CHECKS", [entry for entry in CHECKS if entry[0] == check])
-    for owner, name, patch in patches:
-        monkeypatch.setattr(owner, name, patch(getattr(owner, name)))
-    (row,) = run_selftest()
-    assert row["status"] == "FAIL"
-    assert row["detail"].startswith(detail), row["detail"]
-    assert main(["selftest"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr()
+        assert "invalid choice: 'selftest'" in out.err
+        assert out.out == ""
+        with pytest.raises(ConfigError, match="^unknown command 'selftest'$"):
+            RunConfig(command="selftest")
 
 
 class TestSerialization:
@@ -563,7 +370,7 @@ class TestJsonWriter:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(rows=st.lists(_FLAT_ROWS, max_size=5))
     def test_rows_match_json_dumps(self, rows):
-        # The shape ``render`` writes, then the one of selftest's round trip.
+        # The shape ``render`` writes, then a shorter one in another order.
         for payload in ({"version": {"schema": SCHEMA_VERSION, "package": __version__},
                          "config": vars(RunConfig(command="eval")), "rows": rows},
                         {"config": {"tol": 1e-12}, "rows": rows, "version": 1}):
@@ -1024,6 +831,6 @@ class TestFastParser:
                                       ["eval", "--r", "-1"], ["eval", "--bogus", "1"],
                                       ["eval", "--k", "x"], ["eval", "--r"],
                                       ["eval", "--format", "xml"], ["apery", "--r", "1"],
-                                      ["eval", "--r", "1", "--log", "x"]])
+                                      ["eval", "--r", "1", "--log", "x"], ["selftest"]])
     def test_the_rest_is_left_to_argparse(self, argv):
         assert _fast_args(argv) is None

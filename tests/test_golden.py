@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from mathieucf.cli import main
+from mathieucf.cli import _COMMAND_FLAGS, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -28,7 +28,6 @@ CASES = {
     "bench": (["bench", "--r", "1", "--tol", "1e-8", "--k-values", "1,3",
                "--repeats", "1"], 0),
     "apery": (["apery", "--n-terms", "12"], 0),
-    "selftest": (["selftest"], 0),
 }
 
 _TIMING = re.compile(r'("(?:time_ns|median_seconds|seconds)": )[^,\n]+')
@@ -36,6 +35,11 @@ _TIMING = re.compile(r'("(?:time_ns|median_seconds|seconds)": )[^,\n]+')
 
 def mask(text):
     return _TIMING.sub(r"\1null", text)
+
+
+def test_every_subcommand_has_one_golden_file():
+    assert CASES.keys() == _COMMAND_FLAGS.keys()
+    assert sorted(os.listdir(GOLDEN_DIR)) == sorted(f"{name}.json" for name in CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

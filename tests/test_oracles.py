@@ -33,6 +33,7 @@ from mathieucf import (
     convergent,
     mathieu_integral,
     mathieu_trigamma,
+    tail_enclosure,
     tail_via_trigamma,
     trigamma,
 )
@@ -75,6 +76,12 @@ class TestTrigammaTail:
     def test_matches_brute_force(self):
         lo, hi = brute_tail_bracket(2.0, 3.5, 30_000)
         assert lo <= tail_via_trigamma(2.0, 3.5) <= hi
+
+    @pytest.mark.parametrize("r,x", [(1.3, 1.7), (0.8, 4.25)])
+    def test_inside_the_fraction_enclosure(self, r, x):
+        # Non-integer offsets: the tail fraction's certified bracket holds it.
+        enc = tail_enclosure(r, x, 1e-12, max_terms=20_000).enclosure
+        assert enc.lower <= tail_via_trigamma(r, x) <= enc.upper
 
     def test_full_series(self):
         assert mathieu_trigamma(1.0) == pytest.approx(S_AT_1, abs=2e-13)

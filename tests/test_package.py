@@ -3,7 +3,8 @@ own ``__all__`` lists, so each exported name must appear once and be the
 very object its defining module holds; the sorted list is pinned.  The
 import graph is a stack: every
 module imports cleanly when it is the first one a process imports.  The
-package loads its library modules on first use of a name they export.  No
+package loads its library modules on first use of a name they export, and
+its lazy lookup names every submodule on disk.  No
 module of the package or its tests imports sympy, which is declared nowhere,
 and the package itself imports only the standard library: it declares no
 runtime dependency.  No module imports a name it never uses.
@@ -56,8 +57,18 @@ def test_public_surface_is_pinned():
     assert sorted(mathieucf.__all__) == PUBLIC_NAMES
 
 
-@pytest.mark.parametrize("name", ["cf", "series", "oracles", "bounds", "selftest", "cli",
-                                  "commands", "tail_interval", "__main__"])
+ROOT = Path(__file__).resolve().parents[1]
+SUBMODULES = sorted(path.stem for path in ROOT.glob("src/mathieucf/*.py")
+                    if path.stem != "__init__")
+
+
+def test_lazy_lookup_knows_every_submodule():
+    # ``__main__`` is the entry point, run and never looked up as a name.
+    assert sorted(mathieucf._LIBRARY + mathieucf._OTHER) == [
+        name for name in SUBMODULES if name != "__main__"]
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
 def test_module_imports_first(name):
     # fresh_python raises on a non-zero exit, an import cycle's ImportError included.
     fresh_python("-c", f"import mathieucf.{name}")
@@ -137,9 +148,6 @@ def test_unknown_name_raises_in_process():
     # module is already loaded.
     with pytest.raises(AttributeError, match="^module 'mathieucf' has no attribute 'no_such_name'$"):
         mathieucf.no_such_name
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def _imports(paths):

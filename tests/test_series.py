@@ -106,14 +106,18 @@ class TestFractionShapes:
         assert convergent(kl, 1).value == pytest.approx(4 / 3, abs=1e-16)
 
     def test_witness_maps_ab_onto_cd(self):
-        params = MathieuCFParams(1.5, 2.5)
-        transformed = equivalence_transform(ab_form(params), ab_to_cd_witness)
-        reference = cd_form(params)
-        for n in range(1, 31):
-            assert transformed.term(n) == pytest.approx(reference.term(n), rel=1e-14)
-            assert convergent(transformed, n).value == pytest.approx(
-                convergent(reference, n).value, rel=1e-14
-            )
+        # Every approximant is kept: the transform's equals both the cd
+        # shape's and that of the ab shape it came from.
+        for params in (MathieuCFParams(1.5, 2.5), MathieuCFParams(0.7, 1.0),
+                       MathieuCFParams(3.0, 4.0)):
+            original = ab_form(params)
+            transformed = equivalence_transform(original, ab_to_cd_witness)
+            reference = cd_form(params)
+            for n in range(1, 31):
+                assert transformed.term(n) == pytest.approx(reference.term(n), rel=1e-14)
+                value = convergent(transformed, n).value
+                assert value == pytest.approx(convergent(reference, n).value, rel=1e-14)
+                assert value == pytest.approx(convergent(original, n).value, rel=1e-14)
 
     def test_kappa_lambda_is_the_even_contraction(self):
         for params in (P12, MathieuCFParams(0.7, 0.8), MathieuCFParams(3.0, 1.5)):
@@ -123,7 +127,8 @@ class TestFractionShapes:
                 assert contracted.term(n) == pytest.approx(kl.term(n), rel=1e-13)
 
     def test_coefficients_positive(self):
-        assert coefficients_positive(MathieuCFParams(1.0, 2.0), 1000) is None
+        for r, x in itertools.product((0.1, 1.0, 10.0), (1.0, 2.0, 2.5, 7.0)):
+            assert coefficients_positive(MathieuCFParams(r, x), 1000) is None, (r, x)
         # x in (1/2, 1): b_n = z + r^2/n (odd n) sinks below 0 eventually.
         assert coefficients_positive(MathieuCFParams(0.1, 0.6), 50) == 1
         assert coefficients_positive(MathieuCFParams(1.0, 0.6), 50) == 5
@@ -1026,6 +1031,19 @@ class TestEnclosureIdentity:
         # x = 1 makes z = 0: coefficients stay positive, bracketing holds.
         assert theorem1_to_width(1.0, 1, 0.0, 80)[0].contains(S_AT_1)
 
+    @pytest.mark.parametrize("r", [0.5, 1.0, 5.0])
+    def test_split_points_agree_at_width_0(self, r):
+        # Run to their rounding floors, the enclosures of k = 1, 2, 3 meet
+        # one another and the direct bracket.  A saturated end can sit a few
+        # ulp off S(r), so they meet with ulp-scale slack, not at S(r).
+        direct = mathieu_direct(r, 1e-8)
+        enclosures = [theorem1_to_width(r, k, 0.0, 4000)[0] for k in (1, 2, 3)]
+        lo = max(e.lower for e in enclosures)
+        hi = min(e.upper for e in enclosures)
+        assert lo <= hi + 32 * math.ulp(max(abs(lo), abs(hi))), (lo, hi)
+        for e in enclosures:
+            assert e.lower <= direct.upper and direct.lower <= e.upper, (e, direct)
+
     def test_adaptive(self):
         enc, terms, achieved = theorem1_to_width(1.0, 3, 1e-12)
         assert achieved and terms <= 40
@@ -1255,6 +1273,10 @@ class TestAsymptotic:
         result = asymptotic(0.5)
         assert result.terms_used == 3
         assert result.first_omitted_term > 2.0
+        # At r = 0.2 it stops after one term, whose successor outweighs it.
+        result = asymptotic(0.2)
+        assert result.terms_used == 1
+        assert result.first_omitted_term >= abs(result.value)
 
     def test_single_term(self):
         result = asymptotic(10.0, 1)
@@ -1449,7 +1471,8 @@ class TestAsymptoticJump:
 
 
 class TestTelescoping:
-    @pytest.mark.parametrize("r,x", [(1.0, 2.0), (5.0, 3.5), (0.3, 1.7)])
+    @pytest.mark.parametrize("r,x", [(1.0, 2.0), (5.0, 3.5), (0.3, 1.7), (1.0, 3.5),
+                                     (5.0, 2.0)])
     def test_certified_region(self, r, x):
         assert abs(telescoping_residual(r, x)) <= 1e-10
 
